@@ -18,6 +18,10 @@ where ``r(eta)`` equals the weighted mean of sufficient statistics is a
 global maximum, and it is unique when the family is minimal (no nontrivial
 linear combination of the components of ``T`` is almost surely constant).
 
+The moment target itself, the u-weighted mean of ``T``, is
+:func:`weighted_stat_mean`; it lives here, next to the gradient that uses
+it, and :mod:`wmle.mwle` re-exports it.
+
 Callable conventions: every x-callable takes a 2-D ``(n, k)`` array and
 returns ``(n,)`` for ``log_base_measure`` or ``(n, q)`` for
 ``sufficient_stat``.  Parameter callables take and return 1-D arrays.
@@ -26,7 +30,8 @@ returns ``(n,)`` for ``log_base_measure`` or ``(n, q)`` for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +49,7 @@ __all__ = [
     "WeightedDataset",
     "MinimalityVerdict",
     "log_pdf",
+    "weighted_stat_mean",
     "log_weighted_likelihood",
     "grad_log_weighted_likelihood",
     "hessian_log_weighted_likelihood",
@@ -99,25 +105,34 @@ class FamilyModel:
             raise ConfigError("separable model needs one component per natural parameter")
 
 
+def _observation_matrix(observations) -> np.ndarray:
+    """Observations as a finite, non-empty ``(n, k)`` float matrix; a 1-D
+    input is one column."""
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim == 1:
+        obs = obs.reshape(-1, 1)
+    if obs.ndim != 2 or obs.shape[0] < 1:
+        raise DomainError("observations must form a non-empty n-by-k matrix")
+    if not np.all(np.isfinite(obs)):
+        raise DomainError("observations must be finite")
+    return obs
+
+
 @dataclass(frozen=True)
 class WeightedDataset:
     """Observations ``(n, k)`` with strictly positive per-row weights ``(n,)``.
 
     Weights are parameter-free by construction: they are computed from the
-    observations before any fit (see :mod:`wmle.mwle`).
+    observations before any fit (see :mod:`wmle.mwle`).  ``total_weight`` is
+    their compensated sum, computed once at construction.
     """
 
     observations: np.ndarray
     weights: np.ndarray
+    total_weight: float = field(init=False)
 
     def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=float)
-        if obs.ndim == 1:
-            obs = obs.reshape(-1, 1)
-        if obs.ndim != 2 or obs.shape[0] < 1:
-            raise DomainError("observations must form a non-empty n-by-k matrix")
-        if not np.all(np.isfinite(obs)):
-            raise DomainError("observations must be finite")
+        obs = _observation_matrix(self.observations)
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != obs.shape[0]:
             raise DomainError(
@@ -127,14 +142,11 @@ class WeightedDataset:
             raise DomainError("observation weights must be positive and finite")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "total_weight", math.fsum(w))
 
     @property
     def n(self) -> int:
         return self.observations.shape[0]
-
-    @property
-    def total_weight(self) -> float:
-        return math.fsum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -192,17 +204,19 @@ def log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> f
     return math.fsum(data.weights * per_row) - data.total_weight * model.log_normalizer(eta)
 
 
-def _weighted_stat_sum(model: FamilyModel, data: WeightedDataset) -> np.ndarray:
+def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
+    """Moment target ``sum(u_i T(x_i)) / sum(u_i)`` with compensated sums."""
     stats = model.sufficient_stat(data.observations)
+    total = data.total_weight
     return np.array(
-        [math.fsum(data.weights * stats[:, j]) for j in range(stats.shape[1])]
+        [math.fsum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
     )
 
 
 def grad_log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> np.ndarray:
     """Gradient ``sum_i u_i (T(x_i) - r(eta))``; zero exactly at the MWLE."""
     eta = _check_eta(model, eta)
-    return _weighted_stat_sum(model, data) - data.total_weight * mean_map(model, eta)
+    return data.total_weight * (weighted_stat_mean(data, model) - mean_map(model, eta))
 
 
 def hessian_log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> np.ndarray:
@@ -225,11 +239,12 @@ def mean_map(model: FamilyModel, eta) -> np.ndarray:
     )
 
 
-def _central_difference(model: FamilyModel, fn, eta: np.ndarray, j: int) -> float:
-    """Central difference of a scalar function of eta along axis j.
+def _central_difference(model: FamilyModel, fn, eta: np.ndarray, j: int) -> np.ndarray:
+    """Central difference of a scalar- or vector-valued function of eta
+    along axis j.
 
-    Halves the step until both probe points stay inside the natural domain,
-    which matters near a domain boundary.
+    Halves the step until both probe points stay inside the natural domain
+    and ``fn`` is finite at both, which matters near a domain boundary.
     """
     h = _FD_SCALE * (1.0 + abs(float(eta[j])))
     for _ in range(40):
@@ -238,9 +253,9 @@ def _central_difference(model: FamilyModel, fn, eta: np.ndarray, j: int) -> floa
         plus[j] += h
         minus[j] -= h
         if model.natural_domain(plus) and model.natural_domain(minus):
-            fp = float(fn(plus))
-            fm = float(fn(minus))
-            if math.isfinite(fp) and math.isfinite(fm):
+            fp = np.asarray(fn(plus), dtype=float)
+            fm = np.asarray(fn(minus), dtype=float)
+            if np.all(np.isfinite(fp)) and np.all(np.isfinite(fm)):
                 return (fp - fm) / (2.0 * h)
         h *= 0.5
     raise NumericError(
@@ -258,29 +273,9 @@ def _stat_covariance(model: FamilyModel, eta: np.ndarray) -> np.ndarray:
     if model.mean_map_jacobian is not None:
         cov = np.asarray(model.mean_map_jacobian(eta), dtype=float)
     else:
-        q = eta.size
-        cov = np.empty((q, q))
-        for j in range(q):
-            cov[:, j] = _central_difference_vec(model, eta, j)
+        r = partial(mean_map, model)
+        cov = np.column_stack([_central_difference(model, r, eta, j) for j in range(eta.size)])
     return 0.5 * (cov + cov.T)
-
-
-def _central_difference_vec(model: FamilyModel, eta: np.ndarray, j: int) -> np.ndarray:
-    h = _FD_SCALE * (1.0 + abs(float(eta[j])))
-    for _ in range(40):
-        plus = eta.copy()
-        minus = eta.copy()
-        plus[j] += h
-        minus[j] -= h
-        if model.natural_domain(plus) and model.natural_domain(minus):
-            rp = mean_map(model, plus)
-            rm = mean_map(model, minus)
-            if np.all(np.isfinite(rp)) and np.all(np.isfinite(rm)):
-                return (rp - rm) / (2.0 * h)
-        h *= 0.5
-    raise NumericError(
-        f"could not find a finite-difference step inside the natural domain at eta={eta.tolist()}"
-    )
 
 
 @dataclass(frozen=True)
@@ -445,8 +440,6 @@ def _bisect_component(comp: FamilyModel, target: float, tol: float, tol_weak: fl
 
     iterations = 0
     max_bisect = 30 if coarse else 300
-    mid = 0.5 * (lo + hi)
-    f_mid = residual_at(mid)
     for iterations in range(1, max_bisect + 1):
         mid = 0.5 * (lo + hi)
         f_mid = residual_at(mid)

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, NoSolutionError
 from .expfam import FamilyModel
+from .means import _logsumexp
 
 __all__ = [
     "weibull_model",
@@ -140,7 +139,7 @@ def weibull_moment(lam: float, k: float, t: float) -> float:
         raise DomainError(f"Weibull moments need lam > 0 and k > 0, got lam={lam}, k={k}")
     if t < 0:
         raise DomainError(f"moment order must be non-negative, got t={t}")
-    return lam**t * float(gamma_fn(1.0 + t / k))
+    return lam**t * math.gamma(1.0 + t / k)
 
 
 def _gaussian(sigmas: np.ndarray, components) -> FamilyModel:
@@ -217,12 +216,27 @@ def gaussian_known_variance_model(sigmas) -> FamilyModel:
     return _gaussian(sigma, comps)
 
 
+def _lgamma_or_pole(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except ValueError:  # poles at 0, -1, -2, ...: a count outside the support
+        return math.inf
+
+
+_lgamma_ufunc = np.frompyfunc(_lgamma_or_pole, 1, 1)
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """``log|Gamma(x)|`` elementwise: :func:`math.lgamma` lifted over an array."""
+    return _lgamma_ufunc(x).astype(float)
+
+
 def _multinomial_full(trials: int, categories: int) -> FamilyModel:
     n_trials = trials
     k = categories
 
     def log_base_measure(x):
-        return gammaln(n_trials + 1.0) - gammaln(np.asarray(x) + 1.0).sum(axis=1)
+        return math.lgamma(n_trials + 1.0) - _lgamma(np.asarray(x) + 1.0).sum(axis=1)
 
     def sufficient_stat(x):
         return np.array(x, dtype=float, copy=True)
@@ -273,9 +287,9 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
         x = np.asarray(x, dtype=float)
         last = n_trials - x.sum(axis=1)
         return (
-            gammaln(n_trials + 1.0)
-            - gammaln(x + 1.0).sum(axis=1)
-            - gammaln(last + 1.0)
+            math.lgamma(n_trials + 1.0)
+            - _lgamma(x + 1.0).sum(axis=1)
+            - _lgamma(last + 1.0)
         )
 
     def sufficient_stat(x):
@@ -288,12 +302,12 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
     def nat_param_inverse(eta):
         eta = np.asarray(eta, dtype=float).reshape(-1)
         expo = np.append(eta, 0.0)
-        expo -= logsumexp(expo)
+        expo -= _logsumexp(expo)
         return np.exp(expo)
 
     def log_normalizer(eta):
         eta = np.asarray(eta, dtype=float).reshape(-1)
-        return float(n_trials * logsumexp(np.append(eta, 0.0)))
+        return float(n_trials * _logsumexp(np.append(eta, 0.0)))
 
     def natural_domain(eta):
         return bool(np.all(np.isfinite(np.asarray(eta, dtype=float))))

@@ -91,17 +91,22 @@ def _require_positive(sample: Sample, alpha: float, reason: str) -> None:
         )
 
 
-def _log_power_sum(log_w: np.ndarray, log_x: np.ndarray, alpha: float) -> float:
-    """log(sum(w * x**alpha)) via a shifted-exponent sum.
-
-    ``log_x`` entries of -inf (zero values) are only legal when ``alpha > 0``,
-    which the callers' domain checks guarantee.
-    """
-    expo = log_w + alpha * log_x
+def _logsumexp(expo: np.ndarray) -> float:
+    """log(sum(exp(expo))) with the largest exponent shifted out first, so no
+    term overflows (Blanchard, Higham & Higham 2021); all -inf gives -inf."""
     m = float(np.max(expo))
-    if m == -math.inf:  # every value is zero
+    if m == -math.inf:
         return -math.inf
     return m + math.log(float(np.sum(np.exp(expo - m))))
+
+
+def _log_power_sum(log_w: np.ndarray, log_x: np.ndarray, alpha: float) -> float:
+    """log(sum(w * x**alpha)) via :func:`_logsumexp`.
+
+    ``log_x`` entries of -inf (zero values) are only legal when ``alpha > 0``,
+    which the callers' domain checks guarantee; all values zero gives -inf.
+    """
+    return _logsumexp(log_w + alpha * log_x)
 
 
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:

@@ -25,7 +25,6 @@ either, a (model, policy) pair realizes.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,10 +35,11 @@ from .expfam import (
     FamilyModel,
     MinimalityVerdict,
     WeightedDataset,
+    _observation_matrix,
     _solve_mean_target,
     _stat_covariance,
     check_minimality,
-    mean_map,
+    weighted_stat_mean,
 )
 
 __all__ = [
@@ -141,17 +141,6 @@ class SubclassReport:
     reason: str
 
 
-def _as_matrix(observations) -> np.ndarray:
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim == 1:
-        obs = obs.reshape(-1, 1)
-    if obs.ndim != 2 or obs.shape[0] < 1:
-        raise DomainError("observations must form a non-empty n-by-k matrix")
-    if not np.all(np.isfinite(obs)):
-        raise DomainError("observations must be finite")
-    return obs
-
-
 def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     """Evaluate the policy on an ``(n, k)`` matrix.
 
@@ -161,7 +150,7 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     produced weight is not strictly positive, in particular for a zero
     observation under any exponent other than 1.
     """
-    obs = _as_matrix(observations)
+    obs = _observation_matrix(observations)
     n, k = obs.shape
     if policy.kind == "holder":
         u = np.ones(n) if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float).reshape(-1)
@@ -198,15 +187,6 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     return u
 
 
-def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
-    """Moment target ``sum(u_i T(x_i)) / sum(u_i)`` with compensated sums."""
-    stats = model.sufficient_stat(data.observations)
-    total = data.total_weight
-    return np.array(
-        [math.fsum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
-    )
-
-
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         method: str = "auto", seed: int = 0, minimality_samples: int = 2048) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
@@ -221,49 +201,38 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             f"model {model.name} declares a non-bijective parameter map; "
             "theta cannot be recovered from eta"
         )
-    obs = _as_matrix(observations)
+    obs = _observation_matrix(observations)
     if obs.shape[1] != model.dim_x:
         raise DomainError(
             f"data has {obs.shape[1]} columns, model {model.name} expects {model.dim_x}"
         )
     u = apply_policy(policy, obs)
 
+    # Shared row weights give one problem; per-column weights give one
+    # univariate problem per independent component.
     if u.ndim == 1:
-        data = WeightedDataset(obs, u)
-        target = weighted_stat_mean(data, model)
-        info = _solve_mean_target(model, target, method=method)
-        eta = info.eta
-        hessian = -data.total_weight * _stat_covariance(model, eta)
-        eigenvalues = np.linalg.eigvalsh(hessian)
-        iterations, residual, solve_method = info.iterations, info.residual, info.method
+        problems = [(model, obs, u)]
+    elif model.components is None:
+        raise ConfigError(
+            f"model {model.name} is not separable; per-column weight policies "
+            "require independent components"
+        )
     else:
-        comps = model.components
-        if comps is None:
-            raise ConfigError(
-                f"model {model.name} is not separable; per-column weight policies "
-                "require independent components"
-            )
-        etas = np.empty(model.dim_eta)
-        target = np.empty(model.dim_eta)
-        curvatures = np.empty(model.dim_eta)
-        iterations = 0
-        residual = 0.0
-        methods = []
-        for j, comp in enumerate(comps):
-            data_j = WeightedDataset(obs[:, j : j + 1], u[:, j])
-            target_j = weighted_stat_mean(data_j, comp)
-            info = _solve_mean_target(comp, target_j, method=method)
-            etas[j] = info.eta[0]
-            target[j] = target_j[0]
-            curvatures[j] = -data_j.total_weight * float(
-                _stat_covariance(comp, info.eta)[0, 0]
-            )
-            iterations = max(iterations, info.iterations)
-            residual = max(residual, info.residual)
-            methods.append(info.method)
-        eta = etas
-        eigenvalues = np.sort(curvatures)
-        solve_method = methods[0] if len(set(methods)) == 1 else "mixed"
+        problems = [(comp, obs[:, j : j + 1], u[:, j]) for j, comp in enumerate(model.components)]
+    targets, infos, curvatures = [], [], []
+    for sub_model, sub_obs, sub_u in problems:
+        data = WeightedDataset(sub_obs, sub_u)
+        sub_target = weighted_stat_mean(data, sub_model)
+        info = _solve_mean_target(sub_model, sub_target, method=method)
+        hessian = -data.total_weight * _stat_covariance(sub_model, info.eta)
+        targets.append(sub_target)
+        infos.append(info)
+        curvatures.append(np.linalg.eigvalsh(hessian))
+    target = np.concatenate(targets)
+    eta = np.concatenate([info.eta for info in infos])
+    eigenvalues = np.sort(np.concatenate(curvatures))
+    methods = {info.method for info in infos}
+    solve_method = methods.pop() if len(methods) == 1 else "mixed"
 
     theta = np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
     # A flat direction of the curvature at the estimate means the maximum is
@@ -279,8 +248,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     if minimality_samples and model.sampler is not None:
         verdict = check_minimality(model, eta, n_samples=minimality_samples, seed=seed)
     diagnostics = FitDiagnostics(
-        iterations=iterations,
-        residual_norm=residual,
+        iterations=max(info.iterations for info in infos),
+        residual_norm=max(info.residual for info in infos),
         hessian_smallest=float(eigenvalues[0]),
         hessian_largest=float(eigenvalues[-1]),
         minimality=verdict,

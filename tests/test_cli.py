@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wmle
 from wmle import NoSolutionError, holder_mean, lehmer_mean
 from wmle import mwle as mwle_module
 from wmle.cli import SweepTable, main, parse_grid, run_sweep
@@ -340,3 +344,22 @@ class TestMeanConsistencyAcrossSurfaces:
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--alpha", "2.5", "0.6", "2")
         assert code == 0
         assert float(out) == holder_mean(2.5, [0.6, 2.0])
+
+
+class TestRuntimeDependencies:
+    def test_imports_load_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test-only oracle.
+        src = os.path.dirname(os.path.dirname(wmle.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, wmle, wmle.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
+from scipy.special import gammaln, logsumexp
 
 from wmle import (
     ConfigError,
@@ -91,6 +93,13 @@ class TestWeibullMoment:
         # lam=2, k=1, t=2: 4 * Gamma(3) = 8
         assert weibull_moment(2.0, 1.0, 2.0) == pytest.approx(8.0, rel=1e-13)
 
+    @pytest.mark.parametrize("lam", [0.3, 4.5])
+    @pytest.mark.parametrize("shape", [0.5, 2.7])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0])
+    def test_matches_scipy_gamma(self, lam, shape, t):
+        expected = lam**t * float(gamma_fn(1.0 + t / shape))
+        assert weibull_moment(lam, shape, t) == pytest.approx(expected, rel=1e-14)
+
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
             weibull_moment(1.0, 1.0, -0.5)
@@ -175,6 +184,43 @@ class TestMultinomialFixture:
         np.testing.assert_allclose(
             mean_map(fixture.reduced_model, fixture.eta_reduced), expected, rtol=1e-12
         )
+
+    @pytest.mark.parametrize("eta", [[800.0, -800.0], [-800.0, 800.0], [-750.0, -700.0], [0.3, -0.2]])
+    def test_reduced_maps_match_logsumexp_oracle(self, eta):
+        trials = 12
+        model = multinomial_fixture(trials, [0.5, 0.3, 0.2]).reduced_model
+        eta = np.array(eta)
+        lse = logsumexp(np.append(eta, 0.0))
+        probabilities = np.exp(np.append(eta, 0.0) - lse)
+        h = model.log_normalizer(eta)
+        p = model.nat_param_inverse(eta)
+        r = mean_map(model, eta)
+        assert math.isfinite(h) and np.all(np.isfinite(p)) and np.all(np.isfinite(r))
+        assert h == pytest.approx(trials * lse, rel=1e-14)
+        np.testing.assert_allclose(p, probabilities, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(r, trials * probabilities[:2], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("encoding", ["full", "reduced"])
+    def test_log_pdf_matches_gammaln_oracle(self, encoding):
+        trials = 9
+        p = np.array([0.5, 0.3, 0.2])
+        fixture = multinomial_fixture(trials, p)
+        counts = fixture.full_model.sampler(fixture.eta_full, 40, np.random.default_rng(8))
+        if encoding == "full":
+            model, x, eta = fixture.full_model, counts, fixture.eta_full
+        else:
+            # The last row lies past the trial count, where the density is zero.
+            model, eta = fixture.reduced_model, fixture.eta_reduced
+            x = np.vstack([counts[:, :2], [7.0, 5.0]])
+        rest = trials - x.sum(axis=1)  # zero in the full encoding
+        expected = (
+            gammaln(trials + 1.0)
+            - gammaln(x + 1.0).sum(axis=1)
+            - gammaln(rest + 1.0)
+            + x @ np.log(p[: x.shape[1]])
+            + rest * math.log(p[-1])
+        )
+        np.testing.assert_allclose(log_pdf(model, x, eta), expected, rtol=1e-13)
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ConfigError):
