@@ -23,20 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means, mwle, pipeline, svg
-from .errors import (
-    AggregationError,
-    ConfigError,
-    DomainError,
-    NumericError,
-    SchemaError,
-    SolverError,
-)
+from .errors import ConfigError, DomainError, SchemaError, SolverError, WmleError
 from .families import gaussian_known_variance_model, weibull_model
 
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
 
 _SWEEP_HEADER = "order,lambda_dem,lambda_rep,lambda_oth"
-_PARTY_LABELS = ("dem", "rep", "oth")
 
 #: Default sweep grids: the estimator order for the lehmer mode may span
 #: negatives; the holder mode's order is a Weibull shape and must stay > 0.
@@ -234,9 +226,14 @@ def _load_numeric_matrix(path: str) -> np.ndarray:
         if drop_first_column:
             cells = cells[1:]
         try:
-            rows.append([float(cell) for cell in cells])
+            row = [float(cell) for cell in cells]
         except ValueError:
             raise DomainError(f"{path}: non-numeric cell in row {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise DomainError(
+                f"{path}: row {line!r} has {len(row)} cells, the first row has {len(rows[0])}"
+            )
+        rows.append(row)
     matrix = np.asarray(rows, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise DomainError(f"{path}: expected a rectangular numeric table")
@@ -471,12 +468,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (DomainError, NumericError, ConfigError, SchemaError, AggregationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except WmleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

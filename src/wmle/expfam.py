@@ -61,6 +61,12 @@ __all__ = [
 # Central-difference step scale for first derivatives.
 _FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
+# Step halvings a damped Newton step tries before the iteration gives up.
+_MAX_HALVINGS = 50
+
+# Smallest/largest eigenvalue ratio at or below which a model is degenerate.
+_MINIMALITY_RATIO = 1e-8
+
 
 @dataclass(frozen=True)
 class FamilyModel:
@@ -85,7 +91,6 @@ class FamilyModel:
     mean_map_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     mean_map_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
     mean_map_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    newton_init: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sampler: Optional[Callable[[np.ndarray, int, np.random.Generator], np.ndarray]] = None
     components: Optional[tuple["FamilyModel", ...]] = None
     stat_powers: Optional[np.ndarray] = None
@@ -291,7 +296,8 @@ def inverse_mean_map(model: FamilyModel, target, init=None, *, method: str = "au
     """Solve ``r(eta) = target`` for eta.
 
     ``method`` selects the path: ``"closed"`` requires the model's
-    closed-form inverse, ``"newton"`` runs damped Newton on the residual,
+    closed-form inverse, ``"newton"`` runs damped Newton on the residual
+    from ``init`` (default: a coarse bisection, separable models only),
     ``"bisect"`` forces the per-component bisection (separable models only)
     and ``"auto"`` prefers closed form, then Newton with bisection fallback.
 
@@ -304,7 +310,7 @@ def inverse_mean_map(model: FamilyModel, target, init=None, *, method: str = "au
 
 
 def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "auto",
-                       max_iter: int = 200, max_halvings: int = 50) -> _SolveInfo:
+                       max_iter: int = 200) -> _SolveInfo:
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape[0] != model.dim_eta:
         raise DomainError(
@@ -331,17 +337,15 @@ def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "
     if method == "bisect":
         return _solve_bisect(model, target, tol_strong, tol_weak)
 
-    return _solve_newton(model, target, init, tol_strong, tol_weak, max_iter, max_halvings)
+    return _solve_newton(model, target, init, tol_strong, tol_weak, max_iter)
 
 
 def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: float,
-                  tol_weak: float, max_iter: int, max_halvings: int) -> _SolveInfo:
+                  tol_weak: float, max_iter: int) -> _SolveInfo:
     if init is not None:
         eta = np.asarray(init, dtype=float).reshape(-1).copy()
         if not model.natural_domain(eta):
             raise DomainError(f"Newton initialization {eta.tolist()} is outside the natural domain")
-    elif model.newton_init is not None:
-        eta = np.asarray(model.newton_init(target), dtype=float).reshape(-1).copy()
     else:
         eta = _solve_bisect(model, target, 1e-2, math.inf, coarse=True).eta
 
@@ -360,7 +364,7 @@ def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: floa
             break
         t = 1.0
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             candidate = eta + t * step
             if model.natural_domain(candidate):
                 cand_vec = mean_map(model, candidate) - target
@@ -485,13 +489,13 @@ def _expand(comp: FamilyModel, residual_at, anchor: float, bound: float,
 
 
 def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int = 0,
-                     x_sample=None, rel_tol: float = 1e-8) -> MinimalityVerdict:
+                     x_sample=None) -> MinimalityVerdict:
     """Estimate ``Cov[T(X)]`` from samples and test for a flat direction.
 
     Draws ``n_samples`` observations from the model at ``eta`` (or uses the
     supplied ``x_sample``), eigendecomposes the sample covariance of the
     sufficient statistics and reports ``degenerate`` with the offending unit
-    direction when the smallest eigenvalue is at most ``rel_tol`` times the
+    direction when the smallest eigenvalue is at most ``1e-8`` times the
     largest.
     """
     eta = _check_eta(model, eta)
@@ -514,6 +518,6 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     smallest = float(eigenvalues[0])
     largest = float(eigenvalues[-1])
-    if largest <= 0.0 or smallest <= rel_tol * largest:
+    if largest <= 0.0 or smallest <= _MINIMALITY_RATIO * largest:
         return MinimalityVerdict(False, eigenvectors[:, 0].copy(), smallest, largest)
     return MinimalityVerdict(True, None, smallest, largest)

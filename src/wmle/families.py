@@ -92,7 +92,7 @@ def _weibull(shapes: np.ndarray, components) -> FamilyModel:
         return lam * np.power(-np.log(uniforms), 1.0 / k)
 
     return FamilyModel(
-        name=f"weibull(k={np.array2string(k, separator=',')})",
+        name=f"weibull(k=[{','.join(map(repr, k.tolist()))}])",
         dim_x=q,
         dim_eta=q,
         log_base_measure=log_base_measure,
@@ -104,7 +104,6 @@ def _weibull(shapes: np.ndarray, components) -> FamilyModel:
         mean_map_closed=mean_map_closed,
         mean_map_inverse=mean_map_inverse,
         mean_map_jacobian=mean_map_jacobian,
-        newton_init=mean_map_inverse,
         sampler=sampler,
         components=components,
         stat_powers=k.copy(),
@@ -181,7 +180,7 @@ def _gaussian(sigmas: np.ndarray, components) -> FamilyModel:
         return rng.normal(loc=mu, scale=sigma, size=(int(size), q))
 
     return FamilyModel(
-        name=f"gaussian(sigma={np.array2string(sigma, separator=',')})",
+        name=f"gaussian(sigma=[{','.join(map(repr, sigma.tolist()))}])",
         dim_x=q,
         dim_eta=q,
         log_base_measure=log_base_measure,
@@ -193,7 +192,6 @@ def _gaussian(sigmas: np.ndarray, components) -> FamilyModel:
         mean_map_closed=mean_map_closed,
         mean_map_inverse=mean_map_inverse,
         mean_map_jacobian=mean_map_jacobian,
-        newton_init=mean_map_inverse,
         sampler=sampler,
         components=components,
         stat_powers=np.ones(q),
@@ -346,7 +344,6 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
         mean_map_closed=mean_map_closed,
         mean_map_inverse=mean_map_inverse,
         mean_map_jacobian=mean_map_jacobian,
-        newton_init=mean_map_inverse,
         sampler=sampler,
         support=(0.0, float(trials)),
     )

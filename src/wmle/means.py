@@ -100,15 +100,6 @@ def _logsumexp(expo: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(expo - m))))
 
 
-def _log_power_sum(log_w: np.ndarray, log_x: np.ndarray, alpha: float) -> float:
-    """log(sum(w * x**alpha)) via :func:`_logsumexp`.
-
-    ``log_x`` entries of -inf (zero values) are only legal when ``alpha > 0``,
-    which the callers' domain checks guarantee; all values zero gives -inf.
-    """
-    return _logsumexp(log_w + alpha * log_x)
-
-
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:
     """Generalized f-mean: ``f_inverse(mean(f(x)))`` for increasing ``f``.
 
@@ -162,7 +153,8 @@ def holder_mean(alpha, values, weights=None) -> float:
     if a == 0.0:
         total = float(np.sum(sample.weights))
         return float(math.exp(float(np.dot(sample.weights, log_x)) / total))
-    log_sum = _log_power_sum(log_w, log_x, a)
+    # Zero values (-inf in log_x) pass the check above only for a > 0.
+    log_sum = _logsumexp(log_w + a * log_x)
     if log_sum == -math.inf:  # all values zero, alpha > 0
         return 0.0
     log_total = math.log(float(np.sum(sample.weights)))
@@ -190,8 +182,9 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     with np.errstate(divide="ignore"):
         log_x = np.log(sample.values)
     log_w = np.log(sample.weights)
-    num = _log_power_sum(log_w, log_x, a)
-    den = _log_power_sum(log_w, log_x, a - 1.0)
+    # Zero values (-inf in log_x) pass the checks above only for a > 1.
+    num = _logsumexp(log_w + a * log_x)
+    den = _logsumexp(log_w + (a - 1.0) * log_x)
     return math.exp(num - den)
 
 

@@ -63,10 +63,11 @@ class WeightPolicy:
     ``base_w`` supplies the exogenous relevance weight ``w`` and defaults to
     the constant 1.  For the ``holder`` kind it is called with the whole
     ``(n, k)`` observation matrix and must return ``(n,)`` row weights; for
-    the ``lehmer`` kind it is applied to the value matrix elementwise and
-    must return a matching ``(n, k)`` array.  ``exponents`` holds the
-    per-component Lehmer orders ``alpha_j`` and is required for (and only
-    for) the ``lehmer`` kind.  The produced weights must be strictly
+    the ``custom`` kind it is the required user weight map, called the same
+    way; for the ``lehmer`` kind it is applied to the value matrix
+    elementwise and must return a matching ``(n, k)`` array.  ``exponents``
+    holds the per-component Lehmer orders ``alpha_j`` and is required for
+    (and only for) the ``lehmer`` kind.  The produced weights must be strictly
     positive on the dataset and depend on the data only, never on the
     parameters being estimated.
     """
@@ -74,7 +75,6 @@ class WeightPolicy:
     kind: str
     base_w: Optional[Callable[[np.ndarray], np.ndarray]] = None
     exponents: Optional[np.ndarray] = None
-    custom_u: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in ("holder", "lehmer", "custom"):
@@ -88,10 +88,8 @@ class WeightPolicy:
             object.__setattr__(self, "exponents", exps)
         elif self.exponents is not None:
             raise ConfigError(f"the {self.kind} policy takes no exponents")
-        if self.kind == "custom" and self.custom_u is None:
+        if self.kind == "custom" and self.base_w is None:
             raise ConfigError("the custom policy requires a weight map")
-        if self.kind != "custom" and self.custom_u is not None:
-            raise ConfigError(f"the {self.kind} policy takes no custom weight map")
 
     @classmethod
     def holder(cls, base_w=None) -> "WeightPolicy":
@@ -103,7 +101,7 @@ class WeightPolicy:
 
     @classmethod
     def custom(cls, weight_map) -> "WeightPolicy":
-        return cls(kind="custom", custom_u=weight_map)
+        return cls(kind="custom", base_w=weight_map)
 
 
 @dataclass(frozen=True)
@@ -152,14 +150,10 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     """
     obs = _observation_matrix(observations)
     n, k = obs.shape
-    if policy.kind == "holder":
+    if policy.kind != "lehmer":
         u = np.ones(n) if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float).reshape(-1)
         if u.shape[0] != n:
-            raise ConfigError("holder base_w must return one weight per row")
-    elif policy.kind == "custom":
-        u = np.asarray(policy.custom_u(obs), dtype=float).reshape(-1)
-        if u.shape[0] != n:
-            raise ConfigError("custom weight map must return one weight per row")
+            raise ConfigError(f"{policy.kind} base_w must return one weight per row")
     else:
         exps = policy.exponents
         if exps.size != k:

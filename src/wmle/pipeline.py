@@ -132,6 +132,35 @@ def _parse_int(text: str, column: str) -> int:
         raise ValueError(f"invalid integer for {column}: {text!r}") from None
 
 
+def _parse_row(record: list[str], width: int, index: dict[str, int],
+               config: SchemaConfig) -> ReturnsRow:
+    """Validate one record; a ``ValueError`` carries the reject reason."""
+    if len(record) != width:
+        raise ValueError(f"expected {width} fields, got {len(record)}")
+    year = _parse_int(record[index[config.year_column]], config.year_column)
+    candidate = _parse_int(
+        record[index[config.candidate_votes_column]], config.candidate_votes_column
+    )
+    total = _parse_int(record[index[config.total_votes_column]], config.total_votes_column)
+    if not (config.year_min <= year <= config.year_max):
+        raise ValueError(
+            f"year {year} outside configured range {config.year_min}-{config.year_max}"
+        )
+    if candidate < 0:
+        raise ValueError(f"negative candidatevotes {candidate}")
+    if total <= 0:
+        raise ValueError(f"non-positive totalvotes {total}")
+    if candidate > total:
+        raise ValueError(f"candidatevotes {candidate} exceeds totalvotes {total}")
+    return ReturnsRow(
+        year=year,
+        state=record[index[config.state_column]].strip(),
+        party=record[index[config.party_column]].strip(),
+        candidate_votes=candidate,
+        total_votes=total,
+    )
+
+
 def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
     """Parse a delimited returns file.
 
@@ -162,52 +191,10 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
         for line_number, record in enumerate(reader, start=2):
             if not record:
                 continue
-            raw = delimiter.join(record)
-            if len(record) != width:
-                rejects.append(RejectedRow(line_number, f"expected {width} fields, got {len(record)}", raw))
-                continue
             try:
-                year = _parse_int(record[index[config.year_column]], config.year_column)
-                candidate = _parse_int(
-                    record[index[config.candidate_votes_column]], config.candidate_votes_column
-                )
-                total = _parse_int(record[index[config.total_votes_column]], config.total_votes_column)
+                rows.append(_parse_row(record, width, index, config))
             except ValueError as exc:
-                rejects.append(RejectedRow(line_number, str(exc), raw))
-                continue
-            if not (config.year_min <= year <= config.year_max):
-                rejects.append(
-                    RejectedRow(
-                        line_number,
-                        f"year {year} outside configured range {config.year_min}-{config.year_max}",
-                        raw,
-                    )
-                )
-                continue
-            if candidate < 0:
-                rejects.append(RejectedRow(line_number, f"negative candidatevotes {candidate}", raw))
-                continue
-            if total <= 0:
-                rejects.append(RejectedRow(line_number, f"non-positive totalvotes {total}", raw))
-                continue
-            if candidate > total:
-                rejects.append(
-                    RejectedRow(
-                        line_number,
-                        f"candidatevotes {candidate} exceeds totalvotes {total}",
-                        raw,
-                    )
-                )
-                continue
-            rows.append(
-                ReturnsRow(
-                    year=year,
-                    state=record[index[config.state_column]].strip(),
-                    party=record[index[config.party_column]].strip(),
-                    candidate_votes=candidate,
-                    total_votes=total,
-                )
-            )
+                rejects.append(RejectedRow(line_number, str(exc), delimiter.join(record)))
     return LoadResult(rows=rows, rejects=rejects)
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["render_line_chart"]
 
 _WIDTH = 800
@@ -63,7 +65,7 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
     ys = [np.asarray(series[label], dtype=float) for label in labels]
     finite_y = np.concatenate([y[np.isfinite(y)] for y in ys]) if ys else np.array([])
     if x.size == 0 or finite_y.size == 0:
-        raise ValueError("chart needs at least one finite data point")
+        raise DomainError("chart needs at least one finite data point")
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     y_lo, y_hi = float(np.min(finite_y)), float(np.max(finite_y))
     if y_hi == y_lo:

@@ -162,7 +162,7 @@ def test_criterion_06_generic_solver_oracle():
         weights = rng.uniform(0.2, 3.0, size=n)
         policy = WeightPolicy.custom(lambda o, w=weights: w)
         closed = fit(model, obs, policy, method="closed", minimality_samples=0)
-        numeric_model = dataclasses.replace(model, mean_map_inverse=None, newton_init=None)
+        numeric_model = dataclasses.replace(model, mean_map_inverse=None)
         newton = fit(numeric_model, obs, policy, method="newton", minimality_samples=0)
         rel = float(np.max(np.abs(newton.theta_hat - closed.theta_hat)
                            / np.abs(closed.theta_hat)))

@@ -137,6 +137,13 @@ class TestFitCommand:
         assert float(record["theta_1"]) == pytest.approx(1.0, rel=1e-12)
         assert float(record["theta_2"]) == pytest.approx(2.0, rel=1e-12)
 
+    def test_ragged_data_file_exits_2(self, capsys, tmp_path):
+        data_path = tmp_path / "ragged.csv"
+        data_path.write_text("1,2\n3\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "fit", "--data", str(data_path))
+        assert code == 2
+        assert "'3' has 1 cells" in err
+
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
         code, _, err = run_cli(capsys, "fit", "--shapes", "1", "0", "0")
@@ -245,6 +252,18 @@ class TestSweepCommand:
         for label in ("lambda_dem", "lambda_rep", "lambda_oth"):
             assert label in svg_text
         assert 'viewBox="0 0 800 600"' in svg_text
+
+    def test_svg_of_all_gap_sweep_exits_2(self, capsys, tmp_path, synthetic_returns_csv):
+        svg_path = tmp_path / "sweep.svg"
+        csv_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--data", synthetic_returns_csv, "--mode", "lehmer",
+            "--grid=400:420:10", "--out", str(csv_path), "--svg", str(svg_path),
+        )
+        assert code == 2
+        assert "finite data point" in err
+        assert csv_path.read_text(encoding="utf-8").count(",,,") == 3
+        assert not svg_path.exists()
 
     def test_nonpositive_holder_grid_exits_2(self, capsys, synthetic_returns_csv):
         code, _, _ = run_cli(

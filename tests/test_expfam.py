@@ -37,7 +37,6 @@ def strip_closed_forms(model: FamilyModel) -> FamilyModel:
         mean_map_closed=None,
         mean_map_inverse=None,
         mean_map_jacobian=None,
-        newton_init=None,
     )
 
 

@@ -247,6 +247,9 @@ class TestFit:
             newton = fit(model, xs, WeightPolicy.holder(), method="newton",
                          minimality_samples=0)
             np.testing.assert_allclose(newton.theta_hat, closed.theta_hat, rtol=1e-9)
+            # Newton must not start at the closed-form answer.
+            assert newton.diagnostics.solve_method == "newton"
+            assert newton.diagnostics.iterations > 0
 
 
 class TestSubclassForm:
