@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means, mwle, pipeline, svg
-from .errors import ConfigError, DomainError, SchemaError, SolverError, WmleError
+from .errors import ConfigError, DomainError, NumericError, SchemaError, SolverError, WmleError
 from .families import gaussian_known_variance_model, weibull_model
 
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
@@ -137,8 +137,8 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
 
     ``lehmer`` fits unit-shape Weibull components under the Lehmer weight
     policy of that order; ``holder`` fits Weibull components whose common
-    shape is the order itself under unit weights.  Solver failures are
-    recorded as gaps and the sweep continues.
+    shape is the order itself under unit weights.  Solver, domain and
+    numeric failures are recorded as gaps and the sweep continues.
     """
     if mode not in ("lehmer", "holder"):
         raise ConfigError(f"sweep mode must be 'lehmer' or 'holder', got {mode!r}")
@@ -158,7 +158,7 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
                 policy = mwle.WeightPolicy.holder()
                 result = mwle.fit(model, observations, policy, minimality_samples=0)
             estimates[i] = result.theta_hat
-        except (SolverError, DomainError) as exc:
+        except (SolverError, DomainError, NumericError) as exc:
             gaps[float(order)] = str(exc)
     table = SweepTable(
         parameter="beta" if mode == "lehmer" else "k",

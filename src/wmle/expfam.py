@@ -129,7 +129,8 @@ class WeightedDataset:
 
     Weights are parameter-free by construction: they are computed from the
     observations before any fit (see :mod:`wmle.mwle`).  ``total_weight`` is
-    their compensated sum, computed once at construction.
+    their sum, computed once at construction by :func:`_sum`; the weights
+    are positive, so that is numpy's pairwise sum.
     """
 
     observations: np.ndarray
@@ -147,7 +148,7 @@ class WeightedDataset:
             raise DomainError("observation weights must be positive and finite")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_weight", math.fsum(w))
+        object.__setattr__(self, "total_weight", _sum(w))
 
     @property
     def n(self) -> int:
@@ -201,20 +202,46 @@ def log_pdf(model: FamilyModel, x, eta):
     return float(values[0]) if single else values
 
 
+def _sum(terms: np.ndarray) -> float:
+    """Sum of a 1-D array, accurate to a few ulps whatever its length.
+
+    Non-negative terms have condition number 1, and numpy's pairwise sum
+    bounds their error by O(log n) eps (Higham 1993): 2.9e-16 relative on
+    1e6 copies of 0.1.  numpy pairs terms only along its inner loop, so the
+    array must be reduced on its own: ``np.sum(M, axis=0)`` over a C-order
+    matrix or ``einsum`` gave 1.3e-11 on the same data, a BLAS dot 2.1e-13.
+    Once any term is negative, terms can cancel and no such bound holds, so
+    the array goes to the correctly rounded ``math.fsum``: a plain sum of
+    [1e16, 1, -1e16, 1] gives 1.0 instead of 2.0.
+    """
+    if np.minimum.reduce(terms) < 0:
+        return math.fsum(terms)
+    return float(np.add.reduce(terms))
+
+
 def log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> float:
-    """Weighted log-likelihood ``sum_i u_i (log a + <eta, T> - H)``."""
+    """Weighted log-likelihood ``sum_i u_i (log a + <eta, T> - H)``.
+
+    The row sum goes through :func:`_sum`: pairwise when every term is
+    non-negative, ``math.fsum`` once any term is negative.
+    """
     eta = _check_eta(model, eta)
     obs = data.observations
     per_row = model.log_base_measure(obs) + model.sufficient_stat(obs) @ eta
-    return math.fsum(data.weights * per_row) - data.total_weight * model.log_normalizer(eta)
+    return _sum(data.weights * per_row) - data.total_weight * model.log_normalizer(eta)
 
 
 def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
-    """Moment target ``sum(u_i T(x_i)) / sum(u_i)`` with compensated sums."""
+    """Moment target ``sum(u_i T(x_i)) / sum(u_i)``.
+
+    Each column of ``T`` is summed on its own by :func:`_sum`: numpy's
+    pairwise sum for a non-negative statistic (relative error 2.9e-16 at
+    n = 1e6), ``math.fsum`` for one with negative entries.
+    """
     stats = model.sufficient_stat(data.observations)
     total = data.total_weight
     return np.array(
-        [math.fsum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
+        [_sum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
     )
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .expfam import (
     FamilyModel,
     MinimalityVerdict,
@@ -160,13 +160,16 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
             raise ConfigError(
                 f"lehmer policy has {exps.size} exponents but the data has {k} columns"
             )
-        w = np.ones((n, k)) if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float)
-        if w.shape != obs.shape:
+        w = None if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float)
+        if w is not None and w.shape != obs.shape:
             raise ConfigError("lehmer base_w must return a weight per matrix entry")
-        u = np.empty((n, k))
+        # Column-major: each weight column is one contiguous buffer, built
+        # in place and later summed on its own.
+        u = np.empty((n, k), order="F")
         for j, a in enumerate(exps):
+            u_j = u[:, j]
             if a == 1.0:
-                u[:, j] = w[:, j]
+                u_j[:] = 1.0 if w is None else w[:, j]
                 continue
             col = obs[:, j]
             if np.any(col <= 0):
@@ -175,7 +178,13 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
                     f"value {bad} in column {j} cannot be weighted by x**({a}-1); "
                     "the lehmer policy needs strictly positive observations"
                 )
-            u[:, j] = np.exp(np.log(w[:, j]) + (a - 1.0) * np.log(col))
+            np.log(col, out=u_j)
+            u_j *= a - 1.0
+            if w is not None:
+                u_j += np.log(w[:, j])
+            # An overflow is reported by the finiteness check below.
+            with np.errstate(over="ignore"):
+                np.exp(u_j, out=u_j)
     if not np.all(np.isfinite(u)) or np.any(u <= 0):
         raise DomainError("weight policy produced weights that are not strictly positive and finite")
     return u
@@ -218,10 +227,18 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         data = WeightedDataset(sub_obs, sub_u)
         sub_target = weighted_stat_mean(data, sub_model)
         info = _solve_mean_target(sub_model, sub_target, method=method)
-        hessian = -data.total_weight * _stat_covariance(sub_model, info.eta)
+        # A curvature that overflows makes eigvalsh fail; that is reported
+        # as a NumericError, not as numpy warnings and a LinAlgError.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            hessian = -data.total_weight * _stat_covariance(sub_model, info.eta)
+            try:
+                curvatures.append(np.linalg.eigvalsh(hessian))
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(
+                    f"the curvature of {sub_model.name} at the estimate is not finite: {exc}"
+                ) from exc
         targets.append(sub_target)
         infos.append(info)
-        curvatures.append(np.linalg.eigvalsh(hessian))
     target = np.concatenate(targets)
     eta = np.concatenate([info.eta for info in infos])
     eigenvalues = np.sort(np.concatenate(curvatures))

@@ -144,6 +144,17 @@ class TestFitCommand:
         assert code == 2
         assert "'3' has 1 cells" in err
 
+    def test_nonfinite_curvature_exits_2(self, capsys, tmp_path):
+        rng = np.random.default_rng(53)
+        x = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(200, 3)))
+        data_path = tmp_path / "wide.csv"
+        data_path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in x.tolist()),
+                             encoding="utf-8")
+        code, _, err = run_cli(capsys, "fit", "--data", str(data_path), "--policy", "holder",
+                               "--shapes", "60,60,60", "--format", "csv")
+        assert code == 2
+        assert "curvature" in err and "weibull(k=[60.0,60.0,60.0])" in err
+
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
         code, _, err = run_cli(capsys, "fit", "--shapes", "1", "0", "0")
@@ -293,6 +304,15 @@ class TestSweepCommand:
         np.testing.assert_array_equal(
             np.isnan(parsed.estimates), np.isnan(table.estimates)
         )
+
+    def test_numeric_failures_are_recorded_as_gaps(self):
+        rng = np.random.default_rng(54)
+        values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(200, 3)))
+        matrix = ProportionMatrix(years=tuple(range(200)), values=values)
+        table = run_sweep(matrix, "holder", np.array([2.0, 60.0]))
+        assert list(table.gaps) == [60.0]
+        assert "curvature" in table.gaps[60.0]
+        assert np.all(np.isfinite(table.estimates[0]))
 
 
 class TestIngestCommand:

@@ -10,6 +10,7 @@ from wmle import (
     ConfigError,
     DomainError,
     FamilyModel,
+    NumericError,
     WeightedDataset,
     WeightPolicy,
     apply_policy,
@@ -96,6 +97,13 @@ class TestApplyPolicy:
         u = apply_policy(policy, np.array([1.0, 2.0]))
         np.testing.assert_array_equal(u, [3.0, 3.0])
 
+    def test_overflowing_lehmer_weights_raise_without_warnings(self):
+        # exp overflows (or underflows) at order +-200 on data spanning 1e-3..1e3;
+        # the finiteness check reports it, numpy must not warn first
+        for beta in (200.0, -200.0):
+            with pytest.raises(DomainError, match="strictly positive and finite"):
+                apply_policy(WeightPolicy.lehmer([beta]), np.array([1e-3, 0.5, 10.0, 1e3]))
+
     def test_custom_map_must_stay_positive(self):
         policy = WeightPolicy.custom(lambda obs: obs[:, 0] - 1.0)
         with pytest.raises(DomainError):
@@ -117,6 +125,47 @@ class TestWeightedStatMean:
         data = WeightedDataset([[0.6], [2.0]], [1.0, 1.0])
         target = weighted_stat_mean(data, weibull_model([2.0]))
         np.testing.assert_allclose(target, [2.18], rtol=1e-14)
+
+
+def _log_uniform(rng, shape):
+    return np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=shape))
+
+
+class TestSummation:
+    def test_positive_sums_are_reduced_column_by_column(self):
+        # One-dimensional pairwise sums stay within a few ulps at n = 2**20;
+        # reducing the (n, 3) statistic matrix along axis 0, with einsum or
+        # with a BLAS dot drifts to 1e-13..1e-11 on this input.
+        n = 2**20
+        data = WeightedDataset(np.full((n, 3), 0.1), np.ones(n))
+        exact_total = math.fsum(np.ones(n))
+        exact_mean = math.fsum(np.full(n, 0.1)) / exact_total
+        assert data.total_weight == pytest.approx(exact_total, rel=1e-14)
+        target = weighted_stat_mean(data, weibull_model(np.ones(3)))
+        np.testing.assert_allclose(target, np.full(3, exact_mean), rtol=1e-14, atol=0)
+
+    def test_signed_terms_keep_compensated_summation(self):
+        # A plain or pairwise sum of these terms cancels to 1.0, not 2.0.
+        result = fit(gaussian_known_variance_model([1.0]), [1e16, 1.0, -1e16, 1.0],
+                     WeightPolicy.holder())
+        assert result.theta_hat.tolist() == [0.5]
+
+    def test_fsum_is_reached_only_for_signed_terms(self, monkeypatch):
+        calls = []
+        real_fsum = math.fsum
+
+        def counting_fsum(terms):
+            calls.append(len(terms))
+            return real_fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        x = _log_uniform(np.random.default_rng(51), (10_000, 3))
+        for beta in (-2.0, 0.5, 2.0):
+            fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer(np.full(3, beta)))
+        fit(weibull_model(np.full(3, 2.0)), x, WeightPolicy.holder())
+        assert calls == []
+        fit(gaussian_known_variance_model([1.0]), [1e16, 1.0, -1e16, 1.0], WeightPolicy.holder())
+        assert len(calls) >= 1
 
 
 class TestFit:
@@ -235,6 +284,13 @@ class TestFit:
             result = fit(model, obs, WeightPolicy.holder())
         assert result.diagnostics.hessian_largest >= -1e-12
         assert any("degenerate" in message for message in caplog.messages)
+
+    def test_overflowing_curvature_is_a_numeric_error(self):
+        # Shape-60 Weibull on data spanning 1e-3..1e3: the estimate exists,
+        # but eta**2 underflows in the curvature and eigvalsh cannot converge.
+        x = _log_uniform(np.random.default_rng(52), (200, 3))
+        with pytest.raises(NumericError, match=r"weibull\(k=\[60\.0,60\.0,60\.0\]\)"):
+            fit(weibull_model(np.full(3, 60.0)), x, WeightPolicy.holder())
 
     def test_newton_and_closed_form_paths_agree(self):
         rng = np.random.default_rng(48)
