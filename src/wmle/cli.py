@@ -69,12 +69,12 @@ class SweepTable:
 
     def to_csv(self) -> str:
         lines = [_SWEEP_HEADER]
-        for order, row in zip(self.orders, self.estimates):
-            if np.all(np.isfinite(row)):
-                cells = ",".join(repr(float(v)) for v in row)
-            else:
-                cells = ",,"
-            lines.append(f"{repr(float(order))},{cells}")
+        estimates = np.asarray(self.estimates, dtype=float).reshape(-1, 3)
+        complete = np.isfinite(estimates).all(axis=1).tolist()
+        orders = np.asarray(self.orders, dtype=float).tolist()
+        for order, row, full in zip(orders, estimates.tolist(), complete):
+            cells = ",".join(map(repr, row)) if full else ",,"
+            lines.append(f"{order!r},{cells}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -133,22 +133,27 @@ def validate_sweep_table(table: SweepTable) -> None:
 
 
 def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) -> SweepTable:
-    """One fit per grid order per party column.
+    """Scale estimates of every party column at every grid order.
 
     ``lehmer`` fits unit-shape Weibull components under the Lehmer weight
     policy of that order; ``holder`` fits Weibull components whose common
-    shape is the order itself under unit weights.  Solver, domain and
-    numeric failures are recorded as gaps and the sweep continues.
+    shape is the order itself under unit weights.  Every order is estimated
+    in one batched array pass that takes the same floating-point steps as
+    ``mwle.fit``; ``fit`` itself runs only at the orders where that pass
+    sees one of its checks fail, and either returns the estimate or raises
+    the solver, domain or numeric error that is recorded as the gap.  The
+    sweep continues past gaps.
     """
     if mode not in ("lehmer", "holder"):
         raise ConfigError(f"sweep mode must be 'lehmer' or 'holder', got {mode!r}")
     if mode == "holder" and np.any(grid <= 0):
         raise ConfigError("the holder sweep needs a strictly positive order grid")
     observations = matrix.values
-    estimates = np.full((grid.size, 3), math.nan)
+    estimates, ok = mwle._sweep_estimates(mode, observations, grid)
     gaps: dict = {}
     unit_shape_model = weibull_model(np.ones(3)) if mode == "lehmer" else None
-    for i, order in enumerate(grid):
+    for i in np.flatnonzero(~ok):
+        order = grid[i]
         try:
             if mode == "lehmer":
                 policy = mwle.WeightPolicy.lehmer(np.full(3, order))

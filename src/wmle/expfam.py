@@ -212,11 +212,13 @@ def _sum(terms: np.ndarray) -> float:
     matrix or ``einsum`` gave 1.3e-11 on the same data, a BLAS dot 2.1e-13.
     Once any term is negative, terms can cancel and no such bound holds, so
     the array goes to the correctly rounded ``math.fsum``: a plain sum of
-    [1e16, 1, -1e16, 1] gives 1.0 instead of 2.0.
+    [1e16, 1, -1e16, 1] gives 1.0 instead of 2.0.  A sum that overflows is
+    inf, left to the caller's finiteness checks.
     """
     if np.minimum.reduce(terms) < 0:
         return math.fsum(terms)
-    return float(np.add.reduce(terms))
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(terms))
 
 
 def log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> float:
@@ -236,13 +238,16 @@ def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
 
     Each column of ``T`` is summed on its own by :func:`_sum`: numpy's
     pairwise sum for a non-negative statistic (relative error 2.9e-16 at
-    n = 1e6), ``math.fsum`` for one with negative entries.
+    n = 1e6), ``math.fsum`` for one with negative entries.  An overflow in
+    the statistic or its sums gives a non-finite target, which the solver
+    reports as a ``DomainError``.
     """
-    stats = model.sufficient_stat(data.observations)
     total = data.total_weight
-    return np.array(
-        [_sum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
-    )
+    with np.errstate(over="ignore"):
+        stats = model.sufficient_stat(data.observations)
+        return np.array(
+            [_sum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
+        )
 
 
 def grad_log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> np.ndarray:

@@ -80,7 +80,10 @@ def _weibull(shapes: np.ndarray, components) -> FamilyModel:
                 f"target {target.tolist()} is not attainable by a Weibull component",
                 hint="attainable component means are (0, inf)",
             )
-        return -1.0 / target
+        # A subnormal target overflows to -inf here, which the solver's
+        # natural-domain check reports.
+        with np.errstate(over="ignore"):
+            return -1.0 / target
 
     def mean_map_jacobian(eta):
         eta = np.asarray(eta, dtype=float).reshape(-1)

@@ -139,6 +139,23 @@ class SubclassReport:
     reason: str
 
 
+def _lehmer_weights(log_x: np.ndarray, orders: np.ndarray, out: np.ndarray,
+                    log_w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Lehmer weights of one column, one row of ``out`` per order:
+    ``out[g] = exp((orders[g] - 1) * log_x + log_w)``.
+
+    :func:`apply_policy` and :func:`_sweep_estimates` both build their
+    weights here, so a batched sweep and a single fit agree to the bit.  An
+    overflow is left to the caller's finiteness check.
+    """
+    np.multiply(orders[:, None] - 1.0, log_x, out=out)
+    if log_w is not None:
+        out += log_w
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    return out
+
+
 def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     """Evaluate the policy on an ``(n, k)`` matrix.
 
@@ -179,12 +196,8 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
                     "the lehmer policy needs strictly positive observations"
                 )
             np.log(col, out=u_j)
-            u_j *= a - 1.0
-            if w is not None:
-                u_j += np.log(w[:, j])
-            # An overflow is reported by the finiteness check below.
-            with np.errstate(over="ignore"):
-                np.exp(u_j, out=u_j)
+            _lehmer_weights(u_j, exps[j : j + 1], u_j[None, :],
+                            None if w is None else np.log(w[:, j]))
     if not np.all(np.isfinite(u)) or np.any(u <= 0):
         raise DomainError("weight policy produced weights that are not strictly positive and finite")
     return u
@@ -222,7 +235,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         )
     else:
         problems = [(comp, obs[:, j : j + 1], u[:, j]) for j, comp in enumerate(model.components)]
-    targets, infos, curvatures = [], [], []
+    targets, infos, curvatures, flat = [], [], [], []
     for sub_model, sub_obs, sub_u in problems:
         data = WeightedDataset(sub_obs, sub_u)
         sub_target = weighted_stat_mean(data, sub_model)
@@ -232,11 +245,20 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             hessian = -data.total_weight * _stat_covariance(sub_model, info.eta)
             try:
-                curvatures.append(np.linalg.eigvalsh(hessian))
+                spectrum = np.linalg.eigvalsh(hessian)
             except np.linalg.LinAlgError as exc:
                 raise NumericError(
                     f"the curvature of {sub_model.name} at the estimate is not finite: {exc}"
                 ) from exc
+        # A flat direction of the curvature at the estimate means the maximum
+        # is not isolated.  The test is relative to the spectrum, so that a
+        # uniformly small but full-rank curvature passes, and it is applied to
+        # each independent component on its own: a separable model's Hessian
+        # is diagonal, and its components' curvatures may lie hundreds of
+        # orders of magnitude apart without any of them being flat.
+        blocks = np.diag(hessian)[:, None] if sub_model.components is not None else [spectrum]
+        flat += [float(b.max()) for b in blocks if b.max() >= -1e-12 * abs(b.min())]
+        curvatures.append(spectrum)
         targets.append(sub_target)
         infos.append(info)
     target = np.concatenate(targets)
@@ -246,14 +268,12 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     solve_method = methods.pop() if len(methods) == 1 else "mixed"
 
     theta = np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
-    # A flat direction of the curvature at the estimate means the maximum is
-    # not isolated; never succeed silently in that case.  Relative to the
-    # spectrum itself: a uniformly small but full-rank curvature is fine.
-    if float(eigenvalues[-1]) >= -1e-12 * abs(float(eigenvalues[0])):
+    # Never succeed silently at a flat maximum.
+    if flat:
         logger.warning(
             "weighted log-likelihood Hessian is numerically degenerate at the "
             "estimate (largest eigenvalue %.3e); inspect the minimality verdict",
-            float(eigenvalues[-1]),
+            max(flat),
         )
     verdict = None
     if minimality_samples and model.sampler is not None:
@@ -267,6 +287,82 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         solve_method=solve_method,
     )
     return FitResult(theta_hat=theta, eta_hat=eta, target=target, diagnostics=diagnostics)
+
+
+# The batched sweep takes as many orders at a time as keep each
+# (orders x rows) temporary near this many elements.
+_SWEEP_BLOCK_ELEMENTS = 1 << 16
+
+
+def _sweep_estimates(kind: str, observations: np.ndarray,
+                     orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weibull scale estimates of every column at every order, in one pass.
+
+    Row ``g`` of the returned ``(G, k)`` matrix is what :func:`fit` returns
+    as ``theta_hat`` at ``orders[g]``: for ``kind="lehmer"`` the unit-shape
+    Weibull model under the Lehmer policy of that order (each column's
+    Lehmer mean), for ``kind="holder"`` the Weibull model of that shape
+    under unit weights (each column's Holder mean).  The weights, sums,
+    closed-form inverse and ``theta`` take the same floating-point steps as
+    ``fit``, so the two agree to the bit:
+
+    * each sum is one row of a C-order matrix reduced along its last axis,
+      which numpy sums pairwise like the 1-D sums ``fit`` uses;
+    * every ``np.power`` gets one exponent per component, laid out like the
+      shape vector ``fit`` passes.  An exponent of -1, 2 or 0.5 repeated
+      with stride 0 sends numpy to a reciprocal, square or square root,
+      which can differ from its general power in the last bit.
+
+    ``ok[g]`` is True only where every check ``fit`` makes on this path
+    passes: positive finite data, finite positive weights, a finite positive
+    moment target, ``eta`` finite and negative, and each component's
+    curvature finite and not flat.  Elsewhere the row is NaN and ``fit``
+    itself must decide: it raises the error or returns the estimate.
+    """
+    obs = np.asarray(observations, dtype=float)
+    orders = np.asarray(orders, dtype=float).reshape(-1)
+    n, k = obs.shape
+    theta = np.full((orders.size, k), np.nan)
+    ok = np.zeros(orders.size, dtype=bool)
+    if n == 0 or not (np.min(obs) > 0 and np.max(obs) < np.inf):
+        return theta, ok
+    step = max(1, _SWEEP_BLOCK_ELEMENTS // n)
+    with np.errstate(all="ignore"):
+        if kind == "lehmer":
+            log_cols = [np.log(obs[:, j]) for j in range(k)]
+        for lo in range(0, orders.size, step):
+            block = orders[lo : lo + step]
+            if kind == "lehmer":
+                good = np.isfinite(block)
+                shape = np.ones((block.size, 1))
+                total = np.empty((block.size, k))
+                target = np.empty((block.size, k))
+                u = np.empty((block.size, n))
+                for j in range(k):
+                    _lehmer_weights(log_cols[j], block, u)
+                    good &= (np.minimum.reduce(u, axis=1) > 0) & (np.maximum.reduce(u, axis=1) < np.inf)
+                    total[:, j] = np.add.reduce(u, axis=1)
+                    u *= obs[:, j]
+                    target[:, j] = np.add.reduce(u, axis=1) / total[:, j]
+            else:
+                good = np.isfinite(block) & (block > 0)
+                shape = block[:, None]
+                total = float(n)
+                stats = np.power(obs, np.repeat(shape[:, :, None], k, axis=2))
+                target = np.add.reduce(np.ascontiguousarray(stats.transpose(0, 2, 1)), axis=2) / total
+            eta = -1.0 / target
+            inverse_square = 1.0 / eta**2
+            curvature = -total * (0.5 * (inverse_square + inverse_square))
+            good &= np.all(
+                (0 < target) & (target < np.inf)  # target checks and mean_map_inverse
+                & (-np.inf < eta) & (eta < 0)  # natural_domain
+                & (-np.inf < curvature) & (curvature < 0),  # eigvalsh and the flatness rule
+                axis=1,
+            )
+            estimate = np.power(-eta, np.repeat(-1.0 / shape, k, axis=1))
+            theta[lo : lo + step][good] = estimate[good]
+            ok[lo : lo + step] = good
+    return theta, ok
 
 
 def subclass_form(model: FamilyModel, policy: WeightPolicy) -> SubclassReport:

@@ -142,7 +142,7 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         segment: list[str] = []
         segments: list[list[str]] = []
-        for xv, yv in zip(x, y):
+        for xv, yv in zip(x.tolist(), y.tolist()):
             if math.isfinite(yv):
                 segment.append(f"{sx(xv):.2f},{sy(yv):.2f}")
             elif segment:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import logging
 import math
 import os
 import subprocess
@@ -7,11 +8,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wmle
-from wmle import NoSolutionError, holder_mean, lehmer_mean
+from wmle import (
+    DomainError,
+    NumericError,
+    SolverError,
+    WeightPolicy,
+    fit,
+    holder_mean,
+    lehmer_mean,
+    weibull_model,
+)
 from wmle import mwle as mwle_module
-from wmle.cli import SweepTable, main, parse_grid, run_sweep
+from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, validate_sweep_table
 from wmle.pipeline import ProportionMatrix, aggregate, load_returns
 
 from conftest import SCHEMA_HEADER
@@ -283,27 +295,27 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_solver_gaps_are_recorded_and_run_continues(
-        self, monkeypatch, synthetic_returns_csv
-    ):
-        matrix = aggregate(load_returns(synthetic_returns_csv).rows)
-        real_fit = mwle_module.fit
-
-        def flaky_fit(model, observations, policy, **kwargs):
-            if policy.kind == "lehmer" and policy.exponents[0] == 0.5:
-                raise NoSolutionError("synthetic failure for the gap path")
-            return real_fit(model, observations, policy, **kwargs)
-
-        monkeypatch.setattr(mwle_module, "fit", flaky_fit)
-        table = run_sweep(matrix, "lehmer", np.array([0.0, 0.5, 1.0]))
-        assert list(table.gaps) == [0.5]
-        assert np.all(np.isnan(table.estimates[1]))
-        assert np.all(np.isfinite(table.estimates[[0, 2]]))
-        parsed = SweepTable.from_csv(table.to_csv())
-        assert list(parsed.gaps) == [0.5]
-        np.testing.assert_array_equal(
-            np.isnan(parsed.estimates), np.isnan(table.estimates)
-        )
+    def test_solver_gaps_are_recorded_and_run_continues(self):
+        values = np.tile([0.5, 0.45, 0.03], (4, 1))
+        matrix = ProportionMatrix(years=(1976, 1978, 1980, 1982), values=values)
+        for mode, grid, gap, reason in (
+            # 0.03 ** -401 overflows the Lehmer weights: a DomainError.
+            ("lehmer", [-400.0, 0.5, 1.0], -400.0, "not strictly positive and finite"),
+            # 0.03 ** 205 is subnormal, so the closed-form inverse -1/target
+            # overflows and leaves the natural domain: a NoSolutionError.
+            ("holder", [2.0, 205.0], 205.0, "closed-form inverse left the natural domain"),
+        ):
+            table = run_sweep(matrix, mode, np.array(grid))
+            assert list(table.gaps) == [gap]
+            assert reason in table.gaps[gap]
+            at_gap = table.orders == gap
+            assert np.all(np.isnan(table.estimates[at_gap]))
+            assert np.all(np.isfinite(table.estimates[~at_gap]))
+            parsed = SweepTable.from_csv(table.to_csv())
+            assert list(parsed.gaps) == [gap]
+            np.testing.assert_array_equal(
+                np.isnan(parsed.estimates), np.isnan(table.estimates)
+            )
 
     def test_numeric_failures_are_recorded_as_gaps(self):
         rng = np.random.default_rng(54)
@@ -313,6 +325,112 @@ class TestSweepCommand:
         assert list(table.gaps) == [60.0]
         assert "curvature" in table.gaps[60.0]
         assert np.all(np.isfinite(table.estimates[0]))
+
+
+def per_point_sweep(matrix, mode, grid):
+    """The sweep as one ``fit`` per grid order, validated like ``run_sweep``:
+    the reference the batched pass must reproduce."""
+    estimates = np.full((grid.size, 3), math.nan)
+    gaps = {}
+    for i, order in enumerate(grid):
+        try:
+            if mode == "lehmer":
+                model, policy = weibull_model(np.ones(3)), WeightPolicy.lehmer(np.full(3, order))
+            else:
+                model, policy = weibull_model(np.full(3, order)), WeightPolicy.holder()
+            estimates[i] = fit(model, matrix.values, policy, minimality_samples=0).theta_hat
+        except (SolverError, DomainError, NumericError) as exc:
+            gaps[float(order)] = str(exc)
+    table = SweepTable(parameter="", orders=grid, estimates=estimates, gaps=gaps)
+    validate_sweep_table(table)
+    return table
+
+
+def assert_same_sweep(batched, reference):
+    # Same gaps with the same reasons in the same order, and every estimate
+    # equal to the bit: the batched pass takes fit's floating-point steps.
+    assert list(batched.gaps.items()) == list(reference.gaps.items())
+    np.testing.assert_array_equal(batched.estimates, reference.estimates)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A positive n-by-3 matrix, log-uniform in [1e-3, 1e3], and an ascending
+    grid that reaches orders where weights, targets or curvatures overflow."""
+    n = draw(st.integers(1, 40))
+    # Entries are drawn from a pool that may be smaller than the matrix,
+    # so tied values (and tied maxima) are common.
+    pool = draw(st.lists(st.floats(math.log(1e-3), math.log(1e3)), min_size=1, max_size=3 * n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3 * n, max_size=3 * n))
+    values = np.exp(np.asarray(pool)[picks]).reshape(n, 3)
+    mode = draw(st.sampled_from(["lehmer", "holder"]))
+    lowest = -600.0 if mode == "lehmer" else 1e-3
+    order = st.one_of(st.floats(lowest, 600.0), st.sampled_from([0.5, 1.0, 2.0, 60.0, 205.0]))
+    grid = sorted(draw(st.lists(order, min_size=1, max_size=25, unique=True)))
+    return ProportionMatrix(years=tuple(range(n)), values=values), mode, np.asarray(grid)
+
+
+class TestBatchedSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_cases())
+    def test_matches_one_fit_per_order(self, case):
+        matrix, mode, grid = case
+        assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 129, 1000])
+    @pytest.mark.parametrize("mode, spec", [("lehmer", "-300:300:7.5"), ("holder", "0.25:300:7.5")])
+    def test_matches_one_fit_per_order_at_every_summation_depth(self, n, mode, spec):
+        # numpy's pairwise sum changes shape at 8 and 128 terms; each batched
+        # row must still be summed like the 1-D column fit sums.  Orders 0.5
+        # and 2 are where numpy's power has sqrt and square shortcuts.
+        rng = np.random.default_rng(n)
+        values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 3)))
+        matrix = ProportionMatrix(years=tuple(range(n)), values=values)
+        grid = np.union1d(parse_grid(spec), [0.5, 1.0, 2.0])
+        assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
+
+    @pytest.mark.parametrize("mode", ["lehmer", "holder"])
+    def test_matches_one_fit_per_order_at_power_shortcut_orders(self, mode):
+        # numpy's power swaps in a square root, square or reciprocal, which
+        # may differ in the last bit, when one exponent of 0.5, 2 or -1
+        # repeats along its inner loop, as it does for a one-order grid.
+        # Single rows keep every such bit visible in the estimate.
+        rng = np.random.default_rng(55)
+        for _ in range(100):
+            values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(1, 3)))
+            matrix = ProportionMatrix(years=(2000,), values=values)
+            for order in (0.5, 1.0, 2.0):
+                grid = np.array([order])
+                assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
+
+    def test_fit_runs_only_at_failing_orders(self, monkeypatch, synthetic_returns_csv):
+        matrix = aggregate(load_returns(synthetic_returns_csv).rows)
+        fitted = []
+        real_fit = mwle_module.fit
+
+        def counting_fit(model, observations, policy, **kwargs):
+            fitted.append(policy)
+            return real_fit(model, observations, policy, **kwargs)
+
+        monkeypatch.setattr(mwle_module, "fit", counting_fit)
+        for mode, spec in DEFAULT_GRIDS.items():
+            assert run_sweep(matrix, mode, parse_grid(spec)).gaps == {}
+        assert fitted == []
+        table = run_sweep(matrix, "lehmer", parse_grid("-600:600:50"))
+        assert table.gaps
+        assert set(table.gaps) <= {float(policy.exponents[0]) for policy in fitted}
+        assert len(fitted) < table.orders.size
+
+    def test_sweeps_log_no_degeneracy_warnings(self, capsys, caplog, synthetic_returns_csv):
+        matrix = aggregate(load_returns(synthetic_returns_csv).rows)
+        with caplog.at_level(logging.WARNING):
+            for mode in ("holder", "lehmer"):
+                code, _, _ = run_cli(capsys, "sweep", "--data", synthetic_returns_csv, "--mode", mode)
+                assert code == 0
+            # One fit per order: the party columns' curvatures lie up to 1e300
+            # apart at these orders, and each is judged on its own.
+            per_point_sweep(matrix, "lehmer", parse_grid("-250:250:25"))
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 class TestIngestCommand:

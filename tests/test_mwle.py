@@ -10,6 +10,7 @@ from wmle import (
     ConfigError,
     DomainError,
     FamilyModel,
+    NoSolutionError,
     NumericError,
     WeightedDataset,
     WeightPolicy,
@@ -284,6 +285,34 @@ class TestFit:
             result = fit(model, obs, WeightPolicy.holder())
         assert result.diagnostics.hessian_largest >= -1e-12
         assert any("degenerate" in message for message in caplog.messages)
+
+    def test_degeneracy_is_judged_per_component(self, caplog):
+        # Independent components whose curvatures lie 1e32 apart: neither is
+        # flat, so nothing is logged, while the diagnostics still report the
+        # pooled extremes of the spectrum.
+        x = np.array([[1e-8, 1e8], [2e-8, 3e8], [3e-8, 2e8]])
+        with caplog.at_level(logging.WARNING):
+            result = fit(exponential_model(2), x, WeightPolicy.holder(), minimality_samples=0)
+        assert caplog.messages == []
+        diag = result.diagnostics
+        assert diag.hessian_smallest < 1e24 * diag.hessian_largest < 0
+
+    def test_subnormal_holder_target_is_no_solution_without_warnings(self):
+        # 0.03 ** 205 is subnormal: -1/target overflows in the closed-form
+        # inverse, which leaves the natural domain.
+        with pytest.raises(NoSolutionError, match="closed-form inverse left the natural domain"):
+            fit(weibull_model([205.0]), [[0.03]], WeightPolicy.holder())
+
+    def test_overflowing_statistic_is_a_domain_error_without_warnings(self):
+        # (1e3) ** 200 overflows the sufficient statistic itself.
+        with pytest.raises(DomainError, match="moment target must be finite"):
+            fit(weibull_model([200.0]), [[1e-3], [1e3]], WeightPolicy.holder())
+
+    def test_overflowing_total_weight_is_no_solution_without_warnings(self):
+        # Each Lehmer weight 0.1446 ** -367 is finite, their sum is not.
+        x = np.array([[0.14462751], [0.14462751], [1.0]])
+        with pytest.raises(NoSolutionError, match="not attainable"):
+            fit(exponential_model(1), x, WeightPolicy.lehmer([-366.0]), minimality_samples=0)
 
     def test_overflowing_curvature_is_a_numeric_error(self):
         # Shape-60 Weibull on data spanning 1e-3..1e3: the estimate exists,
