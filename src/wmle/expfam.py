@@ -30,7 +30,7 @@ returns ``(n,)`` for ``log_base_measure`` or ``(n, q)`` for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -128,27 +128,41 @@ class WeightedDataset:
     """Observations ``(n, k)`` with strictly positive per-row weights ``(n,)``.
 
     Weights are parameter-free by construction: they are computed from the
-    observations before any fit (see :mod:`wmle.mwle`).  ``total_weight`` is
-    their sum, computed once at construction by :func:`_sum`; the weights
-    are positive, so that is numpy's pairwise sum.
+    observations before any fit (see :mod:`wmle.mwle`).  ``weights=None``
+    means unit weights.  ``total_weight`` is their sum, computed once at
+    construction; the weights are positive, so that is numpy's pairwise sum.
+    ``_validated=True`` takes a finite float ``(n, k)`` matrix and finite
+    positive ``(n,)`` weights as they are, for callers that checked them.
     """
 
     observations: np.ndarray
-    weights: np.ndarray
+    weights: Optional[np.ndarray] = None
     total_weight: float = field(init=False)
+    unit_weights: bool = field(init=False, repr=False)
+    _: KW_ONLY
+    _validated: InitVar[bool] = False
 
-    def __post_init__(self):
-        obs = _observation_matrix(self.observations)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != obs.shape[0]:
-            raise DomainError(
-                f"got {obs.shape[0]} observations but {w.shape[0]} weights"
-            )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise DomainError("observation weights must be positive and finite")
+    def __post_init__(self, _validated):
+        obs = self.observations if _validated else _observation_matrix(self.observations)
+        unit = self.weights is None
+        if unit:
+            w = np.broadcast_to(1.0, obs.shape[:1])  # read-only ones, no memory
+        elif _validated:
+            w = self.weights
+        else:
+            w = np.asarray(self.weights, dtype=float).reshape(-1)
+            if w.shape[0] != obs.shape[0]:
+                raise DomainError(
+                    f"got {obs.shape[0]} observations but {w.shape[0]} weights"
+                )
+            if not (np.all(np.isfinite(w)) and np.min(w) > 0):
+                raise DomainError("observation weights must be positive and finite")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_weight", _sum(w))
+        object.__setattr__(self, "unit_weights", unit)
+        with np.errstate(over="ignore"):
+            total = float(obs.shape[0]) if unit else float(np.add.reduce(w))
+        object.__setattr__(self, "total_weight", total)
 
     @property
     def n(self) -> int:
@@ -240,14 +254,21 @@ def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
     pairwise sum for a non-negative statistic (relative error 2.9e-16 at
     n = 1e6), ``math.fsum`` for one with negative entries.  An overflow in
     the statistic or its sums gives a non-finite target, which the solver
-    reports as a ``DomainError``.
+    reports as a ``DomainError``.  The identity statistic (``stat_powers``
+    all 1) is the observations themselves and unit weights are not
+    multiplied in: ``x ** 1.0`` and ``1.0 * t`` are exact, so skipping them
+    changes no bit.
     """
     total = data.total_weight
+    obs = data.observations
+    powers = model.stat_powers
+    identity = powers is not None and powers.size == obs.shape[1] and bool(np.all(powers == 1.0))
     with np.errstate(over="ignore"):
-        stats = model.sufficient_stat(data.observations)
-        return np.array(
-            [_sum(data.weights * stats[:, j]) / total for j in range(stats.shape[1])]
-        )
+        stats = obs if identity else model.sufficient_stat(obs)
+        return np.array([
+            _sum(stats[:, j] if data.unit_weights else data.weights * stats[:, j]) / total
+            for j in range(stats.shape[1])
+        ])
 
 
 def grad_log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> np.ndarray:

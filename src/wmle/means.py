@@ -1,9 +1,10 @@
 """Generalized f-mean and the weighted Holder and Lehmer mean families.
 
-Every power sum is evaluated in the log domain as a shifted-exponent sum
-(subtract the largest exponent before exponentiating), so orders as extreme
-as ``alpha = +/-500`` on data spanning several decades stay finite instead
-of overflowing.
+Every power sum is evaluated with its largest exponent shifted out before
+exponentiating, so orders as extreme as ``alpha = +/-500`` on data spanning
+several decades stay finite instead of overflowing.  The Lehmer mean goes
+through :func:`_lehmer_weights`, the kernel :func:`wmle.mwle.fit` builds its
+Lehmer weights with, so the mean and its MWLE are the same computation.
 
 Orders are plain floats.  ``float('inf')`` and ``float('-inf')`` are
 accepted as explicit sentinels and return the sample maximum or minimum;
@@ -89,6 +90,76 @@ def _require_positive(sample: Sample, alpha: float, reason: str) -> None:
         raise DomainError(
             f"value 0 is outside the domain for order alpha={alpha} ({reason})"
         )
+
+
+#: Exponents below this are raised to it before ``exp``: ``exp(-700)`` is
+#: still a normal number, so ``exp`` never takes libm's slow subnormal path.
+_EXP_FLOOR = -700.0
+#: A raised weight adds at most ``exp(-700)`` to a denominator of at least 1,
+#: and at most ``exp(-700) * x_i`` to a numerator of at least ``x_r``; both
+#: stay below half an ulp for up to 1e27 values while ``x_i / x_r`` is below
+#: ``exp(600)``.
+_LOG_SPREAD = 600.0
+
+
+def _lehmer_weights(log_x: np.ndarray, lo: float, hi: float, orders: np.ndarray,
+                    out: np.ndarray, log_w: np.ndarray | None = None) -> np.ndarray:
+    """Lehmer weights ``w * x**(a - 1)`` of one column, divided by their largest.
+
+    ``log_x`` holds the logs of strictly positive values and ``lo``/``hi``
+    its extremes.  Row ``g`` of the ``(G, n)`` array ``out``, which may be
+    ``log_x`` itself when ``G == 1``, receives the weights at ``orders[g]``.
+    Only the ratios of weights enter a Lehmer mean, so each row is taken
+    relative to the row ``r`` with the largest weight (Blanchard, Higham &
+    Higham, IMA J. Numer. Anal. 2021):
+
+        exp((a - 1) * (log x - log x_r) + (log w - log w_r)),
+
+    exactly 1 at ``r``, so nothing overflows.  Without base weights ``r``
+    is the largest value for ``a >= 1`` and the smallest below; base
+    weights ``log_w`` are taken for a single order only.  Exponents below
+    ``_EXP_FLOOR`` are raised to it.
+
+    Returns, per order, whether the raised weights are negligible in both
+    sums.  That fails only where some value exceeds ``x_r`` by more than a
+    factor ``exp(600)``; the caller must not use such a row.
+    """
+    c = orders - 1.0
+    with np.errstate(over="ignore"):
+        if log_w is None:
+            up = c >= 0
+            ref = np.where(up, hi, lo)
+            for side, rows in ((hi, up), (lo, ~up)):
+                if rows.all():
+                    # As a (1, n) view log_x overlaps a one-row out exactly,
+                    # which numpy updates in place instead of via a copy.
+                    np.subtract(log_x[None, :], side, out=out)
+                elif rows.any():
+                    out[rows] = log_x - side
+            out *= c[:, None]
+            # Each row's smallest exponent sits at the value farthest from its
+            # reference, so it is known without a pass over the row.
+            lowest = c * np.where(up, lo - hi, hi - lo)
+        else:
+            r = int(np.argmax(log_w + c[0] * log_x))
+            ref = np.array([log_x[r]])  # copied before out, maybe log_x, changes
+            shift = log_w - log_w[r]
+            np.subtract(log_x[None, :], ref[0], out=out)
+            out *= c[:, None]
+            out += shift
+            lowest = np.minimum.reduce(out, axis=1)
+        clamped = lowest < _EXP_FLOOR
+        if clamped.any():
+            np.maximum(out, _EXP_FLOOR, out=out)
+        np.exp(out, out=out)
+    return ~clamped | (hi - ref <= _LOG_SPREAD)
+
+
+def _weights_out_of_range(what: str) -> NumericError:
+    return NumericError(
+        f"{what} fall below exp({_EXP_FLOOR:g}) on values more than "
+        f"exp({_LOG_SPREAD:g}) apart, which the shifted sums cannot represent"
+    )
 
 
 def _logsumexp(expo: np.ndarray) -> float:
@@ -177,15 +248,21 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         return float(np.min(sample.values))
     if a <= 1:
         _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha <= 1")
-    if np.max(sample.values) == 0.0:  # all zeros, alpha > 1
-        return 0.0
-    with np.errstate(divide="ignore"):
-        log_x = np.log(sample.values)
-    log_w = np.log(sample.weights)
-    # Zero values (-inf in log_x) pass the checks above only for a > 1.
-    num = _logsumexp(log_w + a * log_x)
-    den = _logsumexp(log_w + (a - 1.0) * log_x)
-    return math.exp(num - den)
+    x, w = sample.values, sample.weights
+    if np.min(x) == 0.0:  # only for a > 1, where x**(a-1) is 0 at 0
+        if np.max(x) == 0.0:
+            return 0.0
+        # A zero value has weight exactly 0 and adds nothing to either sum.
+        keep = x > 0
+        x, w = x[keep], w[keep]
+    u = np.log(x)
+    # Equal weights cancel in the ratio; without them this is the kernel
+    # fit runs on unweighted data.
+    log_w = None if np.min(w) == np.max(w) else np.log(w)
+    ok = _lehmer_weights(u, float(np.min(u)), float(np.max(u)), np.array([a]), u[None, :], log_w)
+    if not ok[0]:
+        raise _weights_out_of_range(f"the Lehmer weights of order {a}")
+    return float(np.add.reduce(u * x) / np.add.reduce(u))
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:

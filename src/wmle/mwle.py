@@ -41,6 +41,7 @@ from .expfam import (
     check_minimality,
     weighted_stat_mean,
 )
+from .means import _lehmer_weights, _weights_out_of_range
 
 __all__ = [
     "WeightPolicy",
@@ -106,7 +107,15 @@ class WeightPolicy:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Solver and curvature summary attached to every fit."""
+    """Solver and curvature summary attached to every fit.
+
+    ``hessian_smallest``/``hessian_largest`` are the extremes of the
+    weighted log-likelihood's curvature at the estimate.  For the Lehmer
+    policy :func:`fit` normalizes each weight column so that its largest
+    weight is 1, and the curvature refers to those normalized weights: a
+    positive factor per column away from the raw weights of
+    :func:`apply_policy`, which is unchanged.
+    """
 
     iterations: int
     residual_norm: float
@@ -139,24 +148,21 @@ class SubclassReport:
     reason: str
 
 
-def _lehmer_weights(log_x: np.ndarray, orders: np.ndarray, out: np.ndarray,
-                    log_w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Lehmer weights of one column, one row of ``out`` per order:
-    ``out[g] = exp((orders[g] - 1) * log_x + log_w)``.
-
-    :func:`apply_policy` and :func:`_sweep_estimates` both build their
-    weights here, so a batched sweep and a single fit agree to the bit.  An
-    overflow is left to the caller's finiteness check.
-    """
-    np.multiply(orders[:, None] - 1.0, log_x, out=out)
-    if log_w is not None:
-        out += log_w
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    return out
+def _nonpositive_value(col: np.ndarray, j: int, a: float) -> DomainError:
+    bad = float(col[col <= 0][0])
+    return DomainError(
+        f"value {bad} in column {j} cannot be weighted by x**({a}-1); "
+        "the lehmer policy needs strictly positive observations"
+    )
 
 
-def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
+def _require_positive_weights(u: np.ndarray) -> None:
+    if not (np.all(np.isfinite(u)) and np.min(u) > 0):
+        raise DomainError("weight policy produced weights that are not strictly positive and finite")
+
+
+def apply_policy(policy: WeightPolicy, observations, *, normalize: bool = False,
+                 _validated: bool = False) -> np.ndarray:
     """Evaluate the policy on an ``(n, k)`` matrix.
 
     Returns ``(n,)`` weights for the holder and custom kinds and an
@@ -164,42 +170,64 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     factor is evaluated in the log domain).  Raises ``DomainError`` when a
     produced weight is not strictly positive, in particular for a zero
     observation under any exponent other than 1.
+
+    With ``normalize=True`` each lehmer column at an order other than 1 is
+    divided by its largest weight, which :func:`fit` uses: only ratios of
+    weights enter the estimate, and the scaled weights cannot overflow.
+    Such a column raises ``NumericError`` where it cannot be formed
+    accurately: at an order below 1 on values more than ``exp(600)``
+    apart.  ``_validated`` skips checking ``observations``, for callers
+    that already have.
     """
-    obs = _observation_matrix(observations)
+    obs = observations if _validated else _observation_matrix(observations)
     n, k = obs.shape
     if policy.kind != "lehmer":
-        u = np.ones(n) if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float).reshape(-1)
+        if policy.base_w is None:
+            return np.ones(n)
+        u = np.asarray(policy.base_w(obs), dtype=float).reshape(-1)
         if u.shape[0] != n:
             raise ConfigError(f"{policy.kind} base_w must return one weight per row")
-    else:
-        exps = policy.exponents
-        if exps.size != k:
-            raise ConfigError(
-                f"lehmer policy has {exps.size} exponents but the data has {k} columns"
-            )
-        w = None if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float)
-        if w is not None and w.shape != obs.shape:
-            raise ConfigError("lehmer base_w must return a weight per matrix entry")
-        # Column-major: each weight column is one contiguous buffer, built
-        # in place and later summed on its own.
-        u = np.empty((n, k), order="F")
-        for j, a in enumerate(exps):
-            u_j = u[:, j]
-            if a == 1.0:
-                u_j[:] = 1.0 if w is None else w[:, j]
-                continue
-            col = obs[:, j]
+        _require_positive_weights(u)
+        return u
+    exps = policy.exponents
+    if exps.size != k:
+        raise ConfigError(
+            f"lehmer policy has {exps.size} exponents but the data has {k} columns"
+        )
+    w = None if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float)
+    if w is not None and w.shape != obs.shape:
+        raise ConfigError("lehmer base_w must return a weight per matrix entry")
+    if normalize and w is not None:
+        _require_positive_weights(w)
+    # Column-major: each weight column is one contiguous buffer, built in
+    # place and later summed on its own.
+    u = np.empty((n, k), order="F")
+    for j, a in enumerate(exps):
+        u_j = u[:, j]
+        col = obs[:, j]
+        if a == 1.0:
+            u_j[:] = 1.0 if w is None else w[:, j]
+        elif normalize:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log(col, out=u_j)
+            lo = float(np.minimum.reduce(u_j))
+            if not lo > -np.inf:  # log of a zero (-inf) or a negative value (nan)
+                raise _nonpositive_value(col, j, a)
+            ok = _lehmer_weights(u_j, lo, float(np.maximum.reduce(u_j)), exps[j : j + 1],
+                                 u_j[None, :], None if w is None else np.log(w[:, j]))
+            if not ok[0]:
+                raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
+        else:
             if np.any(col <= 0):
-                bad = float(col[col <= 0][0])
-                raise DomainError(
-                    f"value {bad} in column {j} cannot be weighted by x**({a}-1); "
-                    "the lehmer policy needs strictly positive observations"
-                )
+                raise _nonpositive_value(col, j, a)
             np.log(col, out=u_j)
-            _lehmer_weights(u_j, exps[j : j + 1], u_j[None, :],
-                            None if w is None else np.log(w[:, j]))
-    if not np.all(np.isfinite(u)) or np.any(u <= 0):
-        raise DomainError("weight policy produced weights that are not strictly positive and finite")
+            u_j *= a - 1.0
+            if w is not None:
+                u_j += np.log(w[:, j])
+            with np.errstate(over="ignore"):
+                np.exp(u_j, out=u_j)
+    if not normalize:
+        _require_positive_weights(u)
     return u
 
 
@@ -211,6 +239,10 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     ``newton``/``bisect``).  The minimality verdict in the diagnostics is
     estimated by sampling the fitted model (``minimality_samples`` draws,
     seeded); pass ``minimality_samples=0`` to skip it.
+
+    The observations are checked once, here; the weights, the dataset and
+    the moment target are built from the checked arrays without checking
+    them again.  Lehmer weights come from ``apply_policy(normalize=True)``.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -222,12 +254,14 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         raise DomainError(
             f"data has {obs.shape[1]} columns, model {model.name} expects {model.dim_x}"
         )
-    u = apply_policy(policy, obs)
+    u = apply_policy(policy, obs, normalize=True, _validated=True)
 
     # Shared row weights give one problem; per-column weights give one
     # univariate problem per independent component.
     if u.ndim == 1:
-        problems = [(model, obs, u)]
+        # Without base_w the holder weights are all 1: the dataset takes
+        # them as unit weights, which the moment target does not multiply in.
+        problems = [(model, obs, None if policy.base_w is None else u)]
     elif model.components is None:
         raise ConfigError(
             f"model {model.name} is not separable; per-column weight policies "
@@ -237,7 +271,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         problems = [(comp, obs[:, j : j + 1], u[:, j]) for j, comp in enumerate(model.components)]
     targets, infos, curvatures, flat = [], [], [], []
     for sub_model, sub_obs, sub_u in problems:
-        data = WeightedDataset(sub_obs, sub_u)
+        data = WeightedDataset(sub_obs, sub_u, _validated=True)
         sub_target = weighted_stat_mean(data, sub_model)
         info = _solve_mean_target(sub_model, sub_target, method=method)
         # A curvature that overflows makes eigvalsh fail; that is reported
@@ -314,10 +348,11 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
       which can differ from its general power in the last bit.
 
     ``ok[g]`` is True only where every check ``fit`` makes on this path
-    passes: positive finite data, finite positive weights, a finite positive
-    moment target, ``eta`` finite and negative, and each component's
-    curvature finite and not flat.  Elsewhere the row is NaN and ``fit``
-    itself must decide: it raises the error or returns the estimate.
+    passes: positive finite data, Lehmer weights that lose nothing to the
+    exponent floor, a finite positive moment target, ``eta`` finite and
+    negative, and each component's curvature finite and not flat.
+    Elsewhere the row is NaN and ``fit`` itself must decide: it raises the
+    error or returns the estimate.
     """
     obs = np.asarray(observations, dtype=float)
     orders = np.asarray(orders, dtype=float).reshape(-1)
@@ -330,6 +365,7 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
     with np.errstate(all="ignore"):
         if kind == "lehmer":
             log_cols = [np.log(obs[:, j]) for j in range(k)]
+            extremes = [(float(np.min(c)), float(np.max(c))) for c in log_cols]
         for lo in range(0, orders.size, step):
             block = orders[lo : lo + step]
             if kind == "lehmer":
@@ -339,8 +375,7 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
                 target = np.empty((block.size, k))
                 u = np.empty((block.size, n))
                 for j in range(k):
-                    _lehmer_weights(log_cols[j], block, u)
-                    good &= (np.minimum.reduce(u, axis=1) > 0) & (np.maximum.reduce(u, axis=1) < np.inf)
+                    good &= _lehmer_weights(log_cols[j], *extremes[j], block, u)
                     total[:, j] = np.add.reduce(u, axis=1)
                     u *= obs[:, j]
                     target[:, j] = np.add.reduce(u, axis=1) / total[:, j]

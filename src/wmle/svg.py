@@ -78,12 +78,12 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(value: float) -> float:
+    def sx(value):
         if x_hi == x_lo:
             return _MARGIN_LEFT + plot_w / 2.0
         return _MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(value: float) -> float:
+    def sy(value):
         return _MARGIN_TOP + (y_hi - value) / (y_hi - y_lo) * plot_h
 
     out = [
@@ -136,15 +136,18 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
         f'transform="rotate(-90 22 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    # Series.
+    # Series.  sx and sy run over whole arrays: per point they take the same
+    # IEEE operations as on a float, so they give the same digits.
+    px = np.broadcast_to(sx(x), x.shape).tolist()
     for idx, (label, y) in enumerate(zip(labels, ys)):
         color, dash = _STYLES[idx % len(_STYLES)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        py = sy(y).tolist()
         segment: list[str] = []
         segments: list[list[str]] = []
-        for xv, yv in zip(x.tolist(), y.tolist()):
-            if math.isfinite(yv):
-                segment.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        for finite, pair in zip(np.isfinite(y).tolist(), zip(px, py)):
+            if finite:
+                segment.append("%.2f,%.2f" % pair)
             elif segment:
                 segments.append(segment)
                 segment = []

@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -25,8 +26,9 @@ from wmle import (
 from wmle import mwle as mwle_module
 from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, validate_sweep_table
 from wmle.pipeline import ProportionMatrix, aggregate, load_returns
+from wmle.svg import render_line_chart
 
-from conftest import SCHEMA_HEADER
+from conftest import SCHEMA_HEADER, lehmer_condition, lehmer_oracle, ulps_off
 
 
 def run_cli(capsys, *argv):
@@ -277,16 +279,38 @@ class TestSweepCommand:
         assert 'viewBox="0 0 800 600"' in svg_text
 
     def test_svg_of_all_gap_sweep_exits_2(self, capsys, tmp_path, synthetic_returns_csv):
+        # Every Holder target at these shapes is subnormal or 0 in some
+        # column: each order is a NoSolutionError gap.
         svg_path = tmp_path / "sweep.svg"
         csv_path = tmp_path / "sweep.csv"
         code, _, err = run_cli(
-            capsys, "sweep", "--data", synthetic_returns_csv, "--mode", "lehmer",
+            capsys, "sweep", "--data", synthetic_returns_csv, "--mode", "holder",
             "--grid=400:420:10", "--out", str(csv_path), "--svg", str(svg_path),
         )
         assert code == 2
         assert "finite data point" in err
         assert csv_path.read_text(encoding="utf-8").count(",,,") == 3
         assert not svg_path.exists()
+
+    def test_extreme_lehmer_sweep_fits_the_exact_means(self, capsys, tmp_path, synthetic_returns_csv):
+        # The Lehmer weights at these orders overflowed before they were
+        # taken relative to the largest; now every order fits.
+        svg_path = tmp_path / "sweep.svg"
+        csv_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--data", synthetic_returns_csv, "--mode", "lehmer",
+            "--grid=400:420:10", "--out", str(csv_path), "--svg", str(svg_path),
+        )
+        assert code == 0
+        assert svg_path.exists()
+        table = SweepTable.from_csv(csv_path.read_text(encoding="utf-8"))
+        assert table.gaps == {}
+        values = aggregate(load_returns(synthetic_returns_csv).rows).values
+        for order, row in zip(table.orders, table.estimates):
+            for j, got in enumerate(row):
+                column = values[:, j]
+                bound = 4 * max(1.0, lehmer_condition(int(order), column))
+                assert ulps_off(got, lehmer_oracle(int(order), column)) <= bound
 
     def test_nonpositive_holder_grid_exits_2(self, capsys, synthetic_returns_csv):
         code, _, _ = run_cli(
@@ -296,15 +320,17 @@ class TestSweepCommand:
         assert code == 2
 
     def test_solver_gaps_are_recorded_and_run_continues(self):
+        years = (1976, 1978, 1980, 1982)
         values = np.tile([0.5, 0.45, 0.03], (4, 1))
-        matrix = ProportionMatrix(years=(1976, 1978, 1980, 1982), values=values)
-        for mode, grid, gap, reason in (
-            # 0.03 ** -401 overflows the Lehmer weights: a DomainError.
-            ("lehmer", [-400.0, 0.5, 1.0], -400.0, "not strictly positive and finite"),
+        for rows, mode, grid, gap, reason in (
+            # 30 ** 210 overflows the Holder statistic: a DomainError.
+            (np.tile([0.5, 30.0, 0.03], (4, 1)), "holder", [2.0, 210.0], 210.0,
+             "moment target must be finite"),
             # 0.03 ** 205 is subnormal, so the closed-form inverse -1/target
             # overflows and leaves the natural domain: a NoSolutionError.
-            ("holder", [2.0, 205.0], 205.0, "closed-form inverse left the natural domain"),
+            (values, "holder", [2.0, 205.0], 205.0, "closed-form inverse left the natural domain"),
         ):
+            matrix = ProportionMatrix(years=years, values=rows)
             table = run_sweep(matrix, mode, np.array(grid))
             assert list(table.gaps) == [gap]
             assert reason in table.gaps[gap]
@@ -316,6 +342,13 @@ class TestSweepCommand:
             np.testing.assert_array_equal(
                 np.isnan(parsed.estimates), np.isnan(table.estimates)
             )
+        # 0.03 ** -401 overflowed the Lehmer weights here, a DomainError gap;
+        # taken relative to the largest weight, they fit each column's value.
+        table = run_sweep(ProportionMatrix(years=years, values=values), "lehmer",
+                          np.array([-400.0, 0.5, 1.0]))
+        assert table.gaps == {}
+        for got, value in zip(table.estimates[0], values[0]):
+            assert ulps_off(got, lehmer_oracle(-400, [value] * 4)) <= 4
 
     def test_numeric_failures_are_recorded_as_gaps(self):
         rng = np.random.default_rng(54)
@@ -389,6 +422,19 @@ class TestBatchedSweep:
         grid = np.union1d(parse_grid(spec), [0.5, 1.0, 2.0])
         assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
 
+    def test_matches_one_fit_per_order_on_values_beyond_the_weight_range(self):
+        # Below order 1 the weights of values more than exp(600) apart cannot
+        # be formed, which fit reports; the batched pass must leave those
+        # orders to fit and agree with it elsewhere.
+        rng = np.random.default_rng(56)
+        values = np.exp(rng.uniform(math.log(1e-135), math.log(1e135), size=(7, 3)))
+        values[:2] = [[1e-135, 1e-130, 1e-120], [1e135, 1e140, 1e150]]
+        matrix = ProportionMatrix(years=tuple(range(7)), values=values)
+        grid = parse_grid("-3:4:0.25")
+        table = run_sweep(matrix, "lehmer", grid)
+        assert table.gaps and all("exp(600)" in reason for reason in table.gaps.values())
+        assert_same_sweep(table, per_point_sweep(matrix, "lehmer", grid))
+
     @pytest.mark.parametrize("mode", ["lehmer", "holder"])
     def test_matches_one_fit_per_order_at_power_shortcut_orders(self, mode):
         # numpy's power swaps in a square root, square or reciprocal, which
@@ -409,16 +455,18 @@ class TestBatchedSweep:
         real_fit = mwle_module.fit
 
         def counting_fit(model, observations, policy, **kwargs):
-            fitted.append(policy)
+            fitted.append((model, policy))
             return real_fit(model, observations, policy, **kwargs)
 
         monkeypatch.setattr(mwle_module, "fit", counting_fit)
         for mode, spec in DEFAULT_GRIDS.items():
             assert run_sweep(matrix, mode, parse_grid(spec)).gaps == {}
+        # Extreme Lehmer orders no longer fail, so they need no fit either.
+        assert run_sweep(matrix, "lehmer", parse_grid("-600:600:50")).gaps == {}
         assert fitted == []
-        table = run_sweep(matrix, "lehmer", parse_grid("-600:600:50"))
+        table = run_sweep(matrix, "holder", parse_grid("100:900:50"))
         assert table.gaps
-        assert set(table.gaps) <= {float(policy.exponents[0]) for policy in fitted}
+        assert set(table.gaps) <= {float(model.stat_powers[0]) for model, _ in fitted}
         assert len(fitted) < table.orders.size
 
     def test_sweeps_log_no_degeneracy_warnings(self, capsys, caplog, synthetic_returns_csv):
@@ -431,6 +479,46 @@ class TestBatchedSweep:
             # apart at these orders, and each is judged on its own.
             per_point_sweep(matrix, "lehmer", parse_grid("-250:250:25"))
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+class TestLineChart:
+    def test_points_match_the_scalar_formula(self):
+        # Gaps split the series into segments; a lone finite point between
+        # gaps is drawn as a circle.  Every coordinate must carry exactly
+        # the digits of the per-point formula.
+        x = np.linspace(-3.0, 4.0, 29)
+        y = np.sin(x) * 1e3
+        y[[3, 5, 6, 12, 20, 22, 28]] = [np.nan, np.nan, np.inf, np.nan, np.nan, -np.inf, np.nan]
+        flat = np.full(x.size, 2.5)
+        flat[[0, 2]] = np.nan
+        chart = render_line_chart(x, {"a": y, "b": flat}, title="t", x_label="x", y_label="y")
+
+        finite = np.concatenate([y[np.isfinite(y)], flat[np.isfinite(flat)]])
+        x_lo, x_hi = float(x.min()), float(x.max())
+        y_lo, y_hi = float(finite.min()), float(finite.max())
+        pad = 0.04 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        drawn = []
+        for series in (y, flat):
+            segments, segment = [], []
+            for xv, yv in zip(x.tolist(), series.tolist()):
+                if math.isfinite(yv):
+                    sx = 80 + (xv - x_lo) / (x_hi - x_lo) * 690
+                    sy = 50 + (y_hi - yv) / (y_hi - y_lo) * 485
+                    segment.append(f"{sx:.2f},{sy:.2f}")
+                elif segment:
+                    segments.append(segment)
+                    segment = []
+            segments += [segment] if segment else []
+            drawn += [" ".join(points) if len(points) > 1 else points[0] for points in segments]
+        got = [match.group(1) for match in re.finditer(r'points="([^"]*)"', chart)]
+        got += [f"{cx},{cy}" for cx, cy in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', chart)]
+        assert sorted(got) == sorted(drawn)
+        assert sum(" " not in points for points in drawn) == 3  # the lone points
+
+    def test_a_constant_x_axis_centres_every_point(self):
+        chart = render_line_chart([1.0, 1.0], {"a": [0.0, 1.0]}, title="t", x_label="x", y_label="y")
+        assert 'points="425.00,' in chart
 
 
 class TestIngestCommand:

@@ -25,6 +25,7 @@ from wmle import (
     mean_map,
     multinomial_fixture,
     weibull_model,
+    weighted_stat_mean,
 )
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -120,6 +121,15 @@ class TestWeightedDataset:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(DomainError):
             WeightedDataset([[1.0], [2.0]], [1.0, 0.0])
+
+    def test_no_weights_are_unit_weights(self):
+        x = np.random.default_rng(57).uniform(0.1, 3.0, size=(1000, 2))
+        implicit, explicit = WeightedDataset(x), WeightedDataset(x, np.ones(1000))
+        assert implicit.total_weight == explicit.total_weight == 1000.0
+        np.testing.assert_array_equal(implicit.weights, explicit.weights)
+        for model in (weibull_model([1.0, 1.0]), weibull_model([0.5, 3.0])):
+            assert (weighted_stat_mean(implicit, model).tobytes()
+                    == weighted_stat_mean(explicit, model).tobytes())
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):

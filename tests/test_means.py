@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmle import DomainError, NumericError, Sample, f_mean, holder_mean, lehmer_mean, v_weights
 
-from conftest import random_positive_sample
+from conftest import lehmer_condition, lehmer_oracle, random_positive_sample, ulps_off
 
 INF = math.inf
 
@@ -127,6 +129,23 @@ class TestLehmerMean:
     def test_zero_values_fine_above_one(self):
         assert lehmer_mean(2.0, [0.0, 2.0]) == pytest.approx(2.0, rel=1e-14)
         assert lehmer_mean(2.5, [0.0, 0.0]) == 0.0
+
+    def test_zero_values_have_weight_exactly_zero(self):
+        # (1 + 8) / (1 + 4): the zeros add nothing to either sum.
+        assert lehmer_mean(3, [0.0, 1.0, 0.0, 2.0]) == 1.8
+        assert lehmer_mean(3, [0.0, 1.0, 2.0], [5.0, 1.0, 1.0]) == 1.8
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-500, 500),
+           st.lists(st.tuples(st.floats(math.log(1e-3), math.log(1e3)), st.integers(1, 5)),
+                    min_size=1, max_size=20))
+    def test_weighted_mean_is_within_kappa_ulps_of_the_exact_mean(self, order, draws):
+        # An integer weight is that many copies of the value.
+        values = [math.exp(v) for v, _ in draws]
+        weights = [float(m) for _, m in draws]
+        copies = [v for v, m in zip(values, weights) for _ in range(int(m))]
+        bound = 4 * max(1.0, lehmer_condition(order, copies))
+        assert ulps_off(lehmer_mean(order, values, weights), lehmer_oracle(order, copies)) <= bound
 
 
 class TestVWeights:

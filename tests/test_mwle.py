@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmle import (
     ConfigError,
@@ -27,6 +29,8 @@ from wmle import (
     weibull_model,
     weighted_stat_mean,
 )
+
+from conftest import lehmer_condition, lehmer_oracle, ulps_off
 
 
 class TestWeightPolicy:
@@ -169,6 +173,66 @@ class TestSummation:
         assert len(calls) >= 1
 
 
+@st.composite
+def lehmer_cases(draw):
+    """An integer order with |alpha| <= 500 and 1..40 log-uniform values in
+    [1e-3, 1e3], some of them tied or nearly tied with the largest or the
+    smallest value, where the Lehmer weights concentrate."""
+    n = draw(st.integers(1, 40))
+    logs = draw(st.lists(st.floats(math.log(1e-3), math.log(1e3)), min_size=n, max_size=n))
+    x = np.exp(np.asarray(logs))
+    near = st.tuples(st.integers(0, n - 1), st.booleans(),
+                     st.sampled_from([0.0, 2.0**-52, 1e-12, 1e-6, 1e-3, 3e-3, 1e-2]))
+    for i, largest, gap in draw(st.lists(near, max_size=n)):
+        x[i] = np.max(x) * (1.0 - gap) if largest else np.min(x) * (1.0 + gap)
+    return draw(st.integers(-500, 500)), x
+
+
+class TestLehmerAccuracy:
+    # Within 4 * max(1, kappa) ulps of the exact mean, kappa the condition
+    # number: a backward-stable algorithm cannot promise less.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lehmer_cases())
+    def test_fit_and_mean_are_within_kappa_ulps_of_the_exact_mean(self, case):
+        order, x = case
+        exact = lehmer_oracle(order, x)
+        bound = 4 * max(1.0, lehmer_condition(order, x))
+        result = fit(weibull_model([1.0]), x, WeightPolicy.lehmer([float(order)]),
+                     minimality_samples=0)
+        assert ulps_off(result.theta_hat[0], exact) <= bound
+        assert ulps_off(lehmer_mean(order, x), exact) <= bound
+
+
+class TestValidation:
+    def test_one_fit_checks_observations_once_and_weights_once(self, monkeypatch):
+        # Every finiteness check fit makes goes through np.isfinite; count
+        # the calls that read the observations or the policy's weights.
+        x = _log_uniform(np.random.default_rng(53), (1000, 3))
+        base = _log_uniform(np.random.default_rng(54), (1000, 3))
+        passes = []
+        real_isfinite = np.isfinite
+
+        def counting_isfinite(a, *args, **kwargs):
+            for name, array in (("observations", x), ("weights", base), ("weights", base[:, 0])):
+                if isinstance(a, np.ndarray) and np.shares_memory(a, array):
+                    passes.append(name)
+                    break
+            return real_isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        for model, policy, checked in (
+            (weibull_model(np.ones(3)), WeightPolicy.lehmer([-200.0, 0.5, 3.0]), ["observations"]),
+            (weibull_model(np.ones(3)), WeightPolicy.lehmer([2.0, 1.0, 4.0], base_w=lambda o: base),
+             ["observations", "weights"]),
+            (weibull_model(np.full(3, 2.0)), WeightPolicy.holder(), ["observations"]),
+            (weibull_model(np.full(3, 2.0)), WeightPolicy.holder(base_w=lambda o: base[:, 0]),
+             ["observations", "weights"]),
+        ):
+            passes.clear()
+            fit(model, x, policy)
+            assert sorted(passes) == checked
+
+
 class TestFit:
     def test_lehmer_policy_reproduces_lehmer_mean(self):
         rng = np.random.default_rng(41)
@@ -309,10 +373,41 @@ class TestFit:
             fit(weibull_model([200.0]), [[1e-3], [1e3]], WeightPolicy.holder())
 
     def test_overflowing_total_weight_is_no_solution_without_warnings(self):
-        # Each Lehmer weight 0.1446 ** -367 is finite, their sum is not.
-        x = np.array([[0.14462751], [0.14462751], [1.0]])
+        # Each weight 1e308 is finite, their sum is not, so the target is 0.
+        policy = WeightPolicy.custom(lambda obs: np.full(obs.shape[0], 1e308))
         with pytest.raises(NoSolutionError, match="not attainable"):
-            fit(exponential_model(1), x, WeightPolicy.lehmer([-366.0]), minimality_samples=0)
+            fit(exponential_model(1), [[1e-10], [1e-10]], policy, minimality_samples=0)
+
+    @pytest.mark.parametrize("x, order", [
+        # 0.1446 ** -367 is finite, but the sum of two such weights is not.
+        ([0.14462751, 0.14462751, 1.0], -366),
+        # x ** 199 and x ** -201 overflow or underflow on 1e-3..1e3.
+        ([1e-3, 0.5, 10.0, 1e3], 200),
+        ([1e-3, 0.5, 10.0, 1e3], -200),
+        ([1e-3, 0.5, 10.0, 1e3], 500),
+        ([1e-3, 0.5, 10.0, 1e3], -500),
+    ])
+    def test_lehmer_orders_beyond_the_raw_weights_fit_the_exact_mean(self, x, order):
+        # The raw weights of these fits overflow (apply_policy still says
+        # so); taken relative to the largest weight, the fit is exact.
+        result = fit(exponential_model(1), np.array(x).reshape(-1, 1),
+                     WeightPolicy.lehmer([float(order)]), minimality_samples=0)
+        bound = 4 * max(1.0, lehmer_condition(order, x))
+        assert ulps_off(result.theta_hat[0], lehmer_oracle(order, x)) <= bound
+        assert ulps_off(lehmer_mean(order, x), lehmer_oracle(order, x)) <= bound
+
+    def test_lehmer_weights_that_cannot_be_formed_are_a_numeric_error(self):
+        # Relative to the smallest value, the weight of 1e300 at order 0 is
+        # 1e-600, below any float, while its numerator term, 1e-600 * 1e300,
+        # equals the smallest value's own.
+        x = [1e-300, 1e300]
+        with pytest.raises(NumericError, match="exp\\(600\\)"):
+            fit(exponential_model(1), x, WeightPolicy.lehmer([0.0]), minimality_samples=0)
+        with pytest.raises(NumericError, match="exp\\(600\\)"):
+            lehmer_mean(0.0, x)
+        # Above order 1 the largest value is the reference and nothing is lost.
+        result = fit(exponential_model(1), x, WeightPolicy.lehmer([2.0]), minimality_samples=0)
+        assert result.theta_hat[0] == pytest.approx(1e300, rel=1e-15)
 
     def test_overflowing_curvature_is_a_numeric_error(self):
         # Shape-60 Weibull on data spanning 1e-3..1e3: the estimate exists,
