@@ -315,6 +315,8 @@ def _cmd_fit(args) -> int:
             lines.append(f"eta_{j},{repr(float(v))}")
         for j, v in enumerate(result.target, start=1):
             lines.append(f"target_{j},{repr(float(v))}")
+        for j, v in enumerate(result.scale, start=1):
+            lines.append(f"scale_{j},{repr(float(v))}")
         lines.append(f"iterations,{diag.iterations}")
         lines.append(f"residual_norm,{repr(diag.residual_norm)}")
         lines.append(f"hessian_smallest,{repr(diag.hessian_smallest)}")
@@ -329,6 +331,7 @@ def _cmd_fit(args) -> int:
     print(f"theta_hat:        {np.array2string(result.theta_hat, precision=12)}")
     print(f"eta_hat:          {np.array2string(result.eta_hat, precision=12)}")
     print(f"moment target:    {np.array2string(result.target, precision=12)}")
+    print(f"scale:            {np.array2string(result.scale, precision=12)}")
     print(f"solver:           {diag.solve_method}, {diag.iterations} iterations, "
           f"residual {diag.residual_norm:.3e}")
     print(f"hessian eigens:   [{diag.hessian_smallest:.6g}, {diag.hessian_largest:.6g}]")

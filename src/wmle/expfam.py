@@ -76,7 +76,11 @@ class FamilyModel:
     replace the finite-difference fallbacks; ``components`` marks a product
     of independent univariate families and enables per-component solving;
     ``stat_powers`` records ``p`` when ``T_j(x) = x_j ** p_j``, which is what
-    the mean-family structure checks look at.
+    the mean-family structure checks look at.  ``scale_family`` declares
+    that each component (the model itself when univariate) is a scale
+    family with that power statistic: data ``x_j / c`` have the estimate
+    ``theta_j / c``, so :func:`wmle.mwle.fit` may fit each component on its
+    values relative to their largest.
     """
 
     name: str
@@ -97,6 +101,7 @@ class FamilyModel:
     natural_interval: Optional[tuple[float, float]] = None
     support: tuple[float, float] = (0.0, math.inf)
     nat_param_bijective: bool = True
+    scale_family: bool = False
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_eta < 1:

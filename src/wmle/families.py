@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NoSolutionError
 from .expfam import FamilyModel
-from .means import _logsumexp
 
 __all__ = [
     "weibull_model",
@@ -39,6 +38,15 @@ __all__ = [
     "MultinomialFixture",
     "multinomial_fixture",
 ]
+
+
+def _logsumexp(expo: np.ndarray) -> float:
+    """log(sum(exp(expo))) with the largest exponent shifted out first, so no
+    term overflows (Blanchard, Higham & Higham 2021); all -inf gives -inf."""
+    m = float(np.max(expo))
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(float(np.sum(np.exp(expo - m))))
 
 
 def _weibull(shapes: np.ndarray, components) -> FamilyModel:
@@ -112,6 +120,7 @@ def _weibull(shapes: np.ndarray, components) -> FamilyModel:
         stat_powers=k.copy(),
         natural_interval=(-math.inf, 0.0),
         support=(0.0, math.inf),
+        scale_family=True,
     )
 
 

@@ -1,10 +1,13 @@
 """Generalized f-mean and the weighted Holder and Lehmer mean families.
 
-Every power sum is evaluated with its largest exponent shifted out before
-exponentiating, so orders as extreme as ``alpha = +/-500`` on data spanning
-several decades stay finite instead of overflowing.  The Lehmer mean goes
-through :func:`_lehmer_weights`, the kernel :func:`wmle.mwle.fit` builds its
-Lehmer weights with, so the mean and its MWLE are the same computation.
+Every power sum is taken relative to its largest term, which is then
+exactly 1, so orders as extreme as ``alpha = +/-500`` on data spanning
+several decades stay finite instead of overflowing (Blanchard, Higham &
+Higham, IMA J. Numer. Anal. 2021).  The Lehmer mean goes through
+:func:`_lehmer_weights` and the Holder mean raises ``x / x_r`` to its order
+after :func:`_power_bound`; these are the kernels :func:`wmle.mwle.fit`
+builds its Lehmer weights and its Weibull moment targets with, so each
+mean and its MWLE are the same computation.
 
 Orders are plain floats.  ``float('inf')`` and ``float('-inf')`` are
 accepted as explicit sentinels and return the sample maximum or minimum;
@@ -155,20 +158,39 @@ def _lehmer_weights(log_x: np.ndarray, lo: float, hi: float, orders: np.ndarray,
     return ~clamped | (hi - ref <= _LOG_SPREAD)
 
 
-def _weights_out_of_range(what: str) -> NumericError:
+def _weights_out_of_range(what: str,
+                          where: str = f"on values more than exp({_LOG_SPREAD:g}) apart") -> NumericError:
     return NumericError(
-        f"{what} fall below exp({_EXP_FLOOR:g}) on values more than "
-        f"exp({_LOG_SPREAD:g}) apart, which the shifted sums cannot represent"
+        f"{what} fall below exp({_EXP_FLOOR:g}) {where}, which the shifted sums cannot represent"
     )
 
 
-def _logsumexp(expo: np.ndarray) -> float:
-    """log(sum(exp(expo))) with the largest exponent shifted out first, so no
-    term overflows (Blanchard, Higham & Higham 2021); all -inf gives -inf."""
-    m = float(np.max(expo))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(expo - m))))
+def _power_bound(orders: np.ndarray) -> np.ndarray:
+    """``exp(_EXP_FLOOR / k)`` per order: the scaled value whose ``k``-th
+    power is ``exp(_EXP_FLOOR)``.
+
+    A Holder sum is taken on ``y = x / x_r``, the values relative to the one
+    with the largest term, so every term ``y**k`` is at most exactly 1.
+    Values whose term would be smaller than ``exp(-700)`` are moved to this
+    bound first (raised for ``k > 0``, lowered for ``k < 0``): each such term
+    is then about ``exp(-700)``, still a normal number, so ``pow`` never takes
+    libm's slow subnormal path.  Against a sum of at least 1 the moved
+    terms shift it by less than half an ulp for up to 1e288 values.
+    """
+    with np.errstate(over="ignore"):  # a shape below 1e-306: the bound is 0
+        return np.exp(_EXP_FLOOR / orders)
+
+
+#: A weighted Holder target ``sum(w * y**k) / sum(w)`` (largest weight 1) at
+#: least this large absorbs the moved terms: together they add at most
+#: ``sum(w) * exp(-700)`` to its numerator, under half an ulp of it.
+_MOVED_TERMS_TARGET_MIN = 2.0**54 * math.exp(_EXP_FLOOR)
+
+
+def _moved_terms_out_of_range(what: str) -> NumericError:
+    return _weights_out_of_range(
+        what, f"where the weights leave a mean term below 2**54 * exp({_EXP_FLOOR:g})"
+    )
 
 
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:
@@ -206,30 +228,51 @@ def holder_mean(alpha, values, weights=None) -> float:
     ``alpha``, the weighted geometric mean at ``alpha = 0`` (its continuity
     limit), and the sample max/min at ``alpha = +inf`` / ``-inf``.
 
+    A finite nonzero order is evaluated relative to the value ``x_r`` with
+    the largest term, the largest value for ``alpha > 0`` and the smallest
+    below: ``x_r * (sum(w * y**alpha) / sum(w)) ** (1/alpha)`` with
+    ``y = x / x_r`` moved to :func:`_power_bound` and the weights divided
+    by their largest.  Nothing overflows, and at ``alpha > 0`` this is the
+    computation :func:`wmle.mwle.fit` runs for a Weibull component of shape
+    ``alpha``, so the two agree to the bit.  Raises ``NumericError`` where
+    the weights concentrate so far from ``x_r`` that the moved terms could
+    show in the sum.
+
     Zero values are rejected when ``alpha <= 0`` because a non-positive
     exponent has a pole at zero.
     """
     a = _order(alpha)
     sample = _coerce(values, weights)
+    x, w = sample.values, sample.weights
     if a == math.inf:
-        return float(np.max(sample.values))
+        return float(np.max(x))
     if a == -math.inf:
         _require_positive(sample, a, "min limit of positive-order means")
-        return float(np.min(sample.values))
+        return float(np.min(x))
     if a <= 0:
         _require_positive(sample, a, "x**alpha has a pole at 0 for alpha <= 0")
-    with np.errstate(divide="ignore"):
-        log_x = np.log(sample.values)
-    log_w = np.log(sample.weights)
     if a == 0.0:
-        total = float(np.sum(sample.weights))
-        return float(math.exp(float(np.dot(sample.weights, log_x)) / total))
-    # Zero values (-inf in log_x) pass the check above only for a > 0.
-    log_sum = _logsumexp(log_w + a * log_x)
-    if log_sum == -math.inf:  # all values zero, alpha > 0
+        return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
+    ref = float(np.max(x) if a > 0 else np.min(x))
+    if ref == 0.0:  # all values zero, alpha > 0
         return 0.0
-    log_total = math.log(float(np.sum(sample.weights)))
-    return math.exp((log_sum - log_total) / a)
+    order = np.array([a])
+    bound = float(_power_bound(order)[0])
+    y = x / ref
+    (np.maximum if a > 0 else np.minimum)(y, bound, out=y)
+    terms = np.power(y, a)
+    # Equal weights cancel; without them this is the sum fit takes under
+    # unit weights.
+    if np.min(w) == np.max(w):
+        target = np.add.reduce(terms) / float(x.size)
+    else:
+        w = w / np.max(w)
+        target = np.add.reduce(w * terms) / np.add.reduce(w)
+        if target < _MOVED_TERMS_TARGET_MIN and (
+                np.min(x) / ref < bound if a > 0 else np.max(x) / ref > bound):
+            raise _moved_terms_out_of_range(f"Holder terms of order {a}")
+    # (-eta) ** (-1/alpha) at eta = -1/target: the Weibull inverse fit uses.
+    return float(ref * np.power(1.0 / np.array([target]), -1.0 / order)[0])
 
 
 def lehmer_mean(alpha, values, weights=None) -> float:

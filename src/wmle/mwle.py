@@ -25,6 +25,7 @@ either, a (model, policy) pair realizes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +42,13 @@ from .expfam import (
     check_minimality,
     weighted_stat_mean,
 )
-from .means import _lehmer_weights, _weights_out_of_range
+from .means import (
+    _MOVED_TERMS_TARGET_MIN,
+    _lehmer_weights,
+    _moved_terms_out_of_range,
+    _power_bound,
+    _weights_out_of_range,
+)
 
 __all__ = [
     "WeightPolicy",
@@ -110,11 +117,12 @@ class FitDiagnostics:
     """Solver and curvature summary attached to every fit.
 
     ``hessian_smallest``/``hessian_largest`` are the extremes of the
-    weighted log-likelihood's curvature at the estimate.  For the Lehmer
-    policy :func:`fit` normalizes each weight column so that its largest
-    weight is 1, and the curvature refers to those normalized weights: a
-    positive factor per column away from the raw weights of
-    :func:`apply_policy`, which is unchanged.
+    weighted log-likelihood's curvature at the estimate, in the problem
+    :func:`fit` solves: under weights divided by their largest (a positive
+    factor per weight column away from the raw weights of
+    :func:`apply_policy`, which is unchanged), and on a scale family in the
+    scaled coordinates ``x_j / c_j`` of :attr:`FitResult.scale`, where it
+    stays finite at every shape.
     """
 
     iterations: int
@@ -129,13 +137,19 @@ class FitDiagnostics:
 class FitResult:
     """Estimate in both parameterizations plus the matched moment target.
 
-    Invariants: ``nat_param(theta_hat) == eta_hat`` to 1e-10 and
-    ``mean_map(eta_hat) == target`` to the solver tolerance.
+    ``scale`` holds the factors ``c_j`` the data were divided by: on a
+    scale family under row weights each component is fitted on
+    ``x_j / c_j`` with ``c_j`` the column's largest value, and ``eta_hat``
+    and ``target`` are those of that scaled problem; everywhere else
+    ``scale`` is all ones.  Invariants: ``nat_param(theta_hat / scale) ==
+    eta_hat`` to 1e-10 and ``mean_map(eta_hat) == target`` to the solver
+    tolerance.
     """
 
     theta_hat: np.ndarray
     eta_hat: np.ndarray
     target: np.ndarray
+    scale: np.ndarray
     diagnostics: FitDiagnostics
 
 
@@ -171,13 +185,13 @@ def apply_policy(policy: WeightPolicy, observations, *, normalize: bool = False,
     produced weight is not strictly positive, in particular for a zero
     observation under any exponent other than 1.
 
-    With ``normalize=True`` each lehmer column at an order other than 1 is
-    divided by its largest weight, which :func:`fit` uses: only ratios of
-    weights enter the estimate, and the scaled weights cannot overflow.
-    Such a column raises ``NumericError`` where it cannot be formed
-    accurately: at an order below 1 on values more than ``exp(600)``
-    apart.  ``_validated`` skips checking ``observations``, for callers
-    that already have.
+    With ``normalize=True`` the row weights and each lehmer column at an
+    order other than 1 are divided by their largest weight, which
+    :func:`fit` uses: only ratios of weights enter the estimate, and the
+    scaled weights cannot overflow, nor can their sum.  A lehmer column
+    raises ``NumericError`` where it cannot be formed accurately: at an
+    order below 1 on values more than ``exp(600)`` apart.  ``_validated``
+    skips checking ``observations``, for callers that already have.
     """
     obs = observations if _validated else _observation_matrix(observations)
     n, k = obs.shape
@@ -188,7 +202,7 @@ def apply_policy(policy: WeightPolicy, observations, *, normalize: bool = False,
         if u.shape[0] != n:
             raise ConfigError(f"{policy.kind} base_w must return one weight per row")
         _require_positive_weights(u)
-        return u
+        return u / np.maximum.reduce(u) if normalize else u
     exps = policy.exponents
     if exps.size != k:
         raise ConfigError(
@@ -231,6 +245,31 @@ def apply_policy(policy: WeightPolicy, observations, *, normalize: bool = False,
     return u
 
 
+def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
+    """Raise ``DomainError`` naming the first value outside ``model.support``."""
+    lo, hi = model.support
+    if (lo > -math.inf and np.minimum.reduce(obs, axis=None) < lo) or (
+            hi < math.inf and np.maximum.reduce(obs, axis=None) > hi):
+        i, j = np.argwhere((obs < lo) | (obs > hi))[0]
+        raise DomainError(
+            f"value {float(obs[i, j])!r} in column {j} is outside the support [{lo:g}, {hi:g}] "
+            f"of {model.name}"
+        )
+
+
+def _relative_column(col: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, float]:
+    """One column of a scale family's data relative to its largest value,
+    ``(y, c)`` with ``y = col / c`` moved up to the power bound, as a
+    contiguous ``(n, 1)`` matrix.  An all-zero column is returned as it is
+    with ``c = 1``; its target, 0, is for the solver to reject."""
+    c = float(np.maximum.reduce(col))
+    if c == 0.0:
+        return col[:, None], 1.0
+    y = col / c
+    np.maximum(y, _power_bound(powers)[0], out=y)
+    return y[:, None], c
+
+
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         method: str = "auto", seed: int = 0, minimality_samples: int = 2048) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
@@ -240,9 +279,19 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     estimated by sampling the fitted model (``minimality_samples`` draws,
     seeded); pass ``minimality_samples=0`` to skip it.
 
-    The observations are checked once, here; the weights, the dataset and
-    the moment target are built from the checked arrays without checking
-    them again.  Lehmer weights come from ``apply_policy(normalize=True)``.
+    The observations are checked once, here, for finiteness and against
+    ``model.support``; the weights, the dataset and the moment target are
+    built from the checked arrays without checking them again.  Weights
+    come from ``apply_policy(normalize=True)``: row weights and Lehmer
+    columns divided by their largest.
+
+    Per-column (Lehmer) weights give one univariate problem per independent
+    component.  Row weights give one problem, except on a scale family
+    (``model.scale_family``), where each component is fitted on its own
+    column relative to its largest value, ``y = x_j / c_j``: its largest
+    term ``y ** k_j`` is exactly 1, and :func:`means._power_bound` keeps
+    every other term a normal number, so the target neither overflows nor
+    underflows at any shape.  The estimate is ``theta_j = c_j * theta'_j``.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -254,25 +303,36 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         raise DomainError(
             f"data has {obs.shape[1]} columns, model {model.name} expects {model.dim_x}"
         )
+    _check_support(model, obs)
     u = apply_policy(policy, obs, normalize=True, _validated=True)
-
-    # Shared row weights give one problem; per-column weights give one
-    # univariate problem per independent component.
-    if u.ndim == 1:
-        # Without base_w the holder weights are all 1: the dataset takes
-        # them as unit weights, which the moment target does not multiply in.
-        problems = [(model, obs, None if policy.base_w is None else u)]
-    elif model.components is None:
+    per_column = u.ndim == 2
+    scaled = not per_column and model.scale_family
+    if per_column and model.components is None:
         raise ConfigError(
             f"model {model.name} is not separable; per-column weight policies "
             "require independent components"
         )
-    else:
-        problems = [(comp, obs[:, j : j + 1], u[:, j]) for j, comp in enumerate(model.components)]
+    # Without base_w the holder weights are all 1: the dataset takes them as
+    # unit weights, which the moment target does not multiply in.
+    row_w = None if per_column or policy.base_w is None else u
+    separate = (per_column or scaled) and model.components is not None
+    sub_models = model.components if separate else (model,)
+    scale = np.ones(len(sub_models))
     targets, infos, curvatures, flat = [], [], [], []
-    for sub_model, sub_obs, sub_u in problems:
-        data = WeightedDataset(sub_obs, sub_u, _validated=True)
+    for j, sub_model in enumerate(sub_models):
+        if per_column:
+            data = WeightedDataset(obs[:, j : j + 1], u[:, j], _validated=True)
+        elif scaled:
+            y, scale[j] = _relative_column(obs[:, j], sub_model.stat_powers)
+            data = WeightedDataset(y, row_w, _validated=True)
+        else:
+            data = WeightedDataset(obs, row_w, _validated=True)
         sub_target = weighted_stat_mean(data, sub_model)
+        # Unit weights leave a scaled target of at least 1/n; only weights
+        # that concentrate away from the largest value get this low.
+        if scaled and 0 < sub_target[0] < _MOVED_TERMS_TARGET_MIN:
+            if np.minimum.reduce(obs[:, j]) / scale[j] < _power_bound(sub_model.stat_powers)[0]:
+                raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
         info = _solve_mean_target(sub_model, sub_target, method=method)
         # A curvature that overflows makes eigvalsh fail; that is reported
         # as a NumericError, not as numpy warnings and a LinAlgError.
@@ -302,6 +362,10 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     solve_method = methods.pop() if len(methods) == 1 else "mixed"
 
     theta = np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
+    if scaled:
+        theta = scale * theta
+    else:
+        scale = np.ones(theta.size)
     # Never succeed silently at a flat maximum.
     if flat:
         logger.warning(
@@ -320,7 +384,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         minimality=verdict,
         solve_method=solve_method,
     )
-    return FitResult(theta_hat=theta, eta_hat=eta, target=target, diagnostics=diagnostics)
+    return FitResult(theta_hat=theta, eta_hat=eta, target=target, scale=scale,
+                     diagnostics=diagnostics)
 
 
 # The batched sweep takes as many orders at a time as keep each
@@ -342,15 +407,23 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
 
     * each sum is one row of a C-order matrix reduced along its last axis,
       which numpy sums pairwise like the 1-D sums ``fit`` uses;
-    * every ``np.power`` gets one exponent per component, laid out like the
-      shape vector ``fit`` passes.  An exponent of -1, 2 or 0.5 repeated
-      with stride 0 sends numpy to a reciprocal, square or square root,
-      which can differ from its general power in the last bit.
+    * each Holder column is divided by its largest value once per sweep and
+      moved up to each order's power bound, as ``fit`` scales its columns;
+    * numpy's power swaps in a square root or a square for an exponent of
+      0.5 or 2 repeated along a one-dimensional loop, which can differ from
+      its general power in the last bit.  ``fit`` raises each column to its
+      shape in such a loop, a block of orders is not one, so the Holder
+      rows at those orders are raised again one at a time;
+    * the estimate's ``np.power`` gets one exponent per component, laid out
+      like the shape vector ``fit`` inverts with, and is multiplied by the
+      column scales like ``fit``'s.
 
     ``ok[g]`` is True only where every check ``fit`` makes on this path
     passes: positive finite data, Lehmer weights that lose nothing to the
     exponent floor, a finite positive moment target, ``eta`` finite and
-    negative, and each component's curvature finite and not flat.
+    negative, and each component's curvature finite and not flat.  Unit
+    weights keep every scaled Holder target at 1/n or more, where the
+    moved terms cannot show.
     Elsewhere the row is NaN and ``fit`` itself must decide: it raises the
     error or returns the estimate.
     """
@@ -366,6 +439,9 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
         if kind == "lehmer":
             log_cols = [np.log(obs[:, j]) for j in range(k)]
             extremes = [(float(np.min(c)), float(np.max(c))) for c in log_cols]
+        else:
+            scale = np.maximum.reduce(obs, axis=0)
+            relative = [obs[:, j] / scale[j] for j in range(k)]
         for lo in range(0, orders.size, step):
             block = orders[lo : lo + step]
             if kind == "lehmer":
@@ -383,8 +459,16 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
                 good = np.isfinite(block) & (block > 0)
                 shape = block[:, None]
                 total = float(n)
-                stats = np.power(obs, np.repeat(shape[:, :, None], k, axis=2))
-                target = np.add.reduce(np.ascontiguousarray(stats.transpose(0, 2, 1)), axis=2) / total
+                bounds = _power_bound(block)
+                shortcuts = np.flatnonzero((block == 0.5) | (block == 2.0))
+                target = np.empty((block.size, k))
+                stats = np.empty((block.size, n))
+                for j, y in enumerate(relative):
+                    np.maximum(y, bounds[:, None], out=stats)
+                    np.power(stats, shape, out=stats)
+                    for g in shortcuts:
+                        stats[g] = np.power(np.maximum(y, bounds[g]), block[g])
+                    target[:, j] = np.add.reduce(stats, axis=1) / total
             eta = -1.0 / target
             inverse_square = 1.0 / eta**2
             curvature = -total * (0.5 * (inverse_square + inverse_square))
@@ -395,6 +479,8 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
                 axis=1,
             )
             estimate = np.power(-eta, np.repeat(-1.0 / shape, k, axis=1))
+            if kind == "holder":
+                estimate = scale * estimate
             theta[lo : lo + step][good] = estimate[good]
             ok[lo : lo + step] = good
     return theta, ok

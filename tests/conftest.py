@@ -96,6 +96,17 @@ def lehmer_oracle(alpha: int, values) -> Fraction:
         return Fraction(sum(num) / sum(den))
 
 
+def holder_oracle(k: int, values, weights=None) -> Fraction:
+    """The Holder mean ``(sum(w * x**k) / sum(w)) ** (1/k)`` of float
+    values at a nonzero integer order, in 100-digit decimal arithmetic, as
+    good as exact for counting ulps like :func:`lehmer_oracle`."""
+    with localcontext(prec=100):
+        xs = [Decimal(float(v)) for v in values]
+        ws = [Decimal(1)] * len(xs) if weights is None else [Decimal(float(w)) for w in weights]
+        mean = sum(w * x**k for w, x in zip(ws, xs)) / sum(ws)
+        return Fraction(mean ** (Decimal(1) / Decimal(k)))
+
+
 def lehmer_condition(alpha: int, values) -> float:
     """Condition number of the Lehmer mean under relative perturbations of
     the values: ``sum |alpha * v_i - (alpha - 1) * v'_i|``, with ``v`` and

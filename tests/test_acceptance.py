@@ -168,8 +168,9 @@ def test_criterion_06_generic_solver_oracle():
                            / np.abs(closed.theta_hat)))
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-9
-        data = WeightedDataset(obs, weights)
         for result in (closed, newton):
+            # eta_hat solves the problem on the data divided by result.scale.
+            data = WeightedDataset(obs / result.scale, weights)
             grad_norm = float(np.linalg.norm(
                 grad_log_weighted_likelihood(model, data, result.eta_hat)
             ))

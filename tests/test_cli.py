@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import wmle
 from wmle import (
     DomainError,
+    NoSolutionError,
     NumericError,
     SolverError,
     WeightPolicy,
@@ -28,7 +29,7 @@ from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, val
 from wmle.pipeline import ProportionMatrix, aggregate, load_returns
 from wmle.svg import render_line_chart
 
-from conftest import SCHEMA_HEADER, lehmer_condition, lehmer_oracle, ulps_off
+from conftest import SCHEMA_HEADER, holder_oracle, lehmer_condition, lehmer_oracle, ulps_off
 
 
 def run_cli(capsys, *argv):
@@ -158,16 +159,32 @@ class TestFitCommand:
         assert code == 2
         assert "'3' has 1 cells" in err
 
-    def test_nonfinite_curvature_exits_2(self, capsys, tmp_path):
+    def test_wide_data_at_shape_60_fits_the_exact_means(self, capsys, tmp_path):
+        # Unscaled, the curvature of this fit overflowed (exit 2); fitted on
+        # x / max(x), every column matches its Holder mean.
         rng = np.random.default_rng(53)
         x = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(200, 3)))
         data_path = tmp_path / "wide.csv"
         data_path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in x.tolist()),
                              encoding="utf-8")
-        code, _, err = run_cli(capsys, "fit", "--data", str(data_path), "--policy", "holder",
+        code, out, _ = run_cli(capsys, "fit", "--data", str(data_path), "--policy", "holder",
                                "--shapes", "60,60,60", "--format", "csv")
+        assert code == 0
+        record = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
+        for j in range(3):
+            assert ulps_off(float(record[f"theta_{j + 1}"]), holder_oracle(60, x[:, j])) <= 2
+            assert float(record[f"scale_{j + 1}"]) == np.max(x[:, j])
+        assert math.isfinite(float(record["hessian_smallest"]))
+        code, out, _ = run_cli(capsys, "fit", "--data", str(data_path), "--policy", "holder",
+                               "--shapes", "60,60,60")
+        assert code == 0
+        assert "scale:" in out
+
+    def test_numeric_error_exits_2(self, capsys):
+        # Lehmer weights at order 0 on values more than exp(600) apart.
+        code, _, err = run_cli(capsys, "fit", "--policy", "lehmer", "--beta", "0", "1e-300", "1e300")
         assert code == 2
-        assert "curvature" in err and "weibull(k=[60.0,60.0,60.0])" in err
+        assert "exp(600)" in err
 
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
@@ -278,9 +295,17 @@ class TestSweepCommand:
             assert label in svg_text
         assert 'viewBox="0 0 800 600"' in svg_text
 
-    def test_svg_of_all_gap_sweep_exits_2(self, capsys, tmp_path, synthetic_returns_csv):
-        # Every Holder target at these shapes is subnormal or 0 in some
-        # column: each order is a NoSolutionError gap.
+    def test_svg_of_all_gap_sweep_exits_2(self, capsys, tmp_path, synthetic_returns_csv,
+                                          monkeypatch):
+        # Every order fits on this data; force each to be a gap.
+        def no_estimates(kind, observations, orders):
+            return np.full((orders.size, 3), math.nan), np.zeros(orders.size, dtype=bool)
+
+        def no_solution(model, observations, policy, **kwargs):
+            raise NoSolutionError("forced gap")
+
+        monkeypatch.setattr(mwle_module, "_sweep_estimates", no_estimates)
+        monkeypatch.setattr(mwle_module, "fit", no_solution)
         svg_path = tmp_path / "sweep.svg"
         csv_path = tmp_path / "sweep.csv"
         code, _, err = run_cli(
@@ -322,26 +347,30 @@ class TestSweepCommand:
     def test_solver_gaps_are_recorded_and_run_continues(self):
         years = (1976, 1978, 1980, 1982)
         values = np.tile([0.5, 0.45, 0.03], (4, 1))
-        for rows, mode, grid, gap, reason in (
-            # 30 ** 210 overflows the Holder statistic: a DomainError.
-            (np.tile([0.5, 30.0, 0.03], (4, 1)), "holder", [2.0, 210.0], 210.0,
-             "moment target must be finite"),
-            # 0.03 ** 205 is subnormal, so the closed-form inverse -1/target
-            # overflows and leaves the natural domain: a NoSolutionError.
-            (values, "holder", [2.0, 205.0], 205.0, "closed-form inverse left the natural domain"),
-        ):
-            matrix = ProportionMatrix(years=years, values=rows)
-            table = run_sweep(matrix, mode, np.array(grid))
-            assert list(table.gaps) == [gap]
-            assert reason in table.gaps[gap]
-            at_gap = table.orders == gap
-            assert np.all(np.isnan(table.estimates[at_gap]))
-            assert np.all(np.isfinite(table.estimates[~at_gap]))
-            parsed = SweepTable.from_csv(table.to_csv())
-            assert list(parsed.gaps) == [gap]
-            np.testing.assert_array_equal(
-                np.isnan(parsed.estimates), np.isnan(table.estimates)
-            )
+        # 30 ** 210 overflows and 0.03 ** 205 is subnormal, which made these
+        # Holder orders gaps; relative to each column's largest value they
+        # fit each column's value.
+        for rows, grid in ((np.tile([0.5, 30.0, 0.03], (4, 1)), [2.0, 210.0]),
+                           (values, [2.0, 205.0])):
+            table = run_sweep(ProportionMatrix(years=years, values=rows), "holder", np.array(grid))
+            assert table.gaps == {}
+            for order, row in zip(grid, table.estimates):
+                for got, column in zip(row, rows.T):
+                    assert ulps_off(got, holder_oracle(int(order), column)) <= 2
+        # A Lehmer mean near 1e-310 is subnormal, so the closed-form inverse
+        # -1/target overflows and leaves the natural domain: a NoSolutionError.
+        rows = values.copy()
+        rows[:, 2] = [1e-310, 1e-60, 1e-60, 1e-60]
+        gap = -400.0
+        table = run_sweep(ProportionMatrix(years=years, values=rows), "lehmer", np.array([gap, 2.0]))
+        assert list(table.gaps) == [gap]
+        assert "closed-form inverse left the natural domain" in table.gaps[gap]
+        at_gap = table.orders == gap
+        assert np.all(np.isnan(table.estimates[at_gap]))
+        assert np.all(np.isfinite(table.estimates[~at_gap]))
+        parsed = SweepTable.from_csv(table.to_csv())
+        assert list(parsed.gaps) == [gap]
+        np.testing.assert_array_equal(np.isnan(parsed.estimates), np.isnan(table.estimates))
         # 0.03 ** -401 overflowed the Lehmer weights here, a DomainError gap;
         # taken relative to the largest weight, they fit each column's value.
         table = run_sweep(ProportionMatrix(years=years, values=values), "lehmer",
@@ -353,11 +382,29 @@ class TestSweepCommand:
     def test_numeric_failures_are_recorded_as_gaps(self):
         rng = np.random.default_rng(54)
         values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(200, 3)))
-        matrix = ProportionMatrix(years=tuple(range(200)), values=values)
-        table = run_sweep(matrix, "holder", np.array([2.0, 60.0]))
-        assert list(table.gaps) == [60.0]
-        assert "curvature" in table.gaps[60.0]
-        assert np.all(np.isfinite(table.estimates[0]))
+        # Shape 60 was a NumericError gap here (an overflowing curvature);
+        # it now fits each column's Holder mean.
+        table = run_sweep(ProportionMatrix(years=tuple(range(200)), values=values), "holder",
+                          np.array([2.0, 60.0]))
+        assert table.gaps == {}
+        for got, column in zip(table.estimates[1], values.T):
+            assert ulps_off(got, holder_oracle(60, column)) <= 2
+        # Below order 1 the Lehmer weights of values more than exp(600)
+        # apart cannot be formed: a NumericError gap.
+        values[:2, 0] = [1e-300, 1e30]
+        table = run_sweep(ProportionMatrix(years=tuple(range(200)), values=values), "lehmer",
+                          np.array([0.0, 2.0]))
+        assert list(table.gaps) == [0.0]
+        assert "exp(600)" in table.gaps[0.0]
+        assert np.all(np.isfinite(table.estimates[1]))
+
+
+def beyond_the_weight_range():
+    """A 7-by-3 matrix whose columns each span more than exp(600)."""
+    rng = np.random.default_rng(56)
+    values = np.exp(rng.uniform(math.log(1e-135), math.log(1e135), size=(7, 3)))
+    values[:2] = [[1e-135, 1e-130, 1e-120], [1e135, 1e140, 1e150]]
+    return ProportionMatrix(years=tuple(range(7)), values=values)
 
 
 def per_point_sweep(matrix, mode, grid):
@@ -389,7 +436,8 @@ def assert_same_sweep(batched, reference):
 @st.composite
 def sweep_cases(draw):
     """A positive n-by-3 matrix, log-uniform in [1e-3, 1e3], and an ascending
-    grid that reaches orders where weights, targets or curvatures overflow."""
+    grid of orders up to 600 (Lehmer orders from -600), where the unscaled
+    weights, targets or curvatures would overflow."""
     n = draw(st.integers(1, 40))
     # Entries are drawn from a pool that may be smaller than the matrix,
     # so tied values (and tied maxima) are common.
@@ -426,10 +474,7 @@ class TestBatchedSweep:
         # Below order 1 the weights of values more than exp(600) apart cannot
         # be formed, which fit reports; the batched pass must leave those
         # orders to fit and agree with it elsewhere.
-        rng = np.random.default_rng(56)
-        values = np.exp(rng.uniform(math.log(1e-135), math.log(1e135), size=(7, 3)))
-        values[:2] = [[1e-135, 1e-130, 1e-120], [1e135, 1e140, 1e150]]
-        matrix = ProportionMatrix(years=tuple(range(7)), values=values)
+        matrix = beyond_the_weight_range()
         grid = parse_grid("-3:4:0.25")
         table = run_sweep(matrix, "lehmer", grid)
         assert table.gaps and all("exp(600)" in reason for reason in table.gaps.values())
@@ -461,12 +506,13 @@ class TestBatchedSweep:
         monkeypatch.setattr(mwle_module, "fit", counting_fit)
         for mode, spec in DEFAULT_GRIDS.items():
             assert run_sweep(matrix, mode, parse_grid(spec)).gaps == {}
-        # Extreme Lehmer orders no longer fail, so they need no fit either.
+        # Extreme orders no longer fail, so they need no fit either.
         assert run_sweep(matrix, "lehmer", parse_grid("-600:600:50")).gaps == {}
+        assert run_sweep(matrix, "holder", parse_grid("100:900:50")).gaps == {}
         assert fitted == []
-        table = run_sweep(matrix, "holder", parse_grid("100:900:50"))
+        table = run_sweep(beyond_the_weight_range(), "lehmer", parse_grid("-3:4:0.25"))
         assert table.gaps
-        assert set(table.gaps) <= {float(model.stat_powers[0]) for model, _ in fitted}
+        assert set(table.gaps) <= {float(policy.exponents[0]) for _, policy in fitted}
         assert len(fitted) < table.orders.size
 
     def test_sweeps_log_no_degeneracy_warnings(self, capsys, caplog, synthetic_returns_csv):
@@ -475,9 +521,18 @@ class TestBatchedSweep:
             for mode in ("holder", "lehmer"):
                 code, _, _ = run_cli(capsys, "sweep", "--data", synthetic_returns_csv, "--mode", mode)
                 assert code == 0
+            # Unscaled, the minor party's curvature underflowed to -0 at
+            # shapes of 150 and more, which read as flat.
+            code, _, _ = run_cli(capsys, "sweep", "--data", synthetic_returns_csv, "--mode", "holder",
+                                 "--grid=10:250:20")
+            assert code == 0
             # One fit per order: the party columns' curvatures lie up to 1e300
             # apart at these orders, and each is judged on its own.
             per_point_sweep(matrix, "lehmer", parse_grid("-250:250:25"))
+            per_point_sweep(matrix, "holder", parse_grid("10:250:20"))
+            # Unscaled, this curvature was -inf.
+            result = fit(weibull_model([60.0]), [1e-3, 0.5, 10, 1e3], WeightPolicy.holder())
+            assert math.isfinite(result.diagnostics.hessian_smallest)
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from wmle import DomainError, NumericError, Sample, f_mean, holder_mean, lehmer_mean, v_weights
 
-from conftest import lehmer_condition, lehmer_oracle, random_positive_sample, ulps_off
+from conftest import (
+    holder_oracle,
+    lehmer_condition,
+    lehmer_oracle,
+    random_positive_sample,
+    ulps_off,
+)
 
 INF = math.inf
 
@@ -105,6 +111,19 @@ class TestHolderMean:
     def test_nan_order_rejected(self):
         with pytest.raises(DomainError):
             holder_mean(math.nan, [1.0, 2.0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-500, 500).filter(bool),
+           st.lists(st.tuples(st.floats(math.log(1e-3), math.log(1e3)), st.integers(1, 5)),
+                    min_size=1, max_size=20))
+    def test_weighted_mean_is_within_2_ulps_of_the_exact_mean(self, order, draws):
+        # Negative orders take the smallest value as their reference; as at
+        # positive ones, |order| = 1 leaves the last roundings undivided.
+        values = [math.exp(v) for v, _ in draws]
+        weights = [float(m) for _, m in draws]
+        bound = 2 if abs(order) > 1 else 4
+        assert ulps_off(holder_mean(order, values, weights),
+                        holder_oracle(order, values, weights)) <= bound
 
 
 class TestLehmerMean:
@@ -324,7 +343,8 @@ class TestFamilyProperties:
 
 
 class TestStability:
-    """Extreme orders on wide data must stay finite via the log domain."""
+    """Extreme orders on wide data must stay finite: each power sum is taken
+    relative to its largest term."""
 
     values = np.logspace(-3.0, 3.0, 13)
 
@@ -338,8 +358,8 @@ class TestStability:
         assert lehmer_mean(-500.0, self.values) == pytest.approx(self.values.min(), rel=1e-9)
 
     def test_holder_matches_analytic_saturation_form(self):
-        # At order 500 every non-maximal term underflows, leaving exactly
-        # max * n**(-1/alpha) for uniform weights; this pins the log-domain
+        # At order 500 every non-maximal term is negligible, leaving
+        # max * n**(-1/alpha) for uniform weights; this pins the scaled
         # path against an analytically evaluated oracle.
         n = self.values.size
         expected_hi = self.values.max() * n ** (-1.0 / 500.0)

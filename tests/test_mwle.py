@@ -1,5 +1,6 @@
 """Tests for weight policies, the moment target, and the MWLE fit."""
 
+import dataclasses
 import logging
 import math
 
@@ -30,7 +31,7 @@ from wmle import (
     weighted_stat_mean,
 )
 
-from conftest import lehmer_condition, lehmer_oracle, ulps_off
+from conftest import holder_oracle, lehmer_condition, lehmer_oracle, ulps_off
 
 
 class TestWeightPolicy:
@@ -203,6 +204,68 @@ class TestLehmerAccuracy:
         assert ulps_off(lehmer_mean(order, x), exact) <= bound
 
 
+@st.composite
+def holder_cases(draw):
+    """An integer shape in [1, 500], 1..40 log-uniform values in [1e-3, 1e3]
+    (some tied or nearly tied with the largest, which becomes exactly 1 in
+    the scaled fit) and, half the time, base weights in [0.1, 10]."""
+    n = draw(st.integers(1, 40))
+    logs = draw(st.lists(st.floats(math.log(1e-3), math.log(1e3)), min_size=n, max_size=n))
+    x = np.exp(np.asarray(logs))
+    near = st.tuples(st.integers(0, n - 1), st.sampled_from([0.0, 2.0**-52, 1e-12, 1e-6, 1e-2]))
+    for i, gap in draw(st.lists(near, max_size=n)):
+        x[i] = np.max(x) * (1.0 - gap)
+    weights = draw(st.one_of(st.none(), st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    return draw(st.integers(1, 500)), x, None if weights is None else np.asarray(weights)
+
+
+def _holder_policy(weights):
+    return WeightPolicy.holder(None if weights is None else (lambda obs: weights))
+
+
+class TestHolderAccuracy:
+    # The Holder mean of positive values has condition number at most 1.
+    # Rounding before the power is divided by the shape in the estimate, so
+    # from shape 2 on a fit lands within 2 ulps.  At shape 1 the roundings
+    # of the sum, of -1/target and of (-eta)**-1 add up undivided: 2.86 ulps
+    # at worst over 3000 samples of 23 values (2.52 fitting unscaled data),
+    # inside the 4 * max(1, kappa) the Lehmer tests allow.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(holder_cases())
+    def test_fit_and_mean_are_within_2_ulps_of_the_exact_mean(self, case):
+        shape, x, w = case
+        exact = holder_oracle(shape, x, w)
+        result = fit(weibull_model([float(shape)]), x, _holder_policy(w), minimality_samples=0)
+        assert ulps_off(result.theta_hat[0], exact) <= (2 if shape > 1 else 4)
+        # The mean and the fit are one computation.
+        assert holder_mean(shape, x, w) == result.theta_hat[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(holder_cases(),
+           # numpy's power has sqrt and square shortcuts at 0.5 and 2.
+           st.one_of(st.floats(0.01, 700.0), st.sampled_from([0.5, 1.0, 2.0])),
+           st.integers(-60, 60))
+    def test_fit_is_homogeneous_and_equals_the_mean_to_the_bit(self, case, shape, m):
+        _, x, w = case
+        model = weibull_model([shape])
+        result = fit(model, x, _holder_policy(w), minimality_samples=0)
+        assert holder_mean(shape, x, w) == result.theta_hat[0]
+        scaled = fit(model, 2.0**m * x, _holder_policy(w), minimality_samples=0)
+        assert scaled.theta_hat[0] == 2.0**m * result.theta_hat[0]
+        np.testing.assert_array_equal(scaled.eta_hat, result.eta_hat)
+        # eta_hat belongs to the data divided by the scale.
+        assert result.scale[0] == np.max(x)
+        np.testing.assert_allclose(model.nat_param(result.theta_hat / result.scale),
+                                   result.eta_hat, rtol=1e-10)
+
+    def test_lehmer_and_non_scale_fits_keep_unit_scale(self):
+        x = _log_uniform(np.random.default_rng(58), (30, 3))
+        lehmer = fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer([2.0, -3.0, 0.5]))
+        gaussian = fit(gaussian_known_variance_model(np.ones(3)), x, WeightPolicy.holder())
+        for result in (lehmer, gaussian):
+            assert result.scale.tolist() == [1.0, 1.0, 1.0]
+
+
 class TestValidation:
     def test_one_fit_checks_observations_once_and_weights_once(self, monkeypatch):
         # Every finiteness check fit makes goes through np.isfinite; count
@@ -292,7 +355,9 @@ class TestFit:
         xs = rng.uniform(0.2, 2.0, size=12)
         policy = WeightPolicy.holder()
         result = fit(model, xs, policy, minimality_samples=0)
-        data = WeightedDataset(xs.reshape(-1, 1), apply_policy(policy, xs.reshape(-1, 1)))
+        # eta_hat maximizes the likelihood of the data divided by result.scale.
+        scaled = (xs / result.scale).reshape(-1, 1)
+        data = WeightedDataset(scaled, apply_policy(policy, scaled))
         best = log_weighted_likelihood(model, data, result.eta_hat)
         for _ in range(100):
             probe = result.eta_hat + rng.uniform(-2.0, 2.0, size=1)
@@ -353,30 +418,84 @@ class TestFit:
     def test_degeneracy_is_judged_per_component(self, caplog):
         # Independent components whose curvatures lie 1e32 apart: neither is
         # flat, so nothing is logged, while the diagnostics still report the
-        # pooled extremes of the spectrum.
+        # pooled extremes of the spectrum.  The Gaussian is not a scale
+        # family, so its data are fitted as they are.
         x = np.array([[1e-8, 1e8], [2e-8, 3e8], [3e-8, 2e8]])
+        model = gaussian_known_variance_model([1e-8, 1e8])
         with caplog.at_level(logging.WARNING):
-            result = fit(exponential_model(2), x, WeightPolicy.holder(), minimality_samples=0)
+            result = fit(model, x, WeightPolicy.holder(), minimality_samples=0)
         assert caplog.messages == []
         diag = result.diagnostics
         assert diag.hessian_smallest < 1e24 * diag.hessian_largest < 0
 
-    def test_subnormal_holder_target_is_no_solution_without_warnings(self):
-        # 0.03 ** 205 is subnormal: -1/target overflows in the closed-form
+    @pytest.mark.parametrize("x, shape", [([0.03], 205), ([0.03, 0.02, 0.5], 205)])
+    def test_subnormal_holder_statistic_fits_the_exact_mean(self, x, shape):
+        # 0.03 ** 205 is subnormal; relative to the column's largest value
+        # the largest term is 1 and the target normal.
+        result = fit(weibull_model([float(shape)]), np.reshape(x, (-1, 1)), WeightPolicy.holder())
+        assert ulps_off(result.theta_hat[0], holder_oracle(shape, x)) <= 2
+
+    def test_subnormal_target_is_no_solution_without_warnings(self):
+        # A subnormal Lehmer target: -1/target overflows in the closed-form
         # inverse, which leaves the natural domain.
         with pytest.raises(NoSolutionError, match="closed-form inverse left the natural domain"):
-            fit(weibull_model([205.0]), [[0.03]], WeightPolicy.holder())
+            fit(exponential_model(1), [[1e-320]], WeightPolicy.lehmer([1.0]))
 
-    def test_overflowing_statistic_is_a_domain_error_without_warnings(self):
-        # (1e3) ** 200 overflows the sufficient statistic itself.
+    def test_overflowing_holder_statistic_fits_the_exact_mean(self):
+        # (1e3) ** 200 overflows; (1e3 / 1e3) ** 200 is 1.
+        x = [1e-3, 1e3]
+        result = fit(weibull_model([200.0]), np.reshape(x, (-1, 1)), WeightPolicy.holder())
+        assert ulps_off(result.theta_hat[0], holder_oracle(200, x)) <= 2
+
+    def test_overflowing_target_is_a_domain_error_without_warnings(self):
+        # Each value is finite, their sum is not.
         with pytest.raises(DomainError, match="moment target must be finite"):
-            fit(weibull_model([200.0]), [[1e-3], [1e3]], WeightPolicy.holder())
+            fit(exponential_model(1), [[1e308], [1e308]], WeightPolicy.lehmer([1.0]))
 
-    def test_overflowing_total_weight_is_no_solution_without_warnings(self):
-        # Each weight 1e308 is finite, their sum is not, so the target is 0.
+    def test_weights_whose_total_overflows_fit_the_exact_mean(self):
+        # Each weight 1e308 is finite, their sum is not; divided by the
+        # largest, each is 1.
         policy = WeightPolicy.custom(lambda obs: np.full(obs.shape[0], 1e308))
-        with pytest.raises(NoSolutionError, match="not attainable"):
-            fit(exponential_model(1), [[1e-10], [1e-10]], policy, minimality_samples=0)
+        result = fit(exponential_model(1), [[1e-10], [1e-10]], policy, minimality_samples=0)
+        assert result.theta_hat.tolist() == [1e-10]
+
+    def test_row_weights_are_divided_by_their_largest(self):
+        # Power-of-two weight factors cancel to the bit.
+        rng = np.random.default_rng(57)
+        x = _log_uniform(rng, (50, 2))
+        w = rng.uniform(0.1, 4.0, size=50)
+        model = weibull_model([3.0, 1.0])
+        base = fit(model, x, WeightPolicy.holder(base_w=lambda o: w))
+        for factor in (2.0**-1000, 2.0**1000):
+            scaled = fit(model, x, WeightPolicy.holder(base_w=lambda o, f=factor: f * w))
+            assert scaled.theta_hat.tolist() == base.theta_hat.tolist()
+            assert scaled.diagnostics.hessian_largest == base.diagnostics.hessian_largest
+
+    def test_weights_far_from_the_largest_value_are_a_numeric_error(self):
+        # At shape 200, 1e-3 / 1e3 is moved up to exp(-3.5) and its term to
+        # exp(-700); with all the weight on that value the target, about
+        # exp(-700), would be off by the move itself.
+        policy = WeightPolicy.holder(base_w=lambda obs: np.array([1.0, 1e-300]))
+        with pytest.raises(NumericError, match=r"exp\(-700\)"):
+            fit(weibull_model([200.0]), [[1e-3], [1e3]], policy)
+        with pytest.raises(NumericError, match=r"exp\(-700\)"):
+            holder_mean(200.0, [1e-3, 1e3], [1.0, 1e-300])
+        # With the weight on the largest value nothing moved can show.
+        policy = WeightPolicy.holder(base_w=lambda obs: np.array([1e-300, 1.0]))
+        result = fit(weibull_model([200.0]), [[1e-3], [1e3]], policy)
+        assert ulps_off(result.theta_hat[0], holder_oracle(200, [1e-3, 1e3], [1e-300, 1.0])) <= 2
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 2.5])
+    def test_values_outside_the_support_are_a_domain_error(self, shape):
+        # Before the support check, -3 gave a silent estimate at shape 2, a
+        # numpy warning at 2.5 and a misleading NoSolutionError at 1.
+        with pytest.raises(DomainError, match=r"value -3\.0 in column 0 is outside the support"):
+            fit(weibull_model([shape]), [[-3.0], [1.0], [2.0]], WeightPolicy.holder())
+        with pytest.raises(DomainError, match="column 1"):
+            fit(weibull_model([shape, shape]), [[1.0, 1.0], [2.0, -3.0]], WeightPolicy.holder())
+        with pytest.raises(DomainError, match="value 13.0 in column 0"):
+            fixture = multinomial_fixture(12, [0.5, 0.3, 0.2])
+            fit(fixture.reduced_model, [[13.0, 1.0], [2.0, 3.0]], WeightPolicy.holder())
 
     @pytest.mark.parametrize("x, order", [
         # 0.1446 ** -367 is finite, but the sum of two such weights is not.
@@ -409,12 +528,23 @@ class TestFit:
         result = fit(exponential_model(1), x, WeightPolicy.lehmer([2.0]), minimality_samples=0)
         assert result.theta_hat[0] == pytest.approx(1e300, rel=1e-15)
 
-    def test_overflowing_curvature_is_a_numeric_error(self):
-        # Shape-60 Weibull on data spanning 1e-3..1e3: the estimate exists,
-        # but eta**2 underflows in the curvature and eigvalsh cannot converge.
+    def test_shape_60_on_wide_data_has_a_finite_curvature(self):
+        # Shape-60 Weibull on data spanning 1e-3..1e3: unscaled, eta**2
+        # underflows in the curvature and eigvalsh cannot converge; in the
+        # scaled coordinates the curvature is -n * target**2.
         x = _log_uniform(np.random.default_rng(52), (200, 3))
-        with pytest.raises(NumericError, match=r"weibull\(k=\[60\.0,60\.0,60\.0\]\)"):
-            fit(weibull_model(np.full(3, 60.0)), x, WeightPolicy.holder())
+        result = fit(weibull_model(np.full(3, 60.0)), x, WeightPolicy.holder())
+        for j in range(3):
+            assert ulps_off(result.theta_hat[j], holder_oracle(60, x[:, j])) <= 2
+        np.testing.assert_array_equal(result.scale, np.max(x, axis=0))
+        assert -200.0 <= result.diagnostics.hessian_smallest <= result.diagnostics.hessian_largest < 0
+
+    def test_nonfinite_curvature_is_a_numeric_error(self):
+        # A covariance with two infinite variances makes eigvalsh fail.
+        model = dataclasses.replace(gaussian_known_variance_model(np.ones(3)),
+                                    mean_map_jacobian=lambda eta: np.diag([np.inf, np.inf, 1.0]))
+        with pytest.raises(NumericError, match=r"curvature of gaussian\(sigma=\[1\.0,1\.0,1\.0\]\)"):
+            fit(model, np.ones((4, 3)), WeightPolicy.holder())
 
     def test_newton_and_closed_form_paths_agree(self):
         rng = np.random.default_rng(48)
