@@ -260,11 +260,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_mean(args) -> int:
     values = np.asarray(args.values, dtype=float)
-    weights = _parse_float_list(args.weights, "--weights") if args.weights else None
     if args.kind == "f":
+        for flag, value in (("--weights", args.weights), ("--alpha", args.alpha)):
+            if value is not None:
+                raise ConfigError(f"the f mean is unweighted and takes no order; drop {flag}")
         f, f_inverse = _F_TRANSFORMS[args.transform]
         result = means.f_mean(f, f_inverse, values)
     else:
+        weights = _parse_float_list(args.weights, "--weights") if args.weights else None
         if args.alpha is None:
             raise ConfigError(f"--alpha is required for the {args.kind} mean")
         order = _parse_order(args.alpha)

@@ -554,7 +554,13 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     supplied ``x_sample``), eigendecomposes the sample covariance of the
     sufficient statistics and reports ``degenerate`` with the offending unit
     direction when the smallest eigenvalue is at most ``1e-8`` times the
-    largest.
+    largest.  A separable model's components are independent, and their
+    variances may lie many orders of magnitude apart without any of them
+    being flat: each component is judged on its own and is degenerate,
+    along its own axis, only where its sampled statistic is constant (a
+    zero sample variance, tested without the rounding of the variance
+    itself).  The reported eigenvalues are those of the whole covariance
+    either way.
     """
     eta = _check_eta(model, eta)
     if x_sample is not None:
@@ -576,6 +582,10 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     smallest = float(eigenvalues[0])
     largest = float(eigenvalues[-1])
-    if largest <= 0.0 or smallest <= _MINIMALITY_RATIO * largest:
+    if model.components is not None:
+        flat = np.flatnonzero(np.max(stats, axis=0) == np.min(stats, axis=0))
+        if flat.size:
+            return MinimalityVerdict(False, np.eye(model.dim_eta)[flat[0]], smallest, largest)
+    elif largest <= 0.0 or smallest <= _MINIMALITY_RATIO * largest:
         return MinimalityVerdict(False, eigenvectors[:, 0].copy(), smallest, largest)
     return MinimalityVerdict(True, None, smallest, largest)

@@ -335,4 +335,8 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
         m = float(np.max(expo))
         shifted = np.exp(expo - m)
         return shifted / float(np.sum(shifted))
-    return np.exp(expo) / float(np.sum(sample.weights))
+    with np.errstate(over="ignore"):
+        v = np.exp(expo) / float(np.sum(sample.weights))
+    if not np.all(np.isfinite(v)):
+        raise NumericError(f"the Holder v-weights of order {a} overflow")
+    return v

@@ -5,8 +5,11 @@ parameter-free weights ``u`` of the weighted likelihood:
 
 * ``holder``: ``u_i = w(x_i)`` (an exogenous relevance weight, default 1);
 * ``lehmer``: ``u[i, j] = w(x[i, j]) * x[i, j] ** (alpha_j - 1)``, one
-  weight column per component;
-* ``custom``: any user map producing positive weights.
+  weight column per component.
+
+Scaling a weight column by a positive constant does not move the
+maximizer, so :func:`apply_policy` returns each weight column relative to
+its largest weight, the one form :func:`fit` takes.
 
 :func:`fit` then solves the critical-point equation: the weighted mean of
 sufficient statistics is matched by the mean map, ``eta_hat`` is its
@@ -68,16 +71,15 @@ logger = logging.getLogger(__name__)
 class WeightPolicy:
     """Rule producing observation weights ``u`` from the raw data.
 
-    ``base_w`` supplies the exogenous relevance weight ``w`` and defaults to
-    the constant 1.  For the ``holder`` kind it is called with the whole
-    ``(n, k)`` observation matrix and must return ``(n,)`` row weights; for
-    the ``custom`` kind it is the required user weight map, called the same
-    way; for the ``lehmer`` kind it is applied to the value matrix
-    elementwise and must return a matching ``(n, k)`` array.  ``exponents``
-    holds the per-component Lehmer orders ``alpha_j`` and is required for
-    (and only for) the ``lehmer`` kind.  The produced weights must be strictly
-    positive on the dataset and depend on the data only, never on the
-    parameters being estimated.
+    ``kind`` is ``holder`` or ``lehmer``.  ``base_w`` supplies the exogenous
+    relevance weight ``w`` and defaults to the constant 1.  For the
+    ``holder`` kind it is called with the whole ``(n, k)`` observation
+    matrix and must return ``(n,)`` row weights; for the ``lehmer`` kind it
+    is applied to the value matrix elementwise and must return a matching
+    ``(n, k)`` array.  ``exponents`` holds the per-component Lehmer orders
+    ``alpha_j`` and is required for (and only for) the ``lehmer`` kind.
+    The produced weights must be strictly positive on the dataset and
+    depend on the data only, never on the parameters being estimated.
     """
 
     kind: str
@@ -85,7 +87,7 @@ class WeightPolicy:
     exponents: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("holder", "lehmer", "custom"):
+        if self.kind not in ("holder", "lehmer"):
             raise ConfigError(f"unknown weight policy kind {self.kind!r}")
         if self.kind == "lehmer":
             if self.exponents is None:
@@ -96,8 +98,6 @@ class WeightPolicy:
             object.__setattr__(self, "exponents", exps)
         elif self.exponents is not None:
             raise ConfigError(f"the {self.kind} policy takes no exponents")
-        if self.kind == "custom" and self.base_w is None:
-            raise ConfigError("the custom policy requires a weight map")
 
     @classmethod
     def holder(cls, base_w=None) -> "WeightPolicy":
@@ -107,10 +107,6 @@ class WeightPolicy:
     def lehmer(cls, exponents, base_w=None) -> "WeightPolicy":
         return cls(kind="lehmer", base_w=base_w, exponents=exponents)
 
-    @classmethod
-    def custom(cls, weight_map) -> "WeightPolicy":
-        return cls(kind="custom", base_w=weight_map)
-
 
 @dataclass(frozen=True)
 class FitDiagnostics:
@@ -118,11 +114,10 @@ class FitDiagnostics:
 
     ``hessian_smallest``/``hessian_largest`` are the extremes of the
     weighted log-likelihood's curvature at the estimate, in the problem
-    :func:`fit` solves: under weights divided by their largest (a positive
-    factor per weight column away from the raw weights of
-    :func:`apply_policy`, which is unchanged), and on a scale family in the
-    scaled coordinates ``x_j / c_j`` of :attr:`FitResult.scale`, where it
-    stays finite at every shape.
+    :func:`fit` solves: under the weights of :func:`apply_policy`, each
+    column divided by its largest, and on a scale family in the scaled
+    coordinates ``x_j / c_j`` of :attr:`FitResult.scale`, where it stays
+    finite at every shape.
     """
 
     iterations: int
@@ -175,43 +170,39 @@ def _require_positive_weights(u: np.ndarray) -> None:
         raise DomainError("weight policy produced weights that are not strictly positive and finite")
 
 
-def apply_policy(policy: WeightPolicy, observations, *, normalize: bool = False,
-                 _validated: bool = False) -> np.ndarray:
-    """Evaluate the policy on an ``(n, k)`` matrix.
+def apply_policy(policy: WeightPolicy, observations, *, _validated: bool = False) -> np.ndarray:
+    """Evaluate the policy on an ``(n, k)`` matrix, relative to the largest weight.
 
-    Returns ``(n,)`` weights for the holder and custom kinds and an
-    ``(n, k)`` per-column weight matrix for the lehmer kind (whose power
-    factor is evaluated in the log domain).  Raises ``DomainError`` when a
-    produced weight is not strictly positive, in particular for a zero
-    observation under any exponent other than 1.
-
-    With ``normalize=True`` the row weights and each lehmer column at an
-    order other than 1 are divided by their largest weight, which
-    :func:`fit` uses: only ratios of weights enter the estimate, and the
-    scaled weights cannot overflow, nor can their sum.  A lehmer column
-    raises ``NumericError`` where it cannot be formed accurately: at an
-    order below 1 on values more than ``exp(600)`` apart.  ``_validated``
-    skips checking ``observations``, for callers that already have.
+    Returns ``(n,)`` weights for the holder kind and an ``(n, k)``
+    per-column weight matrix for the lehmer kind.  Only ratios of weights
+    enter an estimate, so the row weights and each lehmer column at an order
+    other than 1 are divided by their largest weight: these weights cannot
+    overflow, nor can their sum, at any order.  Raises ``DomainError`` when
+    a base weight is not strictly positive and finite or a lehmer column at
+    an order other than 1 holds a non-positive value, and ``NumericError``
+    where a lehmer column cannot be formed accurately: at an order below 1
+    on values more than ``exp(600)`` apart.  ``_validated`` skips checking
+    ``observations``, for callers that already have.
     """
     obs = observations if _validated else _observation_matrix(observations)
     n, k = obs.shape
-    if policy.kind != "lehmer":
+    if policy.kind == "holder":
         if policy.base_w is None:
             return np.ones(n)
         u = np.asarray(policy.base_w(obs), dtype=float).reshape(-1)
         if u.shape[0] != n:
-            raise ConfigError(f"{policy.kind} base_w must return one weight per row")
+            raise ConfigError("holder base_w must return one weight per row")
         _require_positive_weights(u)
-        return u / np.maximum.reduce(u) if normalize else u
+        return u / np.maximum.reduce(u)
     exps = policy.exponents
     if exps.size != k:
         raise ConfigError(
             f"lehmer policy has {exps.size} exponents but the data has {k} columns"
         )
     w = None if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float)
-    if w is not None and w.shape != obs.shape:
-        raise ConfigError("lehmer base_w must return a weight per matrix entry")
-    if normalize and w is not None:
+    if w is not None:
+        if w.shape != obs.shape:
+            raise ConfigError("lehmer base_w must return a weight per matrix entry")
         _require_positive_weights(w)
     # Column-major: each weight column is one contiguous buffer, built in
     # place and later summed on its own.
@@ -221,27 +212,16 @@ def apply_policy(policy: WeightPolicy, observations, *, normalize: bool = False,
         col = obs[:, j]
         if a == 1.0:
             u_j[:] = 1.0 if w is None else w[:, j]
-        elif normalize:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.log(col, out=u_j)
-            lo = float(np.minimum.reduce(u_j))
-            if not lo > -np.inf:  # log of a zero (-inf) or a negative value (nan)
-                raise _nonpositive_value(col, j, a)
-            ok = _lehmer_weights(u_j, lo, float(np.maximum.reduce(u_j)), exps[j : j + 1],
-                                 u_j[None, :], None if w is None else np.log(w[:, j]))
-            if not ok[0]:
-                raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
-        else:
-            if np.any(col <= 0):
-                raise _nonpositive_value(col, j, a)
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
             np.log(col, out=u_j)
-            u_j *= a - 1.0
-            if w is not None:
-                u_j += np.log(w[:, j])
-            with np.errstate(over="ignore"):
-                np.exp(u_j, out=u_j)
-    if not normalize:
-        _require_positive_weights(u)
+        lo = float(np.minimum.reduce(u_j))
+        if not lo > -np.inf:  # log of a zero (-inf) or a negative value (nan)
+            raise _nonpositive_value(col, j, a)
+        ok = _lehmer_weights(u_j, lo, float(np.maximum.reduce(u_j)), exps[j : j + 1],
+                             u_j[None, :], None if w is None else np.log(w[:, j]))
+        if not ok[0]:
+            raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
     return u
 
 
@@ -282,8 +262,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     The observations are checked once, here, for finiteness and against
     ``model.support``; the weights, the dataset and the moment target are
     built from the checked arrays without checking them again.  Weights
-    come from ``apply_policy(normalize=True)``: row weights and Lehmer
-    columns divided by their largest.
+    come from :func:`apply_policy`: row weights and Lehmer columns divided
+    by their largest.
 
     Per-column (Lehmer) weights give one univariate problem per independent
     component.  Row weights give one problem, except on a scale family
@@ -304,7 +284,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             f"data has {obs.shape[1]} columns, model {model.name} expects {model.dim_x}"
         )
     _check_support(model, obs)
-    u = apply_policy(policy, obs, normalize=True, _validated=True)
+    u = apply_policy(policy, obs, _validated=True)
     per_column = u.ndim == 2
     scaled = not per_column and model.scale_family
     if per_column and model.components is None:
@@ -510,30 +490,28 @@ def subclass_form(model: FamilyModel, policy: WeightPolicy) -> SubclassReport:
             False,
             "the sufficient statistic is not a per-component power of the data",
         )
-    if policy.kind == "lehmer":
-        if model.support[0] < 0:
-            return SubclassReport(
-                False,
-                False,
-                "the model admits negative observations, where the lehmer weight "
-                "x**(alpha-1) is undefined; the policy is invalid on this family",
-            )
-        if powers is None or not np.all(powers == 1.0):
-            return SubclassReport(
-                False,
-                False,
-                "the lehmer reduction needs the identity sufficient statistic per component",
-            )
-        if model.components is None:
-            return SubclassReport(
-                False,
-                False,
-                "the lehmer reduction needs independent components (a separable model)",
-            )
+    if model.support[0] < 0:
         return SubclassReport(
             False,
-            True,
-            "identity statistic on independent components with u = w * x**(alpha-1), "
-            "so each component estimate is the weighted Lehmer mean of order alpha",
+            False,
+            "the model admits negative observations, where the lehmer weight "
+            "x**(alpha-1) is undefined; the policy is invalid on this family",
         )
-    return SubclassReport(False, False, "custom policies have no canonical mean-family form")
+    if powers is None or not np.all(powers == 1.0):
+        return SubclassReport(
+            False,
+            False,
+            "the lehmer reduction needs the identity sufficient statistic per component",
+        )
+    if model.components is None:
+        return SubclassReport(
+            False,
+            False,
+            "the lehmer reduction needs independent components (a separable model)",
+        )
+    return SubclassReport(
+        False,
+        True,
+        "identity statistic on independent components with u = w * x**(alpha-1), "
+        "so each component estimate is the weighted Lehmer mean of order alpha",
+    )

@@ -160,7 +160,7 @@ def test_criterion_06_generic_solver_oracle():
             model = gaussian_known_variance_model(rng.uniform(0.5, 2.0, size=q))
             obs = rng.normal(0.0, 2.0, size=(n, q))
         weights = rng.uniform(0.2, 3.0, size=n)
-        policy = WeightPolicy.custom(lambda o, w=weights: w)
+        policy = WeightPolicy.holder(base_w=lambda o, w=weights: w)
         closed = fit(model, obs, policy, method="closed", minimality_samples=0)
         numeric_model = dataclasses.replace(model, mean_map_inverse=None)
         newton = fit(numeric_model, obs, policy, method="newton", minimality_samples=0)

@@ -77,6 +77,13 @@ class TestMeanCommand:
         assert code == 0
         assert float(out) == pytest.approx(math.sqrt(1.2), rel=1e-12)
 
+    @pytest.mark.parametrize("flag, value", [("--weights", "1,3"), ("--alpha", "2")])
+    def test_f_kind_rejects_weights_and_order(self, capsys, flag, value):
+        # The f mean is unweighted and has no order; neither flag may be dropped silently.
+        code, out, err = run_cli(capsys, "mean", "--kind", "f", flag, value, "0.6", "2")
+        assert code == 2
+        assert out == "" and flag in err
+
     def test_domain_error_names_value_and_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "mean", "--kind", "holder", "--alpha", "0", "0", "2")
         assert code == 2
@@ -233,6 +240,12 @@ class TestVweightsCommand:
     def test_wrong_arity_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "vweights", "1", "2", "3")
         assert code == 2
+
+    def test_overflowing_holder_weights_exit_2(self, capsys):
+        # 1000 ** 300 overflows; a NumericError, not an inf cell and a numpy warning.
+        code, out, err = run_cli(capsys, "vweights", "--grid=300:302:1", "1000", "2")
+        assert code == 2
+        assert out == "" and "Holder v-weights of order 301.0 overflow" in err
 
 
 class TestSweepCommand:
@@ -663,3 +676,17 @@ class TestRuntimeDependencies:
             check=True,
         )
         assert result.stdout.strip() == "[]"
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_on_this_tree(self):
+        # perfbench/tracing.py rebinds names of the wmle modules, fit's
+        # helpers among them; a rename must fail here, not only under --trace.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        probe = (
+            "import sys; sys.path[:0] = ['perfbench', 'src']; "
+            "import tracing; tracing.install(tracing.Tracer())"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], cwd=root,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -393,3 +393,19 @@ class TestCheckMinimality:
         xs = np.full((32, 1), 1.23)
         verdict = check_minimality(model, [-1.0], x_sample=xs)
         assert not verdict.minimal
+
+    def test_constant_component_of_a_separable_model_flagged_along_its_axis(self):
+        model = weibull_model([1.0, 1.0])
+        xs = np.column_stack([np.linspace(0.1, 3.0, 40), np.full(40, 1.23)])
+        verdict = check_minimality(model, [-1.0, -1.0], x_sample=xs)
+        assert not verdict.minimal
+        np.testing.assert_array_equal(verdict.direction, [0.0, 1.0])
+
+    def test_separable_components_are_judged_on_their_own_variance(self):
+        # Variances 1e-7 and 1e5 lie 12 decades apart; neither is flat.
+        model = weibull_model([1.0, 1.0])
+        rng = np.random.default_rng(7)
+        xs = np.column_stack([rng.uniform(1e-3, 2e-3, 64), rng.uniform(1e3, 2e3, 64)])
+        verdict = check_minimality(model, [-1.0, -1.0], x_sample=xs)
+        assert verdict.minimal and verdict.direction is None
+        assert verdict.smallest_eigenvalue < 1e-8 * verdict.largest_eigenvalue

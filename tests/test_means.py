@@ -233,6 +233,14 @@ class TestVWeights:
         with pytest.raises(DomainError):
             v_weights("holder", 0.5, [0.0, 2.0])
 
+    def test_overflowing_holder_weights_are_a_numeric_error(self):
+        # w * x ** (alpha - 1) / sum(w) overflows in the exponential or in
+        # the division; either way no numpy warning comes first.
+        with pytest.raises(NumericError, match="overflow"):
+            v_weights("holder", 301.0, [1000.0, 2.0])
+        with pytest.raises(NumericError, match="overflow"):
+            v_weights("holder", 3.0, [1e300, 2.0], [1e-300, 1e-300])
+
 
 class TestFamilyProperties:
     def test_bounded_by_sample_extremes(self):

@@ -62,14 +62,15 @@ class TestApplyPolicy:
         np.testing.assert_array_equal(u, [[1.0], [1.0]])
 
     def test_lehmer_order_two_weights_by_value(self):
+        # Weights come relative to the largest: 0.6 / 2.0 and 1.
         u = apply_policy(WeightPolicy.lehmer([2.0]), np.array([0.6, 2.0]))
-        np.testing.assert_allclose(u[:, 0], [0.6, 2.0], rtol=1e-14)
+        np.testing.assert_allclose(u[:, 0], [0.3, 1.0], rtol=1e-14)
 
     def test_lehmer_columns_get_their_own_exponent(self):
         obs = np.array([[0.5, 2.0], [1.0, 4.0]])
         u = apply_policy(WeightPolicy.lehmer([2.0, 3.0]), obs)
         np.testing.assert_allclose(u[:, 0], [0.5, 1.0], rtol=1e-14)
-        np.testing.assert_allclose(u[:, 1], [4.0, 16.0], rtol=1e-12)
+        np.testing.assert_allclose(u[:, 1], [0.25, 1.0], rtol=1e-12)
 
     def test_zero_value_under_negative_exponent_rejected(self):
         with pytest.raises(DomainError, match="column 0"):
@@ -91,27 +92,45 @@ class TestApplyPolicy:
     def test_holder_base_w(self):
         policy = WeightPolicy.holder(base_w=lambda rows: rows[:, 0])
         u = apply_policy(policy, np.array([[0.5], [2.0]]))
-        np.testing.assert_allclose(u, [0.5, 2.0])
+        np.testing.assert_allclose(u, [0.25, 1.0])
 
     def test_lehmer_base_w_elementwise(self):
         policy = WeightPolicy.lehmer([2.0], base_w=lambda x: 2.0 * np.ones_like(x))
         u = apply_policy(policy, np.array([0.6, 2.0]))
-        np.testing.assert_allclose(u[:, 0], [1.2, 4.0], rtol=1e-14)
+        np.testing.assert_allclose(u[:, 0], [0.3, 1.0], rtol=1e-14)
 
     def test_custom_map(self):
-        policy = WeightPolicy.custom(lambda obs: np.full(obs.shape[0], 3.0))
+        policy = WeightPolicy.holder(base_w=lambda obs: np.full(obs.shape[0], 3.0))
         u = apply_policy(policy, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(u, [3.0, 3.0])
+        np.testing.assert_array_equal(u, [1.0, 1.0])
 
-    def test_overflowing_lehmer_weights_raise_without_warnings(self):
-        # exp overflows (or underflows) at order +-200 on data spanning 1e-3..1e3;
-        # the finiteness check reports it, numpy must not warn first
-        for beta in (200.0, -200.0):
-            with pytest.raises(DomainError, match="strictly positive and finite"):
-                apply_policy(WeightPolicy.lehmer([beta]), np.array([1e-3, 0.5, 10.0, 1e3]))
+    @pytest.mark.parametrize("beta", [200.0, -200.0, 500.0, -500.0])
+    def test_extreme_lehmer_weights_are_finite_relative_to_the_largest(self, beta):
+        # x ** (beta - 1) overflows or underflows on 1e-3..1e3; relative to
+        # the largest weight every weight is finite, without numpy warnings.
+        u = apply_policy(WeightPolicy.lehmer([beta]), np.array([1e-3, 0.5, 10.0, 1e3]))
+        assert np.all(np.isfinite(u)) and np.min(u) >= 0
+        assert np.max(u) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12),
+        beta=st.floats(-20.0, 20.0).filter(lambda b: b != 1.0),
+    )
+    def test_lehmer_weight_ratios_are_power_ratios(self, x, beta):
+        # Relative weights are x ** (beta - 1) / x_r ** (beta - 1): within a
+        # few ulps of the direct power ratio, times the condition number of
+        # exp((beta - 1) * (log x - log x_r)) in the rounded logs.
+        x = np.array(x)
+        u = apply_policy(WeightPolicy.lehmer([beta]), x)[:, 0]
+        raw = x ** (beta - 1.0)
+        expected = raw / np.max(raw)
+        log_x = np.abs(np.log(x))
+        scale = 4.0 * (1.0 + abs(beta - 1.0) * (log_x + log_x[np.argmax(raw)]))
+        np.testing.assert_array_less(np.abs(u - expected), scale * 2.0**-52 * expected)
 
     def test_custom_map_must_stay_positive(self):
-        policy = WeightPolicy.custom(lambda obs: obs[:, 0] - 1.0)
+        policy = WeightPolicy.holder(base_w=lambda obs: obs[:, 0] - 1.0)
         with pytest.raises(DomainError):
             apply_policy(policy, np.array([0.5, 2.0]))
 
@@ -322,7 +341,7 @@ class TestFit:
 
     def test_gaussian_weighted_mean(self):
         model = gaussian_known_variance_model([2.0])
-        policy = WeightPolicy.custom(lambda obs: np.array([1.0, 3.0]))
+        policy = WeightPolicy.holder(base_w=lambda obs: np.array([1.0, 3.0]))
         result = fit(model, np.array([-1.0, 5.0]), policy)
         assert result.theta_hat[0] == pytest.approx((-1.0 + 15.0) / 4.0, rel=1e-12)
 
@@ -330,9 +349,9 @@ class TestFit:
         rng = np.random.default_rng(43)
         xs = rng.uniform(0.1, 2.0, size=10)
         model = weibull_model([1.3])
-        base = fit(model, xs, WeightPolicy.custom(lambda o: np.ones(o.shape[0])),
+        base = fit(model, xs, WeightPolicy.holder(base_w=lambda o: np.ones(o.shape[0])),
                    minimality_samples=0)
-        scaled = fit(model, xs, WeightPolicy.custom(lambda o: np.full(o.shape[0], 17.5)),
+        scaled = fit(model, xs, WeightPolicy.holder(base_w=lambda o: np.full(o.shape[0], 17.5)),
                      minimality_samples=0)
         np.testing.assert_allclose(scaled.theta_hat, base.theta_hat, rtol=1e-13)
 
@@ -348,6 +367,15 @@ class TestFit:
         assert result.diagnostics.hessian_largest <= 1e-9
         assert result.diagnostics.minimality is not None
         assert result.diagnostics.minimality.minimal
+
+    def test_components_decades_apart_are_minimal(self):
+        # The Lehmer weights put the two columns' curvatures 12 decades
+        # apart; each component is independent and neither is flat.
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.uniform(1e-3, 2e-3, 50), rng.uniform(1e3, 2e3, 50)])
+        for policy in (WeightPolicy.lehmer([2.0, 2.0]), WeightPolicy.holder()):
+            verdict = fit(weibull_model([1.0, 1.0]), x, policy).diagnostics.minimality
+            assert verdict.minimal
 
     def test_fit_is_a_likelihood_maximum(self):
         rng = np.random.default_rng(45)
@@ -455,7 +483,7 @@ class TestFit:
     def test_weights_whose_total_overflows_fit_the_exact_mean(self):
         # Each weight 1e308 is finite, their sum is not; divided by the
         # largest, each is 1.
-        policy = WeightPolicy.custom(lambda obs: np.full(obs.shape[0], 1e308))
+        policy = WeightPolicy.holder(base_w=lambda obs: np.full(obs.shape[0], 1e308))
         result = fit(exponential_model(1), [[1e-10], [1e-10]], policy, minimality_samples=0)
         assert result.theta_hat.tolist() == [1e-10]
 
@@ -507,8 +535,8 @@ class TestFit:
         ([1e-3, 0.5, 10.0, 1e3], -500),
     ])
     def test_lehmer_orders_beyond_the_raw_weights_fit_the_exact_mean(self, x, order):
-        # The raw weights of these fits overflow (apply_policy still says
-        # so); taken relative to the largest weight, the fit is exact.
+        # The raw weights x ** (order - 1) of these fits overflow; taken
+        # relative to the largest weight, the fit is exact.
         result = fit(exponential_model(1), np.array(x).reshape(-1, 1),
                      WeightPolicy.lehmer([float(order)]), minimality_samples=0)
         bound = 4 * max(1.0, lehmer_condition(order, x))
@@ -581,7 +609,3 @@ class TestSubclassForm:
     def test_nonunit_shape_weibull_with_lehmer_policy_is_neither(self):
         report = subclass_form(weibull_model([2.0]), WeightPolicy.lehmer([2.0]))
         assert not report.is_lehmer_mean
-
-    def test_custom_policy_is_neither(self):
-        report = subclass_form(weibull_model([1.0]), WeightPolicy.custom(lambda o: o[:, 0]))
-        assert not report.is_holder_mean and not report.is_lehmer_mean
