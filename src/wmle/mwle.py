@@ -175,13 +175,13 @@ def apply_policy(policy: WeightPolicy, observations, *, _validated: bool = False
 
     Returns ``(n,)`` weights for the holder kind and an ``(n, k)``
     per-column weight matrix for the lehmer kind.  Only ratios of weights
-    enter an estimate, so the row weights and each lehmer column at an order
-    other than 1 are divided by their largest weight: these weights cannot
-    overflow, nor can their sum, at any order.  Raises ``DomainError`` when
-    a base weight is not strictly positive and finite or a lehmer column at
-    an order other than 1 holds a non-positive value, and ``NumericError``
-    where a lehmer column cannot be formed accurately: at an order below 1
-    on values more than ``exp(600)`` apart.  ``_validated`` skips checking
+    enter an estimate, so the row weights and each lehmer column are divided
+    by their largest weight: these weights cannot overflow, nor can their
+    sum, at any order.  Raises ``DomainError`` when a base weight is not
+    strictly positive and finite or a lehmer column at an order other than
+    1 holds a non-positive value, and ``NumericError`` where a lehmer
+    column cannot be formed accurately: at an order below 1 on values more
+    than ``exp(600)`` apart.  ``_validated`` skips checking
     ``observations``, for callers that already have.
     """
     obs = observations if _validated else _observation_matrix(observations)
@@ -211,7 +211,7 @@ def apply_policy(policy: WeightPolicy, observations, *, _validated: bool = False
         u_j = u[:, j]
         col = obs[:, j]
         if a == 1.0:
-            u_j[:] = 1.0 if w is None else w[:, j]
+            u_j[:] = 1.0 if w is None else w[:, j] / np.maximum.reduce(w[:, j])
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(col, out=u_j)

@@ -6,12 +6,20 @@ totalvotes``), validates each row, and aggregates candidate votes per
 election-cycle year into national (dem, rep, other) proportions.  Malformed
 rows are collected into a rejects report instead of being silently dropped.
 
-Aggregation sums candidate votes over all states per mapped party and
-divides by the summed mapped-party votes of that year, so each row of the
-resulting matrix sums to one by construction and no vote is lost or double
-counted.  Special elections sharing a cycle year are merged into that
-year's totals.  The configured year range defaults to 1976-2020, which
-contains 23 biennial cycles; the row count is surfaced rather than assumed.
+Ingest is one pass over the file, and each row is checked once: a row that
+passes an inline accept test becomes a ``ReturnsRow``, an immutable named
+tuple, at once.  Only a row that fails it is parsed again, by
+``_parse_row``, to name the reason it is rejected; ``_parse_row`` has the
+last word, so the few spellings it accepts and bare ``int()`` does not
+(a leading ``chr(0x1c)``) are still rows.
+
+Aggregation sums candidate votes per (year, party label), maps each
+distinct label to DEM/REP/OTHER once, and divides by the summed
+mapped-party votes of that year, so each row of the resulting matrix sums
+to one by construction and no vote is lost or double counted.  Special
+elections sharing a cycle year are merged into that year's totals.  The
+configured year range defaults to 1976-2020, which contains 23 biennial
+cycles; the row count is surfaced rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -98,8 +107,7 @@ class SchemaConfig:
         )
 
 
-@dataclass(frozen=True)
-class ReturnsRow:
+class ReturnsRow(NamedTuple):
     """One validated (year, state, party) return."""
 
     year: int
@@ -185,12 +193,28 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
         index = {name: header.index(name) for name in config.required_columns()}
         width = len(header)
 
+        # A record passing the inline accept test (_parse_row's checks; int()
+        # ignores surrounding whitespace itself) becomes a row at once.  Any
+        # other record goes to _parse_row, which alone decides whether it is
+        # a row and names the reason when it is not.
+        fields = operator.itemgetter(*(index[c] for c in config.required_columns()))
+        year_min, year_max = config.year_min, config.year_max
         rows: list[ReturnsRow] = []
         rejects: list[RejectedRow] = []
         reader = csv.reader(handle, delimiter=delimiter)
         for line_number, record in enumerate(reader, start=2):
             if not record:
                 continue
+            if len(record) == width:
+                year, state, party, candidate, total = fields(record)
+                try:
+                    year, candidate, total = int(year), int(candidate), int(total)
+                except ValueError:
+                    pass
+                else:
+                    if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
+                        rows.append(ReturnsRow(year, state.strip(), party.strip(), candidate, total))
+                        continue
             try:
                 rows.append(_parse_row(record, width, index, config))
             except ValueError as exc:
@@ -258,11 +282,16 @@ def aggregate(rows: list[ReturnsRow], party_mapping: Optional[dict] = None) -> P
     if not rows:
         raise AggregationError("no rows to aggregate")
 
-    totals: dict[int, dict[str, int]] = {}
+    # Sum per (year, party) first, then map each distinct label once.
+    # Integer sums are exact, so the grouping order changes no proportion.
+    sums: dict[tuple[int, str], int] = {}
     for row in rows:
-        bucket = mapping.get(row.party, "OTHER")
-        per_year = totals.setdefault(row.year, {b: 0 for b in _BUCKETS})
-        per_year[bucket] += row.candidate_votes
+        key = (row.year, row.party)
+        sums[key] = sums.get(key, 0) + row.candidate_votes
+    totals: dict[int, dict[str, int]] = {}
+    for (year, party), votes in sums.items():
+        per_year = totals.setdefault(year, dict.fromkeys(_BUCKETS, 0))
+        per_year[mapping.get(party, "OTHER")] += votes
 
     years = sorted(totals)
     values = np.empty((len(years), 3))

@@ -99,6 +99,11 @@ class TestApplyPolicy:
         u = apply_policy(policy, np.array([0.6, 2.0]))
         np.testing.assert_allclose(u[:, 0], [0.3, 1.0], rtol=1e-14)
 
+    def test_lehmer_order_one_base_w_is_divided_by_its_largest(self):
+        policy = WeightPolicy.lehmer([1.0], base_w=lambda x: np.array([[2.0], [8.0]]))
+        u = apply_policy(policy, np.array([0.6, 2.0]))
+        assert u[:, 0].tolist() == [0.25, 1.0]
+
     def test_custom_map(self):
         policy = WeightPolicy.holder(base_w=lambda obs: np.full(obs.shape[0], 3.0))
         u = apply_policy(policy, np.array([1.0, 2.0]))
@@ -112,7 +117,7 @@ class TestApplyPolicy:
         assert np.all(np.isfinite(u)) and np.min(u) >= 0
         assert np.max(u) == 1.0
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         x=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12),
         beta=st.floats(-20.0, 20.0).filter(lambda b: b != 1.0),
@@ -484,6 +489,14 @@ class TestFit:
         # Each weight 1e308 is finite, their sum is not; divided by the
         # largest, each is 1.
         policy = WeightPolicy.holder(base_w=lambda obs: np.full(obs.shape[0], 1e308))
+        result = fit(exponential_model(1), [[1e-10], [1e-10]], policy, minimality_samples=0)
+        assert result.theta_hat.tolist() == [1e-10]
+
+    @pytest.mark.parametrize("order", [1.0, 1.0000001])
+    def test_lehmer_base_w_whose_total_overflows_fits_the_exact_mean(self, order):
+        # Same as above for a lehmer column: at order 1 the base weights are
+        # the column's weights and must be divided by their largest too.
+        policy = WeightPolicy.lehmer([order], base_w=lambda x: np.full_like(x, 1e308))
         result = fit(exponential_model(1), [[1e-10], [1e-10]], policy, minimality_samples=0)
         assert result.theta_hat.tolist() == [1e-10]
 

@@ -1,9 +1,12 @@
 """Tests for returns ingestion and per-cycle aggregation."""
 
 import logging
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmle import (
     AggregationError,
@@ -14,7 +17,8 @@ from wmle import (
     load_returns,
     to_weighted_dataset,
 )
-from wmle.pipeline import ProportionMatrix, SchemaConfig
+from wmle import pipeline
+from wmle.pipeline import ProportionMatrix, ReturnsRow, SchemaConfig
 
 from conftest import SCHEMA_HEADER
 
@@ -154,6 +158,74 @@ class TestLoadReturns:
         assert result.rows[1].party == "REPUBLICAN"
 
 
+    def test_zero_over_zero_votes_rejected(self, tmp_path):
+        # 0 <= candidate <= total holds for 0/0; the total must be positive
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,0,0\n")
+        result = load_returns(path)
+        assert result.rows == []
+        assert [(r.line_number, r.reason) for r in result.rejects] == [
+            (2, "non-positive totalvotes 0")
+        ]
+
+    def test_rows_are_immutable_named_tuples(self, tmp_path):
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n1976, AZ ,DEMOCRAT, 40 ,100\n")
+        (row,) = load_returns(path).rows
+        assert row == ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100)
+        with pytest.raises(AttributeError):
+            row.candidate_votes = 41
+
+
+_COLUMNS = ("year", "state_po", "party_simplified", "candidatevotes", "totalvotes", "office")
+_INTEGER_TEXTS = (" 12 ", "+5", "1_000", "\x1c5", "12x", "-3", "0")
+_YEAR_TEXTS = ("1975", "1976", "2020", "2021", " 1976 ", "\x1c2020", "1976x")
+
+
+@st.composite
+def _returns_files(draw):
+    """A header over the required columns (maybe plus one more, in any
+    order) and records that are valid, malformed, ragged or blank."""
+    columns = draw(st.permutations(_COLUMNS[: draw(st.sampled_from((5, 6)))]))
+    delimiter = draw(st.sampled_from((",", "\t")))
+    cells = {
+        "year": st.sampled_from(_YEAR_TEXTS),
+        "state_po": st.sampled_from(("AZ", " CA ", "")),
+        "party_simplified": st.sampled_from(("DEMOCRAT", " REPUBLICAN", "GREEN", "")),
+        "candidatevotes": st.sampled_from(_INTEGER_TEXTS),
+        "totalvotes": st.sampled_from(_INTEGER_TEXTS),
+        "office": st.just("US SENATE"),
+    }
+    record = st.fixed_dictionaries({c: cells[c] for c in columns}).map(
+        lambda fields: [fields[c] for c in columns]
+    )
+    ragged = st.tuples(record, st.sampled_from((-1, 1))).map(
+        lambda pair: pair[0][:-1] if pair[1] < 0 else pair[0] + ["7"]
+    )
+    records = draw(st.lists(st.one_of(record, record, ragged, st.just([])), max_size=25))
+    return columns, delimiter, records
+
+
+class TestLoadReturnsMatchesParseRow:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=_returns_files())
+    def test_rows_and_rejects_match_parse_row_on_every_record(self, tmp_path_factory, drawn):
+        columns, delimiter, records = drawn
+        text = "\n".join([delimiter.join(columns)] + [delimiter.join(r) for r in records]) + "\n"
+        path = write_file(tmp_path_factory.mktemp("returns") / "r.csv", text)
+        config = SchemaConfig()
+        index = {name: columns.index(name) for name in config.required_columns()}
+        rows, rejects = [], []
+        for line_number, record in enumerate(records, start=2):
+            if not record:
+                continue
+            try:
+                rows.append(pipeline._parse_row(record, len(columns), index, config))
+            except ValueError as exc:
+                rejects.append((line_number, str(exc), delimiter.join(record)))
+        result = load_returns(path, config)
+        assert result.rows == rows
+        assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects
+
+
 class TestAggregate:
     def test_single_state_single_year(self, tmp_path):
         path = write_file(
@@ -215,6 +287,28 @@ class TestAggregate:
         for year, proportions in zip(matrix.years, matrix.values):
             reconstructed = proportions.sum() * per_year_total[year]
             assert reconstructed == pytest.approx(per_year_total[year], rel=1e-12)
+
+    def test_row_order_does_not_change_the_csv(self, synthetic_returns_csv):
+        rows = load_returns(synthetic_returns_csv).rows
+        shuffled = list(rows)
+        random.Random(11).shuffle(shuffled)
+        assert shuffled != rows
+        assert aggregate(shuffled).to_csv() == aggregate(rows).to_csv()
+
+    def test_explicit_other_mapping_equals_unmapped(self, tmp_path):
+        path = write_file(
+            tmp_path / "r.csv",
+            SCHEMA_HEADER + "\n"
+            "1976,AZ,DEMOCRAT,50,100\n"
+            "1976,AZ,REPUBLICAN,30,100\n"
+            "1976,AZ,GREEN,15,100\n"
+            "1976,AZ,LIBERTARIAN,5,100\n",
+        )
+        rows = load_returns(path).rows
+        explicit = aggregate(rows, party_mapping={**pipeline.DEFAULT_PARTY_MAPPING, "GREEN": "OTHER"})
+        unmapped = aggregate(rows)
+        assert explicit.values.tobytes() == unmapped.values.tobytes()
+        assert explicit.to_csv() == unmapped.to_csv()
 
     def test_bad_mapping_target_rejected(self):
         with pytest.raises(ConfigError):
