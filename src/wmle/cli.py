@@ -29,14 +29,30 @@ from .families import gaussian_known_variance_model, weibull_model
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
 
 _SWEEP_HEADER = "order,lambda_dem,lambda_rep,lambda_oth"
+#: Row formats of the sweep CSV, indexed by "every estimate is finite".
+_SWEEP_ROWS = ("%r,,,\n", "%r,%r,%r,%r\n")
 
 #: Default sweep grids: the estimator order for the lehmer mode may span
 #: negatives; the holder mode's order is a Weibull shape and must stay > 0.
 DEFAULT_GRIDS = {"lehmer": "-3:4:0.1", "holder": "0.1:6:0.1"}
 
 
+def _decimal(text: str) -> tuple[int, int]:
+    """A finite float literal as ``(digits, exponent)``, exactly
+    ``digits * 10**exponent``."""
+    mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
+
+
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse ``start:stop:step`` into an ascending inclusive grid."""
+    """Parse ``start:stop:step`` into an ascending inclusive grid.
+
+    Point i is the double nearest the exact decimal ``start + i*step``:
+    start and step are read from the text as integers over a common power
+    of ten, and each point is one correctly rounded integer division, so
+    ``-3:4:0.1`` holds ``-1.8`` where float steps give ``-1.7999999999999998``.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:step, got {spec!r}")
@@ -51,7 +67,12 @@ def parse_grid(spec: str) -> np.ndarray:
     if stop < start:
         raise ConfigError(f"grid stop {stop} is below start {start}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return np.array([start + i * step for i in range(count)])
+    (first, first_exp), (stride, stride_exp) = _decimal(parts[0]), _decimal(parts[2])
+    exponent = min(first_exp, stride_exp, 0)
+    first *= 10 ** (first_exp - exponent)
+    stride *= 10 ** (stride_exp - exponent)
+    denominator = 10 ** -exponent
+    return np.array([(first + i * stride) / denominator for i in range(count)])
 
 
 @dataclass
@@ -68,14 +89,16 @@ class SweepTable:
     gaps: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [_SWEEP_HEADER]
+        # One %-format over the whole table: a row with a non-finite
+        # estimate is a gap and keeps only its order.  %r is repr, so every
+        # number keeps its shortest round-trip digits.
         estimates = np.asarray(self.estimates, dtype=float).reshape(-1, 3)
-        complete = np.isfinite(estimates).all(axis=1).tolist()
-        orders = np.asarray(self.orders, dtype=float).tolist()
-        for order, row, full in zip(orders, estimates.tolist(), complete):
-            cells = ",".join(map(repr, row)) if full else ",,"
-            lines.append(f"{order!r},{cells}")
-        return "\n".join(lines) + "\n"
+        table = np.column_stack([np.asarray(self.orders, dtype=float), estimates])
+        complete = np.isfinite(estimates).all(axis=1)
+        shown = np.ones(table.shape, dtype=bool)
+        shown[:, 1:] = complete[:, None]
+        layout = "".join(map(_SWEEP_ROWS.__getitem__, complete.tolist()))
+        return f"{_SWEEP_HEADER}\n" + layout % tuple(table[shown].tolist())
 
     @classmethod
     def from_csv(cls, text: str, parameter: str = "") -> "SweepTable":
@@ -151,11 +174,13 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
     observations = matrix.values
     estimates, ok = mwle._sweep_estimates(mode, observations, grid)
     gaps: dict = {}
-    unit_shape_model = weibull_model(np.ones(3)) if mode == "lehmer" else None
+    unit_shape_model = None
     for i in np.flatnonzero(~ok):
         order = grid[i]
         try:
             if mode == "lehmer":
+                if unit_shape_model is None:
+                    unit_shape_model = weibull_model(np.ones(3))
                 policy = mwle.WeightPolicy.lehmer(np.full(3, order))
                 result = mwle.fit(unit_shape_model, observations, policy, minimality_samples=0)
             else:

@@ -119,7 +119,10 @@ class ReturnsRow(NamedTuple):
 
 @dataclass(frozen=True)
 class RejectedRow:
-    """A row that failed validation, kept for the rejects report."""
+    """A row that failed validation, kept for the rejects report.
+
+    ``line_number`` is the physical line of the file the record starts on.
+    """
 
     line_number: int
     reason: str
@@ -169,6 +172,17 @@ def _parse_row(record: list[str], width: int, index: dict[str, int],
     )
 
 
+def _start_line(reader, record: list[str]) -> int:
+    """The physical line ``record`` starts on, the header being line 1.
+
+    ``reader.line_num`` counts the lines read after the header up to the
+    record's last; a quoted field spanning lines holds the line breaks
+    (``\n``, ``\r`` or ``\r\n``) between its first line and its last.
+    """
+    breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in record)
+    return reader.line_num + 1 - breaks
+
+
 def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
     """Parse a delimited returns file.
 
@@ -202,7 +216,7 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
         rows: list[ReturnsRow] = []
         rejects: list[RejectedRow] = []
         reader = csv.reader(handle, delimiter=delimiter)
-        for line_number, record in enumerate(reader, start=2):
+        for record in reader:
             if not record:
                 continue
             if len(record) == width:
@@ -218,7 +232,8 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
             try:
                 rows.append(_parse_row(record, width, index, config))
             except ValueError as exc:
-                rejects.append(RejectedRow(line_number, str(exc), delimiter.join(record)))
+                rejects.append(RejectedRow(_start_line(reader, record), str(exc),
+                                           delimiter.join(record)))
     return LoadResult(rows=rows, rejects=rejects)
 
 

@@ -8,6 +8,7 @@ y-values split a series into separate segments (gaps).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -47,6 +48,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(round(t, 12))
+        if t + step == t:  # a step below half an ulp of t adds nothing
+            break
         t += step
     return ticks
 
@@ -66,11 +69,14 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
     finite_y = np.concatenate([y[np.isfinite(y)] for y in ys]) if ys else np.array([])
     if x.size == 0 or finite_y.size == 0:
         raise DomainError("chart needs at least one finite data point")
+    if any(y.shape != x.shape for y in ys):
+        raise DomainError("every series needs one y value per x value")
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     y_lo, y_hi = float(np.min(finite_y)), float(np.max(finite_y))
     if y_hi == y_lo:
-        y_lo -= 0.5
-        y_hi += 0.5
+        half = max(0.5, math.ulp(y_lo))  # y +- 0.5 may round to y from 2**52
+        y_lo -= half
+        y_hi += half
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -137,30 +143,26 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
     )
 
     # Series.  sx and sy run over whole arrays: per point they take the same
-    # IEEE operations as on a float, so they give the same digits.
+    # IEEE operations as on a float, so they give the same digits.  The x
+    # coordinates are formatted once for every series, each series' y
+    # coordinates in one call; a run of finite points is one segment.
+    n = x.size
     px = np.broadcast_to(sx(x), x.shape).tolist()
+    x_text = ("%.2f, " * n % tuple(px)).split(" ")
     for idx, (label, y) in enumerate(zip(labels, ys)):
         color, dash = _STYLES[idx % len(_STYLES)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        py = sy(y).tolist()
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for finite, pair in zip(np.isfinite(y).tolist(), zip(px, py)):
-            if finite:
-                segment.append("%.2f,%.2f" % pair)
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for points in segments:
-            if len(points) == 1:
-                cx, cy = points[0].split(",")
+        y_text = ("%.2f " * n % tuple(sy(y).tolist())).split(" ")
+        points = list(map(operator.add, x_text, y_text))
+        edges = np.flatnonzero(np.diff(np.isfinite(y), prepend=False, append=False)).tolist()
+        for begin, end in zip(edges[::2], edges[1::2]):
+            if end - begin == 1:
+                cx, cy = x_text[begin][:-1], y_text[begin]
                 out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
             else:
                 out.append(
                     f'<polyline fill="none" stroke="{color}" stroke-width="2"{dash_attr} '
-                    f'points="{" ".join(points)}"/>'
+                    f'points="{" ".join(points[begin:end])}"/>'
                 )
 
     # Legend, top-right corner of the plot area.

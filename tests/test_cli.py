@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wmle import (
     weibull_model,
 )
 from wmle import mwle as mwle_module
+from wmle import svg as svg_module
 from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, validate_sweep_table
 from wmle.pipeline import ProportionMatrix, aggregate, load_returns
 from wmle.svg import render_line_chart
@@ -47,6 +49,32 @@ class TestParseGrid:
         for spec in ("1:2", "a:b:c", "0:1:0", "2:1:0.5", "0:inf:1"):
             with pytest.raises(Exception):
                 parse_grid(spec)
+
+    def test_default_grid_points_are_their_decimal_literals(self):
+        # Float steps put -1.7999999999999998 at index 12 of the Lehmer grid.
+        lehmer = parse_grid(DEFAULT_GRIDS["lehmer"])
+        assert lehmer.tolist() == [float(Fraction(i - 30, 10)) for i in range(71)]
+        assert repr(lehmer.tolist()[12]) == "-1.8"
+        holder = parse_grid(DEFAULT_GRIDS["holder"])
+        assert holder.tolist() == [float(Fraction(i + 1, 10)) for i in range(60)]
+        assert max(len(repr(v)) for v in (*lehmer.tolist(), *holder.tolist())) == 4
+
+    @pytest.mark.parametrize("spec, count", [
+        ("-3:4:0.1", 71),
+        ("0.1:6:0.1", 60),
+        ("-3:4:0.001", 7001),
+        ("0.1:6:0.001", 5901),
+        ("-0.3:0.3:0.1", 7),
+        ("1e-1:6:25e-2", 24),
+        ("+.5:1_0:5E-1", 20),
+        ("-2:4:0.25", 25),
+        ("1e300:1.5e300:1e299", 6),
+    ])
+    def test_each_point_is_the_nearest_double_to_the_decimal_point(self, spec, count):
+        start, _, step = (Fraction(part.replace("_", "")) for part in spec.split(":"))
+        grid = parse_grid(spec)
+        assert grid.size == count
+        assert grid.tolist() == [float(start + i * step) for i in range(count)]
 
 
 class TestMeanCommand:
@@ -283,14 +311,14 @@ class TestSweepCommand:
 
     def test_byte_identical_reruns(self, capsys, tmp_path, synthetic_returns_csv):
         outputs = []
-        for name in ("a.csv", "b.csv"):
-            path = tmp_path / name
+        for name in ("a", "b"):
+            path, chart = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
             code, _, _ = run_cli(
                 capsys, "sweep", "--data", synthetic_returns_csv, "--mode", "holder",
-                "--grid=0.5:3:0.5", "--out", str(path),
+                "--grid=0.5:3:0.5", "--out", str(path), "--svg", str(chart),
             )
             assert code == 0
-            outputs.append(path.read_bytes())
+            outputs.append((path.read_bytes(), chart.read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_svg_output(self, capsys, tmp_path, synthetic_returns_csv):
@@ -584,9 +612,140 @@ class TestLineChart:
         assert sorted(got) == sorted(drawn)
         assert sum(" " not in points for points in drawn) == 3  # the lone points
 
+    @pytest.mark.parametrize("y", [[1e300, 1e300], [1e16, 1e16 + 2]])
+    def test_a_range_narrower_than_the_values_ulp_still_draws(self, y):
+        # A flat series at 1e300 left the ticks a zero span, and a tick step
+        # below half an ulp of the tick never advanced.
+        chart = render_line_chart([0.0, 1.0], {"a": y}, title="t", x_label="x", y_label="y")
+        assert chart.count("<polyline") == 1
+
     def test_a_constant_x_axis_centres_every_point(self):
         chart = render_line_chart([1.0, 1.0], {"a": [0.0, 1.0]}, title="t", x_label="x", y_label="y")
         assert 'points="425.00,' in chart
+
+
+def per_row_csv(table):
+    """``SweepTable.to_csv`` as one join and one f-string per row: the
+    reference the bulk writer must reproduce byte for byte."""
+    lines = ["order,lambda_dem,lambda_rep,lambda_oth"]
+    estimates = np.asarray(table.estimates, dtype=float).reshape(-1, 3)
+    complete = np.isfinite(estimates).all(axis=1).tolist()
+    orders = np.asarray(table.orders, dtype=float).tolist()
+    for order, row, full in zip(orders, estimates.tolist(), complete):
+        cells = ",".join(map(repr, row)) if full else ",,"
+        lines.append(f"{order!r},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def per_point_series(x, series):
+    """The chart's ``<polyline>``/``<circle>`` elements from a walk over
+    the points, one format call per point: the reference the bulk series
+    writer must reproduce byte for byte."""
+    x = np.asarray(x, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in series.values()]
+    finite = np.concatenate([y[np.isfinite(y)] for y in ys])
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(finite.min()), float(finite.max())
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - max(0.5, math.ulp(y_lo)), y_hi + max(0.5, math.ulp(y_lo))
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    px = [80 + (v - x_lo) / (x_hi - x_lo) * 690 if x_hi != x_lo else 80 + 690 / 2.0
+          for v in x.tolist()]
+    elements = []
+    for idx, y in enumerate(ys):
+        color, dash = svg_module._STYLES[idx % len(svg_module._STYLES)]
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        py = [50 + (y_hi - v) / (y_hi - y_lo) * 485 for v in y.tolist()]
+        segment, segments = [], []
+        for finite_point, pair in zip(np.isfinite(y).tolist(), zip(px, py)):
+            if finite_point:
+                segment.append("%.2f,%.2f" % pair)
+            elif segment:
+                segments.append(segment)
+                segment = []
+        if segment:
+            segments.append(segment)
+        for points in segments:
+            if len(points) == 1:
+                cx, cy = points[0].split(",")
+                elements.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
+            else:
+                elements.append(
+                    f'<polyline fill="none" stroke="{color}" stroke-width="2"{dash_attr} '
+                    f'points="{" ".join(points)}"/>'
+                )
+    return elements
+
+
+def assert_bulk_writers_match(orders, estimates):
+    table = SweepTable(parameter="beta", orders=np.asarray(orders, dtype=float),
+                       estimates=np.asarray(estimates, dtype=float).reshape(-1, 3))
+    assert table.to_csv() == per_row_csv(table)
+    series = {label: table.estimates[:, j]
+              for j, label in enumerate(("lambda_dem", "lambda_rep", "lambda_oth"))}
+    if not np.isfinite(table.estimates).any():
+        with pytest.raises(DomainError):
+            render_line_chart(table.orders, series, title="t", x_label="beta", y_label="y")
+        return
+    chart = render_line_chart(table.orders, series, title="t", x_label="beta", y_label="y")
+    drawn = [line for line in chart.splitlines() if line.startswith(("<polyline", "<circle"))]
+    assert drawn == per_point_series(table.orders, series)
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def sweep_tables(draw):
+    """Ascending orders, negatives included, and estimates of magnitude
+    1e-300 to 1e300 (either sign) mixed with nan and +-inf, so rows are
+    complete or gaps anywhere, lone finite points sit between gaps, and a
+    whole column may be non-finite."""
+    orders = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40, unique=True)))
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    finite = st.tuples(magnitude, st.sampled_from((1.0, -1.0))).map(lambda p: p[0] * p[1])
+    cell = st.one_of(finite, finite, st.sampled_from(_NON_FINITE))
+    estimates = np.asarray(draw(st.lists(st.lists(cell, min_size=3, max_size=3),
+                                         min_size=len(orders), max_size=len(orders))))
+    dead = draw(st.sampled_from((None, 0, 1, 2)))
+    if dead is not None:
+        estimates[:, dead] = draw(st.sampled_from(_NON_FINITE))
+    return orders, estimates
+
+
+_F = 0.5253026203826832
+_GAP = [math.nan] * 3
+
+
+class TestBulkWriters:
+    # The CSV and the chart's series are formatted in bulk; on any table
+    # their bytes must be those of the per-row and per-point writers.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_tables())
+    def test_match_the_per_row_and_per_point_writers(self, table):
+        assert_bulk_writers_match(*table)
+
+    @pytest.mark.parametrize("orders, estimates", [
+        pytest.param([-3.0, -1.8, 0.0, 2.5, 4.0], np.linspace(0.1, 3.0, 15), id="all-finite"),
+        pytest.param(range(7), [_GAP, [_F] * 3, [_F] * 3, _GAP, [_F] * 3, [_F] * 3, _GAP],
+                     id="gaps-at-start-middle-end"),
+        pytest.param(range(6), [_GAP, [_F] * 3, _GAP, [1.0] * 3, [2.0] * 3, _GAP],
+                     id="isolated-point"),
+        pytest.param(range(4), [[_F, 1.0, math.nan], [_F, 2.0, math.inf], [_F, 3.0, -math.inf],
+                                [_F, 4.0, math.nan]], id="one-series-non-finite"),
+        pytest.param(range(4), [[math.inf, 1.0, 2.0], [1.0, -math.inf, 2.0], [1.0, 2.0, 3.0],
+                                [1.0, 2.0, 3.0]], id="plus-minus-inf"),
+        pytest.param([1.0, 2.0, 3.0], [[1e-300, 1e300, 1.0], [5e-324, 1.7e300, 2.2e-308],
+                                       [1e-300, 1e300, 1.0]], id="extreme-magnitudes"),
+        pytest.param([-600.0, -250.5, -1e-9], [[1.0, 2.0, 3.0]] * 3, id="negative-orders"),
+        pytest.param([0.0, 1.0], [[1e300] * 3, [1e300] * 3], id="flat-at-1e300"),
+        pytest.param([0.0, 1.0], [[1e16, 1e16 + 2, 1e16]] * 2, id="span-below-tick-ulp"),
+        pytest.param([-1.8], [[_F, 0.25, 0.125]], id="one-row"),
+        pytest.param([0.5], [_GAP], id="one-gap-row"),
+    ])
+    def test_cases(self, orders, estimates):
+        assert_bulk_writers_match(list(orders), estimates)
 
 
 class TestIngestCommand:
@@ -659,23 +818,31 @@ class TestMeanConsistencyAcrossSurfaces:
         assert float(out) == holder_mean(2.5, [0.6, 2.0])
 
 
+def modules_after_import(probe):
+    """The ``sys.modules`` names of a fresh interpreter after ``probe``."""
+    src = os.path.dirname(os.path.dirname(wmle.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"{probe}; import sys; print(' '.join(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(result.stdout.split())
+
+
 class TestRuntimeDependencies:
     def test_imports_load_no_scipy(self):
         # numpy is the only runtime dependency; scipy is a test-only oracle.
-        src = os.path.dirname(os.path.dirname(wmle.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = (
-            "import sys, wmle, wmle.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert result.stdout.strip() == "[]"
+        loaded = modules_after_import("import wmle, wmle.cli")
+        assert sorted(m for m in loaded if m.startswith("scipy")) == []
+
+    def test_cli_import_loads_no_fractions_or_decimal(self):
+        # parse_grid's exact decimal points take plain integers; the CLI
+        # starts a fresh process per command, so every module is start-up.
+        loaded = modules_after_import("import wmle.cli")
+        assert loaded.isdisjoint({"fractions", "decimal", "_decimal", "_pydecimal"})
 
 
 class TestBenchmarkTracer:

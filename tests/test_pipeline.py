@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ class TestLoadReturns:
         assert result.rows[1].party == "REPUBLICAN"
 
 
+    def test_reject_line_numbers_are_physical_lines(self, tmp_path):
+        # The quoted name spans lines 2-3, so the bad record is on line 4,
+        # and the last record starts on line 5 and ends on line 6.
+        path = write_file(
+            tmp_path / "r.csv",
+            SCHEMA_HEADER + "\n"
+            '1976,AZ,"DOE\nJANE",10,100\n'
+            "1976,AZ,DEMOCRAT,x,100\n"
+            '1976,AZ,"A\r\nB",y,100\n',
+        )
+        result = load_returns(path)
+        assert [row.party for row in result.rows] == ["DOE\nJANE"]
+        assert [r.line_number for r in result.rejects] == [4, 5]
+
     def test_zero_over_zero_votes_rejected(self, tmp_path):
         # 0 <= candidate <= total holds for 0/0; the total must be positive
         path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,0,0\n")
@@ -176,20 +191,28 @@ class TestLoadReturns:
 
 
 _COLUMNS = ("year", "state_po", "party_simplified", "candidatevotes", "totalvotes", "office")
-_INTEGER_TEXTS = (" 12 ", "+5", "1_000", "\x1c5", "12x", "-3", "0")
-_YEAR_TEXTS = ("1975", "1976", "2020", "2021", " 1976 ", "\x1c2020", "1976x")
+_INTEGER_TEXTS = (" 12 ", "+5", "1_000", "\x1c5", "12x", "-3", "0", "1\n0")
+_YEAR_TEXTS = ("1975", "1976", "2020", "2021", " 1976 ", "\x1c2020", "1976x", "19\r\n76")
+#: The line breaks of a file opened with newline="" (str.splitlines would
+#: also split at "\x1c").
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def _quoted(cell):
+    return f'"{cell}"' if "\n" in cell or "\r" in cell else cell
 
 
 @st.composite
 def _returns_files(draw):
     """A header over the required columns (maybe plus one more, in any
-    order) and records that are valid, malformed, ragged or blank."""
+    order) and records that are valid, malformed, ragged or blank; a
+    field may be quoted and span lines."""
     columns = draw(st.permutations(_COLUMNS[: draw(st.sampled_from((5, 6)))]))
     delimiter = draw(st.sampled_from((",", "\t")))
     cells = {
         "year": st.sampled_from(_YEAR_TEXTS),
-        "state_po": st.sampled_from(("AZ", " CA ", "")),
-        "party_simplified": st.sampled_from(("DEMOCRAT", " REPUBLICAN", "GREEN", "")),
+        "state_po": st.sampled_from(("AZ", " CA ", "", "A\nZ")),
+        "party_simplified": st.sampled_from(("DEMOCRAT", " REPUBLICAN", "GREEN", "", "DOE\r\n\nJANE")),
         "candidatevotes": st.sampled_from(_INTEGER_TEXTS),
         "totalvotes": st.sampled_from(_INTEGER_TEXTS),
         "office": st.just("US SENATE"),
@@ -209,12 +232,17 @@ class TestLoadReturnsMatchesParseRow:
     @given(drawn=_returns_files())
     def test_rows_and_rejects_match_parse_row_on_every_record(self, tmp_path_factory, drawn):
         columns, delimiter, records = drawn
-        text = "\n".join([delimiter.join(columns)] + [delimiter.join(r) for r in records]) + "\n"
+        # A reject is numbered by the physical line its record starts on.
+        text = delimiter.join(columns) + "\n"
+        starts = []
+        for record in records:
+            starts.append(1 + len(_LINE_BREAK.findall(text)))
+            text += delimiter.join(map(_quoted, record)) + "\n"
         path = write_file(tmp_path_factory.mktemp("returns") / "r.csv", text)
         config = SchemaConfig()
         index = {name: columns.index(name) for name in config.required_columns()}
         rows, rejects = [], []
-        for line_number, record in enumerate(records, start=2):
+        for line_number, record in zip(starts, records):
             if not record:
                 continue
             try:
