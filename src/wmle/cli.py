@@ -36,6 +36,9 @@ _SWEEP_ROWS = ("%r,,,\n", "%r,%r,%r,%r\n")
 #: negatives; the holder mode's order is a Weibull shape and must stay > 0.
 DEFAULT_GRIDS = {"lehmer": "-3:4:0.1", "holder": "0.1:6:0.1"}
 
+#: Most points a grid may hold; each point is a fit or a CSV row.
+MAX_GRID_POINTS = 10**6
+
 
 def _decimal(text: str) -> tuple[int, int]:
     """A finite float literal as ``(digits, exponent)``, exactly
@@ -66,7 +69,10 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"grid stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    intervals = (stop - start) / step + 1e-9
+    if not intervals < MAX_GRID_POINTS:
+        raise ConfigError(f"grid {spec!r} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+    count = int(math.floor(intervals)) + 1
     (first, first_exp), (stride, stride_exp) = _decimal(parts[0]), _decimal(parts[2])
     exponent = min(first_exp, stride_exp, 0)
     first *= 10 ** (first_exp - exponent)

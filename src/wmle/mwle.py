@@ -324,6 +324,13 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                 raise NumericError(
                     f"the curvature of {sub_model.name} at the estimate is not finite: {exc}"
                 ) from exc
+        # On a joint model, eigvalsh turns an overflowed entry into a NaN
+        # spectrum, and a NaN entry can give a finite one.
+        if not separate and not (np.isfinite(hessian).all() and np.isfinite(spectrum).all()):
+            raise NumericError(
+                f"the curvature of {sub_model.name} at the estimate is not finite: "
+                f"eigenvalues {spectrum.tolist()}"
+            )
         # A flat direction of the curvature at the estimate means the maximum
         # is not isolated.  The test is relative to the spectrum, so that a
         # uniformly small but full-rank curvature passes, and it is applied to

@@ -13,6 +13,14 @@ tuple, at once.  Only a row that fails it is parsed again, by
 last word, so the few spellings it accepts and bare ``int()`` does not
 (a leading ``chr(0x1c)``) are still rows.
 
+Lines are split with ``str.split`` until the first line holding a ``"``
+(or longer than ``csv.field_size_limit()``): a quote-free line is one
+record, and its fields are the ones ``csv.reader`` would give.  From that
+line on, the rest of the file goes to one ``csv.reader``, so a quoted
+field may hold the delimiter or span lines.  A reject is numbered by the
+physical line its record starts on (the header is line 1), and its
+``raw`` text is the record's source lines without the final line break.
+
 Aggregation sums candidate votes per (year, party label), maps each
 distinct label to DEM/REP/OTHER once, and divides by the summed
 mapped-party votes of that year, so each row of the resulting matrix sums
@@ -25,7 +33,9 @@ cycles; the row count is surfaced rather than assumed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import logging
 import operator
 from dataclasses import dataclass
@@ -121,7 +131,8 @@ class ReturnsRow(NamedTuple):
 class RejectedRow:
     """A row that failed validation, kept for the rejects report.
 
-    ``line_number`` is the physical line of the file the record starts on.
+    ``line_number`` is the physical line of the file the record starts on,
+    and ``raw`` is the record's source text without its final line break.
     """
 
     line_number: int
@@ -172,15 +183,35 @@ def _parse_row(record: list[str], width: int, index: dict[str, int],
     )
 
 
-def _start_line(reader, record: list[str]) -> int:
-    """The physical line ``record`` starts on, the header being line 1.
+def _records(handle, delimiter: str, source: list[str]):
+    """Yield ``(start, fields)`` for each non-blank record after the header.
 
-    ``reader.line_num`` counts the lines read after the header up to the
-    record's last; a quoted field spanning lines holds the line breaks
-    (``\n``, ``\r`` or ``\r\n``) between its first line and its last.
+    ``start`` is the physical line the record starts on, the header being
+    line 1.  A line without ``"`` and no longer than csv's field limit is
+    one record, and ``str.split`` gives the fields ``csv.reader`` would.
+    From the first other line on, the rest of the file goes to one
+    ``csv.reader``; ``source`` then holds the lines of the record last
+    yielded (it stays empty before).  The reader yields ``[]`` for a blank
+    line, so each record starts on the line after the previous one ended.
     """
-    breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in record)
-    return reader.line_num + 1 - breaks
+    limit = csv.field_size_limit()
+    for start, line in enumerate(handle, 2):
+        if '"' in line or len(line) > limit:
+            break
+        text = line.rstrip("\r\n")
+        if text:
+            yield start, text.split(delimiter)
+    else:
+        return
+    first = start
+    # list.append returns None, so filterfalse passes on every line it records.
+    lines = itertools.filterfalse(source.append, itertools.chain((line,), handle))
+    reader = csv.reader(lines, delimiter=delimiter)
+    for record in reader:
+        if record:
+            yield start, record
+        start = first + reader.line_num
+        source.clear()
 
 
 def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
@@ -213,12 +244,12 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
         # a row and names the reason when it is not.
         fields = operator.itemgetter(*(index[c] for c in config.required_columns()))
         year_min, year_max = config.year_min, config.year_max
+        # tuple.__new__ builds the same ReturnsRow without a Python frame.
+        new_row = functools.partial(tuple.__new__, ReturnsRow)
         rows: list[ReturnsRow] = []
         rejects: list[RejectedRow] = []
-        reader = csv.reader(handle, delimiter=delimiter)
-        for record in reader:
-            if not record:
-                continue
+        source: list[str] = []
+        for line_number, record in _records(handle, delimiter, source):
             if len(record) == width:
                 year, state, party, candidate, total = fields(record)
                 try:
@@ -227,13 +258,14 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
                     pass
                 else:
                     if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
-                        rows.append(ReturnsRow(year, state.strip(), party.strip(), candidate, total))
+                        rows.append(new_row((year, state.strip(), party.strip(), candidate, total)))
                         continue
             try:
                 rows.append(_parse_row(record, width, index, config))
             except ValueError as exc:
-                rejects.append(RejectedRow(_start_line(reader, record), str(exc),
-                                           delimiter.join(record)))
+                raw = ("".join(source[:-1]) + source[-1].rstrip("\r\n")
+                       if source else delimiter.join(record))
+                rejects.append(RejectedRow(line_number, str(exc), raw))
     return LoadResult(rows=rows, rejects=rejects)
 
 

@@ -31,8 +31,11 @@ _STYLES = (
 
 
 def _nice_step(span: float, target_ticks: int = 6) -> float:
+    """A round step near ``span / target_ticks``; 0.0 where it underflows."""
     raw = span / max(target_ticks, 1)
-    magnitude = 10.0 ** math.floor(math.log10(raw))
+    magnitude = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if magnitude == 0.0:
+        return 0.0
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * magnitude >= raw:
             return mult * magnitude
@@ -73,11 +76,13 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
         raise DomainError("every series needs one y value per x value")
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     y_lo, y_hi = float(np.min(finite_y)), float(np.max(finite_y))
-    if y_hi == y_lo:
+    pad = 0.04 * (y_hi - y_lo)
+    if _nice_step((y_hi + pad) - (y_lo - pad)) == 0.0:
+        # A flat series, or one narrower than a subnormal tick step.
         half = max(0.5, math.ulp(y_lo))  # y +- 0.5 may round to y from 2**52
         y_lo -= half
         y_hi += half
-    pad = 0.04 * (y_hi - y_lo)
+        pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import wmle
 from wmle import (
+    ConfigError,
     DomainError,
     NoSolutionError,
     NumericError,
@@ -25,6 +26,7 @@ from wmle import (
     lehmer_mean,
     weibull_model,
 )
+from wmle import cli as cli_module
 from wmle import mwle as mwle_module
 from wmle import svg as svg_module
 from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, validate_sweep_table
@@ -75,6 +77,12 @@ class TestParseGrid:
         grid = parse_grid(spec)
         assert grid.size == count
         assert grid.tolist() == [float(start + i * step) for i in range(count)]
+
+    def test_point_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "MAX_GRID_POINTS", 10)
+        assert parse_grid("0:9:1").size == 10
+        with pytest.raises(ConfigError, match="MAX_GRID_POINTS = 10 "):
+            parse_grid("0:10:1")
 
 
 class TestMeanCommand:
@@ -274,6 +282,14 @@ class TestVweightsCommand:
         code, out, err = run_cli(capsys, "vweights", "--grid=300:302:1", "1000", "2")
         assert code == 2
         assert out == "" and "Holder v-weights of order 301.0 overflow" in err
+
+    @pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e9:1"])
+    def test_oversized_grid_exits_2(self, capsys, grid):
+        # An infinite point count used to escape as an OverflowError, and
+        # 1e9 points started building a 1e9-element list.
+        code, out, err = run_cli(capsys, "vweights", f"--grid={grid}", "1", "2")
+        assert code == 2
+        assert out == "" and "MAX_GRID_POINTS = 1000000" in err
 
 
 class TestSweepCommand:
@@ -612,10 +628,11 @@ class TestLineChart:
         assert sorted(got) == sorted(drawn)
         assert sum(" " not in points for points in drawn) == 3  # the lone points
 
-    @pytest.mark.parametrize("y", [[1e300, 1e300], [1e16, 1e16 + 2]])
+    @pytest.mark.parametrize("y", [[1e300, 1e300], [1e16, 1e16 + 2], [0.0, 5e-324], [0.0, 3e-323]])
     def test_a_range_narrower_than_the_values_ulp_still_draws(self, y):
-        # A flat series at 1e300 left the ticks a zero span, and a tick step
-        # below half an ulp of the tick never advanced.
+        # A flat series at 1e300 left the ticks a zero span, a tick step
+        # below half an ulp of the tick never advanced, and a range below
+        # one subnormal tick step underflowed the step to zero.
         chart = render_line_chart([0.0, 1.0], {"a": y}, title="t", x_label="x", y_label="y")
         assert chart.count("<polyline") == 1
 

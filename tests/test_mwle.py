@@ -587,6 +587,14 @@ class TestFit:
         with pytest.raises(NumericError, match=r"curvature of gaussian\(sigma=\[1\.0,1\.0,1\.0\]\)"):
             fit(model, np.ones((4, 3)), WeightPolicy.holder())
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_joint_curvature_is_a_numeric_error(self):
+        # The joint Hessian overflows at 1e200, and eigvalsh returned NaN
+        # extremes with no warning and no error.
+        model = dataclasses.replace(weibull_model(np.ones(2)), components=None, scale_family=False)
+        with pytest.raises(NumericError, match=r"curvature of weibull\(k=\[1\.0,1\.0\]\) .* not finite"):
+            fit(model, [[1e200, 1.0], [3e200, 2.0]], WeightPolicy.holder(), minimality_samples=0)
+
     def test_newton_and_closed_form_paths_agree(self):
         rng = np.random.default_rng(48)
         for _ in range(40):

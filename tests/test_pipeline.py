@@ -1,5 +1,7 @@
 """Tests for returns ingestion and per-cycle aggregation."""
 
+import csv
+import io
 import logging
 import random
 import re
@@ -182,6 +184,25 @@ class TestLoadReturns:
             (2, "non-positive totalvotes 0")
         ]
 
+    def test_reject_raw_is_the_source_text(self, tmp_path):
+        # A quoted record keeps its quotes and inner line break; a quote-free
+        # record is its line without the terminator, before and after it.
+        path = write_file(
+            tmp_path / "r.csv",
+            SCHEMA_HEADER + "\r\n"
+            "1976,AZ,DEMOCRAT,x,100\r\n"
+            '1976,AZ,"DOE\nJANE",x,100\r\n'
+            '1976,AZ,"DOE, JANE",x,100\r'
+            "1976,AZ,DEMOCRAT,x,100",
+        )
+        result = load_returns(path)
+        assert [(r.line_number, r.raw) for r in result.rejects] == [
+            (2, "1976,AZ,DEMOCRAT,x,100"),
+            (3, '1976,AZ,"DOE\nJANE",x,100'),
+            (5, '1976,AZ,"DOE, JANE",x,100'),
+            (6, "1976,AZ,DEMOCRAT,x,100"),
+        ]
+
     def test_rows_are_immutable_named_tuples(self, tmp_path):
         path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n1976, AZ ,DEMOCRAT, 40 ,100\n")
         (row,) = load_returns(path).rows
@@ -248,10 +269,108 @@ class TestLoadReturnsMatchesParseRow:
             try:
                 rows.append(pipeline._parse_row(record, len(columns), index, config))
             except ValueError as exc:
-                rejects.append((line_number, str(exc), delimiter.join(record)))
+                rejects.append((line_number, str(exc), delimiter.join(map(_quoted, record))))
         result = load_returns(path, config)
         assert result.rows == rows
         assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects
+
+
+def _whole_file_csv_reference(path, config):
+    """``load_returns`` as one ``csv.reader`` over the whole file: rows and
+    ``(line_number, reason)`` of each reject, a reject numbered by the line
+    its record starts on (``reader.line_num`` minus the line breaks inside
+    its fields)."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header_line = handle.readline()
+        delimiter = "\t" if "\t" in header_line else ","
+        header = next(csv.reader(io.StringIO(header_line), delimiter=delimiter))
+        header = [name.strip().lstrip("\ufeff") for name in header]
+        index = {name: header.index(name) for name in config.required_columns()}
+        rows, rejects = [], []
+        reader = csv.reader(handle, delimiter=delimiter)
+        for record in reader:
+            if not record:
+                continue
+            try:
+                rows.append(pipeline._parse_row(record, len(header), index, config))
+            except ValueError as exc:
+                breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in record)
+                rejects.append((reader.line_num + 1 - breaks, str(exc)))
+    return rows, rejects
+
+
+#: Cells as they appear in the file.  A line holding a ``"`` sends the
+#: rest of the file to csv.reader, so these mix quote-free cells with
+#: quoted ones (holding either delimiter, a doubled quote or a line break)
+#: and with a ``"`` inside an unquoted cell.
+_SOURCE_TEXTS = ("AZ", " CA ", "", '"AZ"', '"DOE, JANE"', '"DOE\tJANE"', 'DO"E', '"A""B"',
+                 '"AB"C', '"DOE\nJANE"', '"DOE\r\nJANE"', '"A\rB"')
+_SOURCE_INTEGERS = ("12", " 40 ", "0", "-3", "12x", '"25"', '" 7 "', '"1\n0"', 'x"1')
+_SOURCE_YEARS = ("1976", "2020", "2021", '"1976"', '"19\r\n76"')
+
+
+@st.composite
+def _source_files(draw):
+    """``(text, delimiter, sources)``: a returns file over the required
+    columns, and the start line -> source text (terminator dropped) of each
+    non-blank record.  Records end in ``\n``, ``\r\n`` or ``\r``; the
+    last one may have no terminator."""
+    delimiter = draw(st.sampled_from((",", "\t")))
+    columns = SCHEMA_HEADER.split(",")
+    texts = dict(zip(columns, (_SOURCE_YEARS, _SOURCE_TEXTS, _SOURCE_TEXTS,
+                               _SOURCE_INTEGERS, _SOURCE_INTEGERS)))
+    cells = {c: st.sampled_from(t) for c, t in texts.items()}
+    quote_free = {c: st.sampled_from([text for text in t if '"' not in text])
+                  for c, t in texts.items()}
+
+    def records(strategies):
+        record = st.fixed_dictionaries(strategies).map(lambda f: [f[c] for c in columns])
+        ragged = record.map(lambda r: r[:-1])
+        return st.one_of(record, record, ragged, st.just(None)).map(
+            lambda r: "" if r is None else delimiter.join(r))
+
+    # A quote-free prefix, then records that may hold quotes.
+    lines = draw(st.lists(records(quote_free), max_size=8))
+    lines += draw(st.lists(records(cells), max_size=12))
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines),
+                         max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    text = delimiter.join(columns) + "\n"
+    sources = {}
+    for line, end in zip(lines, ends):
+        if line:
+            sources[1 + len(_LINE_BREAK.findall(text))] = line
+        text += line + end
+    return text, delimiter, sources
+
+
+class TestSplitPathMatchesWholeFileReader:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=_source_files())
+    def test_rows_and_rejects_match_the_whole_file_reader(self, tmp_path_factory, drawn):
+        text, delimiter, sources = drawn
+        path = write_file(tmp_path_factory.mktemp("returns") / "r.csv", text)
+        config = SchemaConfig()
+        rows, rejects = _whole_file_csv_reference(path, config)
+        result = load_returns(path, config)
+        assert result.rows == rows
+        assert [(r.line_number, r.reason) for r in result.rejects] == rejects
+        assert [r.raw for r in result.rejects] == [sources[r.line_number] for r in result.rejects]
+
+    def test_a_line_longer_than_the_field_limit_goes_to_csv_reader(self, tmp_path):
+        # csv.reader raises on a field above its limit; a quote-free line
+        # longer than the limit is left to it, so the error still comes.
+        path = write_file(
+            tmp_path / "r.csv",
+            SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,10,100\n1976,AZ,DEMOCRATDEMOCRATDEMOCRAT,10,100\n",
+        )
+        limit = csv.field_size_limit(20)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                load_returns(path)
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestAggregate:
