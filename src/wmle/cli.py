@@ -180,20 +180,16 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
     observations = matrix.values
     estimates, ok = mwle._sweep_estimates(mode, observations, grid)
     gaps: dict = {}
-    unit_shape_model = None
     for i in np.flatnonzero(~ok):
         order = grid[i]
         try:
             if mode == "lehmer":
-                if unit_shape_model is None:
-                    unit_shape_model = weibull_model(np.ones(3))
+                model = weibull_model(np.ones(3))
                 policy = mwle.WeightPolicy.lehmer(np.full(3, order))
-                result = mwle.fit(unit_shape_model, observations, policy, minimality_samples=0)
             else:
                 model = weibull_model(np.full(3, order))
                 policy = mwle.WeightPolicy.holder()
-                result = mwle.fit(model, observations, policy, minimality_samples=0)
-            estimates[i] = result.theta_hat
+            estimates[i] = mwle.fit(model, observations, policy, minimality_samples=0).theta_hat
         except (SolverError, DomainError, NumericError) as exc:
             gaps[float(order)] = str(exc)
     table = SweepTable(

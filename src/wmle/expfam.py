@@ -113,6 +113,8 @@ class FamilyModel:
             )
         if self.components is not None and len(self.components) != self.dim_eta:
             raise ConfigError("separable model needs one component per natural parameter")
+        if self.scale_family and self.components is None and self.dim_eta > 1:
+            raise ConfigError("a scale family with several parameters needs its components")
 
 
 def _observation_matrix(observations) -> np.ndarray:

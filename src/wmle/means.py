@@ -3,11 +3,13 @@
 Every power sum is taken relative to its largest term, which is then
 exactly 1, so orders as extreme as ``alpha = +/-500`` on data spanning
 several decades stay finite instead of overflowing (Blanchard, Higham &
-Higham, IMA J. Numer. Anal. 2021).  The Lehmer mean goes through
-:func:`_lehmer_weights` and the Holder mean raises ``x / x_r`` to its order
-after :func:`_power_bound`; these are the kernels :func:`wmle.mwle.fit`
-builds its Lehmer weights and its Weibull moment targets with, so each
-mean and its MWLE are the same computation.
+Higham, IMA J. Numer. Anal. 2021).  That arithmetic lives in
+:func:`_column_means`, which :func:`lehmer_mean`, :func:`holder_mean` and
+the batched sweep of :mod:`wmle.mwle` call; :func:`wmle.mwle.fit` builds
+its Lehmer weights and its scaled Holder columns with the same helpers.
+``holder_mean`` equals the Weibull MWLE to the bit.  ``lehmer_mean`` is the
+moment target the unit-shape Weibull MWLE inverts, and that estimate,
+``(-eta) ** -1`` at ``eta = -1/target``, may differ from it in the last bit.
 
 Orders are plain floats.  ``float('inf')`` and ``float('-inf')`` are
 accepted as explicit sentinels and return the sample maximum or minimum;
@@ -113,8 +115,7 @@ def _lehmer_weights(log_x: np.ndarray, lo: float, hi: float, orders: np.ndarray,
     its extremes.  Row ``g`` of the ``(G, n)`` array ``out``, which may be
     ``log_x`` itself when ``G == 1``, receives the weights at ``orders[g]``.
     Only the ratios of weights enter a Lehmer mean, so each row is taken
-    relative to the row ``r`` with the largest weight (Blanchard, Higham &
-    Higham, IMA J. Numer. Anal. 2021):
+    relative to the row ``r`` with the largest weight:
 
         exp((a - 1) * (log x - log x_r) + (log w - log w_r)),
 
@@ -169,13 +170,13 @@ def _power_bound(orders: np.ndarray) -> np.ndarray:
     """``exp(_EXP_FLOOR / k)`` per order: the scaled value whose ``k``-th
     power is ``exp(_EXP_FLOOR)``.
 
-    A Holder sum is taken on ``y = x / x_r``, the values relative to the one
-    with the largest term, so every term ``y**k`` is at most exactly 1.
-    Values whose term would be smaller than ``exp(-700)`` are moved to this
-    bound first (raised for ``k > 0``, lowered for ``k < 0``): each such term
-    is then about ``exp(-700)``, still a normal number, so ``pow`` never takes
-    libm's slow subnormal path.  Against a sum of at least 1 the moved
-    terms shift it by less than half an ulp for up to 1e288 values.
+    A Holder term ``y**k`` of a value relative to the one with the largest
+    term is at most 1.  Values whose term would be smaller than ``exp(-700)``
+    are moved to this bound first (raised for ``k > 0``, lowered for
+    ``k < 0``): each such term is then about ``exp(-700)``, still a normal
+    number, so ``pow`` never takes libm's slow subnormal path.  Against a sum
+    of at least 1 the moved terms shift it by less than half an ulp for up to
+    1e288 values.
     """
     with np.errstate(over="ignore"):  # a shape below 1e-306: the bound is 0
         return np.exp(_EXP_FLOOR / orders)
@@ -191,6 +192,92 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
     return _weights_out_of_range(
         what, f"where the weights leave a mean term below 2**54 * exp({_EXP_FLOOR:g})"
     )
+
+
+def _moved_terms_show(target, orders, x, ref: float) -> np.ndarray:
+    """Per order, whether terms moved to the power bound could show in the Holder
+    target of ``x / ref`` under weights whose largest is 1 (unit weights cannot)."""
+    show = (0 < target) & (target < _MOVED_TERMS_TARGET_MIN)
+    if show.any():
+        bounds = _power_bound(orders)
+        show &= np.where(orders > 0, np.min(x) / ref < bounds, np.max(x) / ref > bounds)
+    return show
+
+
+def _scaled_column(col: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(y, c)``: ``col / c``, ``c`` its largest value, moved up to the power
+    bound of ``powers[0]``, as an ``(n, 1)`` matrix.  An all-zero column stays
+    as it is with ``c = 1``; its target, 0, is the solver's to reject."""
+    c = float(np.maximum.reduce(col))
+    if c == 0.0:
+        return col[:, None], 1.0
+    y = col / c
+    np.maximum(y, _power_bound(powers)[0], out=y)
+    return y[:, None], c
+
+
+def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
+                  w: np.ndarray | None = None):
+    """Lehmer or Holder means of one column at many orders, as shifted sums.
+
+    ``x`` is positive for the Lehmer kind and for negative Holder orders;
+    the orders are finite, the Holder ones nonzero and of one sign, and are
+    taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``.
+    Base weights ``w`` need a one-row ``out``.  Returns, per order, the
+    moment target, the total weight, the Weibull closed-form estimate and
+    whether the shifted sums are accurate.  Lehmer: weights ``u`` from
+    :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)`` (the mean),
+    estimate ``(1/target) ** -1``.  Holder of order ``k``: ``y = x / x_r``,
+    ``x_r`` the value with the largest term, moved to :func:`_power_bound`,
+    weights over their largest, target ``sum(w * y**k) / sum(w)``, estimate
+    ``x_r * (1/target) ** (-1/k)``.  Each estimate is the ``theta_hat`` of
+    :func:`wmle.mwle.fit` to the bit: a sum is one row of a C-order buffer
+    reduced along its last axis, which numpy sums pairwise like fit's 1-D
+    sums, and the estimate's power takes an exponent per order, laid out
+    like fit's one per component.
+    """
+    target, total = np.empty((2, orders.size))
+    ok = np.ones(orders.size, dtype=bool)
+    if w is not None and np.min(w) == np.max(w):
+        w = None  # equal weights cancel
+    if kind == "lehmer":
+        log_x = np.log(x)
+        extremes = float(np.min(log_x)), float(np.max(log_x))
+        log_w = None if w is None else np.log(w)
+        ref, shapes = 1.0, np.ones(orders.size)
+    else:
+        up = orders[0] > 0
+        ref = float(np.max(x) if up else np.min(x))
+        y = x / ref
+        w = None if w is None else w / np.max(w)
+        total[:] = x.size if w is None else np.add.reduce(w)
+        shapes = orders
+    for lo in range(0, orders.size, out.shape[0]):
+        block = orders[lo : lo + out.shape[0]]
+        rows = out[: block.size]
+        part = slice(lo, lo + block.size)
+        if kind == "lehmer":
+            ok[part] = _lehmer_weights(log_x, *extremes, block, rows, log_w)
+            total[part] = np.add.reduce(rows, axis=1)
+            rows *= x
+        else:
+            bounds = _power_bound(block)
+            (np.maximum if up else np.minimum)(y, bounds[:, None], out=rows)
+            np.power(rows, block[:, None], out=rows)
+            # numpy's power swaps in a square root or a square, which can differ
+            # in the last bit, for an exponent of 0.5 or 2 repeated along a 1-D
+            # loop.  fit and a single order raise a column in such a loop, a
+            # block of orders is not one, so those rows are raised one at a time.
+            for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
+                rows[g] = np.power(np.maximum(y, bounds[g]), block[g])
+            if w is not None:
+                rows *= w
+        target[part] = np.add.reduce(rows, axis=1) / total[part]
+    if kind == "holder" and w is not None:
+        ok = ~_moved_terms_show(target, orders, x, ref)
+    with np.errstate(divide="ignore", over="ignore"):
+        estimate = ref * np.power(1.0 / target, -1.0 / shapes)
+    return target, total, estimate, ok
 
 
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:
@@ -228,15 +315,10 @@ def holder_mean(alpha, values, weights=None) -> float:
     ``alpha``, the weighted geometric mean at ``alpha = 0`` (its continuity
     limit), and the sample max/min at ``alpha = +inf`` / ``-inf``.
 
-    A finite nonzero order is evaluated relative to the value ``x_r`` with
-    the largest term, the largest value for ``alpha > 0`` and the smallest
-    below: ``x_r * (sum(w * y**alpha) / sum(w)) ** (1/alpha)`` with
-    ``y = x / x_r`` moved to :func:`_power_bound` and the weights divided
-    by their largest.  Nothing overflows, and at ``alpha > 0`` this is the
-    computation :func:`wmle.mwle.fit` runs for a Weibull component of shape
-    ``alpha``, so the two agree to the bit.  Raises ``NumericError`` where
-    the weights concentrate so far from ``x_r`` that the moved terms could
-    show in the sum.
+    A finite nonzero order goes through :func:`_column_means`, so nothing
+    overflows and at ``alpha > 0`` the mean is :func:`wmle.mwle.fit`'s
+    Weibull estimate of shape ``alpha`` to the bit.  Raises ``NumericError``
+    where the weights could let the terms moved to the power bound show.
 
     Zero values are rejected when ``alpha <= 0`` because a non-positive
     exponent has a pole at zero.
@@ -253,26 +335,12 @@ def holder_mean(alpha, values, weights=None) -> float:
         _require_positive(sample, a, "x**alpha has a pole at 0 for alpha <= 0")
     if a == 0.0:
         return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
-    ref = float(np.max(x) if a > 0 else np.min(x))
-    if ref == 0.0:  # all values zero, alpha > 0
+    if np.max(x) == 0.0:  # only for a > 0
         return 0.0
-    order = np.array([a])
-    bound = float(_power_bound(order)[0])
-    y = x / ref
-    (np.maximum if a > 0 else np.minimum)(y, bound, out=y)
-    terms = np.power(y, a)
-    # Equal weights cancel; without them this is the sum fit takes under
-    # unit weights.
-    if np.min(w) == np.max(w):
-        target = np.add.reduce(terms) / float(x.size)
-    else:
-        w = w / np.max(w)
-        target = np.add.reduce(w * terms) / np.add.reduce(w)
-        if target < _MOVED_TERMS_TARGET_MIN and (
-                np.min(x) / ref < bound if a > 0 else np.max(x) / ref > bound):
-            raise _moved_terms_out_of_range(f"Holder terms of order {a}")
-    # (-eta) ** (-1/alpha) at eta = -1/target: the Weibull inverse fit uses.
-    return float(ref * np.power(1.0 / np.array([target]), -1.0 / order)[0])
+    _, _, estimate, ok = _column_means("holder", x, np.array([a]), np.empty((1, x.size)), w)
+    if not ok[0]:
+        raise _moved_terms_out_of_range(f"Holder terms of order {a}")
+    return float(estimate[0])
 
 
 def lehmer_mean(alpha, values, weights=None) -> float:
@@ -281,6 +349,10 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     ``sum(w * x**alpha) / sum(w * x**(alpha-1))`` for finite ``alpha`` and
     the sample max/min at ``alpha = +inf`` / ``-inf``.  Zero values are
     rejected when ``alpha <= 1`` because ``x**(alpha-1)`` has a pole at zero.
+
+    A finite order goes through :func:`_column_means`; the mean is its
+    moment target.  Raises ``NumericError`` where the weights cannot be
+    formed: at an order below 1 on values more than ``exp(600)`` apart.
     """
     a = _order(alpha)
     sample = _coerce(values, weights)
@@ -298,14 +370,10 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    u = np.log(x)
-    # Equal weights cancel in the ratio; without them this is the kernel
-    # fit runs on unweighted data.
-    log_w = None if np.min(w) == np.max(w) else np.log(w)
-    ok = _lehmer_weights(u, float(np.min(u)), float(np.max(u)), np.array([a]), u[None, :], log_w)
+    target, _, _, ok = _column_means("lehmer", x, np.array([a]), np.empty((1, x.size)), w)
     if not ok[0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
-    return float(np.add.reduce(u * x) / np.add.reduce(u))
+    return float(target[0])
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:

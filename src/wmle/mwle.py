@@ -21,8 +21,10 @@ univariate problem with its own weight column, which requires a separable
 model.  On an independent-component exponential model (identity sufficient
 statistic per component) this reproduces the Lehmer mean of each column; a
 power sufficient statistic with the ``holder`` policy reproduces the Holder
-mean.  :func:`subclass_form` reports which of the two structures, if
-either, a (model, policy) pair realizes.
+mean.  The shifted-sum arithmetic of both means lives in :mod:`wmle.means`;
+:func:`_sweep_estimates` runs its column kernel over a grid of orders.
+:func:`subclass_form` reports which of the two structures, if either, a
+(model, policy) pair realizes.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ from .expfam import (
     weighted_stat_mean,
 )
 from .means import (
-    _MOVED_TERMS_TARGET_MIN,
+    _column_means,
     _lehmer_weights,
     _moved_terms_out_of_range,
-    _power_bound,
+    _moved_terms_show,
+    _scaled_column,
     _weights_out_of_range,
 )
 
@@ -237,19 +240,6 @@ def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
         )
 
 
-def _relative_column(col: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, float]:
-    """One column of a scale family's data relative to its largest value,
-    ``(y, c)`` with ``y = col / c`` moved up to the power bound, as a
-    contiguous ``(n, 1)`` matrix.  An all-zero column is returned as it is
-    with ``c = 1``; its target, 0, is for the solver to reject."""
-    c = float(np.maximum.reduce(col))
-    if c == 0.0:
-        return col[:, None], 1.0
-    y = col / c
-    np.maximum(y, _power_bound(powers)[0], out=y)
-    return y[:, None], c
-
-
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         method: str = "auto", seed: int = 0, minimality_samples: int = 2048) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
@@ -269,7 +259,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     component.  Row weights give one problem, except on a scale family
     (``model.scale_family``), where each component is fitted on its own
     column relative to its largest value, ``y = x_j / c_j``: its largest
-    term ``y ** k_j`` is exactly 1, and :func:`means._power_bound` keeps
+    term ``y ** k_j`` is exactly 1, and :func:`means._scaled_column` keeps
     every other term a normal number, so the target neither overflows nor
     underflows at any shape.  The estimate is ``theta_j = c_j * theta'_j``.
     """
@@ -303,16 +293,13 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         if per_column:
             data = WeightedDataset(obs[:, j : j + 1], u[:, j], _validated=True)
         elif scaled:
-            y, scale[j] = _relative_column(obs[:, j], sub_model.stat_powers)
+            y, scale[j] = _scaled_column(obs[:, j], sub_model.stat_powers)
             data = WeightedDataset(y, row_w, _validated=True)
         else:
             data = WeightedDataset(obs, row_w, _validated=True)
         sub_target = weighted_stat_mean(data, sub_model)
-        # Unit weights leave a scaled target of at least 1/n; only weights
-        # that concentrate away from the largest value get this low.
-        if scaled and 0 < sub_target[0] < _MOVED_TERMS_TARGET_MIN:
-            if np.minimum.reduce(obs[:, j]) / scale[j] < _power_bound(sub_model.stat_powers)[0]:
-                raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
+        if scaled and _moved_terms_show(sub_target, sub_model.stat_powers, obs[:, j], scale[j])[0]:
+            raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
         info = _solve_mean_target(sub_model, sub_target, method=method)
         # A curvature that overflows makes eigvalsh fail; that is reported
         # as a NumericError, not as numpy warnings and a LinAlgError.
@@ -375,8 +362,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                      diagnostics=diagnostics)
 
 
-# The batched sweep takes as many orders at a time as keep each
-# (orders x rows) temporary near this many elements.
+# The batched sweep takes as many orders at a time as keep its
+# (orders x rows) buffer, which every column reuses, near this many elements.
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -384,92 +371,38 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
                      orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weibull scale estimates of every column at every order, in one pass.
 
-    Row ``g`` of the returned ``(G, k)`` matrix is what :func:`fit` returns
-    as ``theta_hat`` at ``orders[g]``: for ``kind="lehmer"`` the unit-shape
-    Weibull model under the Lehmer policy of that order (each column's
-    Lehmer mean), for ``kind="holder"`` the Weibull model of that shape
-    under unit weights (each column's Holder mean).  The weights, sums,
-    closed-form inverse and ``theta`` take the same floating-point steps as
-    ``fit``, so the two agree to the bit:
-
-    * each sum is one row of a C-order matrix reduced along its last axis,
-      which numpy sums pairwise like the 1-D sums ``fit`` uses;
-    * each Holder column is divided by its largest value once per sweep and
-      moved up to each order's power bound, as ``fit`` scales its columns;
-    * numpy's power swaps in a square root or a square for an exponent of
-      0.5 or 2 repeated along a one-dimensional loop, which can differ from
-      its general power in the last bit.  ``fit`` raises each column to its
-      shape in such a loop, a block of orders is not one, so the Holder
-      rows at those orders are raised again one at a time;
-    * the estimate's ``np.power`` gets one exponent per component, laid out
-      like the shape vector ``fit`` inverts with, and is multiplied by the
-      column scales like ``fit``'s.
-
-    ``ok[g]`` is True only where every check ``fit`` makes on this path
-    passes: positive finite data, Lehmer weights that lose nothing to the
-    exponent floor, a finite positive moment target, ``eta`` finite and
-    negative, and each component's curvature finite and not flat.  Unit
-    weights keep every scaled Holder target at 1/n or more, where the
-    moved terms cannot show.
-    Elsewhere the row is NaN and ``fit`` itself must decide: it raises the
-    error or returns the estimate.
+    Row ``g`` of the returned ``(G, k)`` matrix is :func:`fit`'s
+    ``theta_hat`` at ``orders[g]`` to the bit, each column computed by
+    :func:`means._column_means`: for ``kind="lehmer"`` under the unit-shape
+    Weibull model and the Lehmer policy of that order, for ``kind="holder"``
+    under the Weibull model of that shape and unit weights.  ``ok[g]`` is
+    True only where every check ``fit`` makes on this path passes; elsewhere
+    the row is NaN and ``fit`` itself raises the error or returns the estimate.
     """
     obs = np.asarray(observations, dtype=float)
     orders = np.asarray(orders, dtype=float).reshape(-1)
     n, k = obs.shape
     theta = np.full((orders.size, k), np.nan)
     ok = np.zeros(orders.size, dtype=bool)
-    if n == 0 or not (np.min(obs) > 0 and np.max(obs) < np.inf):
+    rows = np.flatnonzero(np.isfinite(orders) & ((orders > 0) | (kind == "lehmer")))
+    if n == 0 or rows.size == 0 or not (np.min(obs) > 0 and np.max(obs) < np.inf):
         return theta, ok
-    step = max(1, _SWEEP_BLOCK_ELEMENTS // n)
+    out = np.empty((min(rows.size, max(1, _SWEEP_BLOCK_ELEMENTS // n)), n))
     with np.errstate(all="ignore"):
-        if kind == "lehmer":
-            log_cols = [np.log(obs[:, j]) for j in range(k)]
-            extremes = [(float(np.min(c)), float(np.max(c))) for c in log_cols]
-        else:
-            scale = np.maximum.reduce(obs, axis=0)
-            relative = [obs[:, j] / scale[j] for j in range(k)]
-        for lo in range(0, orders.size, step):
-            block = orders[lo : lo + step]
-            if kind == "lehmer":
-                good = np.isfinite(block)
-                shape = np.ones((block.size, 1))
-                total = np.empty((block.size, k))
-                target = np.empty((block.size, k))
-                u = np.empty((block.size, n))
-                for j in range(k):
-                    good &= _lehmer_weights(log_cols[j], *extremes[j], block, u)
-                    total[:, j] = np.add.reduce(u, axis=1)
-                    u *= obs[:, j]
-                    target[:, j] = np.add.reduce(u, axis=1) / total[:, j]
-            else:
-                good = np.isfinite(block) & (block > 0)
-                shape = block[:, None]
-                total = float(n)
-                bounds = _power_bound(block)
-                shortcuts = np.flatnonzero((block == 0.5) | (block == 2.0))
-                target = np.empty((block.size, k))
-                stats = np.empty((block.size, n))
-                for j, y in enumerate(relative):
-                    np.maximum(y, bounds[:, None], out=stats)
-                    np.power(stats, shape, out=stats)
-                    for g in shortcuts:
-                        stats[g] = np.power(np.maximum(y, bounds[g]), block[g])
-                    target[:, j] = np.add.reduce(stats, axis=1) / total
-            eta = -1.0 / target
-            inverse_square = 1.0 / eta**2
-            curvature = -total * (0.5 * (inverse_square + inverse_square))
-            good &= np.all(
-                (0 < target) & (target < np.inf)  # target checks and mean_map_inverse
-                & (-np.inf < eta) & (eta < 0)  # natural_domain
-                & (-np.inf < curvature) & (curvature < 0),  # eigvalsh and the flatness rule
-                axis=1,
-            )
-            estimate = np.power(-eta, np.repeat(-1.0 / shape, k, axis=1))
-            if kind == "holder":
-                estimate = scale * estimate
-            theta[lo : lo + step][good] = estimate[good]
-            ok[lo : lo + step] = good
+        columns = [_column_means(kind, obs[:, j], orders[rows], out) for j in range(k)]
+        target, total, estimate, good = (np.array(c) for c in zip(*columns))  # (k, G)
+        eta = -1.0 / target
+        inverse_square = 1.0 / eta**2
+        curvature = -total * (0.5 * (inverse_square + inverse_square))
+        good = np.all(
+            good
+            & (0 < target) & (target < np.inf)  # target checks and mean_map_inverse
+            & (-np.inf < eta) & (eta < 0)  # natural_domain
+            & (-np.inf < curvature) & (curvature < 0),  # eigvalsh and the flatness rule
+            axis=0,
+        )
+    theta[rows] = np.where(good[:, None], estimate.T, np.nan)
+    ok[rows] = good
     return theta, ok
 
 

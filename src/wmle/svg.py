@@ -30,10 +30,11 @@ _STYLES = (
 )
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
-    """A round step near ``span / target_ticks``; 0.0 where it underflows."""
-    raw = span / max(target_ticks, 1)
-    magnitude = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+def _nice_step(span: float) -> float:
+    """A round step near ``span / 6``; 0.0 where it underflows or ``span``
+    is not finite."""
+    raw = span / 6
+    magnitude = 10.0 ** math.floor(math.log10(raw)) if 0 < raw < math.inf else 0.0
     if magnitude == 0.0:
         return 0.0
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -42,13 +43,23 @@ def _nice_step(span: float, target_ticks: int = 6) -> float:
     return 10.0 * magnitude
 
 
+def _axis_range(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """The axis range of data from ``lo`` to ``hi``: grown by ``pad`` times its
+    span each side, after widening by half a unit (an ulp where that rounds
+    away) if its tick step underflows.  ``DomainError`` if the span overflows."""
+    margin = pad * (hi - lo)
+    half = max(0.5, math.ulp(lo)) if _nice_step((hi + margin) - (lo - margin)) == 0.0 else 0.0
+    a, b = lo - half, hi + half
+    margin = pad * (b - a)
+    if not (b + margin) - (a - margin) < math.inf:
+        raise DomainError(f"the chart axis for values from {lo!r} to {hi!r} overflows")
+    return a - margin, b + margin
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
-    if not (hi > lo):
-        hi = lo + 1.0
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step - 1e-9) * step
+    t = math.ceil(lo / step - 1e-9) * step
     ticks = []
-    t = first
     while t <= hi + 1e-9 * step:
         ticks.append(round(t, 12))
         if t + step == t:  # a step below half an ulp of t adds nothing
@@ -74,24 +85,13 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
         raise DomainError("chart needs at least one finite data point")
     if any(y.shape != x.shape for y in ys):
         raise DomainError("every series needs one y value per x value")
-    x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    y_lo, y_hi = float(np.min(finite_y)), float(np.max(finite_y))
-    pad = 0.04 * (y_hi - y_lo)
-    if _nice_step((y_hi + pad) - (y_lo - pad)) == 0.0:
-        # A flat series, or one narrower than a subnormal tick step.
-        half = max(0.5, math.ulp(y_lo))  # y +- 0.5 may round to y from 2**52
-        y_lo -= half
-        y_hi += half
-        pad = 0.04 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi = _axis_range(float(np.min(x)), float(np.max(x)), 0.0)
+    y_lo, y_hi = _axis_range(float(np.min(finite_y)), float(np.max(finite_y)), 0.04)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(value):
-        if x_hi == x_lo:
-            return _MARGIN_LEFT + plot_w / 2.0
         return _MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(value):

@@ -636,9 +636,23 @@ class TestLineChart:
         chart = render_line_chart([0.0, 1.0], {"a": y}, title="t", x_label="x", y_label="y")
         assert chart.count("<polyline") == 1
 
+    def test_an_x_range_narrower_than_a_subnormal_tick_step_still_draws(self):
+        # Only the y range was widened; the x tick step underflowed to 0.
+        chart = render_line_chart([0.0, 5e-324], {"a": [0.0, 1.0]}, title="t", x_label="x", y_label="y")
+        assert 'points="425.00,' in chart
+
+    @pytest.mark.parametrize("x, y", [([0.0, 1.0], [-1e308, 1e308]), ([-1e308, 1e308], [0.0, 1.0])])
+    def test_a_span_that_overflows_is_a_domain_error(self, x, y):
+        # An infinite span reached math.floor(log10(inf)): OverflowError.
+        with pytest.raises(DomainError, match=r"from -1e\+308 to 1e\+308 overflows"):
+            render_line_chart(x, {"a": y}, title="t", x_label="x", y_label="y")
+
     def test_a_constant_x_axis_centres_every_point(self):
         chart = render_line_chart([1.0, 1.0], {"a": [0.0, 1.0]}, title="t", x_label="x", y_label="y")
         assert 'points="425.00,' in chart
+        # The ticks spread around the point instead of all sitting on it.
+        ticks = re.findall(r'<text x="([^"]*)" y="555"', chart)
+        assert len(ticks) > 1 and len(set(ticks)) == len(ticks)
 
 
 def per_row_csv(table):

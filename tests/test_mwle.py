@@ -424,6 +424,16 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(weibull_model([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), WeightPolicy.holder())
 
+    def test_scale_family_with_several_parameters_needs_components(self):
+        # Without components fit scaled and fitted column 0 only: theta_hat
+        # read [2.160, 2.160] where the separable model gives [2.160, 341.565].
+        data = [[1, 100], [2, 300], [3, 500]]
+        with pytest.raises(ConfigError, match="needs its components"):
+            fit(dataclasses.replace(weibull_model([2.0, 2.0]), components=None), data,
+                WeightPolicy.holder())
+        np.testing.assert_allclose(fit(weibull_model([2.0, 2.0]), data, WeightPolicy.holder()).theta_hat,
+                                   [2.160, 341.565], rtol=1e-3)
+
     def test_degenerate_curvature_warns_instead_of_silent_success(self, caplog):
         # two copies of the same statistic leave a flat direction in the
         # curvature at the estimate; the fit must say so
@@ -521,6 +531,12 @@ class TestFit:
             fit(weibull_model([200.0]), [[1e-3], [1e3]], policy)
         with pytest.raises(NumericError, match=r"exp\(-700\)"):
             holder_mean(200.0, [1e-3, 1e3], [1.0, 1e-300])
+        # At order -200 the smallest value is the reference and 1e3 / 1e-3 is
+        # moved down to exp(3.5); the weight on 1e3 makes the same error.
+        with pytest.raises(NumericError, match=r"exp\(-700\)"):
+            holder_mean(-200.0, [1e-3, 1e3], [1e-300, 1.0])
+        assert ulps_off(holder_mean(-200.0, [1e-3, 1e3], [1.0, 1e-300]),
+                        holder_oracle(-200, [1e-3, 1e3], [1.0, 1e-300])) == 0
         # With the weight on the largest value nothing moved can show.
         policy = WeightPolicy.holder(base_w=lambda obs: np.array([1e-300, 1.0]))
         result = fit(weibull_model([200.0]), [[1e-3], [1e3]], policy)
