@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means, mwle, pipeline, svg
-from .errors import ConfigError, DomainError, NumericError, SchemaError, SolverError, WmleError
+from .errors import (ConfigError, DomainError, NumericError, SchemaError, SolverError, WmleError,
+                     not_utf8)
 from .families import gaussian_known_variance_model, weibull_model
 
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
@@ -239,8 +240,11 @@ def _load_numeric_matrix(path: str) -> np.ndarray:
     A header row is skipped if its fields are not numeric; the ingest
     output format (year,dem,rep,other) additionally drops the year column.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DomainError(not_utf8(path, exc)) from None
     if not lines:
         raise DomainError(f"{path}: no data rows")
     start = 0

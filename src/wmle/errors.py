@@ -71,3 +71,8 @@ class ConvergenceError(SolverError):
         super().__init__(message)
         self.last_eta = last_eta
         self.residual = residual
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for a file at ``path`` that is not UTF-8 text."""
+    return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"

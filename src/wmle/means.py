@@ -248,7 +248,10 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     else:
         up = orders[0] > 0
         ref = float(np.max(x) if up else np.min(x))
-        y = x / ref
+        # At a negative order, x / min(x) may overflow; the inf is moved to
+        # the power bound below.
+        with np.errstate(over="ignore"):
+            y = x / ref
         w = None if w is None else w / np.max(w)
         total[:] = x.size if w is None else np.add.reduce(w)
         shapes = orders

@@ -21,6 +21,15 @@ field may hold the delimiter or span lines.  A reject is numbered by the
 physical line its record starts on (the header is line 1), and its
 ``raw`` text is the record's source lines without the final line break.
 
+The rows of one load share their label objects: a per-call dict maps each
+field text to the first object parsed for its value, so the rows hold one
+object per distinct year, state and party rather than three per row, and
+``aggregate`` hashes strings whose hash is already cached.  The row loop
+makes no reference cycles, so the cyclic garbage collector is paused for
+it (if it was enabled) and restored after it, also when the load raises;
+each accepted row is a tracked tuple, and the collector's passes would
+otherwise walk the rows accepted so far again and again.
+
 Aggregation sums candidate votes per (year, party label), maps each
 distinct label to DEM/REP/OTHER once, and divides by the summed
 mapped-party votes of that year, so each row of the resulting matrix sums
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import io
 import itertools
 import logging
@@ -43,7 +53,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AggregationError, ConfigError, DomainError, SchemaError
+from .errors import AggregationError, ConfigError, DomainError, SchemaError, not_utf8
 from .expfam import WeightedDataset
 
 __all__ = [
@@ -88,17 +98,21 @@ class SchemaConfig:
         """Parse a small ``key=value`` config file (``#`` starts a comment)."""
         values = {}
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-                values[key] = value
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(not_utf8(path, exc)) from None
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in known:
+                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            values[key] = value
         for int_key in ("year_min", "year_max"):
             if int_key in values:
                 try:
@@ -183,30 +197,34 @@ def _parse_row(record: list[str], width: int, index: dict[str, int],
     )
 
 
-def _records(handle, delimiter: str, source: list[str]):
-    """Yield ``(start, fields)`` for each non-blank record after the header.
+class _Canonical(dict):
+    """Field text -> its parsed value, one object per distinct value.
 
-    ``start`` is the physical line the record starts on, the header being
-    line 1.  A line without ``"`` and no longer than csv's field limit is
-    one record, and ``str.split`` gives the fields ``csv.reader`` would.
-    From the first other line on, the rest of the file goes to one
-    ``csv.reader``; ``source`` then holds the lines of the record last
-    yielded (it stays empty before).  The reader yields ``[]`` for a blank
-    line, so each record starts on the line after the previous one ended.
+    A miss parses the text; the first object parsed for a value is stored
+    under the value itself too, and every later equal value maps to it.
     """
-    limit = csv.field_size_limit()
-    for start, line in enumerate(handle, 2):
-        if '"' in line or len(line) > limit:
-            break
-        text = line.rstrip("\r\n")
-        if text:
-            yield start, text.split(delimiter)
-    else:
-        return
-    first = start
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self.parse(text)
+        value = self[text] = self.setdefault(value, value)
+        return value
+
+
+def _csv_records(lines, first: int, delimiter: str, source: list[str]):
+    """Yield ``(start, fields)`` for each non-blank record ``csv.reader``
+    reads from ``lines``, whose first line is physical line ``first``.
+
+    ``source`` holds the lines of the record last yielded.  The reader
+    yields ``[]`` for a blank line, so each record starts on the line after
+    the previous one ended.
+    """
     # list.append returns None, so filterfalse passes on every line it records.
-    lines = itertools.filterfalse(source.append, itertools.chain((line,), handle))
-    reader = csv.reader(lines, delimiter=delimiter)
+    reader = csv.reader(itertools.filterfalse(source.append, lines), delimiter=delimiter)
+    start = first
     for record in reader:
         if record:
             yield start, record
@@ -218,55 +236,96 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
     """Parse a delimited returns file.
 
     The delimiter (comma or tab) is detected from the header line.  A
-    missing required column raises ``SchemaError``; an unreadable file
-    raises the underlying ``OSError``.  Rows violating the row invariants
-    (unparsable integers, negative votes, candidate votes above the race
-    total, year outside the configured range) are returned in
-    ``LoadResult.rejects`` with a reason.
+    missing required column or text that is not UTF-8 raises
+    ``SchemaError``; an unreadable file raises the underlying ``OSError``.
+    Rows violating the row invariants (unparsable integers, negative votes,
+    candidate votes above the race total, year outside the configured
+    range) are returned in ``LoadResult.rejects`` with a reason.
     """
     config = config or SchemaConfig()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header_line = handle.readline()
-        if header_line == "":
-            raise SchemaError(f"{path}: empty file, expected a header line")
-        delimiter = "\t" if "\t" in header_line else ","
-        header = next(csv.reader(io.StringIO(header_line), delimiter=delimiter))
-        header = [name.strip().lstrip("﻿") for name in header]
-        missing = [c for c in config.required_columns() if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {missing} in header {header}")
-        index = {name: header.index(name) for name in config.required_columns()}
-        width = len(header)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header_line = handle.readline()
+            if header_line == "":
+                raise SchemaError(f"{path}: empty file, expected a header line")
+            delimiter = "\t" if "\t" in header_line else ","
+            header = next(csv.reader(io.StringIO(header_line), delimiter=delimiter))
+            header = [name.strip().lstrip("\ufeff") for name in header]
+            missing = [c for c in config.required_columns() if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {missing} in header {header}")
+            index = {name: header.index(name) for name in config.required_columns()}
+            # The row loop makes no reference cycles, so pausing the collector
+            # defers only its passes over the rows accepted so far.
+            paused = gc.isenabled()
+            gc.disable()
+            try:
+                return _load_rows(handle, delimiter, len(header), index, config)
+            finally:
+                if paused:
+                    gc.enable()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(not_utf8(path, exc)) from None
 
-        # A record passing the inline accept test (_parse_row's checks; int()
-        # ignores surrounding whitespace itself) becomes a row at once.  Any
-        # other record goes to _parse_row, which alone decides whether it is
-        # a row and names the reason when it is not.
-        fields = operator.itemgetter(*(index[c] for c in config.required_columns()))
-        year_min, year_max = config.year_min, config.year_max
-        # tuple.__new__ builds the same ReturnsRow without a Python frame.
-        new_row = functools.partial(tuple.__new__, ReturnsRow)
-        rows: list[ReturnsRow] = []
-        rejects: list[RejectedRow] = []
-        source: list[str] = []
-        for line_number, record in _records(handle, delimiter, source):
+
+def _load_rows(handle, delimiter: str, width: int, index: dict[str, int],
+               config: SchemaConfig) -> LoadResult:
+    """The rows and rejects of the records after the header line."""
+    # A record passing the inline accept test (_parse_row's checks; int(),
+    # which parses a year text once per load, ignores surrounding whitespace
+    # itself) becomes a row at once.  Any other record goes to _parse_row,
+    # which alone decides whether it is a row and names the reason when it
+    # is not.
+    fields = operator.itemgetter(*(index[c] for c in config.required_columns()))
+    year_min, year_max = config.year_min, config.year_max
+    # tuple.__new__ builds the same ReturnsRow without a Python frame.
+    new_row = functools.partial(tuple.__new__, ReturnsRow)
+    years, labels = _Canonical(int), _Canonical(str.strip)
+    limit = csv.field_size_limit()
+    rows: list[ReturnsRow] = []
+    rejects: list[RejectedRow] = []
+    source: list[str] = []
+    # Lines are split with str.split until the first one holding a '"' or
+    # longer than csv's field limit; from there one csv.reader reads the
+    # rest, and the loop runs again over its records.
+    records = enumerate(handle, 2)
+    quoted = False
+    while True:
+        for line_number, record in records:
+            if not quoted:
+                if '"' in record or len(record) > limit:
+                    break
+                # The last field keeps the line break until the record fails
+                # the accept test: int() and the labels' strip() drop it.
+                line, record = record, record.split(delimiter)
             if len(record) == width:
                 year, state, party, candidate, total = fields(record)
                 try:
-                    year, candidate, total = int(year), int(candidate), int(total)
+                    year, candidate, total = years[year], int(candidate), int(total)
                 except ValueError:
                     pass
                 else:
                     if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
-                        rows.append(new_row((year, state.strip(), party.strip(), candidate, total)))
+                        rows.append(new_row((year, labels[state], labels[party], candidate, total)))
                         continue
+            if quoted:
+                raw = "".join(source[:-1]) + source[-1].rstrip("\r\n")
+            else:
+                raw = line.rstrip("\r\n")
+                if not raw:
+                    continue
+                record = raw.split(delimiter)
             try:
-                rows.append(_parse_row(record, width, index, config))
+                row = _parse_row(record, width, index, config)
             except ValueError as exc:
-                raw = ("".join(source[:-1]) + source[-1].rstrip("\r\n")
-                       if source else delimiter.join(record))
                 rejects.append(RejectedRow(line_number, str(exc), raw))
-    return LoadResult(rows=rows, rejects=rejects)
+            else:
+                rows.append(row._replace(year=years[row.year], state=labels[row.state],
+                                         party=labels[row.party]))
+        else:
+            return LoadResult(rows=rows, rejects=rejects)
+        records = _csv_records(itertools.chain((record,), handle), line_number, delimiter, source)
+        quoted = True
 
 
 @dataclass(frozen=True)
@@ -329,16 +388,19 @@ def aggregate(rows: list[ReturnsRow], party_mapping: Optional[dict] = None) -> P
     if not rows:
         raise AggregationError("no rows to aggregate")
 
-    # Sum per (year, party) first, then map each distinct label once.
+    # Sum per year and party first, then map each distinct label once.
     # Integer sums are exact, so the grouping order changes no proportion.
-    sums: dict[tuple[int, str], int] = {}
-    for row in rows:
-        key = (row.year, row.party)
-        sums[key] = sums.get(key, 0) + row.candidate_votes
+    sums: dict[int, dict[str, int]] = {}
+    for year, _, party, votes, _ in rows:
+        per_party = sums.get(year)
+        if per_party is None:
+            per_party = sums[year] = {}
+        per_party[party] = per_party.get(party, 0) + votes
     totals: dict[int, dict[str, int]] = {}
-    for (year, party), votes in sums.items():
-        per_year = totals.setdefault(year, dict.fromkeys(_BUCKETS, 0))
-        per_year[mapping.get(party, "OTHER")] += votes
+    for year, per_party in sums.items():
+        per_year = totals[year] = dict.fromkeys(_BUCKETS, 0)
+        for party, votes in per_party.items():
+            per_year[mapping.get(party, "OTHER")] += votes
 
     years = sorted(totals)
     values = np.empty((len(years), 3))

@@ -223,6 +223,13 @@ class TestFitCommand:
         assert code == 0
         assert "scale:" in out
 
+    def test_non_utf8_data_file_exits_2(self, capsys, tmp_path):
+        data_path = tmp_path / "cols.csv"
+        data_path.write_bytes(b"dem,r\xe9p\n0.5,1.0\n")
+        code, _, err = run_cli(capsys, "fit", "--data", str(data_path))
+        assert code == 2
+        assert f"{data_path}: not UTF-8 text" in err
+
     def test_numeric_error_exits_2(self, capsys):
         # Lehmer weights at order 0 on values more than exp(600) apart.
         code, _, err = run_cli(capsys, "fit", "--policy", "lehmer", "--beta", "0", "1e-300", "1e300")
@@ -819,6 +826,22 @@ class TestIngestCommand:
             capsys, "ingest", "--data", synthetic_returns_csv, "--config", str(config)
         )
         assert code == 2
+
+    def test_non_utf8_returns_file_exits_2(self, capsys, tmp_path):
+        returns = tmp_path / "returns.csv"
+        returns.write_bytes(SCHEMA_HEADER.encode() + b"\n1976,AZ,D\xe9MOCRAT,60,100\n")
+        code, _, err = run_cli(capsys, "ingest", "--data", str(returns))
+        assert code == 2
+        assert f"{returns}: not UTF-8 text" in err
+
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path, synthetic_returns_csv):
+        config = tmp_path / "schema.cfg"
+        config.write_bytes(b"# r\xe9sum\xe9\nyear_min=1976\n")
+        code, _, err = run_cli(
+            capsys, "ingest", "--data", synthetic_returns_csv, "--config", str(config)
+        )
+        assert code == 2
+        assert f"{config}: not UTF-8 text" in err
 
     def test_custom_schema_config(self, capsys, tmp_path):
         returns = tmp_path / "r.csv"

@@ -112,6 +112,13 @@ class TestHolderMean:
         with pytest.raises(DomainError):
             holder_mean(math.nan, [1.0, 2.0])
 
+    def test_negative_order_over_an_overflowing_value_ratio(self):
+        # 1e300 / 1e-300 overflows to inf, which the power bound replaces,
+        # without a numpy overflow warning (an error under this suite).
+        values, weights = [1e-300, 1e300], [1.0, 2.0]
+        assert ulps_off(holder_mean(-1.0, values, weights),
+                        holder_oracle(-1, values, weights)) <= 4
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(-500, 500).filter(bool),
            st.lists(st.tuples(st.floats(math.log(1e-3), math.log(1e3)), st.integers(1, 5)),

@@ -1,6 +1,7 @@
 """Tests for returns ingestion and per-cycle aggregation."""
 
 import csv
+import gc
 import io
 import logging
 import random
@@ -23,7 +24,7 @@ from wmle import (
 from wmle import pipeline
 from wmle.pipeline import ProportionMatrix, ReturnsRow, SchemaConfig
 
-from conftest import SCHEMA_HEADER
+from conftest import SCHEMA_HEADER, write_synthetic_returns
 
 
 def write_file(path, text):
@@ -371,6 +372,85 @@ class TestSplitPathMatchesWholeFileReader:
                 load_returns(path)
         finally:
             csv.field_size_limit(limit)
+
+
+def _four_ways(tmp_path):
+    """The synthetic returns, plus malformed records and one row only
+    ``_parse_row`` accepts, written with LF and CRLF line breaks, with
+    every field quoted, and with the first ``"`` halfway down."""
+    write_synthetic_returns(tmp_path / "synthetic.csv")
+    with open(tmp_path / "synthetic.csv", encoding="utf-8", newline="") as handle:
+        lines = handle.read().rstrip("\n").split("\n")
+    lines[5:5] = ["1976,AZ,DEMOCRAT,x,100", "2022,AZ,DEMOCRAT,1,100", "\x1c1976,AZ,GREEN,1,100"]
+    lines[400:400] = ["1990,OH,DEMOCRAT,5", "1990,OH,DEMOCRAT,-5,100", "", "1990,OH,REPUBLICAN,9,8"]
+    records = [line.split(",") if line else [] for line in lines]
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(records)
+    middle = len(lines) // 2
+    halfway = lines[:middle] + ['"{}",{}'.format(*lines[middle].split(",", 1))] + lines[middle + 1:]
+    texts = {
+        "lf": "\n".join(lines) + "\n",
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "quoted": quoted.getvalue(),
+        "halfway": "\n".join(halfway) + "\n",
+    }
+    return {name: write_file(tmp_path / f"{name}.csv", text) for name, text in texts.items()}
+
+
+class TestBothRecordSourcesAgree:
+    def test_four_spellings_of_one_file_load_alike(self, tmp_path):
+        loads = {name: load_returns(path) for name, path in _four_ways(tmp_path).items()}
+        lf = loads.pop("lf")
+        assert len(lf.rows) == 556 + 1
+        assert [(r.line_number, r.reason) for r in lf.rejects] == [
+            (6, "invalid integer for candidatevotes: 'x'"),
+            (7, "year 2022 outside configured range 1976-2020"),
+            (401, "expected 5 fields, got 4"),
+            (402, "negative candidatevotes -5"),
+            (404, "candidatevotes 9 exceeds totalvotes 8"),
+        ]
+        for name, other in loads.items():
+            assert other.rows == lf.rows, name
+            assert ([(r.line_number, r.reason) for r in other.rejects]
+                    == [(r.line_number, r.reason) for r in lf.rejects]), name
+            assert aggregate(other.rows).to_csv() == aggregate(lf.rows).to_csv(), name
+
+    def test_equal_labels_within_one_load_are_one_object(self, tmp_path):
+        for name, path in _four_ways(tmp_path).items():
+            rows = load_returns(path).rows
+            for field in ("year", "state", "party"):
+                values = [getattr(row, field) for row in rows]
+                assert len({id(v) for v in values}) == len(set(values)), (name, field)
+            # rows[4] is the row only _parse_row accepts.
+            assert rows[4].party == "GREEN"
+            assert rows[4].year is rows[0].year and rows[4].state is rows[0].state
+
+
+@pytest.fixture
+def collector():
+    """Sets the collector's state for one test and restores it after."""
+    before = gc.isenabled()
+    yield lambda enabled: (gc.enable if enabled else gc.disable)()
+    (gc.enable if before else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, synthetic_returns_csv, collector, enabled):
+        collector(enabled)
+        load_returns(synthetic_returns_csv)
+        assert gc.isenabled() is enabled
+
+    def test_collector_state_is_restored_when_the_load_raises(self, tmp_path, collector):
+        # The bad byte lies past the first 8 KiB read, so decoding fails
+        # inside the row loop.
+        path = tmp_path / "r.csv"
+        path.write_bytes((SCHEMA_HEADER + "\n" + "1976,AZ,DEMOCRAT,40,100\n" * 2000).encode()
+                         + b"1976,AZ,D\xe9MOCRAT,40,100\n")
+        collector(True)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_returns(path)
+        assert gc.isenabled()
 
 
 class TestAggregate:
