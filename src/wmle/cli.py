@@ -116,16 +116,18 @@ class SweepTable:
         rows = []
         gaps = {}
         for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) != 4:
-                raise SchemaError(f"malformed sweep row: {line!r}")
-            order = float(cells[0])
+            # A wrong number of cells fails the unpacking, a bad cell float().
+            try:
+                first, dem, rep, other = line.split(",")
+                order = float(first)
+                if "" in (dem.strip(), rep.strip(), other.strip()):
+                    rows.append([math.nan] * 3)
+                    gaps[order] = "gap"
+                else:
+                    rows.append([float(dem), float(rep), float(other)])
+            except ValueError:
+                raise SchemaError(f"malformed sweep row: {line!r}") from None
             orders.append(order)
-            if any(cell.strip() == "" for cell in cells[1:]):
-                rows.append([math.nan] * 3)
-                gaps[order] = "gap"
-            else:
-                rows.append([float(c) for c in cells[1:]])
         return cls(
             parameter=parameter,
             orders=np.asarray(orders, dtype=float),
@@ -149,7 +151,7 @@ def validate_sweep_table(table: SweepTable) -> None:
         raise DomainError("sweep grid must be strictly ascending")
     good = np.all(np.isfinite(table.estimates), axis=1)
     rows = table.estimates[good]
-    if rows.size and (not np.all(np.isfinite(rows)) or np.any(rows <= 0)):
+    if np.any(rows <= 0):
         raise DomainError("sweep estimates must be finite and positive")
     for col in range(rows.shape[1] if rows.size else 0):
         column = rows[:, col]
@@ -169,10 +171,10 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
     policy of that order; ``holder`` fits Weibull components whose common
     shape is the order itself under unit weights.  Every order is estimated
     in one batched array pass that takes the same floating-point steps as
-    ``mwle.fit``; ``fit`` itself runs only at the orders where that pass
-    sees one of its checks fail, and either returns the estimate or raises
-    the solver, domain or numeric error that is recorded as the gap.  The
-    sweep continues past gaps.
+    ``mwle.fit``; ``fit`` itself runs only at the orders where that pass's
+    sums are inaccurate or an estimate is not finite and positive, and
+    either returns the estimate or raises the solver, domain or numeric
+    error that is recorded as the gap.  The sweep continues past gaps.
     """
     if mode not in ("lehmer", "holder"):
         raise ConfigError(f"sweep mode must be 'lehmer' or 'holder', got {mode!r}")
@@ -343,18 +345,11 @@ def _cmd_fit(args) -> int:
 
     if args.format == "csv":
         lines = ["key,value"]
-        for j, v in enumerate(result.theta_hat, start=1):
-            lines.append(f"theta_{j},{repr(float(v))}")
-        for j, v in enumerate(result.eta_hat, start=1):
-            lines.append(f"eta_{j},{repr(float(v))}")
-        for j, v in enumerate(result.target, start=1):
-            lines.append(f"target_{j},{repr(float(v))}")
-        for j, v in enumerate(result.scale, start=1):
-            lines.append(f"scale_{j},{repr(float(v))}")
-        lines.append(f"iterations,{diag.iterations}")
-        lines.append(f"residual_norm,{repr(diag.residual_norm)}")
-        lines.append(f"hessian_smallest,{repr(diag.hessian_smallest)}")
-        lines.append(f"hessian_largest,{repr(diag.hessian_largest)}")
+        for key, values in (("theta", result.theta_hat), ("eta", result.eta_hat),
+                            ("target", result.target), ("scale", result.scale)):
+            lines += [f"{key}_{j},{float(v)!r}" for j, v in enumerate(values, start=1)]
+        for key in ("iterations", "residual_norm", "hessian_smallest", "hessian_largest"):
+            lines.append(f"{key},{getattr(diag, key)!r}")
         minimal = "" if diag.minimality is None else str(diag.minimality.minimal).lower()
         lines.append(f"minimal,{minimal}")
         print("\n".join(lines))

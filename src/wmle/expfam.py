@@ -565,20 +565,18 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     either way.
     """
     eta = _check_eta(model, eta)
-    if x_sample is not None:
-        xs = np.atleast_2d(np.asarray(x_sample, dtype=float))
-    else:
-        if model.sampler is None:
-            raise ConfigError(
-                f"model {model.name} has no sampler; pass a representative x_sample"
-            )
-        rng = np.random.default_rng(seed)
-        xs = model.sampler(eta, int(n_samples), rng)
-    if xs.shape[0] < model.dim_eta + 1:
+    if x_sample is None and model.sampler is None:
+        raise ConfigError(f"model {model.name} has no sampler; pass a representative x_sample")
+    xs = None if x_sample is None else np.atleast_2d(np.asarray(x_sample, dtype=float))
+    # Checked before sampling: numpy rejects a negative count with a bare ValueError.
+    count = int(n_samples) if xs is None else xs.shape[0]
+    if count < model.dim_eta + 1:
         raise DomainError(
             f"need at least q+1={model.dim_eta + 1} samples to estimate a rank-q covariance, "
-            f"got {xs.shape[0]}"
+            f"got {count}"
         )
+    if xs is None:
+        xs = model.sampler(eta, count, np.random.default_rng(seed))
     stats = model.sufficient_stat(xs)
     cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
     eigenvalues, eigenvectors = np.linalg.eigh(cov)

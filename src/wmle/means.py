@@ -224,8 +224,8 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     the orders are finite, the Holder ones nonzero and of one sign, and are
     taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``.
     Base weights ``w`` need a one-row ``out``.  Returns, per order, the
-    moment target, the total weight, the Weibull closed-form estimate and
-    whether the shifted sums are accurate.  Lehmer: weights ``u`` from
+    moment target, the Weibull closed-form estimate and whether the shifted
+    sums are accurate.  Lehmer: weights ``u`` from
     :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)`` (the mean),
     estimate ``(1/target) ** -1``.  Holder of order ``k``: ``y = x / x_r``,
     ``x_r`` the value with the largest term, moved to :func:`_power_bound`,
@@ -280,16 +280,18 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         ok = ~_moved_terms_show(target, orders, x, ref)
     with np.errstate(divide="ignore", over="ignore"):
         estimate = ref * np.power(1.0 / target, -1.0 / shapes)
-    return target, total, estimate, ok
+    return target, estimate, ok
 
 
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:
-    """Generalized f-mean: ``f_inverse(mean(f(x)))`` for increasing ``f``.
+    """Generalized f-mean: ``f_inverse(sum(w * f(x)) / sum(w))`` for increasing ``f``.
 
-    ``f`` must be continuous and increasing on the data's range with
-    ``f_inverse`` its inverse there; this is assumed, not checked.  Raises
-    ``DomainError`` on an empty sample and ``NumericError`` when ``f`` or
-    ``f_inverse`` fails to produce a finite number.
+    ``values`` may be a weighted :class:`Sample`; plain values have unit
+    weights, whose products and sum are exact.  ``f`` must be continuous and
+    increasing on the data's range with ``f_inverse`` its inverse there;
+    this is assumed, not checked.  Raises ``DomainError`` on an empty
+    sample and ``NumericError`` when ``f`` or ``f_inverse`` fails to
+    produce a finite number or the weighted sum of ``f(x)`` overflows.
     """
     sample = _coerce(values, None)
     transformed = []
@@ -301,7 +303,12 @@ def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], val
         if not math.isfinite(y):
             raise NumericError(f"f({v}) evaluated to a non-finite value")
         transformed.append(y)
-    mean = math.fsum(transformed) / len(transformed)
+    # Relative to the largest weight no product overflows; unit weights stay exact.
+    weights = (sample.weights / np.max(sample.weights)).tolist()
+    try:
+        mean = math.fsum(w * y for w, y in zip(weights, transformed)) / math.fsum(weights)
+    except OverflowError as exc:
+        raise NumericError(f"the weighted sum of f(x) overflows: {exc}") from exc
     try:
         result = float(f_inverse(mean))
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -340,7 +347,7 @@ def holder_mean(alpha, values, weights=None) -> float:
         return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
     if np.max(x) == 0.0:  # only for a > 0
         return 0.0
-    _, _, estimate, ok = _column_means("holder", x, np.array([a]), np.empty((1, x.size)), w)
+    _, estimate, ok = _column_means("holder", x, np.array([a]), np.empty((1, x.size)), w)
     if not ok[0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(estimate[0])
@@ -373,7 +380,7 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    target, _, _, ok = _column_means("lehmer", x, np.array([a]), np.empty((1, x.size)), w)
+    target, _, ok = _column_means("lehmer", x, np.array([a]), np.empty((1, x.size)), w)
     if not ok[0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
     return float(target[0])

@@ -376,8 +376,9 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
     :func:`means._column_means`: for ``kind="lehmer"`` under the unit-shape
     Weibull model and the Lehmer policy of that order, for ``kind="holder"``
     under the Weibull model of that shape and unit weights.  ``ok[g]`` is
-    True only where every check ``fit`` makes on this path passes; elsewhere
-    the row is NaN and ``fit`` itself raises the error or returns the estimate.
+    True where the kernel's sums are accurate and every estimate is finite
+    and positive; elsewhere the row is NaN and ``fit`` itself raises the
+    error or returns the estimate.
     """
     obs = np.asarray(observations, dtype=float)
     orders = np.asarray(orders, dtype=float).reshape(-1)
@@ -390,17 +391,8 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
     out = np.empty((min(rows.size, max(1, _SWEEP_BLOCK_ELEMENTS // n)), n))
     with np.errstate(all="ignore"):
         columns = [_column_means(kind, obs[:, j], orders[rows], out) for j in range(k)]
-        target, total, estimate, good = (np.array(c) for c in zip(*columns))  # (k, G)
-        eta = -1.0 / target
-        inverse_square = 1.0 / eta**2
-        curvature = -total * (0.5 * (inverse_square + inverse_square))
-        good = np.all(
-            good
-            & (0 < target) & (target < np.inf)  # target checks and mean_map_inverse
-            & (-np.inf < eta) & (eta < 0)  # natural_domain
-            & (-np.inf < curvature) & (curvature < 0),  # eigvalsh and the flatness rule
-            axis=0,
-        )
+    _, estimate, good = (np.array(c) for c in zip(*columns))  # (k, G)
+    good = np.all(good & (0 < estimate) & (estimate < np.inf), axis=0)
     theta[rows] = np.where(good[:, None], estimate.T, np.nan)
     ok[rows] = good
     return theta, ok

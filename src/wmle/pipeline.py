@@ -364,11 +364,13 @@ class ProportionMatrix:
         years = []
         rows = []
         for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) != 4:
-                raise SchemaError(f"malformed proportion row: {line!r}")
-            years.append(int(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
+            # A wrong number of cells fails the unpacking, a bad cell int() or float().
+            try:
+                year, dem, rep, other = line.split(",")
+                years.append(int(year))
+                rows.append([float(dem), float(rep), float(other)])
+            except ValueError:
+                raise SchemaError(f"malformed proportion row: {line!r}") from None
         return cls(years=tuple(years), values=np.asarray(rows, dtype=float))
 
 

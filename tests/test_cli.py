@@ -19,6 +19,7 @@ from wmle import (
     DomainError,
     NoSolutionError,
     NumericError,
+    SchemaError,
     SolverError,
     WeightPolicy,
     fit,
@@ -317,6 +318,12 @@ class TestSweepCommand:
         assert np.all(table.estimates[:, 1] > table.estimates[:, 2])
         assert np.all(np.diff(table.estimates, axis=0) >= -1e-12)
 
+    @pytest.mark.parametrize("row", ["abc,1,2,3", "1.5,1,x,3", "1.5,1,2"])
+    def test_malformed_sweep_row_is_a_schema_error(self, row):
+        text = SweepTable("", np.array([1.0]), np.ones((1, 3))).to_csv() + row + "\n"
+        with pytest.raises(SchemaError, match="malformed sweep row"):
+            SweepTable.from_csv(text)
+
     def test_lehmer_and_holder_agree_at_order_one(self, capsys, tmp_path, synthetic_returns_csv):
         paths = {}
         for mode, grid in (("lehmer", "-1:2:0.5"), ("holder", "0.5:2:0.5")):
@@ -471,6 +478,13 @@ def beyond_the_weight_range():
     return ProportionMatrix(years=tuple(range(7)), values=values)
 
 
+def extreme_magnitudes():
+    """A 3-by-3 matrix whose first column's Lehmer means are near 1e200, where
+    fit's curvature overflows to -inf and fit warns of a flat maximum."""
+    return ProportionMatrix(years=(1, 2, 3), values=np.array(
+        [[1e200, 0.5, 0.25], [3e200, 0.25, 0.5], [2e200, 0.25, 0.25]]))
+
+
 def per_point_sweep(matrix, mode, grid):
     """The sweep as one ``fit`` per grid order, validated like ``run_sweep``:
     the reference the batched pass must reproduce."""
@@ -573,6 +587,9 @@ class TestBatchedSweep:
         # Extreme orders no longer fail, so they need no fit either.
         assert run_sweep(matrix, "lehmer", parse_grid("-600:600:50")).gaps == {}
         assert run_sweep(matrix, "holder", parse_grid("100:900:50")).gaps == {}
+        # The batched pass takes the kernel's estimates even where fit's
+        # curvature overflows.
+        assert run_sweep(extreme_magnitudes(), "lehmer", parse_grid("-3:4:0.1")).gaps == {}
         assert fitted == []
         table = run_sweep(beyond_the_weight_range(), "lehmer", parse_grid("-3:4:0.25"))
         assert table.gaps
@@ -597,7 +614,12 @@ class TestBatchedSweep:
             # Unscaled, this curvature was -inf.
             result = fit(weibull_model([60.0]), [1e-3, 0.5, 10, 1e3], WeightPolicy.holder())
             assert math.isfinite(result.diagnostics.hessian_smallest)
+            # fit's curvature at Lehmer means near 1e200 overflows to -inf,
+            # and fit warns of a flat maximum; the sweep does not fit there.
+            grid = parse_grid("-3:4:0.1")
+            extreme = run_sweep(extreme_magnitudes(), "lehmer", grid)
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert_same_sweep(extreme, per_point_sweep(extreme_magnitudes(), "lehmer", grid))
 
 
 class TestLineChart:

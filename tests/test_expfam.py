@@ -377,8 +377,9 @@ class TestCheckMinimality:
 
     def test_too_few_samples_rejected(self):
         model = weibull_model([1.0, 2.0])
-        with pytest.raises(DomainError):
-            check_minimality(model, model.nat_param(np.array([1.0, 1.0])), n_samples=2)
+        for n in (2, -3):  # numpy's sampler would reject -3 with a bare ValueError
+            with pytest.raises(DomainError, match=rf"need at least q\+1=3 samples .* got {n}"):
+                check_minimality(model, model.nat_param(np.array([1.0, 1.0])), n_samples=n)
 
     def test_explicit_sample_without_sampler(self):
         model = dataclasses.replace(exponential_model(), sampler=None)

@@ -69,6 +69,19 @@ class TestFMean:
             got = f_mean(math.log, math.exp, values)
             assert values.min() - 1e-12 <= got <= values.max() + 1e-12
 
+    def test_weighted_sample_is_the_weighted_geometric_mean(self):
+        assert f_mean(math.log, math.exp, Sample([1.0, 2.0], [1.0, 3.0])) == pytest.approx(
+            2.0**0.75, rel=4e-16)
+        # Only the ratios of the weights count, however large they are.
+        assert f_mean(math.log, math.exp, Sample([1e-10, 10.0], [1e308, 1e308])) == pytest.approx(
+            10.0**-4.5, rel=4e-16)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            values, weights = random_positive_sample(rng)
+            got = f_mean(math.log, math.exp, Sample(values, weights))
+            want = holder_mean(0.0, values, weights)
+            assert abs(got - want) <= 4 * math.ulp(want)
+
     def test_empty_sample_domain_error(self):
         with pytest.raises(DomainError):
             f_mean(lambda v: v, lambda v: v, [])
@@ -76,6 +89,9 @@ class TestFMean:
     def test_nonfinite_transform_numeric_error(self):
         with pytest.raises(NumericError):
             f_mean(math.log, math.exp, [0.0, 1.0])
+        # math.fsum raises OverflowError on an intermediate overflow.
+        with pytest.raises(NumericError, match="overflows"):
+            f_mean(lambda v: v, lambda v: v, [1e308, 1e308])
 
 
 class TestHolderMean:

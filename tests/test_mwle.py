@@ -611,6 +611,11 @@ class TestFit:
         with pytest.raises(NumericError, match=r"curvature of weibull\(k=\[1\.0,1\.0\]\) .* not finite"):
             fit(model, [[1e200, 1.0], [3e200, 2.0]], WeightPolicy.holder(), minimality_samples=0)
 
+    def test_negative_minimality_sample_count_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"need at least q\+1=4 samples .* got -1"):
+            fit(weibull_model(np.ones(3)), np.ones((4, 3)), WeightPolicy.holder(),
+                minimality_samples=-1)
+
     def test_newton_and_closed_form_paths_agree(self):
         rng = np.random.default_rng(48)
         for _ in range(40):

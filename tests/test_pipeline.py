@@ -570,6 +570,11 @@ class TestProportionMatrix:
         with pytest.raises(DomainError):
             ProportionMatrix(years=(1976,), values=np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("row", ["19x6,0.5,0.4,0.1", "1976,0.5,abc,0.1", "1976,0.5,0.4"])
+    def test_malformed_row_is_a_schema_error(self, row):
+        with pytest.raises(SchemaError, match="malformed proportion row"):
+            ProportionMatrix.from_csv(f"year,dem,rep,other\n1974,0.5,0.4,0.1\n{row}\n")
+
 
 class TestToWeightedDataset:
     def test_unit_weights(self, synthetic_returns_csv):
