@@ -145,14 +145,12 @@ class WeightedDataset:
     observations: np.ndarray
     weights: Optional[np.ndarray] = None
     total_weight: float = field(init=False)
-    unit_weights: bool = field(init=False, repr=False)
     _: KW_ONLY
     _validated: InitVar[bool] = False
 
     def __post_init__(self, _validated):
         obs = self.observations if _validated else _observation_matrix(self.observations)
-        unit = self.weights is None
-        if unit:
+        if self.weights is None:
             w = np.broadcast_to(1.0, obs.shape[:1])  # read-only ones, no memory
         elif _validated:
             w = self.weights
@@ -166,10 +164,8 @@ class WeightedDataset:
                 raise DomainError("observation weights must be positive and finite")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "unit_weights", unit)
         with np.errstate(over="ignore"):
-            total = float(obs.shape[0]) if unit else float(np.add.reduce(w))
-        object.__setattr__(self, "total_weight", total)
+            object.__setattr__(self, "total_weight", float(np.add.reduce(w)))
 
     @property
     def n(self) -> int:
@@ -261,21 +257,12 @@ def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
     pairwise sum for a non-negative statistic (relative error 2.9e-16 at
     n = 1e6), ``math.fsum`` for one with negative entries.  An overflow in
     the statistic or its sums gives a non-finite target, which the solver
-    reports as a ``DomainError``.  The identity statistic (``stat_powers``
-    all 1) is the observations themselves and unit weights are not
-    multiplied in: ``x ** 1.0`` and ``1.0 * t`` are exact, so skipping them
-    changes no bit.
+    reports as a ``DomainError``.
     """
-    total = data.total_weight
-    obs = data.observations
-    powers = model.stat_powers
-    identity = powers is not None and powers.size == obs.shape[1] and bool(np.all(powers == 1.0))
     with np.errstate(over="ignore"):
-        stats = obs if identity else model.sufficient_stat(obs)
-        return np.array([
-            _sum(stats[:, j] if data.unit_weights else data.weights * stats[:, j]) / total
-            for j in range(stats.shape[1])
-        ])
+        stats = model.sufficient_stat(data.observations)
+        return np.array([_sum(data.weights * stats[:, j]) / data.total_weight
+                         for j in range(stats.shape[1])])
 
 
 def grad_log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> np.ndarray:
@@ -562,7 +549,8 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     along its own axis, only where its sampled statistic is constant (a
     zero sample variance, tested without the rounding of the variance
     itself).  The reported eigenvalues are those of the whole covariance
-    either way.
+    either way.  A sampled statistic that is not finite, as when the
+    sampler overflows, raises ``NumericError``: it supports no verdict.
     """
     eta = _check_eta(model, eta)
     if x_sample is None and model.sampler is None:
@@ -575,9 +563,12 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
             f"need at least q+1={model.dim_eta + 1} samples to estimate a rank-q covariance, "
             f"got {count}"
         )
-    if xs is None:
-        xs = model.sampler(eta, count, np.random.default_rng(seed))
-    stats = model.sufficient_stat(xs)
+    with np.errstate(all="ignore"):
+        if xs is None:
+            xs = model.sampler(eta, count, np.random.default_rng(seed))
+        stats = model.sufficient_stat(xs)
+    if not np.all(np.isfinite(stats)):
+        raise NumericError(f"the sampled statistic of {model.name} is not finite at eta={eta.tolist()}")
     cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     smallest = float(eigenvalues[0])

@@ -4,12 +4,12 @@ Every power sum is taken relative to its largest term, which is then
 exactly 1, so orders as extreme as ``alpha = +/-500`` on data spanning
 several decades stay finite instead of overflowing (Blanchard, Higham &
 Higham, IMA J. Numer. Anal. 2021).  That arithmetic lives in
-:func:`_column_means`, which :func:`lehmer_mean`, :func:`holder_mean` and
-the batched sweep of :mod:`wmle.mwle` call; :func:`wmle.mwle.fit` builds
-its Lehmer weights and its scaled Holder columns with the same helpers.
-``holder_mean`` equals the Weibull MWLE to the bit.  ``lehmer_mean`` is the
-moment target the unit-shape Weibull MWLE inverts, and that estimate,
-``(-eta) ** -1`` at ``eta = -1/target``, may differ from it in the last bit.
+:func:`_column_means`, which :func:`lehmer_mean`, :func:`holder_mean`,
+the batched sweep of :mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull
+columns all call.  ``holder_mean`` equals the Weibull MWLE to the bit.
+``lehmer_mean`` is the moment target the unit-shape Weibull MWLE inverts,
+and that estimate, ``(-eta) ** -1`` at ``eta = -1/target``, may differ
+from it in the last bit.
 
 Orders are plain floats.  ``float('inf')`` and ``float('-inf')`` are
 accepted as explicit sentinels and return the sample maximum or minimum;
@@ -194,65 +194,46 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
     )
 
 
-def _moved_terms_show(target, orders, x, ref: float) -> np.ndarray:
-    """Per order, whether terms moved to the power bound could show in the Holder
-    target of ``x / ref`` under weights whose largest is 1 (unit weights cannot)."""
-    show = (0 < target) & (target < _MOVED_TERMS_TARGET_MIN)
-    if show.any():
-        bounds = _power_bound(orders)
-        show &= np.where(orders > 0, np.min(x) / ref < bounds, np.max(x) / ref > bounds)
-    return show
-
-
-def _scaled_column(col: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(y, c)``: ``col / c``, ``c`` its largest value, moved up to the power
-    bound of ``powers[0]``, as an ``(n, 1)`` matrix.  An all-zero column stays
-    as it is with ``c = 1``; its target, 0, is the solver's to reject."""
-    c = float(np.maximum.reduce(col))
-    if c == 0.0:
-        return col[:, None], 1.0
-    y = col / c
-    np.maximum(y, _power_bound(powers)[0], out=y)
-    return y[:, None], c
-
-
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
                   w: np.ndarray | None = None):
     """Lehmer or Holder means of one column at many orders, as shifted sums.
 
-    ``x`` is positive for the Lehmer kind and for negative Holder orders;
-    the orders are finite, the Holder ones nonzero and of one sign, and are
-    taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``.
-    Base weights ``w`` need a one-row ``out``.  Returns, per order, the
-    moment target, the Weibull closed-form estimate and whether the shifted
-    sums are accurate.  Lehmer: weights ``u`` from
-    :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)`` (the mean),
-    estimate ``(1/target) ** -1``.  Holder of order ``k``: ``y = x / x_r``,
-    ``x_r`` the value with the largest term, moved to :func:`_power_bound`,
-    weights over their largest, target ``sum(w * y**k) / sum(w)``, estimate
-    ``x_r * (1/target) ** (-1/k)``.  Each estimate is the ``theta_hat`` of
-    :func:`wmle.mwle.fit` to the bit: a sum is one row of a C-order buffer
-    reduced along its last axis, which numpy sums pairwise like fit's 1-D
-    sums, and the estimate's power takes an exponent per order, laid out
-    like fit's one per component.
+    ``x`` is non-negative, and positive for negative Holder orders; the
+    orders are finite, the Holder ones nonzero and of one sign, and are
+    taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``;
+    base weights ``w`` need ``B == 1``.  Returns per order the moment
+    target, the total weight, the Weibull closed-form estimate and whether
+    the sums are accurate, then the reference ``x_r``.  Lehmer: weights
+    ``u`` from :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)``,
+    estimate ``(1/target) ** -1``, ``x_r = 1``; a zero value (log ``-inf``)
+    leaves no order accurate.  Holder of order ``k``: ``y = x / x_r``, ``x_r``
+    the value with the largest term (0, giving NaN, for an all-zero column),
+    moved to :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under
+    weights over their largest, estimate ``x_r * (1/target) ** (-1/k)``.
+    :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is the
+    estimate to the bit: the sums are rows of a C-order buffer, which numpy
+    reduces pairwise like a 1-D array, and the power takes an exponent per
+    order, laid out like fit's one per component.
     """
     target, total = np.empty((2, orders.size))
     ok = np.ones(orders.size, dtype=bool)
-    if w is not None and np.min(w) == np.max(w):
+    if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
         w = None  # equal weights cancel
+    single = orders.size == 1  # x is then read into out, where its terms replace it
     if kind == "lehmer":
-        log_x = np.log(x)
-        extremes = float(np.min(log_x)), float(np.max(log_x))
+        log_x = np.log(x, out=out[0] if single else None)
+        extremes = float(np.minimum.reduce(log_x)), float(np.maximum.reduce(log_x))
         log_w = None if w is None else np.log(w)
         ref, shapes = 1.0, np.ones(orders.size)
     else:
         up = orders[0] > 0
-        ref = float(np.max(x) if up else np.min(x))
+        ref = float((np.maximum if up else np.minimum).reduce(x))
         # At a negative order, x / min(x) may overflow; the inf is moved to
-        # the power bound below.
-        with np.errstate(over="ignore"):
-            y = x / ref
-        w = None if w is None else w / np.max(w)
+        # the power bound below.  An all-zero column gives 0 / 0, NaN.  As a
+        # (1, n) view y matches a one-row out, which numpy updates in place.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.divide(x[None, :], ref, out=out[:1] if single else None)
+        w = None if w is None else w / np.maximum.reduce(w)
         total[:] = x.size if w is None else np.add.reduce(w)
         shapes = orders
     for lo in range(0, orders.size, out.shape[0]):
@@ -260,7 +241,8 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         rows = out[: block.size]
         part = slice(lo, lo + block.size)
         if kind == "lehmer":
-            ok[part] = _lehmer_weights(log_x, *extremes, block, rows, log_w)
+            ok[part] = (_lehmer_weights(log_x, *extremes, block, rows, log_w)
+                        & (extremes[0] > -np.inf))
             total[part] = np.add.reduce(rows, axis=1)
             rows *= x
         else:
@@ -269,18 +251,24 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
             np.power(rows, block[:, None], out=rows)
             # numpy's power swaps in a square root or a square, which can differ
             # in the last bit, for an exponent of 0.5 or 2 repeated along a 1-D
-            # loop.  fit and a single order raise a column in such a loop, a
-            # block of orders is not one, so those rows are raised one at a time.
-            for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
-                rows[g] = np.power(np.maximum(y, bounds[g]), block[g])
+            # loop.  A one-row block is such a loop (its exponent has stride 0);
+            # in a larger block those rows are raised again one at a time.
+            if block.size > 1:
+                for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
+                    rows[g] = np.power(np.maximum(y[0], bounds[g]), block[g])
             if w is not None:
                 rows *= w
         target[part] = np.add.reduce(rows, axis=1) / total[part]
     if kind == "holder" and w is not None:
-        ok = ~_moved_terms_show(target, orders, x, ref)
+        # Terms moved to the power bound may show in a target this small, if
+        # any value was moved (under unit weights the target is at least 1/n).
+        ok = ~((0 < target) & (target < _MOVED_TERMS_TARGET_MIN))
+        if not ok.all():
+            far = (np.minimum if up else np.maximum).reduce(x) / ref
+            ok |= far >= _power_bound(orders) if up else far <= _power_bound(orders)
     with np.errstate(divide="ignore", over="ignore"):
         estimate = ref * np.power(1.0 / target, -1.0 / shapes)
-    return target, estimate, ok
+    return target, total, estimate, ok, ref
 
 
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:
@@ -347,7 +335,7 @@ def holder_mean(alpha, values, weights=None) -> float:
         return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
     if np.max(x) == 0.0:  # only for a > 0
         return 0.0
-    _, estimate, ok = _column_means("holder", x, np.array([a]), np.empty((1, x.size)), w)
+    _, _, estimate, ok, _ = _column_means("holder", x, np.array([a]), np.empty((1, x.size)), w)
     if not ok[0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(estimate[0])
@@ -380,7 +368,7 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    target, _, ok = _column_means("lehmer", x, np.array([a]), np.empty((1, x.size)), w)
+    target, _, _, ok, _ = _column_means("lehmer", x, np.array([a]), np.empty((1, x.size)), w)
     if not ok[0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
     return float(target[0])

@@ -8,23 +8,19 @@ parameter-free weights ``u`` of the weighted likelihood:
   weight column per component.
 
 Scaling a weight column by a positive constant does not move the
-maximizer, so :func:`apply_policy` returns each weight column relative to
-its largest weight, the one form :func:`fit` takes.
-
+maximizer, so every weight column is taken relative to its largest weight.
 :func:`fit` then solves the critical-point equation: the weighted mean of
 sufficient statistics is matched by the mean map, ``eta_hat`` is its
 inverse image and ``theta_hat = nat_param_inverse(eta_hat)``.
 
-With the Lehmer policy the weights differ per component, so there is no
-single scalar objective; each independent component is fitted as its own
-univariate problem with its own weight column, which requires a separable
-model.  On an independent-component exponential model (identity sufficient
-statistic per component) this reproduces the Lehmer mean of each column; a
-power sufficient statistic with the ``holder`` policy reproduces the Holder
-mean.  The shifted-sum arithmetic of both means lives in :mod:`wmle.means`;
-:func:`_sweep_estimates` runs its column kernel over a grid of orders.
-:func:`subclass_form` reports which of the two structures, if either, a
-(model, policy) pair realizes.
+With the Lehmer policy the weights differ per component, so each
+independent component is fitted as its own univariate problem, which
+requires a separable model.  An identity statistic per component then
+reproduces the Lehmer mean of each column, and a power statistic under the
+``holder`` policy the Holder mean (:func:`subclass_form` reports which, if
+either, a (model, policy) pair realizes).  Both fits, and
+:func:`_sweep_estimates` over a grid of orders, run the column kernel of
+:mod:`wmle.means`.
 """
 
 from __future__ import annotations
@@ -51,8 +47,6 @@ from .means import (
     _column_means,
     _lehmer_weights,
     _moved_terms_out_of_range,
-    _moved_terms_show,
-    _scaled_column,
     _weights_out_of_range,
 )
 
@@ -116,11 +110,11 @@ class FitDiagnostics:
     """Solver and curvature summary attached to every fit.
 
     ``hessian_smallest``/``hessian_largest`` are the extremes of the
-    weighted log-likelihood's curvature at the estimate, in the problem
-    :func:`fit` solves: under the weights of :func:`apply_policy`, each
-    column divided by its largest, and on a scale family in the scaled
-    coordinates ``x_j / c_j`` of :attr:`FitResult.scale`, where it stays
-    finite at every shape.
+    weighted log-likelihood's curvature ``-sum(u) * Cov[T]`` at the
+    estimate, in the problem :func:`fit` solves: under weights relative to
+    their largest, and on a scale family in the scaled coordinates
+    ``x_j / c_j`` of :attr:`FitResult.scale`, where it stays finite at
+    every shape.
     """
 
     iterations: int
@@ -168,12 +162,30 @@ def _nonpositive_value(col: np.ndarray, j: int, a: float) -> DomainError:
     )
 
 
-def _require_positive_weights(u: np.ndarray) -> None:
-    if not (np.all(np.isfinite(u)) and np.min(u) > 0):
+def _base_weights(policy: WeightPolicy, obs: np.ndarray) -> Optional[np.ndarray]:
+    """``policy.base_w`` on the checked ``(n, k)`` matrix, checked in turn:
+    ``(n,)`` row weights for the holder kind, an ``(n, k)`` matrix for the
+    lehmer kind, ``None`` without ``base_w``."""
+    n, k = obs.shape
+    if policy.kind == "lehmer" and policy.exponents.size != k:
+        raise ConfigError(
+            f"lehmer policy has {policy.exponents.size} exponents but the data has {k} columns"
+        )
+    if policy.base_w is None:
+        return None
+    w = np.asarray(policy.base_w(obs), dtype=float)
+    if policy.kind == "holder":
+        w = w.reshape(-1)
+        if w.shape[0] != n:
+            raise ConfigError("holder base_w must return one weight per row")
+    elif w.shape != obs.shape:
+        raise ConfigError("lehmer base_w must return a weight per matrix entry")
+    if not (np.all(np.isfinite(w)) and np.min(w) > 0):
         raise DomainError("weight policy produced weights that are not strictly positive and finite")
+    return w
 
 
-def apply_policy(policy: WeightPolicy, observations, *, _validated: bool = False) -> np.ndarray:
+def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     """Evaluate the policy on an ``(n, k)`` matrix, relative to the largest weight.
 
     Returns ``(n,)`` weights for the holder kind and an ``(n, k)``
@@ -184,32 +196,20 @@ def apply_policy(policy: WeightPolicy, observations, *, _validated: bool = False
     strictly positive and finite or a lehmer column at an order other than
     1 holds a non-positive value, and ``NumericError`` where a lehmer
     column cannot be formed accurately: at an order below 1 on values more
-    than ``exp(600)`` apart.  ``_validated`` skips checking
-    ``observations``, for callers that already have.
+    than ``exp(600)`` apart.
     """
-    obs = observations if _validated else _observation_matrix(observations)
-    n, k = obs.shape
+    obs = _observation_matrix(observations)
+    return _relative_weights(policy, obs, _base_weights(policy, obs))
+
+
+def _relative_weights(policy: WeightPolicy, obs: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`apply_policy`'s weights from checked observations and base weights."""
     if policy.kind == "holder":
-        if policy.base_w is None:
-            return np.ones(n)
-        u = np.asarray(policy.base_w(obs), dtype=float).reshape(-1)
-        if u.shape[0] != n:
-            raise ConfigError("holder base_w must return one weight per row")
-        _require_positive_weights(u)
-        return u / np.maximum.reduce(u)
+        return np.ones(obs.shape[0]) if w is None else w / np.maximum.reduce(w)
     exps = policy.exponents
-    if exps.size != k:
-        raise ConfigError(
-            f"lehmer policy has {exps.size} exponents but the data has {k} columns"
-        )
-    w = None if policy.base_w is None else np.asarray(policy.base_w(obs), dtype=float)
-    if w is not None:
-        if w.shape != obs.shape:
-            raise ConfigError("lehmer base_w must return a weight per matrix entry")
-        _require_positive_weights(w)
     # Column-major: each weight column is one contiguous buffer, built in
     # place and later summed on its own.
-    u = np.empty((n, k), order="F")
+    u = np.empty(obs.shape, order="F")
     for j, a in enumerate(exps):
         u_j = u[:, j]
         col = obs[:, j]
@@ -240,6 +240,41 @@ def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
         )
 
 
+def _kernel_columns(sub_models, obs: np.ndarray, policy: WeightPolicy, w: Optional[np.ndarray]):
+    """Per component, ``(target, total weight, scale)`` from :func:`means._column_means`.
+
+    Each Lehmer column is copied into one contiguous buffer, which the
+    kernel's log and its ``u * x`` both read; at order 1 the weights are 1,
+    or the base weights over their largest, and a zero value passes.  A
+    Holder column needs no copy: the kernel's ``x / x_r`` is contiguous.
+    An all-zero Holder column has target 0, the solver's to reject.
+    """
+    out, buf = np.empty((1, obs.shape[0])), np.empty(obs.shape[0])
+    for j, sub_model in enumerate(sub_models):
+        ref = 1.0
+        if policy.kind == "holder":
+            target, total, _, ok, ref = _column_means("holder", obs[:, j], sub_model.stat_powers, out, w)
+            if not ok[0]:
+                raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
+            if ref == 0.0:
+                target, ref = np.zeros(1), 1.0
+        else:
+            a, w_j = policy.exponents[j], None if w is None else w[:, j]
+            np.copyto(buf, obs[:, j])
+            with np.errstate(all="ignore"):  # the log of a zero, a sum that overflows
+                if a == 1.0:
+                    u = np.ones_like(buf) if w_j is None else w_j / np.maximum.reduce(w_j)
+                    total = np.add.reduce(u, keepdims=True)
+                    target, ok = np.add.reduce(u * buf, keepdims=True) / total, [True]
+                else:
+                    target, total, _, ok, _ = _column_means("lehmer", buf, policy.exponents[j : j + 1], out, w_j)
+            if not ok[0]:
+                if np.minimum.reduce(buf) == 0.0:
+                    raise _nonpositive_value(obs[:, j], j, a)
+                raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
+        yield target, float(total[0]), ref
+
+
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         method: str = "auto", seed: int = 0, minimality_samples: int = 2048) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
@@ -247,21 +282,25 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     ``method`` is forwarded to the moment solver (``auto``/``closed``/
     ``newton``/``bisect``).  The minimality verdict in the diagnostics is
     estimated by sampling the fitted model (``minimality_samples`` draws,
-    seeded); pass ``minimality_samples=0`` to skip it.
+    seeded); pass ``minimality_samples=0`` to skip it.  A sample that
+    overflows gives no verdict either, and a logged warning.
 
     The observations are checked once, here, for finiteness and against
-    ``model.support``; the weights, the dataset and the moment target are
-    built from the checked arrays without checking them again.  Weights
-    come from :func:`apply_policy`: row weights and Lehmer columns divided
-    by their largest.
-
+    ``model.support``, and the base weights once, where they are made.
     Per-column (Lehmer) weights give one univariate problem per independent
     component.  Row weights give one problem, except on a scale family
     (``model.scale_family``), where each component is fitted on its own
-    column relative to its largest value, ``y = x_j / c_j``: its largest
-    term ``y ** k_j`` is exactly 1, and :func:`means._scaled_column` keeps
-    every other term a normal number, so the target neither overflows nor
-    underflows at any shape.  The estimate is ``theta_j = c_j * theta'_j``.
+    column relative to its largest value, ``y = x_j / c_j``, whose largest
+    term ``y ** k_j`` is exactly 1: the target neither overflows nor
+    underflows at any shape, and ``theta_j = c_j * theta'_j``.
+
+    Those scale families, and Lehmer weights on an identity statistic over
+    independent non-negative components, take their moment targets from
+    :func:`means._column_means`, the kernel of ``holder_mean`` and
+    ``lehmer_mean``; an estimate there that is not finite and positive
+    raises ``NumericError``.  Every other model takes the weights of
+    :func:`apply_policy` and the target of :func:`weighted_stat_mean`, and
+    a non-finite estimate raises ``NumericError``.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -274,37 +313,37 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             f"data has {obs.shape[1]} columns, model {model.name} expects {model.dim_x}"
         )
     _check_support(model, obs)
-    u = apply_policy(policy, obs, _validated=True)
-    per_column = u.ndim == 2
+    w = _base_weights(policy, obs)
+    per_column = policy.kind == "lehmer"
     scaled = not per_column and model.scale_family
-    if per_column and model.components is None:
-        raise ConfigError(
-            f"model {model.name} is not separable; per-column weight policies "
-            "require independent components"
-        )
-    # Without base_w the holder weights are all 1: the dataset takes them as
-    # unit weights, which the moment target does not multiply in.
-    row_w = None if per_column or policy.base_w is None else u
+    kernel = scaled or (per_column and subclass_form(model, policy).is_lehmer_mean)
     separate = (per_column or scaled) and model.components is not None
     sub_models = model.components if separate else (model,)
-    scale = np.ones(len(sub_models))
+    if kernel:
+        columns = _kernel_columns(sub_models, obs, policy, w)
+        if per_column:  # every weight column is formed before any is solved
+            columns = iter(list(columns))
+    else:
+        u = _relative_weights(policy, obs, w)
+        if per_column and model.components is None:
+            raise ConfigError(
+                f"model {model.name} is not separable; per-column weight policies "
+                "require independent components"
+            )
+    scale = np.ones(model.dim_eta)  # theta_j = c_j * theta'_j; c_j is 1 off a scale family
     targets, infos, curvatures, flat = [], [], [], []
     for j, sub_model in enumerate(sub_models):
-        if per_column:
-            data = WeightedDataset(obs[:, j : j + 1], u[:, j], _validated=True)
-        elif scaled:
-            y, scale[j] = _scaled_column(obs[:, j], sub_model.stat_powers)
-            data = WeightedDataset(y, row_w, _validated=True)
+        if kernel:
+            sub_target, total, scale[j] = next(columns)
         else:
-            data = WeightedDataset(obs, row_w, _validated=True)
-        sub_target = weighted_stat_mean(data, sub_model)
-        if scaled and _moved_terms_show(sub_target, sub_model.stat_powers, obs[:, j], scale[j])[0]:
-            raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
+            data = WeightedDataset(obs[:, j : j + 1] if per_column else obs,
+                                   u[:, j] if per_column else u, _validated=True)
+            sub_target, total = weighted_stat_mean(data, sub_model), data.total_weight
         info = _solve_mean_target(sub_model, sub_target, method=method)
         # A curvature that overflows makes eigvalsh fail; that is reported
         # as a NumericError, not as numpy warnings and a LinAlgError.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            hessian = -data.total_weight * _stat_covariance(sub_model, info.eta)
+            hessian = -total * _stat_covariance(sub_model, info.eta)
             try:
                 spectrum = np.linalg.eigvalsh(hessian)
             except np.linalg.LinAlgError as exc:
@@ -335,11 +374,11 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     methods = {info.method for info in infos}
     solve_method = methods.pop() if len(methods) == 1 else "mixed"
 
-    theta = np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
-    if scaled:
-        theta = scale * theta
-    else:
-        scale = np.ones(theta.size)
+    theta = scale * np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
+    # (1/target) ** (-1/k) may underflow to 0 or overflow where the target is fine.
+    if not (np.isfinite(theta).all() and (not kernel or (theta > 0).all())):
+        raise NumericError(f"the estimate theta_hat={theta.tolist()} of {model.name} is not finite"
+                           + (" and positive" if kernel else ""))
     # Never succeed silently at a flat maximum.
     if flat:
         logger.warning(
@@ -349,7 +388,10 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         )
     verdict = None
     if minimality_samples and model.sampler is not None:
-        verdict = check_minimality(model, eta, n_samples=minimality_samples, seed=seed)
+        try:
+            verdict = check_minimality(model, eta, n_samples=minimality_samples, seed=seed)
+        except NumericError as exc:
+            logger.warning("no minimality verdict: %s", exc)
     diagnostics = FitDiagnostics(
         iterations=max(info.iterations for info in infos),
         residual_norm=max(info.residual for info in infos),
@@ -391,7 +433,7 @@ def _sweep_estimates(kind: str, observations: np.ndarray,
     out = np.empty((min(rows.size, max(1, _SWEEP_BLOCK_ELEMENTS // n)), n))
     with np.errstate(all="ignore"):
         columns = [_column_means(kind, obs[:, j], orders[rows], out) for j in range(k)]
-    _, estimate, good = (np.array(c) for c in zip(*columns))  # (k, G)
+    _, _, estimate, good, _ = (np.array(c) for c in zip(*columns))  # (k, G)
     good = np.all(good & (0 < estimate) & (estimate < np.inf), axis=0)
     theta[rows] = np.where(good[:, None], estimate.T, np.nan)
     ok[rows] = good
@@ -410,40 +452,19 @@ def subclass_form(model: FamilyModel, policy: WeightPolicy) -> SubclassReport:
     powers = model.stat_powers
     if policy.kind == "holder":
         if powers is not None:
-            return SubclassReport(
-                True,
-                False,
+            return SubclassReport(True, False, (
                 "sufficient statistic is a per-component power x**p and u = w, "
-                "so each component estimate is a function of the weighted Holder mean "
-                "of order p",
-            )
-        return SubclassReport(
-            False,
-            False,
-            "the sufficient statistic is not a per-component power of the data",
-        )
-    if model.support[0] < 0:
-        return SubclassReport(
-            False,
-            False,
-            "the model admits negative observations, where the lehmer weight "
-            "x**(alpha-1) is undefined; the policy is invalid on this family",
-        )
-    if powers is None or not np.all(powers == 1.0):
-        return SubclassReport(
-            False,
-            False,
-            "the lehmer reduction needs the identity sufficient statistic per component",
-        )
-    if model.components is None:
-        return SubclassReport(
-            False,
-            False,
-            "the lehmer reduction needs independent components (a separable model)",
-        )
-    return SubclassReport(
-        False,
-        True,
-        "identity statistic on independent components with u = w * x**(alpha-1), "
-        "so each component estimate is the weighted Lehmer mean of order alpha",
-    )
+                "so each component estimate is a function of the weighted Holder mean of order p"))
+        reason = "the sufficient statistic is not a per-component power of the data"
+    elif model.support[0] < 0:
+        reason = ("the model admits negative observations, where the lehmer weight "
+                  "x**(alpha-1) is undefined; the policy is invalid on this family")
+    elif powers is None or not (powers == 1.0).all():
+        reason = "the lehmer reduction needs the identity sufficient statistic per component"
+    elif model.components is None:
+        reason = "the lehmer reduction needs independent components (a separable model)"
+    else:
+        return SubclassReport(False, True, (
+            "identity statistic on independent components with u = w * x**(alpha-1), "
+            "so each component estimate is the weighted Lehmer mean of order alpha"))
+    return SubclassReport(False, False, reason)

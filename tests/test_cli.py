@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import json
 import logging
 import math
 import os
@@ -237,6 +238,24 @@ class TestFitCommand:
         assert code == 2
         assert "exp(600)" in err
 
+    def test_an_estimate_that_underflows_exits_2(self, capsys):
+        # The Holder mean of order 1e-4 is about 8.04e6; the closed-form
+        # estimate underflowed to 0 and printed theta_hat [0.] with exit 0.
+        code, out, err = run_cli(capsys, "fit", "--shapes", "1e-4", "1e-300", "1e300", "1")
+        assert code == 2
+        assert out == ""
+        assert "theta_hat=[0.0] of weibull(k=[0.0001]) is not finite and positive" in err
+
+    def test_an_overflowed_minimality_sample_prints_no_verdict(self, capsys, caplog):
+        # Shape 1e-3 draws (-log u) ** 1000, which overflows: this printed two
+        # RuntimeWarnings and "minimal (... eigenvalue nan/nan)".
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run_cli(capsys, "fit", "--shapes", "1e-3", "1", "2", "3")
+        assert code == 0
+        assert "theta_hat:        [1.817307535472]" in out
+        assert "minimality" not in out
+        assert any(m.startswith("no minimality verdict: the sampled statistic") for m in caplog.messages)
+
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
         code, _, err = run_cli(capsys, "fit", "--shapes", "1", "0", "0")
@@ -449,6 +468,17 @@ class TestSweepCommand:
         assert table.gaps == {}
         for got, value in zip(table.estimates[0], values[0]):
             assert ulps_off(got, lehmer_oracle(-400, [value] * 4)) <= 4
+
+    def test_estimates_that_underflow_are_gaps(self):
+        # At Holder orders up to 8e-4, (1/target) ** (-1/k) underflows to 0 on
+        # the column [1e-300, 1e300, 1]: fit returned 0 there, and the sweep
+        # died in validate_sweep_table instead of recording gaps.
+        values = np.array([[1e-300, 1.0, 1.0], [1e300, 2.0, 2.0], [1.0, 3.0, 3.0]])
+        table = run_sweep(ProportionMatrix(years=(1, 2, 3), values=values), "holder",
+                          parse_grid("0.0001:0.001:0.0001"))
+        assert list(table.gaps) == [float(o) for o in table.orders[:8]]
+        assert all("is not finite and positive" in reason for reason in table.gaps.values())
+        assert np.all(np.isfinite(table.estimates[8:]))
 
     def test_numeric_failures_are_recorded_as_gaps(self):
         rng = np.random.default_rng(54)
@@ -933,3 +963,32 @@ class TestBenchmarkTracer:
         result = subprocess.run([sys.executable, "-c", probe], cwd=root,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_traced_fits_record_the_solver_spans(self):
+        # The benchmark's probe suite traces fit with and without the sampled
+        # minimality check; its per-layer metrics read these spans.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        probe = (
+            "import sys; sys.path[:0] = ['perfbench', 'src']\n"
+            "import json, numpy as np, tracing\n"
+            "tracer = tracing.Tracer(); tracing.install(tracer); tracer.enabled = True\n"
+            "import wmle.mwle as mwle, wmle.families as families\n"
+            "x = np.exp(np.random.default_rng(0).uniform(-3.0, 3.0, (7, 3)))\n"
+            "for samples in (0, 2048):\n"
+            "    fits = ((families.weibull_model(np.ones(3)), mwle.WeightPolicy.lehmer(np.full(3, 2.0))),\n"
+            "            (families.weibull_model(np.full(3, 2.0)), mwle.WeightPolicy.holder()))\n"
+            "    for model, policy in fits:\n"
+            "        kwargs = {'minimality_samples': 0} if samples == 0 else {}\n"
+            "        mwle.fit(model, x, policy, **kwargs)\n"
+            "        print(json.dumps([samples, sorted({s[3] for s in tracer.take()[0]})]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], cwd=root,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 4
+        solver = {"mwle.fit", "expfam.solve_mean_target", "expfam.stat_covariance"}
+        for line in lines:
+            samples, names = json.loads(line)
+            want = solver | ({"expfam.check_minimality"} if samples else set())
+            assert want <= set(names), line

@@ -13,6 +13,7 @@ from wmle import (
     DomainError,
     FamilyModel,
     NoSolutionError,
+    NumericError,
     WeightedDataset,
     check_minimality,
     exponential_model,
@@ -410,3 +411,10 @@ class TestCheckMinimality:
         verdict = check_minimality(model, [-1.0, -1.0], x_sample=xs)
         assert verdict.minimal and verdict.direction is None
         assert verdict.smallest_eigenvalue < 1e-8 * verdict.largest_eigenvalue
+
+    def test_a_sample_that_overflows_is_a_numeric_error(self):
+        # At shape 1e-3 the sampler raises -log(u) to the power 1000; the
+        # overflowed draws gave NaN eigenvalues and a "minimal" verdict.
+        model = weibull_model([1e-3])
+        with pytest.raises(NumericError, match=r"sampled statistic of weibull\(k=\[0\.001\]\) is not finite"):
+            check_minimality(model, [-1.0], n_samples=2048)

@@ -320,6 +320,187 @@ class TestValidation:
             assert sorted(passes) == checked
 
 
+# fit's float.hex outputs (theta_hat, eta_hat, target, then the Hessian
+# extremes) on 1e5 x 3 seeded log-uniform values, recorded from the
+# apply_policy -> WeightedDataset -> weighted_stat_mean path that took these
+# fits before they moved onto the column kernel of wmle.means.  fit and the
+# means now share that kernel, so comparing them cannot catch a drift.
+_PINNED_FITS = {
+    ("lehmer", -200.0, False): (
+        "0x1.078072eeee359p-10", "0x1.07508cecb08b7p-10", "0x1.079f2b88c0ff7p-10",
+        "-0x1.f16c734cb3b5fp+9", "-0x1.f1c6ef454fa34p+9", "-0x1.f1327bb61abb0p+9",
+        "0x1.078072eeee359p-10", "0x1.07508cecb08b7p-10", "0x1.079f2b88c0ff7p-10",
+        "-0x1.8092835ec28a8p-15", "-0x1.136c3c9d83aefp-15",
+    ),
+    ("lehmer", -2.0, False): (
+        "0x1.88e794729201ep-10", "0x1.8878c98d7c95ep-10", "0x1.88ed4909b9bcfp-10",
+        "-0x1.4d98f68ceda8ep+9", "-0x1.4df722c15daa6p+9", "-0x1.4d941e7fe79d4p+9",
+        "0x1.88e794729201ep-10", "0x1.8878c98d7c95ep-10", "0x1.88ed4909b9bcfp-10",
+        "-0x1.623e6bcbaff9dp-8", "-0x1.5f250a9027109p-8",
+    ),
+    ("lehmer", 0.5, False): (
+        "0x1.02598918c95fep+0", "0x1.007489ea8cc5ap+0", "0x1.024bf6166d7a6p+0",
+        "-0x1.fb57df024debfp-1", "-0x1.ff1756153cef0p-1", "-0x1.fb7288944fd46p-1",
+        "0x1.02598918c95fep+0", "0x1.007489ea8cc5ap+0", "0x1.024bf6166d7a6p+0",
+        "-0x1.c9cd2b56fe2cap+13", "-0x1.c4fb91a75f7f0p+13",
+    ),
+    ("lehmer", 1.0, False): (
+        "0x1.22ed025823d50p+6", "0x1.21d7e23026769p+6", "0x1.212b17a153d36p+6",
+        "-0x1.c288ba856ac8cp-7", "-0x1.c4377e8740fb4p-7", "-0x1.c545b6e07108dp-7",
+        "0x1.22ed025823d50p+6", "0x1.21d7e23026769p+6", "0x1.212b17a153d36p+6",
+        "-0x1.f87b14bcf0f15p+28", "-0x1.f2676f4c0e9e9p+28",
+    ),
+    ("lehmer", 2.0, False): (
+        "0x1.f412c837e8e81p+8", "0x1.f4d0f60c56b44p+8", "0x1.f042d450108ecp+8",
+        "-0x1.061b04a9a2e66p-9", "-0x1.05b77c9b8ea86p-9", "-0x1.081e7a5f47fe8p-9",
+        "0x1.f412c837e8e80p+8", "0x1.f4d0f60c56b43p+8", "0x1.f042d450108ecp+8",
+        "-0x1.b1b1dd8fe551bp+30", "-0x1.a892fe5cedd7ap+30",
+    ),
+    ("lehmer", 200.0, False): (
+        "0x1.f18995ef1916fp+9", "0x1.f18b12446cff4p+9", "0x1.f14ed33ca022ep+9",
+        "-0x1.077104c073d95p-10", "-0x1.07703b5f03399p-10", "-0x1.07902565ab4adp-10",
+        "0x1.f18995ef19170p+9", "0x1.f18b12446cff5p+9", "0x1.f14ed33ca022ep+9",
+        "-0x1.266b585b5ddefp+25", "-0x1.f5ad47db39e0ap+24",
+    ),
+    ("lehmer", 2.0, True): (
+        "0x1.f92c4cd360e35p+8", "0x1.fb31f9a9c20d8p+8", "0x1.f145c1225b6a8p+8",
+        "-0x1.0375a8c3969cep-9", "-0x1.026cd6aa81adfp-9", "-0x1.0794f426e6863p-9",
+        "0x1.f92c4cd360e35p+8", "0x1.fb31f9a9c20d8p+8", "0x1.f145c1225b6a8p+8",
+        "-0x1.112e01ebec80ap+27", "-0x1.f57537caa9261p+26",
+    ),
+    ("holder", 0.5, False): (
+        "0x1.512666c5ab6c3p+4", "0x1.4ef315c80d298p+4", "0x1.4fe783956a02dp+4",
+        "-0x1.b8dc49aaadcb2p+2", "-0x1.ba47fbe6e70d9p+2", "-0x1.b9a71c0dac3abp+2",
+        "0x1.294f393ac47f6p-3", "0x1.285abd85e3a58p-3", "0x1.28c6b064a0fa8p-3",
+        "-0x1.076e7206810b8p+11", "-0x1.05bde453e2c20p+11",
+    ),
+    ("holder", 1.0, False): (
+        "0x1.22ed025823d4fp+6", "0x1.21d7e23026769p+6", "0x1.212b17a153d36p+6",
+        "-0x1.b7eb6bb0975f1p+3", "-0x1.b9833a9704948p+3", "-0x1.ba8b5ec50bb06p+3",
+        "0x1.29f2020bebf7ap-4", "0x1.28deceae83da8p-4", "0x1.282d9d4cf4e5cp-4",
+        "-0x1.088f39807700ep+9", "-0x1.056e346ed9c61p+9",
+    ),
+    ("holder", 2.0, False): (
+        "0x1.7d6c89ff6cc0ep+7", "0x1.7cff120ee8ba1p+7", "0x1.7ad15ffd999f8p+7",
+        "-0x1.b7cccc5f8ffbfp+4", "-0x1.b8b018e7f2d6fp+4", "-0x1.bdc6076ad4a3ep+4",
+        "0x1.2a06c0d7961adp-5", "0x1.296d095e2b8d6p-5", "0x1.26085eecd090dp-5",
+        "-0x1.08b4122fe9482p+7", "-0x1.01a81aaba32cep+7",
+    ),
+    ("holder", 6.0, False): (
+        "0x1.deff81ab04ec6p+8", "0x1.ded989b69529dp+8", "0x1.dc643d5a55b7ap+8",
+        "-0x1.4aed18add724cp+6", "-0x1.4b50f7e8c5198p+6", "-0x1.55b67f973244fp+6",
+        "0x1.8c1386c7b44d9p-7", "0x1.8b9c221bd4ed9p-7", "0x1.7f92cf8af13e7p-7",
+        "-0x1.d38734fa0164ap+3", "-0x1.b67a396f11cc7p+3",
+    ),
+    ("holder", 200.0, False): (
+        "0x1.e0aee9ed98809p+9", "0x1.e07ac35b2f597p+9", "0x1.e03f2709f660dp+9",
+        "-0x1.4248064c4ca4fp+11", "-0x1.56ef38a2aefecp+11", "-0x1.7a0ef862d17b8p+11",
+        "0x1.96b357198235dp-12", "0x1.7e35076ff589ep-12", "0x1.5ab29ba9bd867p-12",
+        "-0x1.ecf2419a6f2c1p-7", "-0x1.6638c72dda67fp-7",
+    ),
+    ("holder", 6.0, True): (
+        "0x1.e09c297967472p+8", "0x1.dc5c50e23ad92p+8", "0x1.d34a973e2aa29p+8",
+        "-0x1.445283394e4ddp+6", "-0x1.55d722fe20f04p+6", "-0x1.7fa2c4fb52e6fp+6",
+        "0x1.942423c39f1c8p-7", "0x1.7f6e301549a0bp-7", "0x1.55a848999973ap-7",
+        "-0x1.19fc695079f50p+0", "-0x1.93101d92025a0p-1",
+    ),
+}
+
+
+def _pinned_fit(kind, order, weighted, x, base):
+    if kind == "lehmer":
+        return fit(weibull_model(np.ones(3)), x,
+                   WeightPolicy.lehmer(np.full(3, order), base_w=(lambda o: base) if weighted else None),
+                   minimality_samples=0)
+    return fit(weibull_model(np.full(3, order)), x,
+               WeightPolicy.holder(base_w=(lambda o: base[:, 0]) if weighted else None),
+               minimality_samples=0)
+
+
+def _fit_bits(result):
+    diag = result.diagnostics
+    return tuple(float(v).hex() for v in (*result.theta_hat, *result.eta_hat, *result.target,
+                                          diag.hessian_smallest, diag.hessian_largest))
+
+
+class TestKernelPath:
+    def test_fit_bits_match_the_recorded_values(self):
+        x = _log_uniform(np.random.default_rng(16), (100_000, 3))
+        base = _log_uniform(np.random.default_rng(17), (100_000, 3))
+        for (kind, order, weighted), want in _PINNED_FITS.items():
+            assert _fit_bits(_pinned_fit(kind, order, weighted, x, base)) == want, (kind, order, weighted)
+
+    @pytest.mark.parametrize("shapes, policy", [
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 1.0, 2.5])),
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([3.0, 1.0, -0.5], base_w=lambda o: 1.0 + o)),
+        ([0.5, 2.0, 6.0], WeightPolicy.holder()),
+        ([0.5, 2.0, 6.0], "row weights"),
+    ])
+    def test_memory_layouts_give_identical_fits(self, shapes, policy):
+        big = _log_uniform(np.random.default_rng(61), (60, 9))
+        view = big[::2, ::3]
+        if policy == "row weights":
+            w = 1.0 + view[:, 0]
+            policy = WeightPolicy.holder(base_w=lambda o: w)
+        fits = [fit(weibull_model(shapes), x, policy)
+                for x in (view, np.ascontiguousarray(view), np.asfortranarray(view))]
+        for other in fits[1:]:
+            assert _fit_bits(other) == _fit_bits(fits[0])
+        for j, shape in enumerate(shapes):
+            column = dataclasses.replace(policy, exponents=policy.exponents[j : j + 1]) \
+                if policy.kind == "lehmer" else policy
+            single = fit(weibull_model([shape]), view[:, j], column, minimality_samples=0)
+            for field in ("theta_hat", "eta_hat", "target", "scale"):
+                assert getattr(single, field)[0] == getattr(fits[0], field)[j]
+
+    def test_zero_values_under_lehmer_weights(self):
+        x = _log_uniform(np.random.default_rng(62), (20, 3))
+        x[4, 1] = 0.0
+        with pytest.raises(DomainError) as excinfo:
+            fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer([1.0, 2.0, 2.0]))
+        assert str(excinfo.value) == (
+            "value 0.0 in column 1 cannot be weighted by x**(2.0-1); "
+            "the lehmer policy needs strictly positive observations"
+        )
+        # Order 1 weighs every value by 1, a zero included.
+        result = fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer([2.0, 1.0, 2.0]))
+        assert result.theta_hat[1] == pytest.approx(np.mean(x[:, 1]), rel=1e-15)
+
+    @pytest.mark.parametrize("shapes, policy", [
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-3.0, 1.0, 2.0])),
+        ([0.5, 2.0, 6.0], WeightPolicy.holder()),
+    ])
+    def test_equal_base_weights_keep_the_unweighted_bits(self, shapes, policy):
+        x = _log_uniform(np.random.default_rng(63), (50, 3))
+        equal = (lambda o: np.full(o.shape, 3.0)) if policy.kind == "lehmer" else (lambda o: np.full(o.shape[0], 3.0))
+        weighted = dataclasses.replace(policy, base_w=equal)
+        assert _fit_bits(fit(weibull_model(shapes), x, weighted)) == _fit_bits(fit(weibull_model(shapes), x, policy))
+
+    def test_all_zero_holder_column_is_no_solution(self):
+        x = _log_uniform(np.random.default_rng(64), (10, 2))
+        x[:, 1] = 0.0
+        for policy in (WeightPolicy.holder(), WeightPolicy.holder(base_w=lambda o: np.arange(1.0, 11.0))):
+            with pytest.raises(NoSolutionError, match=r"target \[0\.0\] is not attainable"):
+                fit(weibull_model([2.0, 2.0]), x, policy)
+
+    def test_an_estimate_that_underflows_is_a_numeric_error(self):
+        # (1/target) ** -1e4 underflows to 0 where the Holder mean of order
+        # 1e-4 is about 8.04e6; fit returned theta_hat [0.].
+        with pytest.raises(NumericError, match=r"theta_hat=\[0\.0\] .* not finite and positive"):
+            fit(weibull_model([1e-4]), [1e-300, 1e300, 1.0], WeightPolicy.holder())
+
+    def test_an_overflowed_minimality_sample_gives_no_verdict(self, caplog):
+        # Shape 1e-3 draws (-log u) ** 1000, which overflows.
+        with caplog.at_level(logging.WARNING):
+            result = fit(weibull_model([1e-3]), [1.0, 2.0, 3.0], WeightPolicy.holder())
+        assert result.diagnostics.minimality is None
+        assert result.theta_hat[0] == pytest.approx(1.8173075354, rel=1e-9)
+        assert [m for m in caplog.messages if "minimality" in m] == [
+            "no minimality verdict: the sampled statistic of weibull(k=[0.001]) is not finite "
+            "at eta=[-1.000501381908963]"
+        ]
+
+
 class TestFit:
     def test_lehmer_policy_reproduces_lehmer_mean(self):
         rng = np.random.default_rng(41)
