@@ -550,7 +550,8 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     zero sample variance, tested without the rounding of the variance
     itself).  The reported eigenvalues are those of the whole covariance
     either way.  A sampled statistic that is not finite, as when the
-    sampler overflows, raises ``NumericError``: it supports no verdict.
+    sampler overflows, or a sample covariance that overflows raises
+    ``NumericError``: it supports no verdict.
     """
     eta = _check_eta(model, eta)
     if x_sample is None and model.sampler is None:
@@ -569,7 +570,12 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
         stats = model.sufficient_stat(xs)
     if not np.all(np.isfinite(stats)):
         raise NumericError(f"the sampled statistic of {model.name} is not finite at eta={eta.tolist()}")
-    cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
+    if not np.all(np.isfinite(cov)):
+        raise NumericError(
+            f"the sample covariance of the statistic of {model.name} is not finite at eta={eta.tolist()}"
+        )
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     smallest = float(eigenvalues[0])
     largest = float(eigenvalues[-1])

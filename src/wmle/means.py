@@ -194,14 +194,26 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
     )
 
 
+def _holder_weights(w: np.ndarray):
+    """Row weights for the Holder kernel: ``w`` over its largest and their
+    sum, or ``(None, None)`` where all weights are equal and cancel."""
+    top = np.maximum.reduce(w)
+    if np.minimum.reduce(w) == top:
+        return None, None
+    w = w / top
+    return w, float(np.add.reduce(w))
+
+
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
-                  w: np.ndarray | None = None):
+                  w: np.ndarray | None = None, w_total: float | None = None):
     """Lehmer or Holder means of one column at many orders, as shifted sums.
 
     ``x`` is non-negative, and positive for negative Holder orders; the
     orders are finite, the Holder ones nonzero and of one sign, and are
     taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``;
-    base weights ``w`` need ``B == 1``.  Returns per order the moment
+    base weights ``w`` need ``B == 1``.  Holder weights come from
+    :func:`_holder_weights`, with their sum ``w_total``, so a caller with
+    many columns derives them once.  Returns per order the moment
     target, the total weight, the Weibull closed-form estimate and whether
     the sums are accurate, then the reference ``x_r``.  Lehmer: weights
     ``u`` from :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)``,
@@ -217,10 +229,10 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     """
     target, total = np.empty((2, orders.size))
     ok = np.ones(orders.size, dtype=bool)
-    if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
-        w = None  # equal weights cancel
     single = orders.size == 1  # x is then read into out, where its terms replace it
     if kind == "lehmer":
+        if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
+            w = None  # equal weights cancel
         log_x = np.log(x, out=out[0] if single else None)
         extremes = float(np.minimum.reduce(log_x)), float(np.maximum.reduce(log_x))
         log_w = None if w is None else np.log(w)
@@ -233,8 +245,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         # (1, n) view y matches a one-row out, which numpy updates in place.
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.divide(x[None, :], ref, out=out[:1] if single else None)
-        w = None if w is None else w / np.maximum.reduce(w)
-        total[:] = x.size if w is None else np.add.reduce(w)
+        total[:] = x.size if w is None else w_total
         shapes = orders
     for lo in range(0, orders.size, out.shape[0]):
         block = orders[lo : lo + out.shape[0]]
@@ -335,7 +346,8 @@ def holder_mean(alpha, values, weights=None) -> float:
         return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
     if np.max(x) == 0.0:  # only for a > 0
         return 0.0
-    _, _, estimate, ok, _ = _column_means("holder", x, np.array([a]), np.empty((1, x.size)), w)
+    _, _, estimate, ok, _ = _column_means("holder", x, np.array([a]), np.empty((1, x.size)),
+                                          *_holder_weights(w))
     if not ok[0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(estimate[0])

@@ -6,24 +6,34 @@ totalvotes``), validates each row, and aggregates candidate votes per
 election-cycle year into national (dem, rep, other) proportions.  Malformed
 rows are collected into a rejects report instead of being silently dropped.
 
-Ingest is one pass over the file, and each row is checked once: a row that
-passes an inline accept test becomes a ``ReturnsRow``, an immutable named
-tuple, at once.  Only a row that fails it is parsed again, by
-``_parse_row``, to name the reason it is rejected; ``_parse_row`` has the
-last word, so the few spellings it accepts and bare ``int()`` does not
-(a leading ``chr(0x1c)``) are still rows.
+Ingest is one pass over the file, and each row is checked once.  The
+quote-free text after the header, up to the first line holding a ``"`` (or
+longer than ``csv.field_size_limit()``), is read in blocks of about 1 MiB
+cut at line breaks (``\\n``, ``\\r\\n`` or a lone ``\\r``).  In each block
+numpy finds the line breaks and the delimiters and runs the accept test
+over all lines at once: an ASCII line with the header's field count, year
+and vote fields of 1-18 ASCII digits that pass ``_parse_row``'s range
+checks, and state and party texts of at most 64 bytes becomes a
+``ReturnsRow``, an immutable named tuple, with the other accepted lines of
+its block.  Every other line (ragged, an integer with a sign, spaces, ``_``
+or ``chr(0x1c)``, out of range, non-ASCII, blank) is decoded, so text that
+is not UTF-8 fails here, split on the delimiter and given, in file order,
+to ``_parse_row``.  ``_parse_row`` has the last word, so the few spellings
+it accepts and the scan does not (``+5``, ``' 12 '``, a 19-digit count) are
+still rows, and it names the reason a rejected line is not.
 
-Lines are split with ``str.split`` until the first line holding a ``"``
-(or longer than ``csv.field_size_limit()``): a quote-free line is one
-record, and its fields are the ones ``csv.reader`` would give.  From that
-line on, the rest of the file goes to one ``csv.reader``, so a quoted
-field may hold the delimiter or span lines.  A reject is numbered by the
-physical line its record starts on (the header is line 1), and its
-``raw`` text is the record's source lines without the final line break.
+From the first line holding a ``"`` on, one ``csv.reader`` reads the rest
+of the file, so a quoted field may hold the delimiter or span lines; its
+records pass an inline accept test or go to ``_parse_row``.  A quote-free
+line is one record, and its fields are the ones ``csv.reader`` would give.
+A reject is numbered by the physical line its record starts on (the header
+is line 1), and its ``raw`` text is the record's source lines without the
+final line break.
 
 The rows of one load share their label objects: a per-call dict maps each
-field text to the first object parsed for its value, so the rows hold one
-object per distinct year, state and party rather than three per row, and
+field text to the first object parsed for its value (the block scan
+decodes each distinct state and party byte string once), so the rows hold
+one object per distinct year, state and party rather than three per row, and
 ``aggregate`` hashes strings whose hash is already cached.  The row loop
 makes no reference cycles, so the cyclic garbage collector is paused for
 it (if it was enabled) and restored after it, also when the load raises;
@@ -79,6 +89,14 @@ _BUCKETS = ("DEM", "REP", "OTHER")
 #: Floor applied to an exactly-zero proportion before renormalizing, so the
 #: matrix stays strictly positive (negative-order weight policies need it).
 ZERO_PROPORTION_FLOOR = 1e-9
+
+#: Bytes read at a time from the quote-free part of a returns file; a block
+#: grows past this only to hold a longer line.
+_BLOCK_BYTES = 1 << 20
+
+#: The longest state or party text the block scan takes (longer ones go to
+#: ``_parse_row``), which bounds its fixed-width label keys.
+_LABEL_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -260,7 +278,10 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
             paused = gc.isenabled()
             gc.disable()
             try:
-                return _load_rows(handle, delimiter, len(header), index, config)
+                # UTF-8 text encodes back to its own bytes, so line 2 starts
+                # at the header's encoded length.
+                return _load_rows(handle, len(header_line.encode()), delimiter, len(header),
+                                  index, config)
             finally:
                 if paused:
                     gc.enable()
@@ -268,64 +289,201 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
         raise SchemaError(not_utf8(path, exc)) from None
 
 
-def _load_rows(handle, delimiter: str, width: int, index: dict[str, int],
+def _blocks(stream, offset: int):
+    """Yield ``(offset, buffer, size)``: the file's bytes from ``offset`` on,
+    ``buffer[:size]`` at a time, each block ending with a line break (the
+    file's last line may have none).  One buffer of ``_BLOCK_BYTES`` is
+    refilled, so no block is fresh memory; it grows only to hold a line
+    longer than itself."""
+    stream.seek(offset)
+    buffer = bytearray(_BLOCK_BYTES)
+    held = 0
+    while True:
+        if held == len(buffer):
+            buffer.extend(bytes(held))
+        with memoryview(buffer) as view:
+            read = stream.readinto(view[held:])
+        held += read
+        if not read:
+            if held:
+                yield offset, buffer, held
+            return
+        # A \r that ends the bytes held may be the first half of a \r\n.
+        cut = max(buffer.rfind(b"\n", 0, held), buffer.rfind(b"\r", 0, held - 1)) + 1
+        if cut:
+            yield offset, buffer, cut
+            offset += cut
+            buffer[: held - cut] = buffer[cut:held]
+            held -= cut
+
+
+def _digits(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The int64 values of the fields ``a[lo:hi]``, and whether each field
+    is 1-18 ASCII digits, a value an int64 holds."""
+    size = hi - lo
+    good = (size > 0) & (size <= 18)
+    # Row k holds the digits of 10**k, read from the fields' right ends; the
+    # uint8 subtraction wraps every byte below "0" above 9.
+    place = np.arange(min(int(size.max(initial=0)), 18))[:, None]
+    inside = place < size
+    digits = a.take(hi - 1 - place, mode="clip") - np.uint8(48)
+    good &= np.all((digits <= 9) | ~inside, axis=0)
+    digits[~inside] = 0
+    return 10 ** place[:, 0] @ digits.astype(np.int64), good
+
+
+def _texts(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The fields ``a[lo:hi]`` of ASCII lines as fixed-width bytes, padded
+    with 0xff (no ASCII byte) to one byte past the longest, so that no key
+    ends in a NUL byte, which numpy would drop."""
+    place = np.arange(int((hi - lo).max(initial=0)) + 1)[:, None]
+    keys = np.where(place < hi - lo, a.take(lo + place, mode="clip"), np.uint8(255))
+    return np.ascontiguousarray(keys.T).view(f"S{place.size}").ravel()
+
+
+def _shared(keys: np.ndarray, canonical) -> list:
+    """``canonical(key)`` for each of ``keys``, called once per distinct key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    objects = np.array([canonical(key) for key in distinct.tolist()], dtype=object)
+    return objects[inverse].tolist()
+
+
+def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list[int],
+          config: SchemaConfig, limit: int):
+    """Cut ``block[:size]`` into lines and run the accept test over them at once.
+
+    Returns each line's start and end offset (its line break included), the
+    number of lines before the first one holding a ``"``, the lines that
+    pass, and those lines' year, state, party, candidate-vote and total-vote
+    fields: the integers as int64, the texts as :func:`_texts` keys.  A line
+    passes if it is ASCII, no longer than ``limit`` (csv's field limit), has
+    ``width`` fields, its integers are 1-18 digits, its state and party
+    texts at most ``_LABEL_BYTES`` long, and it passes ``_parse_row``'s
+    checks.
+    """
+    a = np.frombuffer(block, np.uint8, size)
+    breaks = a == 10
+    if block.find(b"\r", 0, size) >= 0:  # a \r breaks a line too, unless a \n follows it
+        lone = a == 13
+        lone[:-1] &= ~breaks[1:]
+        breaks |= lone
+    ends = np.flatnonzero(breaks) + 1
+    if not breaks[-1]:  # the file's last line, without a line break
+        ends = np.append(ends, a.size)
+    starts = np.concatenate(([0], ends[:-1]))
+    # A line's text stops before its \n, \r or \r\n.
+    crlf = (a[ends - 1] == 10) & (a.take(ends - 2, mode="clip") == 13)
+    stops = ends - breaks[ends - 1] - crlf
+    quote = block.find(b'"', 0, size)
+    free = ends.size if quote < 0 else int(np.searchsorted(ends, quote, side="right"))
+    seps = np.flatnonzero(a == ord(delimiter))
+    first = np.searchsorted(seps, starts)
+    ok = (np.diff(first, append=seps.size) == width - 1) & (ends - starts <= limit)
+    if a.max() >= 128:
+        ok[np.searchsorted(ends, np.flatnonzero(a >= 128), side="right")] = False
+    ok[free:] = False
+    lines = np.flatnonzero(ok)
+    seps_before = first[lines]
+
+    def field(k):
+        lo = starts[lines] if k == 0 else seps[seps_before + k - 1] + 1
+        return lo, stops[lines] if k == width - 1 else seps[seps_before + k]
+
+    years, states, parties, candidates, totals = map(field, columns)
+    year, year_ok = _digits(a, *years)
+    candidate, candidate_ok = _digits(a, *candidates)
+    total, total_ok = _digits(a, *totals)
+    keep = (year_ok & candidate_ok & total_ok & (config.year_min <= year)
+            & (year <= config.year_max) & (candidate <= total) & (total > 0)
+            & (states[1] - states[0] <= _LABEL_BYTES) & (parties[1] - parties[0] <= _LABEL_BYTES))
+    values = (year[keep], _texts(a, states[0][keep], states[1][keep]),
+              _texts(a, parties[0][keep], parties[1][keep]), candidate[keep], total[keep])
+    return starts, ends, free, lines[keep], values
+
+
+def _load_rows(handle, start: int, delimiter: str, width: int, index: dict[str, int],
                config: SchemaConfig) -> LoadResult:
-    """The rows and rejects of the records after the header line."""
-    # A record passing the inline accept test (_parse_row's checks; int(),
-    # which parses a year text once per load, ignores surrounding whitespace
-    # itself) becomes a row at once.  Any other record goes to _parse_row,
-    # which alone decides whether it is a row and names the reason when it
-    # is not.
-    fields = operator.itemgetter(*(index[c] for c in config.required_columns()))
+    """The rows and rejects of the records after the header line, which
+    ends at byte ``start`` of the file."""
+    columns = [index[c] for c in config.required_columns()]
     year_min, year_max = config.year_min, config.year_max
     # tuple.__new__ builds the same ReturnsRow without a Python frame.
     new_row = functools.partial(tuple.__new__, ReturnsRow)
     years, labels = _Canonical(int), _Canonical(str.strip)
+    # A _texts key -> the label object, decoded once per load.
+    texts = _Canonical(lambda key: labels[key.rstrip(b"\xff").decode()])
+
     limit = csv.field_size_limit()
     rows: list[ReturnsRow] = []
     rejects: list[RejectedRow] = []
-    source: list[str] = []
-    # Lines are split with str.split until the first one holding a '"' or
-    # longer than csv's field limit; from there one csv.reader reads the
-    # rest, and the loop runs again over its records.
-    records = enumerate(handle, 2)
-    quoted = False
-    while True:
-        for line_number, record in records:
-            if not quoted:
-                if '"' in record or len(record) > limit:
-                    break
-                # The last field keeps the line break until the record fails
-                # the accept test: int() and the labels' strip() drop it.
-                line, record = record, record.split(delimiter)
-            if len(record) == width:
-                year, state, party, candidate, total = fields(record)
-                try:
-                    year, candidate, total = years[year], int(candidate), int(total)
-                except ValueError:
-                    pass
-                else:
-                    if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
-                        rows.append(new_row((year, labels[state], labels[party], candidate, total)))
-                        continue
-            if quoted:
-                raw = "".join(source[:-1]) + source[-1].rstrip("\r\n")
-            else:
-                raw = line.rstrip("\r\n")
-                if not raw:
-                    continue
-                record = raw.split(delimiter)
-            try:
-                row = _parse_row(record, width, index, config)
-            except ValueError as exc:
-                rejects.append(RejectedRow(line_number, str(exc), raw))
-            else:
-                rows.append(row._replace(year=years[row.year], state=labels[row.state],
-                                         party=labels[row.party]))
+
+    def parse(record, line_number, raw):
+        # _parse_row alone decides whether a record that failed the accept
+        # test is a row, and names the reason when it is not.
+        try:
+            row = _parse_row(record, width, index, config)
+        except ValueError as exc:
+            rejects.append(RejectedRow(line_number, str(exc), raw))
         else:
-            return LoadResult(rows=rows, rejects=rejects)
-        records = _csv_records(itertools.chain((record,), handle), line_number, delimiter, source)
-        quoted = True
+            rows.append(row._replace(year=years[row.year], state=labels[row.state],
+                                     party=labels[row.party]))
+
+    # The quote-free lines are read in blocks.  The lines of a block that
+    # pass the accept test become rows in bulk; every other line, in file
+    # order, is decoded (a line that is not UTF-8 raises here) and split on
+    # the delimiter for _parse_row.  The first line holding a '"' or longer
+    # than csv's field limit ends the blocks.
+    line_number = 2
+    for offset, block, size in _blocks(handle.buffer, start):
+        starts, ends, free, lines, values = _scan(block, size, delimiter, width, columns, config,
+                                                  limit)
+        year, state, party, candidate, total = values
+        made = map(new_row, zip(_shared(year, years.__getitem__),
+                                map(texts.__getitem__, state.tolist()),
+                                map(texts.__getitem__, party.tolist()),
+                                candidate.tolist(), total.tolist()))
+        accepted = np.zeros(free, dtype=bool)
+        accepted[lines] = True
+        others = np.flatnonzero(~accepted)
+        done = 0
+        for j, before, lo, hi in zip(others.tolist(), np.searchsorted(lines, others).tolist(),
+                                      starts[others].tolist(), ends[others].tolist()):
+            rows.extend(itertools.islice(made, before - done))
+            done = before
+            line = block[lo:hi].decode()
+            if len(line) > limit:
+                free = j
+                break
+            raw = line.rstrip("\r\n")
+            if raw:
+                parse(raw.split(delimiter), line_number + j, raw)
+        else:
+            rows.extend(made)
+        if free < ends.size:
+            break
+        line_number += ends.size
+    else:
+        return LoadResult(rows=rows, rejects=rejects)
+
+    # From that line on one csv.reader reads the rest, so a quoted field may
+    # hold the delimiter or span lines.  For UTF-8 text, the byte offset of
+    # a line start is the text file's position there.
+    handle.seek(offset + int(starts[free]))
+    fields = operator.itemgetter(*columns)
+    source: list[str] = []
+    for line_number, record in _csv_records(handle, line_number + free, delimiter, source):
+        if len(record) == width:
+            year, state, party, candidate, total = fields(record)
+            try:
+                year, candidate, total = years[year], int(candidate), int(total)
+            except ValueError:
+                pass
+            else:
+                if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
+                    rows.append(new_row((year, labels[state], labels[party], candidate, total)))
+                    continue
+        parse(record, line_number, "".join(source[:-1]) + source[-1].rstrip("\r\n"))
+    return LoadResult(rows=rows, rejects=rejects)
 
 
 @dataclass(frozen=True)

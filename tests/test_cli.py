@@ -256,6 +256,17 @@ class TestFitCommand:
         assert "minimality" not in out
         assert any(m.startswith("no minimality verdict: the sampled statistic") for m in caplog.messages)
 
+    def test_an_overflowed_minimality_covariance_prints_no_verdict(self, capsys, caplog):
+        # The covariance of values near 1e200 overflows: this printed
+        # "minimal (smallest/largest stat eigenvalue inf/inf)".
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run_cli(capsys, "fit", "--policy", "lehmer", "--beta", "2",
+                                   "1e200", "2e200", "4e200")
+        assert code == 0
+        assert "theta_hat:        [3.e+200]" in out
+        assert "minimality" not in out
+        assert any(m.startswith("no minimality verdict: the sample covariance") for m in caplog.messages)
+
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
         code, _, err = run_cli(capsys, "fit", "--shapes", "1", "0", "0")
@@ -949,6 +960,12 @@ class TestRuntimeDependencies:
         # starts a fresh process per command, so every module is start-up.
         loaded = modules_after_import("import wmle.cli")
         assert loaded.isdisjoint({"fractions", "decimal", "_decimal", "_pydecimal"})
+
+    def test_cli_import_loads_no_process_pools_or_mmap(self):
+        # Ingest reads its file in blocks on one thread; every CLI process
+        # would pay for importing these.
+        loaded = modules_after_import("import wmle.cli")
+        assert loaded.isdisjoint({"concurrent.futures", "multiprocessing", "mmap"})
 
 
 class TestBenchmarkTracer:

@@ -418,3 +418,9 @@ class TestCheckMinimality:
         model = weibull_model([1e-3])
         with pytest.raises(NumericError, match=r"sampled statistic of weibull\(k=\[0\.001\]\) is not finite"):
             check_minimality(model, [-1.0], n_samples=2048)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_covariance_that_overflows_is_a_numeric_error(self):
+        # Finite statistics near 1e200 have a variance near 1e400.
+        with pytest.raises(NumericError, match=r"sample covariance of the statistic of weibull\(k=\[1\.0\]\) is not finite"):
+            check_minimality(weibull_model([1.0]), [-1.0], x_sample=[[1e200], [2e200], [4e200]])

@@ -500,6 +500,17 @@ class TestKernelPath:
             "at eta=[-1.000501381908963]"
         ]
 
+    def test_an_overflowed_minimality_covariance_gives_no_verdict(self, caplog):
+        # The sampled statistic is finite, but its covariance overflows;
+        # eigh raised an uncaught LinAlgError on it.
+        x = [[1e200, 2e200, 3e200], [2e200, 5e200, 1e200], [4e200, 1e201, 7e200]]
+        with caplog.at_level(logging.WARNING):
+            result = fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer(np.full(3, 2.0)))
+        assert result.diagnostics.minimality is None
+        np.testing.assert_allclose(result.theta_hat, [3e200, 129e200 / 17, 59e200 / 11], rtol=1e-12)
+        assert any(m.startswith("no minimality verdict: the sample covariance of the statistic "
+                                "of weibull(k=[1.0,1.0,1.0]) is not finite") for m in caplog.messages)
+
 
 class TestFit:
     def test_lehmer_policy_reproduces_lehmer_mean(self):

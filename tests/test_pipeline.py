@@ -2,10 +2,13 @@
 
 import csv
 import gc
+import importlib.util
 import io
 import logging
+import os
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -451,6 +454,135 @@ class TestCollectorPause:
         with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
             load_returns(path)
         assert gc.isenabled()
+
+
+
+def _load_at(monkeypatch, path, block_bytes):
+    """``load_returns(path)`` with the quote-free scan reading
+    ``block_bytes`` at a time."""
+    monkeypatch.setattr(pipeline, "_BLOCK_BYTES", block_bytes)
+    return load_returns(path)
+
+
+def _summary(result):
+    """Rows, rejects, and which rows share each year, state and party
+    object (by the index of the first row holding it)."""
+    sharing = {}
+    for field in ("year", "state", "party"):
+        first = {}
+        sharing[field] = [first.setdefault(id(getattr(row, field)), i)
+                          for i, row in enumerate(result.rows)]
+    rejects = [(r.line_number, r.reason, r.raw) for r in result.rejects]
+    return result.rows, rejects, sharing
+
+
+def _perfbench_gen(monkeypatch):
+    """The benchmark's input generator, ``perfbench/gen.py``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64])
+    def test_tiny_blocks_load_as_the_default_size(self, tmp_path, monkeypatch, block_bytes):
+        for name, path in _four_ways(tmp_path).items():
+            default = _summary(load_returns(path))
+            assert _summary(_load_at(monkeypatch, path, block_bytes)) == default, name
+            monkeypatch.undo()
+            rows = default[0]
+            for field in ("year", "state", "party"):
+                values = [getattr(row, field) for row in rows]
+                assert len(set(default[2][field])) == len(set(values)), (name, field)
+
+    @pytest.mark.parametrize("body", [
+        # A \r\n, a lone \r, a blank line and a rejected row, each of which
+        # lands on a block end at some block size.
+        "1976,AZ,DEMOCRAT,40,100\r\n1976,AZ,REPUBLICAN,50,100\r\n\r\n1976,CA,GREEN,x,9\r\n",
+        "1976,AZ,DEMOCRAT,40,100\r1976,AZ,REPUBLICAN,50,100\r\r1976,CA,GREEN,x,9\r",
+        "1976,AZ,DEMOCRAT,40,100\n\r\n1976,AZ,REPUBLICAN,50,100\r\r\n1978,CA,GREEN,7,9\n",
+        # The last line has no terminator.
+        "1976,AZ,DEMOCRAT,40,100\n1976,CA,GREEN,7,9",
+        "1976,AZ,DEMOCRAT,40,100\n1976,CA,GREEN,x,9\r",
+        # The first '"' lies in a later block; csv.reader reads from its line.
+        "1976,AZ,DEMOCRAT,40,100\n1976,AZ,REPUBLICAN,x,100\n1978,\"C\nA\",GREEN,7,9\n1978,CA,LIB,y,9",
+    ])
+    def test_every_block_size_loads_alike(self, tmp_path, monkeypatch, body):
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)
+        want = _summary(load_returns(path))
+        rows, rejects = _whole_file_csv_reference(path, SchemaConfig())
+        assert want[0] == rows
+        assert [r[:2] for r in want[1]] == rejects
+        for block_bytes in range(1, len(body.encode()) + 2):
+            assert _summary(_load_at(monkeypatch, path, block_bytes)) == want, block_bytes
+
+    def test_a_bad_byte_in_a_later_block_is_a_schema_error(self, tmp_path, monkeypatch, collector):
+        # The bad byte is in a column the rows do not keep.
+        path = tmp_path / "r.csv"
+        path.write_bytes((SCHEMA_HEADER + ",office\n" + "1976,AZ,DEMOCRAT,40,100,SENATE\n" * 3000).encode()
+                         + b"1976,AZ,DEMOCRAT,40,100,S\xe9NATE\n" + b"1976,AZ,DEMOCRAT,40,100,SENATE\n" * 10)
+        collector(True)
+        message = re.escape(f"{path}: not UTF-8 text (byte 0xe9: invalid continuation byte)")
+        for block_bytes in (100, 4096, 1 << 20):
+            with pytest.raises(SchemaError, match=f"^{message}$"):
+                _load_at(monkeypatch, path, block_bytes)
+            assert gc.isenabled()
+
+    def test_rows_only_parse_row_accepts(self, tmp_path, monkeypatch):
+        # A label padded with U+00A0 (stripped as whitespace), 19-digit
+        # counts (9234567890123456789 is more than an int64 holds) and a
+        # signed count.
+        path = write_file(
+            tmp_path / "r.csv",
+            SCHEMA_HEADER + "\n"
+            "1976,\xa0AZ\xa0,DEMOCRAT,40,100\n"
+            "1976,AZ,\xa0DEMOCRAT,1234567890123456789,9234567890123456789\n"
+            "1976,AZ,REPUBLICAN,+5,100\n"
+            "1976,AZ,REPUBLICAN,9234567890123456789,100\n",
+        )
+        for block_bytes in (16, 1 << 20):
+            result = _load_at(monkeypatch, path, block_bytes)
+            assert result.rows == [
+                ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100),
+                ReturnsRow(1976, "AZ", "DEMOCRAT", 1234567890123456789, 9234567890123456789),
+                ReturnsRow(1976, "AZ", "REPUBLICAN", 5, 100),
+            ]
+            assert result.rows[0].state is result.rows[1].state
+            assert result.rows[0].party is result.rows[1].party
+            assert [(r.line_number, r.reason) for r in result.rejects] == [
+                (5, "candidatevotes 9234567890123456789 exceeds totalvotes 100")
+            ]
+
+    def test_tab_delimited_file(self, tmp_path, monkeypatch):
+        path = write_file(
+            tmp_path / "r.tsv",
+            SCHEMA_HEADER.replace(",", "\t") + "\n"
+            "1976\tAZ\tDEMOCRAT\t40\t100\n"
+            "1976\tAZ, CA\tREPUBLICAN\t50\t100\n"
+            "1976\tAZ\tGREEN\t5\n",
+        )
+        for block_bytes in (9, 1 << 20):
+            result = _load_at(monkeypatch, path, block_bytes)
+            assert result.rows == [ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100),
+                                   ReturnsRow(1976, "AZ, CA", "REPUBLICAN", 50, 100)]
+            assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == [
+                (4, "expected 5 fields, got 4", "1976\tAZ\tGREEN\t5")
+            ]
+
+    def test_generated_precinct_file_matches_the_whole_file_reader(self, tmp_path, monkeypatch):
+        generated = _perfbench_gen(monkeypatch).returns_file(5, races_per_cycle=6, precincts=2,
+                                                  zero_other_cycle=True)
+        path = write_file(tmp_path / "precinct.csv", generated.text)
+        config = SchemaConfig()
+        rows, rejects = _whole_file_csv_reference(path, config)
+        result = load_returns(path, config)
+        assert result.rows == rows and len(rows) == generated.valid_rows
+        assert [(r.line_number, r.reason) for r in result.rejects] == rejects
+        assert [r.line_number for r in result.rejects] == generated.reject_lines
 
 
 class TestAggregate:
