@@ -195,25 +195,25 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
 
 
 def _holder_weights(w: np.ndarray):
-    """Row weights for the Holder kernel: ``w`` over its largest and their
-    sum, or ``(None, None)`` where all weights are equal and cancel."""
+    """Row weights for the Holder kernel: the pair of ``w`` over its largest
+    and their sum, or ``None`` where all weights are equal and cancel."""
     top = np.maximum.reduce(w)
     if np.minimum.reduce(w) == top:
-        return None, None
+        return None
     w = w / top
     return w, float(np.add.reduce(w))
 
 
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
-                  w: np.ndarray | None = None, w_total: float | None = None):
+                  w: np.ndarray | tuple | None = None):
     """Lehmer or Holder means of one column at many orders, as shifted sums.
 
     ``x`` is non-negative, and positive for negative Holder orders; the
     orders are finite, the Holder ones nonzero and of one sign, and are
     taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``;
-    base weights ``w`` need ``B == 1``.  Holder weights come from
-    :func:`_holder_weights`, with their sum ``w_total``, so a caller with
-    many columns derives them once.  Returns per order the moment
+    base weights ``w`` need ``B == 1``.  Lehmer weights are the base
+    weights; Holder ones are the pair :func:`_holder_weights` returns, so a
+    caller with many columns derives them once.  Returns per order the moment
     target, the total weight, the Weibull closed-form estimate and whether
     the sums are accurate, then the reference ``x_r``.  Lehmer: weights
     ``u`` from :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)``,
@@ -245,7 +245,12 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         # (1, n) view y matches a one-row out, which numpy updates in place.
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.divide(x[None, :], ref, out=out[:1] if single else None)
-        total[:] = x.size if w is None else w_total
+        if w is None:
+            total[:] = x.size
+        elif isinstance(w, tuple):
+            w, total[:] = w
+        else:
+            raise TypeError("Holder row weights are the pair _holder_weights returns")
         shapes = orders
     for lo in range(0, orders.size, out.shape[0]):
         block = orders[lo : lo + out.shape[0]]
@@ -347,7 +352,7 @@ def holder_mean(alpha, values, weights=None) -> float:
     if np.max(x) == 0.0:  # only for a > 0
         return 0.0
     _, _, estimate, ok, _ = _column_means("holder", x, np.array([a]), np.empty((1, x.size)),
-                                          *_holder_weights(w))
+                                          _holder_weights(w))
     if not ok[0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(estimate[0])

@@ -252,12 +252,12 @@ def _kernel_columns(sub_models, obs: np.ndarray, policy: WeightPolicy, w: Option
     """
     out, buf = np.empty((1, obs.shape[0])), np.empty(obs.shape[0])
     # Holder row weights are taken over their largest once for all columns.
-    row_weights = (None, None) if w is None or policy.kind != "holder" else _holder_weights(w)
+    row_weights = None if w is None or policy.kind != "holder" else _holder_weights(w)
     for j, sub_model in enumerate(sub_models):
         ref = 1.0
         if policy.kind == "holder":
             target, total, _, ok, ref = _column_means("holder", obs[:, j], sub_model.stat_powers, out,
-                                                      *row_weights)
+                                                      row_weights)
             if not ok[0]:
                 raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
             if ref == 0.0:

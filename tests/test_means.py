@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmle import DomainError, NumericError, Sample, f_mean, holder_mean, lehmer_mean, v_weights
+from wmle import means
 
 from conftest import (
     holder_oracle,
@@ -147,6 +148,16 @@ class TestHolderMean:
         bound = 2 if abs(order) > 1 else 4
         assert ulps_off(holder_mean(order, values, weights),
                         holder_oracle(order, values, weights)) <= bound
+
+    def test_the_kernel_takes_holder_weights_only_with_their_sum(self):
+        # Raw row weights would leave the kernel's total weight unset.
+        x, w = np.array([0.6, 2.0]), np.array([1.0, 3.0])
+        with pytest.raises(TypeError, match="_holder_weights"):
+            means._column_means("holder", x, np.array([2.0]), np.empty((1, 2)), w)
+        target, total, _, _, _ = means._column_means("holder", x, np.array([2.0]),
+                                                     np.empty((1, 2)), means._holder_weights(w))
+        assert total[0] == 4.0 / 3.0
+        assert target[0] == pytest.approx((0.09 + 3.0) / 4.0, rel=1e-15)
 
 
 class TestLehmerMean:

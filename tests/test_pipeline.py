@@ -9,6 +9,7 @@ import os
 import random
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -572,6 +573,33 @@ class TestBlockScan:
             assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == [
                 (4, "expected 5 fields, got 4", "1976\tAZ\tGREEN\t5")
             ]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("block_bytes", [7, 1 << 20])
+    def test_a_pipe_loads_as_the_file_it_carries(self, tmp_path, monkeypatch, block_bytes):
+        # A pipe cannot seek, so nothing read may be read again; the
+        # "halfway" file hands over to csv.reader in the middle of a block.
+        fifo = tmp_path / "returns.pipe"
+        os.mkfifo(fifo)
+        for name, path in _four_ways(tmp_path).items():
+            want = _summary(_load_at(monkeypatch, path, block_bytes))
+            with open(path, "rb") as handle:
+                data = handle.read()
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+            writer.start()
+            try:
+                assert _summary(load_returns(fifo)) == want, name
+            finally:
+                writer.join(timeout=60)
+            monkeypatch.undo()
+
+    def test_a_header_ended_by_a_lone_cr(self, tmp_path, monkeypatch):
+        body = "1976,AZ,DEMOCRAT,40,100\r1976,AZ,REPUBLICAN,x,100\r1976,AZ,GREEN,7,9\r"
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\r" + body)
+        want = _summary(load_returns(write_file(tmp_path / "lf.csv",
+                                                SCHEMA_HEADER + "\n" + body.replace("\r", "\n"))))
+        for block_bytes in (5, 1 << 20):
+            assert _summary(_load_at(monkeypatch, path, block_bytes)) == want
 
     def test_generated_precinct_file_matches_the_whole_file_reader(self, tmp_path, monkeypatch):
         generated = _perfbench_gen(monkeypatch).returns_file(5, races_per_cycle=6, precincts=2,
