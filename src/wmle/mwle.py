@@ -383,19 +383,20 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     if not (np.isfinite(theta).all() and (not kernel or (theta > 0).all())):
         raise NumericError(f"the estimate theta_hat={theta.tolist()} of {model.name} is not finite"
                            + (" and positive" if kernel else ""))
-    # Never succeed silently at a flat maximum.
-    if flat:
-        logger.warning(
-            "weighted log-likelihood Hessian is numerically degenerate at the "
-            "estimate (largest eigenvalue %.3e); inspect the minimality verdict",
-            max(flat),
-        )
     verdict = None
     if minimality_samples and model.sampler is not None:
         try:
             verdict = check_minimality(model, eta, n_samples=minimality_samples, seed=seed)
         except NumericError as exc:
             logger.warning("no minimality verdict: %s", exc)
+    # Never succeed silently at a flat maximum.
+    if flat:
+        logger.warning(
+            "weighted log-likelihood Hessian is numerically degenerate at the "
+            "estimate (largest eigenvalue %.3e)%s",
+            max(flat),
+            "" if verdict is None else "; inspect the minimality verdict",
+        )
     diagnostics = FitDiagnostics(
         iterations=max(info.iterations for info in infos),
         residual_norm=max(info.residual for info in infos),

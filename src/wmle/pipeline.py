@@ -14,14 +14,14 @@ breaks (``\\n``, ``\\r\\n`` or a lone ``\\r``).  In each block numpy finds
 the line breaks and the delimiters and runs the accept test over all lines
 at once: an ASCII line with the header's field count, year and vote fields
 of 1-18 ASCII digits that pass ``_parse_row``'s range checks, and state
-and party texts of at most 64 bytes becomes a ``ReturnsRow``, an immutable
-named tuple, with the other accepted lines of its block.  Every other line
-(ragged, an integer with a sign, spaces, ``_`` or ``chr(0x1c)``, out of
-range, non-ASCII, blank) is decoded, so text that is not UTF-8 fails here,
-split on the delimiter and given, in file order, to ``_parse_row``.
-``_parse_row`` has the last word, so the few spellings it accepts and the
-scan does not (``+5``, ``' 12 '``, a 19-digit count) are still rows, and
-it names the reason a rejected line is not.
+and party texts of at most 64 bytes is accepted with the other accepted
+lines of its block, as arrays.  Every other line (ragged, an integer with
+a sign, spaces, ``_`` or ``chr(0x1c)``, out of range, non-ASCII, blank)
+is decoded, so text that is not UTF-8 fails here, split on the delimiter
+and given, in file order, to ``_parse_row``.  ``_parse_row`` has the last
+word, so the few spellings it accepts and the scan does not (``+5``,
+``' 12 '``, a 19-digit count) are still rows, and it names the reason a
+rejected line is not.
 
 From the first line holding a ``"`` on, one ``csv.reader`` reads the rest
 of the file, so a quoted field may hold the delimiter or span lines; its
@@ -31,34 +31,31 @@ A reject is numbered by the physical line its record starts on (the header
 is line 1), and its ``raw`` text is the record's source lines without the
 final line break.
 
-The rows of one load share their label objects: a per-call dict maps each
-field text to the first object parsed for its value (the block scan
-decodes each distinct state and party byte string once), so the rows hold
-one object per distinct year, state and party rather than three per row, and
-``aggregate`` hashes strings whose hash is already cached.  The row loop
-makes no reference cycles, so the cyclic garbage collector is paused for
-it (if it was enabled) and restored after it, also when the load raises;
-each accepted row is a tracked tuple, and the collector's passes would
-otherwise walk the rows accepted so far again and again.
+The accepted rows of one load are a ``ReturnsRows``, a read-only sequence
+of ``ReturnsRow`` named tuples held as columns, in file order: year, state
+and party as int32 codes into per-load tuples of label objects (the block
+scan decodes each distinct state and party byte string once per block),
+and the vote counts as int64, or as Python ints where a count does not
+fit.  No per-row object is made unless a row is asked for.
 
-Aggregation sums candidate votes per (year, party label), maps each
-distinct label to DEM/REP/OTHER once, and divides by the summed
-mapped-party votes of that year, so each row of the resulting matrix sums
-to one by construction and no vote is lost or double counted.  Special
-elections sharing a cycle year are merged into that year's totals.  The
-configured year range defaults to 1976-2020, which contains 23 biennial
-cycles; the row count is surfaced rather than assumed.
+Aggregation maps each distinct party label to DEM/REP/OTHER once, sums
+candidate votes per (year, bucket) in one grouped integer sum, exact also
+past 2**63, and divides by the summed mapped-party votes of that year, so
+each row of the resulting matrix sums to one by construction and no vote
+is lost or double counted.  Special elections sharing a cycle year are
+merged into that year's totals.  The configured year range defaults to
+1976-2020, which contains 23 biennial cycles; the row count is surfaced
+rather than assumed.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-import gc
 import io
 import itertools
 import logging
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -70,6 +67,7 @@ from .expfam import WeightedDataset
 __all__ = [
     "SchemaConfig",
     "ReturnsRow",
+    "ReturnsRows",
     "RejectedRow",
     "LoadResult",
     "ProportionMatrix",
@@ -173,9 +171,52 @@ class RejectedRow:
     raw: str
 
 
+class ReturnsRows(Sequence):
+    """The accepted rows of one load, in file order, held as columns.
+
+    A read-only sequence of :class:`ReturnsRow`: indexing, slicing and
+    iteration build rows only when asked for them, with Python ``int`` and
+    ``str`` fields.  Year, state and party are held as codes into per-load
+    tuples of label objects, so equal labels are one object; the vote
+    counts are int64, or Python ints where a count does not fit.  It
+    compares equal to any sequence of equal rows.
+    """
+
+    __slots__ = ("_labels", "_columns")
+
+    def __init__(self, labels: tuple[tuple, tuple, tuple], columns: tuple[np.ndarray, ...]):
+        self._labels = labels  # year, state and party label objects
+        self._columns = columns  # year, state and party codes, candidate and total votes
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ReturnsRows(self._labels, tuple(column[index] for column in self._columns))
+        index = operator.index(index)
+        year, state, party, candidate, total = (column[index] for column in self._columns)
+        years, states, parties = self._labels
+        return ReturnsRow(years[year], states[state], parties[party], int(candidate), int(total))
+
+    def __iter__(self):
+        labels = (map(objects.__getitem__, codes.tolist())
+                  for objects, codes in zip(self._labels, self._columns))
+        votes = (column.tolist() for column in self._columns[3:])
+        return map(ReturnsRow._make, zip(*labels, *votes))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"ReturnsRows({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class LoadResult:
-    rows: list[ReturnsRow]
+    rows: ReturnsRows
     rejects: list[RejectedRow]
 
 
@@ -216,21 +257,68 @@ def _parse_row(record: list[str], width: int, index: dict[str, int],
     )
 
 
-class _Canonical(dict):
-    """Field text -> its parsed value, one object per distinct value.
+def _coded(keys: np.ndarray, codes: dict, label=None) -> np.ndarray:
+    """The int32 code of each of ``keys``: ``codes`` maps a label to its
+    code, and a new label gets the next one.  ``label(key)`` is the label
+    of a key, called once per distinct key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    labels = distinct.tolist() if label is None else map(label, distinct.tolist())
+    return np.array([codes.setdefault(x, len(codes)) for x in labels], dtype=np.int32)[inverse]
 
-    A miss parses the text; the first object parsed for a value is stored
-    under the value itself too, and every later equal value maps to it.
-    """
 
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
+def _votes(counts) -> np.ndarray:
+    """``counts`` as int64, or as Python ints if one does not fit."""
+    try:
+        return np.array(counts, dtype=np.int64)
+    except OverflowError:
+        return np.array(counts, dtype=object)
 
-    def __missing__(self, text):
-        value = self.parse(text)
-        value = self[text] = self.setdefault(value, value)
-        return value
+
+class _Columns:
+    """The accepted rows of one load, gathered in file order into the
+    columns of a :class:`ReturnsRows`."""
+
+    def __init__(self):
+        # Year, state and party label -> its code, in order of first use.
+        self.codes: tuple[dict, dict, dict] = ({}, {}, {})
+        self.parts: list[list[np.ndarray]] = []  # the columns of the rows added, in pieces
+        # Rows not in parts yet, added in file order as (line number, year,
+        # state, party, candidate votes, total votes) tuples and kept flat:
+        # a tuple per row would be a tracked object for the collector.
+        self.pending: list = []
+        self.add = self.pending.extend
+
+    def extend(self, lines, year, state, party, candidate, total):
+        """Add the rows a block scan accepted, at line numbers ``lines``,
+        merged by line number with the rows added since the last call.
+        ``year`` is int64 and ``state`` and ``party`` are :func:`_texts`
+        keys, each decoded once."""
+        def text(key):
+            return key.rstrip(b"\xff").decode().strip()
+
+        years, states, parties = self.codes
+        part = [_coded(year, years), _coded(state, states, text), _coded(party, parties, text),
+                candidate, total]
+        if self.pending:
+            added, more = self._take_pending()
+            order = np.argsort(np.concatenate((lines, added)), kind="stable")
+            part = [np.concatenate(pair)[order] for pair in zip(part, more)]
+        self.parts.append(part)
+
+    def _take_pending(self):
+        """The line numbers and the columns of the pending rows."""
+        line, *labels, candidate, total = (self.pending[k::6] for k in range(6))
+        self.pending.clear()
+        codes = [np.array([table.setdefault(x, len(table)) for x in column], dtype=np.int32)
+                 for table, column in zip(self.codes, labels)]
+        return line, codes + [_votes(candidate), _votes(total)]
+
+    def finish(self) -> ReturnsRows:
+        if self.pending:
+            self.parts.append(self._take_pending()[1])
+        empty = [np.empty(0, np.int32)] * 3 + [np.empty(0, np.int64)] * 2
+        columns = tuple(np.concatenate(pieces) for pieces in zip(empty, *self.parts))
+        return ReturnsRows(tuple(tuple(codes) for codes in self.codes), columns)
 
 
 def _csv_records(lines, first: int, delimiter: str, source: list[str]):
@@ -275,15 +363,7 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
             if missing:
                 raise SchemaError(f"{path}: missing required column(s) {missing} in header {header}")
             index = {name: header.index(name) for name in config.required_columns()}
-            # The row loop makes no reference cycles, so pausing the collector
-            # defers only its passes over the rows accepted so far.
-            paused = gc.isenabled()
-            gc.disable()
-            try:
-                return _load_rows(stream, head, delimiter, len(header), index, config)
-            finally:
-                if paused:
-                    gc.enable()
+            return _load_rows(stream, head, delimiter, len(header), index, config)
     except UnicodeDecodeError as exc:
         raise SchemaError(not_utf8(path, exc)) from None
 
@@ -369,16 +449,6 @@ def _texts(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys.T).view(f"S{place.size}").ravel()
 
 
-def _shared(keys: np.ndarray, canonical) -> list:
-    """``canonical(key)`` for each of ``keys``, called once per distinct key.
-
-    For the int64 years of a block this is faster than one ``canonical``
-    call per key."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    objects = np.array([canonical(key) for key in distinct.tolist()], dtype=object)
-    return objects[inverse].tolist()
-
-
 def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list[int],
           config: SchemaConfig, limit: int):
     """Cut ``block[:size]``, quote-free text, into lines and run the accept
@@ -435,14 +505,8 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
     the bytes read past the header, then the rest of ``stream``."""
     columns = [index[c] for c in config.required_columns()]
     year_min, year_max = config.year_min, config.year_max
-    # tuple.__new__ builds the same ReturnsRow without a Python frame.
-    new_row = functools.partial(tuple.__new__, ReturnsRow)
-    years, labels = _Canonical(int), _Canonical(str.strip)
-    # A _texts key -> the label object, decoded once per load.
-    texts = _Canonical(lambda key: labels[key.rstrip(b"\xff").decode()])
-
     limit = csv.field_size_limit()
-    rows: list[ReturnsRow] = []
+    rows = _Columns()
     rejects: list[RejectedRow] = []
 
     def parse(record, line_number, raw):
@@ -453,15 +517,15 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
         except ValueError as exc:
             rejects.append(RejectedRow(line_number, str(exc), raw))
         else:
-            rows.append(row._replace(year=years[row.year], state=labels[row.state],
-                                     party=labels[row.party]))
+            rows.add((line_number, *row))
 
     # The quote-free lines are read in blocks, each cut before its first
     # line holding a '"'.  The lines of a block that pass the accept test
-    # become rows in bulk; every other line, in file order, is decoded (a
+    # are added as columns; every other line, in file order, is decoded (a
     # line that is not UTF-8 raises here) and split on the delimiter for
-    # _parse_row.  The first line holding a '"' or longer than csv's field
-    # limit ends the blocks.
+    # _parse_row, and a row it accepts is placed among them by its line.
+    # The first line holding a '"' or longer than csv's field limit ends
+    # the blocks.
     line_number = 2
     for block, size, held in _blocks(stream, head):
         quote = block.find(b'"', 0, size)
@@ -470,19 +534,11 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
         if cut:
             starts, ends, lines, values = _scan(block, cut, delimiter, width, columns, config,
                                                 limit)
-            year, state, party, candidate, total = values
-            made = map(new_row, zip(_shared(year, years.__getitem__),
-                                    map(texts.__getitem__, state.tolist()),
-                                    map(texts.__getitem__, party.tolist()),
-                                    candidate.tolist(), total.tolist()))
             accepted = np.zeros(ends.size, dtype=bool)
             accepted[lines] = True
             others = np.flatnonzero(~accepted)
-            count, done = ends.size, 0
-            for j, before, lo, hi in zip(others.tolist(), np.searchsorted(lines, others).tolist(),
-                                          starts[others].tolist(), ends[others].tolist()):
-                rows.extend(itertools.islice(made, before - done))
-                done = before
+            count = ends.size
+            for j, lo, hi in zip(others.tolist(), starts[others].tolist(), ends[others].tolist()):
                 line = block[lo:hi].decode()
                 if len(line) > limit:
                     cut, count = lo, j
@@ -490,13 +546,13 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
                 raw = line.rstrip("\r\n")
                 if raw:
                     parse(raw.split(delimiter), line_number + j, raw)
-            else:
-                rows.extend(made)
+            scanned = np.searchsorted(lines, count)
+            rows.extend(line_number + lines[:scanned], *(column[:scanned] for column in values))
             line_number += count
         if cut < size:
             break
     else:
-        return LoadResult(rows=rows, rejects=rejects)
+        return LoadResult(rows=rows.finish(), rejects=rejects)
 
     # From that line on one csv.reader reads the rest, so a quoted field may
     # hold the delimiter or span lines.
@@ -505,20 +561,20 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
     source: list[str] = []
     for line_number, record in _csv_records(rest, line_number, delimiter, source):
         # A file quoted throughout runs only this loop, and this inline copy
-        # of the accept test takes its records in about half the time that
-        # _parse_row and _replace take; _parse_row judges the rest.
+        # of the accept test takes its records faster than _parse_row;
+        # _parse_row judges the rest.
         if len(record) == width:
             year, state, party, candidate, total = fields(record)
             try:
-                year, candidate, total = years[year], int(candidate), int(total)
+                year, candidate, total = int(year), int(candidate), int(total)
             except ValueError:
                 pass
             else:
                 if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
-                    rows.append(new_row((year, labels[state], labels[party], candidate, total)))
+                    rows.add((line_number, year, state.strip(), party.strip(), candidate, total))
                     continue
         parse(record, line_number, "".join(source[:-1]) + source[-1].rstrip("\r\n"))
-    return LoadResult(rows=rows, rejects=rejects)
+    return LoadResult(rows=rows.finish(), rejects=rejects)
 
 
 @dataclass(frozen=True)
@@ -567,14 +623,16 @@ class ProportionMatrix:
         return cls(years=tuple(years), values=np.asarray(rows, dtype=float))
 
 
-def aggregate(rows: list[ReturnsRow], party_mapping: Optional[dict] = None) -> ProportionMatrix:
+def aggregate(rows: Sequence[ReturnsRow], party_mapping: Optional[dict] = None) -> ProportionMatrix:
     """Aggregate validated rows into one proportion row per cycle year.
 
-    ``party_mapping`` sends party labels to ``DEM``/``REP``/``OTHER``;
-    unmapped labels fall through to ``OTHER``.  A cycle whose mapped votes
-    sum to zero raises ``AggregationError``.  An exactly-zero proportion is
-    floored at ``ZERO_PROPORTION_FLOOR`` and the row renormalized, with a
-    logged warning, so downstream weight policies stay in-domain.
+    ``rows`` is the :class:`ReturnsRows` of a load or any sequence of
+    ``ReturnsRow``.  ``party_mapping`` sends party labels to
+    ``DEM``/``REP``/``OTHER``; unmapped labels fall through to ``OTHER``.
+    A cycle whose mapped votes sum to zero raises ``AggregationError``.  An
+    exactly-zero proportion is floored at ``ZERO_PROPORTION_FLOOR`` and the
+    row renormalized, with a logged warning, so downstream weight policies
+    stay in-domain.
     """
     mapping = DEFAULT_PARTY_MAPPING if party_mapping is None else dict(party_mapping)
     bad_targets = set(mapping.values()) - set(_BUCKETS)
@@ -582,42 +640,45 @@ def aggregate(rows: list[ReturnsRow], party_mapping: Optional[dict] = None) -> P
         raise ConfigError(f"party mapping targets must be in {_BUCKETS}, got {sorted(bad_targets)}")
     if not rows:
         raise AggregationError("no rows to aggregate")
+    if not isinstance(rows, ReturnsRows):
+        columns = _Columns()
+        for row in rows:
+            columns.add((0, *row))  # rows given in order need no line numbers
+        rows = columns.finish()
 
-    # Sum per year and party first, then map each distinct label once.
-    # Integer sums are exact, so the grouping order changes no proportion.
-    sums: dict[int, dict[str, int]] = {}
-    for year, _, party, votes, _ in rows:
-        per_party = sums.get(year)
-        if per_party is None:
-            per_party = sums[year] = {}
-        per_party[party] = per_party.get(party, 0) + votes
-    totals: dict[int, dict[str, int]] = {}
-    for year, per_party in sums.items():
-        per_year = totals[year] = dict.fromkeys(_BUCKETS, 0)
-        for party, votes in per_party.items():
-            per_year[mapping.get(party, "OTHER")] += votes
+    # Map each distinct party label once, then sum the votes per year and
+    # bucket.  Integer sums are exact, so the grouping changes no
+    # proportion; int64 sums are exact while no sum can pass 2**63.
+    (years, _, parties), (year, _, party, votes, _) = rows._labels, rows._columns
+    bucket = np.array([_BUCKETS.index(mapping.get(p, "OTHER")) for p in parties], dtype=np.intp)
+    if votes.dtype != object and max(int(votes.max()), -int(votes.min())) * votes.size >= 1 << 63:
+        votes = votes.astype(object)
+    sums = np.zeros(3 * len(years), dtype=votes.dtype)
+    np.add.at(sums, 3 * year.astype(np.intp) + bucket[party], votes)
+    totals = sums.reshape(-1, 3).tolist()
+    present = sorted(np.flatnonzero(np.bincount(year, minlength=len(years))).tolist(),
+                     key=years.__getitem__)
 
-    years = sorted(totals)
-    values = np.empty((len(years), 3))
-    for i, year in enumerate(years):
-        per_year = totals[year]
-        year_total = sum(per_year.values())
+    values = np.empty((len(present), 3))
+    for i, code in enumerate(present):
+        per_year = totals[code]
+        year_total = sum(per_year)
         if year_total == 0:
-            raise AggregationError(f"cycle {year} has zero mapped votes")
-        proportions = np.array([per_year[b] / year_total for b in _BUCKETS])
+            raise AggregationError(f"cycle {years[code]} has zero mapped votes")
+        proportions = np.array([count / year_total for count in per_year])
         zero_mask = proportions == 0.0
         if np.any(zero_mask):
             floored = [b for b, z in zip(_BUCKETS, zero_mask) if z]
             logger.warning(
                 "cycle %d has zero votes for %s; flooring at %g and renormalizing",
-                year,
+                years[code],
                 ",".join(floored),
                 ZERO_PROPORTION_FLOOR,
             )
             proportions = np.where(zero_mask, ZERO_PROPORTION_FLOOR, proportions)
             proportions = proportions / proportions.sum()
         values[i] = proportions
-    return ProportionMatrix(years=tuple(years), values=values)
+    return ProportionMatrix(years=tuple(years[code] for code in present), values=values)
 
 
 def to_weighted_dataset(matrix: ProportionMatrix) -> WeightedDataset:

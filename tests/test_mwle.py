@@ -512,6 +512,25 @@ class TestKernelPath:
                                 "of weibull(k=[1.0,1.0,1.0]) is not finite") for m in caplog.messages)
 
 
+def _duplicated_statistic_model():
+    """A model whose two statistics are one, so its curvature is flat."""
+    return FamilyModel(
+        name="duplicated-statistic",
+        dim_x=2,
+        dim_eta=2,
+        log_base_measure=lambda x: np.zeros(x.shape[0]),
+        sufficient_stat=lambda x: np.column_stack([x[:, 0], x[:, 0]]),
+        nat_param=lambda theta: np.asarray(theta, dtype=float).copy(),
+        nat_param_inverse=lambda eta: np.asarray(eta, dtype=float).copy(),
+        log_normalizer=lambda eta: 0.0,
+        natural_domain=lambda eta: bool(np.all(np.isfinite(eta))),
+        mean_map_closed=lambda eta: np.full(2, float(eta[0] + eta[1])),
+        mean_map_inverse=lambda t: np.full(2, float(t[0]) / 2.0),
+        mean_map_jacobian=lambda eta: np.ones((2, 2)),
+        support=(-math.inf, math.inf),
+    )
+
+
 class TestFit:
     def test_lehmer_policy_reproduces_lehmer_mean(self):
         rng = np.random.default_rng(41)
@@ -629,26 +648,32 @@ class TestFit:
     def test_degenerate_curvature_warns_instead_of_silent_success(self, caplog):
         # two copies of the same statistic leave a flat direction in the
         # curvature at the estimate; the fit must say so
-        model = FamilyModel(
-            name="duplicated-statistic",
-            dim_x=2,
-            dim_eta=2,
-            log_base_measure=lambda x: np.zeros(x.shape[0]),
-            sufficient_stat=lambda x: np.column_stack([x[:, 0], x[:, 0]]),
-            nat_param=lambda theta: np.asarray(theta, dtype=float).copy(),
-            nat_param_inverse=lambda eta: np.asarray(eta, dtype=float).copy(),
-            log_normalizer=lambda eta: 0.0,
-            natural_domain=lambda eta: bool(np.all(np.isfinite(eta))),
-            mean_map_closed=lambda eta: np.full(2, float(eta[0] + eta[1])),
-            mean_map_inverse=lambda t: np.full(2, float(t[0]) / 2.0),
-            mean_map_jacobian=lambda eta: np.ones((2, 2)),
-            support=(-math.inf, math.inf),
-        )
         obs = np.array([[0.4, 9.0], [1.0, 9.0], [1.6, 9.0]])
         with caplog.at_level(logging.WARNING):
-            result = fit(model, obs, WeightPolicy.holder())
+            result = fit(_duplicated_statistic_model(), obs, WeightPolicy.holder())
         assert result.diagnostics.hessian_largest >= -1e-12
         assert any("degenerate" in message for message in caplog.messages)
+
+    def test_the_degenerate_warning_points_only_at_a_verdict_given(self, caplog):
+        # At 1e200 the curvature is -inf and the sampled covariance
+        # overflows, so there is no verdict to inspect.
+        with caplog.at_level(logging.WARNING):
+            result = fit(weibull_model([1.0]), [1e200, 2e200, 4e200], WeightPolicy.lehmer([2.0]))
+        assert result.diagnostics.minimality is None
+        assert caplog.messages == [
+            "no minimality verdict: the sample covariance of the statistic of weibull(k=[1.0]) "
+            "is not finite at eta=[-3.333333333333332e-201]",
+            "weighted log-likelihood Hessian is numerically degenerate at the estimate "
+            "(largest eigenvalue -inf)",
+        ]
+        # With a sampler the flat model gets a verdict, and the warning names it.
+        caplog.clear()
+        model = dataclasses.replace(_duplicated_statistic_model(),
+                                    sampler=lambda eta, n, rng: rng.normal(size=(n, 2)))
+        with caplog.at_level(logging.WARNING):
+            result = fit(model, [[0.4, 9.0], [1.0, 9.0], [1.6, 9.0]], WeightPolicy.holder())
+        assert not result.diagnostics.minimality.minimal
+        assert [m.split(")", 1)[1] for m in caplog.messages] == ["; inspect the minimality verdict"]
 
     def test_degeneracy_is_judged_per_component(self, caplog):
         # Independent components whose curvatures lie 1e32 apart: neither is

@@ -10,6 +10,8 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from wmle import (
     to_weighted_dataset,
 )
 from wmle import pipeline
-from wmle.pipeline import ProportionMatrix, ReturnsRow, SchemaConfig
+from wmle.pipeline import ProportionMatrix, ReturnsRow, ReturnsRows, SchemaConfig
 
 from conftest import SCHEMA_HEADER, write_synthetic_returns
 
@@ -214,6 +216,58 @@ class TestLoadReturns:
         assert row == ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100)
         with pytest.raises(AttributeError):
             row.candidate_votes = 41
+
+    def test_rows_are_a_read_only_sequence(self, tmp_path):
+        # Only _parse_row accepts "+5"; "x" is a reject.
+        path = write_file(
+            tmp_path / "r.csv",
+            SCHEMA_HEADER + "\n"
+            "1976,AZ,DEMOCRAT,40,100\n"
+            "1976,AZ,REPUBLICAN,50,100\n"
+            "1978,CA,GREEN,+5,90\n"
+            "1978,CA,GREEN,x,90\n"
+            "1978,CA,DEMOCRAT,60,90\n",
+        )
+        rows = load_returns(path).rows
+        want = [ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100), ReturnsRow(1976, "AZ", "REPUBLICAN", 50, 100),
+                ReturnsRow(1978, "CA", "GREEN", 5, 90), ReturnsRow(1978, "CA", "DEMOCRAT", 60, 90)]
+        assert isinstance(rows, ReturnsRows) and isinstance(rows, Sequence)
+        assert len(rows) == 4
+        assert rows == want and want == rows and rows == tuple(want) and not rows != want
+        assert rows != want[:3] and rows != want[::-1] and want[::-1] != rows and rows != "rows"
+        assert [rows[i] for i in range(-4, 4)] == want + want
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                rows[index]
+        assert rows[1:3] == want[1:3] and rows[::-2] == want[::-2] and rows[5:] == []
+        assert rows[1:][-1] == want[-1]
+        assert list(rows) == want and list(reversed(rows)) == want[::-1]
+        assert rows.index(want[2]) == 2 and want[3] in rows
+        for row in [*rows, *(rows[i] for i in range(4))]:
+            assert type(row) is ReturnsRow
+            assert [type(value) for value in row] == [int, str, str, int, int]
+            with pytest.raises(AttributeError):
+                row.year = 1980
+        with pytest.raises(TypeError):
+            rows[0] = want[0]
+        with pytest.raises(TypeError):
+            rows["year"]
+        assert not hasattr(rows, "append")
+        assert repr(rows) == f"ReturnsRows({want!r})"
+
+    def test_a_load_retains_at_most_64_bytes_a_row(self, tmp_path, monkeypatch):
+        generated = _perfbench_gen(monkeypatch).returns_file(3, races_per_cycle=33, precincts=8)
+        path = write_file(tmp_path / "precinct.csv", generated.text)
+        load_returns(path)  # imports and caches filled before measuring
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = load_returns(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == generated.valid_rows > 20_000
+        assert retained <= 64 * len(result.rows)
 
 
 _COLUMNS = ("year", "state_po", "party_simplified", "candidatevotes", "totalvotes", "office")
@@ -681,6 +735,38 @@ class TestAggregate:
         random.Random(11).shuffle(shuffled)
         assert shuffled != rows
         assert aggregate(shuffled).to_csv() == aggregate(rows).to_csv()
+        assert aggregate(list(rows)).to_csv() == aggregate(rows).to_csv()
+
+    @pytest.mark.parametrize("body", [
+        # Eighteen digits, which the block scan reads as int64: the DEM sum
+        # of 1976 is about 1e19, above 2**63.
+        "1976,AZ,DEMOCRAT,999999999999999999,999999999999999999\n" * 10
+        + "1976,AZ,REPUBLICAN,999999999999999998,999999999999999999\n" * 3
+        + "1976,AZ,GREEN,7,999999999999999999\n"
+        "1978,CA,DEMOCRAT,40,100\n1978,CA,REPUBLICAN,50,100\n1978,CA,LIBERTARIAN,10,100\n",
+        # Nineteen and twenty digits, which only _parse_row reads, among
+        # counts the block scan reads.
+        "1976,AZ,DEMOCRAT,12345678901234567890,99999999999999999999\n"
+        "1976,AZ,DEMOCRAT,999999999999999999,999999999999999999\n"
+        "1976,AZ,REPUBLICAN,9223372036854775807,99999999999999999999\n"
+        "1976,AZ,GREEN,3,5\n"
+        "1978,CA,DEMOCRAT,40,100\n1978,CA,REPUBLICAN,9999999999999999999,9999999999999999999\n"
+        "1978,CA,LIBERTARIAN,10,100\n",
+    ], ids=["18-digit-counts", "19-and-20-digit-counts"])
+    def test_sums_are_exact_past_int64(self, tmp_path, body):
+        rows = load_returns(write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)).rows
+        assert len(rows) == body.count("\n")
+        totals = {}
+        for row in rows:
+            per_year = totals.setdefault(row.year, dict.fromkeys(("DEM", "REP", "OTHER"), 0))
+            per_year[pipeline.DEFAULT_PARTY_MAPPING.get(row.party, "OTHER")] += row.candidate_votes
+        assert sum(totals[1976].values()) > 2**63
+        want = [[votes / sum(per_year.values()) for votes in per_year.values()]
+                for _, per_year in sorted(totals.items())]
+        for given_rows in (rows, list(rows)):
+            matrix = aggregate(given_rows)
+            assert matrix.years == (1976, 1978)
+            assert matrix.values.tolist() == want
 
     def test_explicit_other_mapping_equals_unmapped(self, tmp_path):
         path = write_file(
