@@ -243,7 +243,7 @@ def _load_numeric_matrix(path: str) -> np.ndarray:
     output format (year,dem,rep,other) additionally drops the year column.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except UnicodeDecodeError as exc:
         raise DomainError(not_utf8(path, exc)) from None
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mean = sub.add_parser("mean", help="evaluate a mean of the given values")
     p_mean.add_argument("--kind", choices=("holder", "lehmer", "f"), required=True)
-    p_mean.add_argument("--alpha", help="mean order; inf and -inf are accepted")
+    p_mean.add_argument("--alpha", help="mean order; inf and -inf are accepted; write a negative one as --alpha=-inf or --alpha=-1e-3")
     p_mean.add_argument("--weights", help="comma-separated positive weights")
     p_mean.add_argument("--transform", choices=sorted(_F_TRANSFORMS), default="log",
                         help="transform pair for the f kind (default: log)")
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--shapes", default="1", help="comma-separated Weibull shapes")
     p_fit.add_argument("--sigma", default="1", help="comma-separated Gaussian sigmas")
     p_fit.add_argument("--policy", choices=("holder", "lehmer"), default="holder")
-    p_fit.add_argument("--beta", help="comma-separated lehmer exponents (scalar broadcasts)")
+    p_fit.add_argument("--beta", help="comma-separated lehmer exponents (scalar broadcasts); write a negative first one as --beta=-1e-3")
     p_fit.add_argument("--data", help="numeric CSV of observations (columns = components)")
     p_fit.add_argument("--format", choices=("text", "csv"), default="text")
     p_fit.add_argument("--seed", type=int, default=0, help="seed for sampling diagnostics")

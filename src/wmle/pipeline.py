@@ -7,29 +7,31 @@ election-cycle year into national (dem, rep, other) proportions.  Malformed
 rows are collected into a rejects report instead of being silently dropped.
 
 Ingest is one pass over the file, which is read once from start to end (so
-it may be a pipe), and each row is checked once.  The quote-free text
-after the header, up to the first line holding a ``"`` (or longer than
-``csv.field_size_limit()``), is read in blocks of about 1 MiB cut at line
-breaks (``\\n``, ``\\r\\n`` or a lone ``\\r``).  In each block numpy finds
-the line breaks and the delimiters and runs the accept test over all lines
-at once: an ASCII line with the header's field count, year and vote fields
-of 1-18 ASCII digits that pass ``_parse_row``'s range checks, and state
-and party texts of at most 64 bytes is accepted with the other accepted
-lines of its block, as arrays.  Every other line (ragged, an integer with
-a sign, spaces, ``_`` or ``chr(0x1c)``, out of range, non-ASCII, blank)
-is decoded, so text that is not UTF-8 fails here, split on the delimiter
-and given, in file order, to ``_parse_row``.  ``_parse_row`` has the last
-word, so the few spellings it accepts and the scan does not (``+5``,
-``' 12 '``, a 19-digit count) are still rows, and it names the reason a
-rejected line is not.
+it may be a pipe), and each row is checked once.  The text after the header
+is read in blocks of about 1 MiB cut at line breaks (``\\n``, ``\\r\\n`` or
+a lone ``\\r``), and every block is read alike.  Its lines before the first
+one holding a ``"`` (or longer than ``csv.field_size_limit()``) are
+quote-free, and numpy finds their line breaks and delimiters and runs the
+accept test over all of them at once.  An ASCII line with the header's field
+count, year and vote fields of 1-18 ASCII digits that pass ``_parse_row``'s
+range checks, and state and party texts of at most 64 bytes is accepted
+with the other accepted lines of its block, as arrays.  Every other such
+line (ragged, an integer with a sign, spaces, ``_`` or ``chr(0x1c)``, out
+of range, non-ASCII, blank) is decoded, so text that is not UTF-8 fails
+here, split on the delimiter and given, in file order, to ``_parse_row``.
+``_parse_row`` has the last word, so the few spellings it accepts and the
+scan does not (``+5``, ``' 12 '``, a 19-digit count) are still rows, and it
+names the reason a rejected line is not.
 
-From the first line holding a ``"`` on, one ``csv.reader`` reads the rest
-of the file, so a quoted field may hold the delimiter or span lines; its
-records pass an inline accept test or go to ``_parse_row``.  A quote-free
-line is one record, and its fields are the ones ``csv.reader`` would give.
-A reject is numbered by the physical line its record starts on (the header
-is line 1), and its ``raw`` text is the record's source lines without the
-final line break.
+From a block's first line holding a ``"``, ``csv.reader`` reads to the end
+of the block, so a quoted field may hold the delimiter or span lines, and
+on into later blocks only while a record is still open; the block after
+that is scanned again.  Its records pass an inline accept test or go to
+``_parse_row``.  A quote-free line is one record, and its fields are the
+ones ``csv.reader`` would give, so a load is that of one ``csv.reader``
+over the whole file.  A reject is numbered by the physical line its record
+starts on (the header is line 1), and its ``raw`` text is the record's
+source lines without the final line break.
 
 The accepted rows of one load are a ``ReturnsRows``, a read-only sequence
 of ``ReturnsRow`` named tuples held as columns, in file order: year, state
@@ -343,8 +345,9 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
     """Parse a delimited returns file.
 
     The delimiter (comma or tab) is detected from the header line.  A
-    missing required column or text that is not UTF-8 raises
-    ``SchemaError``; an unreadable file raises the underlying ``OSError``.
+    missing required column, text that is not UTF-8 or a field longer than
+    ``csv.field_size_limit()`` raises ``SchemaError``; an unreadable file
+    raises the underlying ``OSError``.
     Rows violating the row invariants (unparsable integers, negative votes,
     candidate votes above the race total, year outside the configured
     range) are returned in ``LoadResult.rejects`` with a reason.
@@ -366,24 +369,23 @@ def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:
             return _load_rows(stream, head, delimiter, len(header), index, config)
     except UnicodeDecodeError as exc:
         raise SchemaError(not_utf8(path, exc)) from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _header(stream) -> tuple[bytes, bytes]:
     """The first line of ``stream`` with its line break, and the bytes read
     past it.  Nothing is read twice, so a pipe works as well as a file."""
     line = stream.readline()
-    # readline stops at a \n only; a lone \r ends the line too.
-    end = line.find(b"\r") + 1
-    if 0 < end < len(line) and line[end] != ord("\n"):
-        return line[:end], line[end:]
-    return line, b""
+    # readline stops at a \n only; splitlines ends the line at a lone \r too.
+    first = line.splitlines(True)[0] if line else line
+    return first, line[len(first):]
 
 
 def _blocks(stream, head: bytes):
-    """Yield ``(buffer, size, held)``: ``head`` and then the rest of
-    ``stream``, ``buffer[:size]`` at a time, each block ending with a line
-    break (the file's last line may have none); ``buffer[size:held]`` holds
-    the bytes read past the block.  One buffer of ``_BLOCK_BYTES`` is
+    """Yield ``(buffer, size)``: ``head`` and then the rest of ``stream``,
+    ``buffer[:size]`` at a time, each block ending with a line break (the
+    file's last line may have none).  One buffer of ``_BLOCK_BYTES`` is
     refilled, so no block is fresh memory; it grows only to hold a line
     longer than itself."""
     buffer = bytearray(_BLOCK_BYTES)
@@ -397,32 +399,14 @@ def _blocks(stream, head: bytes):
         held += read
         if not read:
             if held:
-                yield buffer, held, held
+                yield buffer, held
             return
         # A \r that ends the bytes held may be the first half of a \r\n.
         cut = max(buffer.rfind(b"\n", 0, held), buffer.rfind(b"\r", 0, held - 1)) + 1
         if cut:
-            yield buffer, cut, held
+            yield buffer, cut
             buffer[: held - cut] = buffer[cut:held]
             held -= cut
-
-
-class _Chained(io.RawIOBase):
-    """``head``, then the rest of ``stream``, as one raw byte stream."""
-
-    def __init__(self, head: bytes, stream):
-        super().__init__()
-        self.head, self.stream = memoryview(head), stream
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, b) -> int:
-        if not self.head:
-            return self.stream.readinto(b)
-        n = min(len(b), len(self.head))
-        b[:n], self.head = self.head[:n], self.head[n:]
-        return n
 
 
 def _digits(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -504,10 +488,14 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
     """The rows and rejects of the records after the header line: ``head``,
     the bytes read past the header, then the rest of ``stream``."""
     columns = [index[c] for c in config.required_columns()]
+    fields = operator.itemgetter(*columns)
     year_min, year_max = config.year_min, config.year_max
     limit = csv.field_size_limit()
     rows = _Columns()
     rejects: list[RejectedRow] = []
+    blocks = _blocks(stream, head)
+    source: list[str] = []
+    line_number = 2
 
     def parse(record, line_number, raw):
         # _parse_row alone decides whether a record that failed the accept
@@ -519,15 +507,29 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
         else:
             rows.add((line_number, *row))
 
-    # The quote-free lines are read in blocks, each cut before its first
-    # line holding a '"'.  The lines of a block that pass the accept test
-    # are added as columns; every other line, in file order, is decoded (a
-    # line that is not UTF-8 raises here) and split on the delimiter for
-    # _parse_row, and a row it accepts is placed among them by its line.
-    # The first line holding a '"' or longer than csv's field limit ends
-    # the blocks.
-    line_number = 2
-    for block, size, held in _blocks(stream, head):
+    def rest(text):
+        # Lists of lines: those of text, then those of each later block while
+        # csv.reader is inside a record.  It is between records exactly when
+        # it asks for a line past a block's end and source holds none.
+        nonlocal line_number
+        while True:
+            lines = io.StringIO(text, newline="").readlines()
+            line_number += len(lines)
+            yield lines
+            block = next(blocks, None) if source else None
+            if block is None:
+                return
+            text = block[0][: block[1]].decode()
+
+    # Every block is read alike.  Its lines before the first one holding a
+    # '"' are scanned: those that pass the accept test are added as columns;
+    # every other line, in file order, is decoded (a line that is not UTF-8
+    # raises here) and split on the delimiter for _parse_row, and a row it
+    # accepts is placed among them by its line.  From the first line holding
+    # a '"' or longer than csv's field limit, csv.reader reads to the end of
+    # the block, so a quoted field may hold the delimiter or span lines, and
+    # on into later blocks while a record is open.
+    for block, size in blocks:
         quote = block.find(b'"', 0, size)
         cut = size if quote < 0 else max(block.rfind(b"\n", 0, quote),
                                           block.rfind(b"\r", 0, quote)) + 1
@@ -549,31 +551,24 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
             scanned = np.searchsorted(lines, count)
             rows.extend(line_number + lines[:scanned], *(column[:scanned] for column in values))
             line_number += count
-        if cut < size:
-            break
-    else:
-        return LoadResult(rows=rows.finish(), rejects=rejects)
-
-    # From that line on one csv.reader reads the rest, so a quoted field may
-    # hold the delimiter or span lines.
-    rest = io.TextIOWrapper(_Chained(block[cut:held], stream), encoding="utf-8", newline="")
-    fields = operator.itemgetter(*columns)
-    source: list[str] = []
-    for line_number, record in _csv_records(rest, line_number, delimiter, source):
-        # A file quoted throughout runs only this loop, and this inline copy
-        # of the accept test takes its records faster than _parse_row;
-        # _parse_row judges the rest.
-        if len(record) == width:
-            year, state, party, candidate, total = fields(record)
-            try:
-                year, candidate, total = int(year), int(candidate), int(total)
-            except ValueError:
-                pass
-            else:
-                if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
-                    rows.add((line_number, year, state.strip(), party.strip(), candidate, total))
-                    continue
-        parse(record, line_number, "".join(source[:-1]) + source[-1].rstrip("\r\n"))
+        if cut == size:
+            continue
+        tail = itertools.chain.from_iterable(rest(block[cut:size].decode()))
+        for start, record in _csv_records(tail, line_number, delimiter, source):
+            # A file quoted throughout runs only this loop, and this inline
+            # copy of the accept test takes its records faster than
+            # _parse_row; _parse_row judges the rest.
+            if len(record) == width:
+                year, state, party, candidate, total = fields(record)
+                try:
+                    year, candidate, total = int(year), int(candidate), int(total)
+                except ValueError:
+                    pass
+                else:
+                    if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
+                        rows.add((start, year, state.strip(), party.strip(), candidate, total))
+                        continue
+            parse(record, start, "".join(source[:-1]) + source[-1].rstrip("\r\n"))
     return LoadResult(rows=rows.finish(), rejects=rejects)
 
 

@@ -127,6 +127,15 @@ class TestMeanCommand:
         assert code == 2
         assert "0" in err and "error" in err
 
+    @pytest.mark.parametrize("kind, alpha, expected", [
+        ("lehmer", "--alpha=-inf", 1.0),
+        ("holder", "--alpha=-1e-3", 1.4141286320290045),
+    ])
+    def test_negative_orders_in_the_equals_form(self, capsys, kind, alpha, expected):
+        code, out, _ = run_cli(capsys, "mean", "--kind", kind, alpha, "1", "2")
+        assert code == 0
+        assert float(out) == pytest.approx(expected, rel=1e-12)
+
     def test_missing_alpha_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "mean", "--kind", "holder", "0.6", "2")
         assert code == 2
@@ -185,6 +194,23 @@ class TestFitCommand:
         for j in range(3):
             expected = float(np.mean(matrix.values[:, j]))
             assert float(record[f"theta_{j + 1}"]) == pytest.approx(expected, rel=1e-11)
+
+    def test_data_file_with_a_byte_order_mark(self, capsys, tmp_path, synthetic_returns_csv):
+        matrix = aggregate(load_returns(synthetic_returns_csv).rows)
+        plain, marked = tmp_path / "props.csv", tmp_path / "props-bom.csv"
+        plain.write_text(matrix.to_csv(), encoding="utf-8")
+        marked.write_text(matrix.to_csv(), encoding="utf-8-sig")
+        outs = [run_cli(capsys, "fit", "--shapes", "1,1,1", "--data", str(path)) for path in
+                (plain, marked)]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
+
+    def test_negative_beta_in_the_equals_form(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "--shapes", "1", "--policy", "lehmer",
+                               "--beta=-1e-3", "--format", "csv", "1", "2")
+        assert code == 0
+        record = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
+        assert float(record["theta_1"]) == pytest.approx(1.3331793184252085, rel=1e-12)
 
     def test_headerless_numeric_data_file(self, capsys, tmp_path):
         data_path = tmp_path / "cols.csv"
@@ -896,6 +922,15 @@ class TestIngestCommand:
         code, _, err = run_cli(capsys, "ingest", "--data", str(returns))
         assert code == 2
         assert f"{returns}: not UTF-8 text" in err
+
+    def test_a_field_above_csvs_limit_exits_2(self, capsys, tmp_path):
+        returns = tmp_path / "returns.csv"
+        returns.write_text(SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,60,100\n"
+                           + '1976,AZ,"' + "D" * 200_000 + '",60,100\n', encoding="utf-8")
+        code, out, err = run_cli(capsys, "ingest", "--data", str(returns))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {returns}: field larger than field limit")
 
     def test_non_utf8_config_exits_2(self, capsys, tmp_path, synthetic_returns_csv):
         config = tmp_path / "schema.cfg"

@@ -419,17 +419,75 @@ class TestSplitPathMatchesWholeFileReader:
 
     def test_a_line_longer_than_the_field_limit_goes_to_csv_reader(self, tmp_path):
         # csv.reader raises on a field above its limit; a quote-free line
-        # longer than the limit is left to it, so the error still comes.
+        # longer than the limit is left to it, so the error still comes,
+        # as a SchemaError naming the file.
         path = write_file(
             tmp_path / "r.csv",
             SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,10,100\n1976,AZ,DEMOCRATDEMOCRATDEMOCRAT,10,100\n",
         )
         limit = csv.field_size_limit(20)
         try:
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(SchemaError, match="field larger than field limit"):
                 load_returns(path)
         finally:
             csv.field_size_limit(limit)
+
+
+class TestOneBlockLoop:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(drawn=_source_files())
+    def test_small_blocks_match_the_whole_file_reader(self, tmp_path_factory, drawn):
+        # At these sizes most blocks hold a line or two, so csv.reader hands
+        # back to the scan between almost every pair of quoted records.
+        text, delimiter, sources = drawn
+        path = write_file(tmp_path_factory.mktemp("returns") / "r.csv", text)
+        config = SchemaConfig()
+        rows, rejects = _whole_file_csv_reference(path, config)
+        for block_bytes in (1, 3, 7, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "_BLOCK_BYTES", block_bytes)
+                result = load_returns(path, config)
+            assert result.rows == rows, block_bytes
+            assert [(r.line_number, r.reason) for r in result.rejects] == rejects, block_bytes
+            assert [r.raw for r in result.rejects] == [sources[r.line_number]
+                                                       for r in result.rejects], block_bytes
+
+    def test_blocks_after_a_quoted_line_are_scanned(self, tmp_path, monkeypatch):
+        # Only line 2 is quoted; every block after the first is quote-free
+        # and goes to the scan.
+        body = "1976,\"AZ\",DEMOCRAT,40,100\n" + "".join(
+            f"{1976 + 2 * (i % 23)},AZ,{party},{i % 90},100\n"
+            for i in range(300) for party in ("DEMOCRAT", "REPUBLICAN"))
+        body += "1976,AZ,GREEN,x,100\n"
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)
+        scanned = []
+        scan = pipeline._scan
+
+        def spy(block, size, *args):
+            scanned.append(bytes(block[:size]))
+            return scan(block, size, *args)
+
+        monkeypatch.setattr(pipeline, "_scan", spy)
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 256)
+        result = load_returns(path)
+        rows, rejects = _whole_file_csv_reference(path, SchemaConfig())
+        assert result.rows == rows and len(rows) == 601
+        assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == [
+            (603, "invalid integer for candidatevotes: 'x'", "1976,AZ,GREEN,x,100")]
+        assert len(scanned) > 10
+        tail = b"".join(scanned)
+        assert body.encode().endswith(tail) and len(tail) > len(body) - 256
+
+    def test_a_bad_byte_in_a_quoted_block_is_a_schema_error(self, tmp_path, monkeypatch):
+        # The bad byte is in a quoted record, on its second line.
+        path = tmp_path / "r.csv"
+        path.write_bytes((SCHEMA_HEADER + "\n" + '1976,"AZ",DEMOCRAT,40,100\n' * 400).encode()
+                         + b'1976,"AZ",DEMOCRAT,40,100\n1976,"A\nZ\xe9",DEMOCRAT,40,100\n'
+                         + b'1976,"AZ",DEMOCRAT,40,100\n' * 10)
+        message = re.escape(f"{path}: not UTF-8 text (byte 0xe9: invalid continuation byte)")
+        for block_bytes in (1, 5, 100, 4096, 1 << 20):
+            with pytest.raises(SchemaError, match=f"^{message}$"):
+                _load_at(monkeypatch, path, block_bytes)
 
 
 def _four_ways(tmp_path):
