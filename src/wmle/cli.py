@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means, mwle, pipeline, svg
-from .errors import (ConfigError, DomainError, NumericError, SchemaError, SolverError, WmleError,
-                     not_utf8)
+from .errors import ConfigError, DomainError, SchemaError, SolverError, WmleError, not_utf8
 from .families import gaussian_known_variance_model, weibull_model
 
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
@@ -37,7 +36,7 @@ _SWEEP_ROWS = ("%r,,,\n", "%r,%r,%r,%r\n")
 #: negatives; the holder mode's order is a Weibull shape and must stay > 0.
 DEFAULT_GRIDS = {"lehmer": "-3:4:0.1", "holder": "0.1:6:0.1"}
 
-#: Most points a grid may hold; each point is a fit or a CSV row.
+#: Most points a grid may hold; each point is one row of the sweep or vweights CSV.
 MAX_GRID_POINTS = 10**6
 
 
@@ -86,8 +85,8 @@ def parse_grid(spec: str) -> np.ndarray:
 class SweepTable:
     """Estimates (lambda_dem, lambda_rep, lambda_oth) along an order grid.
 
-    Gap rows (orders where the solver failed) hold NaN in ``estimates`` and
-    a reason in ``gaps``; the run always continues past them.
+    Gap rows (orders where ``fit`` raises) hold NaN in ``estimates`` and
+    its message in ``gaps``; the run always continues past them.
     """
 
     parameter: str  # "beta" for the lehmer mode, "k" for the holder mode
@@ -153,15 +152,11 @@ def validate_sweep_table(table: SweepTable) -> None:
     rows = table.estimates[good]
     if np.any(rows <= 0):
         raise DomainError("sweep estimates must be finite and positive")
-    for col in range(rows.shape[1] if rows.size else 0):
-        column = rows[:, col]
-        drops = np.diff(column) < -1e-9 * np.maximum(1.0, np.abs(column[:-1]))
-        if np.any(drops):
-            where = int(np.nonzero(drops)[0][0])
-            raise DomainError(
-                f"estimate column {col} decreases along the grid near row {where}; "
-                "sweep table invariant violated"
-            )
+    drops = np.diff(rows, axis=0) < -1e-9 * rows[:-1]
+    if drops.any():
+        col, where = np.argwhere(drops.T)[0]  # the first column that drops, where it first does
+        raise DomainError(f"estimate column {col} decreases along the grid near row {where}; "
+                          "sweep table invariant violated")
 
 
 def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) -> SweepTable:
@@ -171,36 +166,21 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
     policy of that order; ``holder`` fits Weibull components whose common
     shape is the order itself under unit weights.  Every order is estimated
     in one batched array pass that takes the same floating-point steps as
-    ``mwle.fit``; ``fit`` itself runs only at the orders where that pass's
-    sums are inaccurate or an estimate is not finite and positive, and
-    either returns the estimate or raises the solver, domain or numeric
-    error that is recorded as the gap.  The sweep continues past gaps.
+    ``mwle.fit``; an order it rejects is a gap, recorded with the message
+    ``fit`` raises there, and the sweep continues past gaps.  An empty
+    matrix, or one with a value not finite and strictly positive, raises
+    ``DomainError``; an empty grid or a non-finite order ``ConfigError``.
     """
     if mode not in ("lehmer", "holder"):
         raise ConfigError(f"sweep mode must be 'lehmer' or 'holder', got {mode!r}")
+    if not (grid.size and np.all(np.isfinite(grid))):
+        raise ConfigError("the sweep needs a non-empty grid of finite orders")
     if mode == "holder" and np.any(grid <= 0):
         raise ConfigError("the holder sweep needs a strictly positive order grid")
-    observations = matrix.values
-    estimates, ok = mwle._sweep_estimates(mode, observations, grid)
-    gaps: dict = {}
-    for i in np.flatnonzero(~ok):
-        order = grid[i]
-        try:
-            if mode == "lehmer":
-                model = weibull_model(np.ones(3))
-                policy = mwle.WeightPolicy.lehmer(np.full(3, order))
-            else:
-                model = weibull_model(np.full(3, order))
-                policy = mwle.WeightPolicy.holder()
-            estimates[i] = mwle.fit(model, observations, policy, minimality_samples=0).theta_hat
-        except (SolverError, DomainError, NumericError) as exc:
-            gaps[float(order)] = str(exc)
-    table = SweepTable(
-        parameter="beta" if mode == "lehmer" else "k",
-        orders=grid,
-        estimates=estimates,
-        gaps=gaps,
-    )
+    values = matrix.values
+    if not (values.size and np.min(values) > 0 and np.max(values) < np.inf):
+        raise DomainError("the sweep needs a non-empty matrix of finite, strictly positive values")
+    table = SweepTable("beta" if mode == "lehmer" else "k", grid, *mwle._sweep_estimates(mode, values, grid))
     validate_sweep_table(table)
     return table
 

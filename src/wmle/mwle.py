@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, SolverError
 from .expfam import (
     FamilyModel,
     MinimalityVerdict,
@@ -43,6 +43,7 @@ from .expfam import (
     check_minimality,
     weighted_stat_mean,
 )
+from .families import weibull_model
 from .means import (
     _column_means,
     _holder_weights,
@@ -279,6 +280,12 @@ def _kernel_columns(sub_models, obs: np.ndarray, policy: WeightPolicy, w: Option
         yield target, float(total[0]), ref
 
 
+def _unusable_estimate(theta: np.ndarray, model: FamilyModel, positive: bool = True) -> NumericError:
+    """fit's error for an estimate that is not finite (and positive, on the kernel paths)."""
+    return NumericError(f"the estimate theta_hat={theta.tolist()} of {model.name} is not finite"
+                        + (" and positive" if positive else ""))
+
+
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         method: str = "auto", seed: int = 0, minimality_samples: int = 2048) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
@@ -381,8 +388,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     theta = scale * np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
     # (1/target) ** (-1/k) may underflow to 0 or overflow where the target is fine.
     if not (np.isfinite(theta).all() and (not kernel or (theta > 0).all())):
-        raise NumericError(f"the estimate theta_hat={theta.tolist()} of {model.name} is not finite"
-                           + (" and positive" if kernel else ""))
+        raise _unusable_estimate(theta, model, positive=kernel)
     verdict = None
     if minimality_samples and model.sampler is not None:
         try:
@@ -414,35 +420,48 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 
-def _sweep_estimates(kind: str, observations: np.ndarray,
-                     orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weibull scale estimates of every column at every order, in one pass.
+def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Weibull scale estimates of every column of ``obs``, a non-empty matrix
+    of finite, strictly positive values, at every finite order, in one pass.
 
     Row ``g`` of the returned ``(G, k)`` matrix is :func:`fit`'s
     ``theta_hat`` at ``orders[g]`` to the bit, each column computed by
     :func:`means._column_means`: for ``kind="lehmer"`` under the unit-shape
     Weibull model and the Lehmer policy of that order, for ``kind="holder"``
-    under the Weibull model of that shape and unit weights.  ``ok[g]`` is
-    True where the kernel's sums are accurate and every estimate is finite
-    and positive; elsewhere the row is NaN and ``fit`` itself raises the
-    error or returns the estimate.
+    under the Weibull model of that (positive) shape and unit weights.  An
+    order whose sums are inaccurate or whose estimates are not all finite
+    and positive is a NaN row, and ``gaps`` maps it, in grid order, to the
+    message ``fit`` raises there.
     """
-    obs = np.asarray(observations, dtype=float)
-    orders = np.asarray(orders, dtype=float).reshape(-1)
     n, k = obs.shape
-    theta = np.full((orders.size, k), np.nan)
-    ok = np.zeros(orders.size, dtype=bool)
-    rows = np.flatnonzero(np.isfinite(orders) & ((orders > 0) | (kind == "lehmer")))
-    if n == 0 or rows.size == 0 or not (np.min(obs) > 0 and np.max(obs) < np.inf):
-        return theta, ok
-    out = np.empty((min(rows.size, max(1, _SWEEP_BLOCK_ELEMENTS // n)), n))
+    out = np.empty((max(1, min(orders.size, _SWEEP_BLOCK_ELEMENTS // n)), n))
     with np.errstate(all="ignore"):
-        columns = [_column_means(kind, obs[:, j], orders[rows], out) for j in range(k)]
-    _, _, estimate, good, _ = (np.array(c) for c in zip(*columns))  # (k, G)
-    good = np.all(good & (0 < estimate) & (estimate < np.inf), axis=0)
-    theta[rows] = np.where(good[:, None], estimate.T, np.nan)
-    ok[rows] = good
-    return theta, ok
+        columns = [_column_means(kind, obs[:, j], orders, out) for j in range(k)]
+    target, _, estimate, accurate, _ = (np.array(c) for c in zip(*columns))  # (k, G)
+    usable = (0 < estimate) & (estimate < np.inf)
+    good = np.all(accurate & usable, axis=0)
+    gaps, model = {}, None
+    for g in np.flatnonzero(~good):
+        order = orders[g]
+        if model is None or kind == "holder":  # only a Holder model's shapes change
+            model = weibull_model(np.full(k, order) if kind == "holder" else np.ones(k))
+        gaps[float(order)] = _sweep_gap(model, order, target[:, g], estimate[:, g],
+                                        accurate[:, g], usable[:, g])
+    return np.where(good[:, None], estimate.T, np.nan), gaps
+
+
+def _sweep_gap(model, order, targets, estimates, accurate, usable) -> str:
+    """The first of fit's reasons that applies at a rejected sweep order."""
+    if not accurate.all():  # fit forms every weight column before it solves one
+        j = int(np.argmin(accurate))
+        return str(_weights_out_of_range(f"the lehmer weights of column {j} at order {order}"))
+    # The solver accepts the target of every column whose estimate is usable.
+    for j in np.flatnonzero(~usable):
+        try:
+            _solve_mean_target(model.components[j], targets[j])
+        except (DomainError, SolverError) as exc:
+            return str(exc)
+    return str(_unusable_estimate(estimates, model))
 
 
 def subclass_form(model: FamilyModel, policy: WeightPolicy) -> SubclassReport:

@@ -329,16 +329,19 @@ def _csv_records(lines, first: int, delimiter: str, source: list[str]):
 
     ``source`` holds the lines of the record last yielded.  The reader
     yields ``[]`` for a blank line, so each record starts on the line after
-    the previous one ended.
+    the previous one ended.  A ``csv.Error`` names its record's start line.
     """
     # list.append returns None, so filterfalse passes on every line it records.
     reader = csv.reader(itertools.filterfalse(source.append, lines), delimiter=delimiter)
     start = first
-    for record in reader:
-        if record:
-            yield start, record
-        start = first + reader.line_num
-        source.clear()
+    try:
+        for record in reader:
+            if record:
+                yield start, record
+            start = first + reader.line_num
+            source.clear()
+    except csv.Error as exc:  # a field above csv.field_size_limit()
+        raise csv.Error(f"{exc} at line {start}") from None
 
 
 def load_returns(path, config: Optional[SchemaConfig] = None) -> LoadResult:

@@ -18,7 +18,6 @@ import wmle
 from wmle import (
     ConfigError,
     DomainError,
-    NoSolutionError,
     NumericError,
     SchemaError,
     SolverError,
@@ -380,6 +379,13 @@ class TestSweepCommand:
         with pytest.raises(SchemaError, match="malformed sweep row"):
             SweepTable.from_csv(text)
 
+    def test_a_column_that_halves_below_one_violates_monotonicity(self):
+        # The slack is relative to each estimate, not an absolute 1e-9 for
+        # every estimate below 1.
+        table = SweepTable("", np.array([1.0, 2.0]), np.array([[2e-9, 0.5, 0.3], [1e-9, 0.5, 0.3]]))
+        with pytest.raises(DomainError, match="estimate column 0 decreases"):
+            validate_sweep_table(table)
+
     def test_lehmer_and_holder_agree_at_order_one(self, capsys, tmp_path, synthetic_returns_csv):
         paths = {}
         for mode, grid in (("lehmer", "-1:2:0.5"), ("holder", "0.5:2:0.5")):
@@ -426,13 +432,9 @@ class TestSweepCommand:
                                           monkeypatch):
         # Every order fits on this data; force each to be a gap.
         def no_estimates(kind, observations, orders):
-            return np.full((orders.size, 3), math.nan), np.zeros(orders.size, dtype=bool)
-
-        def no_solution(model, observations, policy, **kwargs):
-            raise NoSolutionError("forced gap")
+            return np.full((orders.size, 3), math.nan), {float(o): "forced gap" for o in orders}
 
         monkeypatch.setattr(mwle_module, "_sweep_estimates", no_estimates)
-        monkeypatch.setattr(mwle_module, "fit", no_solution)
         svg_path = tmp_path / "sweep.svg"
         csv_path = tmp_path / "sweep.csv"
         code, _, err = run_cli(
@@ -470,6 +472,25 @@ class TestSweepCommand:
             "--grid=0:2:0.5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["lehmer", "holder"])
+    @pytest.mark.parametrize("bad", [0.0, -0.25, math.inf, math.nan])
+    def test_a_value_that_is_not_finite_and_positive_is_a_domain_error(self, mode, bad):
+        values = np.full((2, 3), 0.5)
+        values[1, 2] = bad
+        with pytest.raises(DomainError, match="finite, strictly positive values"):
+            run_sweep(ProportionMatrix(years=(1, 2), values=values), mode, np.array([1.0, 2.0]))
+
+    def test_an_empty_matrix_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="non-empty matrix"):
+            run_sweep(ProportionMatrix(years=(), values=np.empty((0, 3))), "lehmer", np.array([1.0]))
+
+    @pytest.mark.parametrize("mode", ["lehmer", "holder"])
+    @pytest.mark.parametrize("grid", [[1.0, math.inf], [math.nan], []])
+    def test_a_non_finite_order_or_an_empty_grid_is_a_config_error(self, mode, grid):
+        matrix = ProportionMatrix(years=(1, 2), values=np.full((2, 3), 0.5))
+        with pytest.raises(ConfigError, match="non-empty grid of finite orders"):
+            run_sweep(matrix, mode, np.array(grid))
 
     def test_solver_gaps_are_recorded_and_run_continues(self):
         years = (1976, 1978, 1980, 1982)
@@ -552,6 +573,17 @@ def extreme_magnitudes():
         [[1e200, 0.5, 0.25], [3e200, 0.25, 0.5], [2e200, 0.25, 0.25]]))
 
 
+def subnormal_target():
+    """A 17-by-3 matrix whose third column's Lehmer mean of order 3 rounds to 0."""
+    values = np.ones((17, 3))
+    values[:, 2] = [1e-323] + [5e-324] * 16
+    return ProportionMatrix(years=tuple(range(17)), values=values)
+
+
+def matrix_of(rows):
+    return ProportionMatrix(years=tuple(range(len(rows))), values=np.array(rows, dtype=float))
+
+
 def per_point_sweep(matrix, mode, grid):
     """The sweep as one ``fit`` per grid order, validated like ``run_sweep``:
     the reference the batched pass must reproduce."""
@@ -615,15 +647,30 @@ class TestBatchedSweep:
         grid = np.union1d(parse_grid(spec), [0.5, 1.0, 2.0])
         assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
 
-    def test_matches_one_fit_per_order_on_values_beyond_the_weight_range(self):
-        # Below order 1 the weights of values more than exp(600) apart cannot
-        # be formed, which fit reports; the batched pass must leave those
-        # orders to fit and agree with it elsewhere.
-        matrix = beyond_the_weight_range()
-        grid = parse_grid("-3:4:0.25")
-        table = run_sweep(matrix, "lehmer", grid)
-        assert table.gaps and all("exp(600)" in reason for reason in table.gaps.values())
-        assert_same_sweep(table, per_point_sweep(matrix, "lehmer", grid))
+    @pytest.mark.parametrize("matrix, mode, spec, reason", [
+        # Below order 1 the weights of values more than exp(600) apart
+        # cannot be formed.
+        pytest.param(beyond_the_weight_range(), "lehmer", "-3:4:0.25", "exp(600)", id="weights"),
+        # A Lehmer mean near 1.8e308 overflows.
+        pytest.param(matrix_of([[1.7e308, 1, 1], [1.79e308, 2, 2], [1.5e308, 3, 3]]), "lehmer",
+                     "-3:4:0.1", "moment target must be finite", id="target-not-finite"),
+        # A Lehmer mean of order 3 of values near 5e-324 rounds to 0.
+        pytest.param(subnormal_target(), "lehmer", "2:3:1", "target [0.0] is not attainable",
+                     id="target-not-positive"),
+        # A subnormal Lehmer mean: -1/target overflows to -inf.
+        pytest.param(matrix_of([[0.5, 0.45, 1e-310]] + [[0.5, 0.45, 1e-60]] * 3), "lehmer",
+                     "-600:600:50", "closed-form inverse left the natural domain", id="inverse"),
+        # At Holder orders up to 8e-4, (1/target) ** (-1/k) underflows to 0.
+        pytest.param(matrix_of([[1e-300, 1, 1], [1e300, 2, 2], [1, 3, 3]]), "holder",
+                     "0.0001:0.001:0.0001", "is not finite and positive", id="estimate"),
+    ])
+    def test_matches_one_fit_per_order_at_each_gap_reason(self, matrix, mode, spec, reason):
+        # The batched pass names each gap with the message fit raises there,
+        # and agrees with fit elsewhere.
+        grid = parse_grid(spec)
+        table = run_sweep(matrix, mode, grid)
+        assert any(reason in message for message in table.gaps.values())
+        assert_same_sweep(table, per_point_sweep(matrix, mode, grid))
 
     @pytest.mark.parametrize("mode", ["lehmer", "holder"])
     def test_matches_one_fit_per_order_at_power_shortcut_orders(self, mode):
@@ -639,29 +686,27 @@ class TestBatchedSweep:
                 grid = np.array([order])
                 assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
 
-    def test_fit_runs_only_at_failing_orders(self, monkeypatch, synthetic_returns_csv):
+    def test_sweep_never_calls_fit(self, monkeypatch, synthetic_returns_csv):
         matrix = aggregate(load_returns(synthetic_returns_csv).rows)
-        fitted = []
-        real_fit = mwle_module.fit
-
-        def counting_fit(model, observations, policy, **kwargs):
-            fitted.append((model, policy))
-            return real_fit(model, observations, policy, **kwargs)
-
-        monkeypatch.setattr(mwle_module, "fit", counting_fit)
+        fitted, models = [], []
+        real_model = mwle_module.weibull_model
+        monkeypatch.setattr(mwle_module, "fit", lambda *args, **kwargs: fitted.append(args))
+        monkeypatch.setattr(mwle_module, "weibull_model",
+                            lambda shapes: models.append(shapes) or real_model(shapes))
         for mode, spec in DEFAULT_GRIDS.items():
             assert run_sweep(matrix, mode, parse_grid(spec)).gaps == {}
-        # Extreme orders no longer fail, so they need no fit either.
         assert run_sweep(matrix, "lehmer", parse_grid("-600:600:50")).gaps == {}
         assert run_sweep(matrix, "holder", parse_grid("100:900:50")).gaps == {}
         # The batched pass takes the kernel's estimates even where fit's
         # curvature overflows.
         assert run_sweep(extreme_magnitudes(), "lehmer", parse_grid("-3:4:0.1")).gaps == {}
+        # A sweep without gaps builds no model.
+        assert models == []
+        # The gaps are named without fit too.
+        assert run_sweep(beyond_the_weight_range(), "lehmer", parse_grid("-3:4:0.25")).gaps
+        holder_gaps = matrix_of([[1e-300, 1, 1], [1e300, 2, 2], [1, 3, 3]])
+        assert run_sweep(holder_gaps, "holder", parse_grid("0.0001:0.001:0.0001")).gaps
         assert fitted == []
-        table = run_sweep(beyond_the_weight_range(), "lehmer", parse_grid("-3:4:0.25"))
-        assert table.gaps
-        assert set(table.gaps) <= {float(policy.exponents[0]) for _, policy in fitted}
-        assert len(fitted) < table.orders.size
 
     def test_sweeps_log_no_degeneracy_warnings(self, capsys, caplog, synthetic_returns_csv):
         matrix = aggregate(load_returns(synthetic_returns_csv).rows)
@@ -931,6 +976,7 @@ class TestIngestCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {returns}: field larger than field limit")
+        assert err.rstrip().endswith("at line 3")
 
     def test_non_utf8_config_exits_2(self, capsys, tmp_path, synthetic_returns_csv):
         config = tmp_path / "schema.cfg"
