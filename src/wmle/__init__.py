@@ -56,7 +56,6 @@ from .pipeline import (
     SchemaConfig,
     aggregate,
     load_returns,
-    to_weighted_dataset,
 )
 
 __version__ = "0.1.0"
@@ -104,6 +103,5 @@ __all__ = [
     "SchemaConfig",
     "aggregate",
     "load_returns",
-    "to_weighted_dataset",
     "__version__",
 ]

@@ -312,6 +312,8 @@ def _build_policy(args, n_columns: int) -> mwle.WeightPolicy:
 
 
 def _cmd_fit(args) -> int:
+    if args.values and args.data:
+        raise ConfigError("fit takes positional values or --data PATH, not both")
     if args.values:
         observations = np.asarray(args.values, dtype=float).reshape(-1, 1)
     elif args.data:

@@ -167,10 +167,6 @@ class WeightedDataset:
         with np.errstate(over="ignore"):
             object.__setattr__(self, "total_weight", float(np.add.reduce(w)))
 
-    @property
-    def n(self) -> int:
-        return self.observations.shape[0]
-
 
 @dataclass(frozen=True)
 class MinimalityVerdict:
@@ -551,19 +547,22 @@ def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int =
     itself).  The reported eigenvalues are those of the whole covariance
     either way.  A sampled statistic that is not finite, as when the
     sampler overflows, or a sample covariance that overflows raises
-    ``NumericError``: it supports no verdict.
+    ``NumericError``: it supports no verdict.  Sampling with a negative
+    ``seed`` raises ``ConfigError``.
     """
     eta = _check_eta(model, eta)
     if x_sample is None and model.sampler is None:
         raise ConfigError(f"model {model.name} has no sampler; pass a representative x_sample")
     xs = None if x_sample is None else np.atleast_2d(np.asarray(x_sample, dtype=float))
-    # Checked before sampling: numpy rejects a negative count with a bare ValueError.
+    # Checked before sampling: numpy rejects a negative count or seed with a bare ValueError.
     count = int(n_samples) if xs is None else xs.shape[0]
     if count < model.dim_eta + 1:
         raise DomainError(
             f"need at least q+1={model.dim_eta + 1} samples to estimate a rank-q covariance, "
             f"got {count}"
         )
+    if xs is None and seed < 0:
+        raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
     with np.errstate(all="ignore"):
         if xs is None:
             xs = model.sampler(eta, count, np.random.default_rng(seed))

@@ -379,10 +379,6 @@ class MultinomialFixture:
     eta_full: np.ndarray
     eta_reduced: Optional[np.ndarray]
 
-    @property
-    def categories(self) -> int:
-        return self.probabilities.size
-
 
 def multinomial_fixture(trials: int, probabilities) -> MultinomialFixture:
     """Build the non-identifiability fixture for Multi(N, p)."""

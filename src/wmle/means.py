@@ -71,9 +71,6 @@ class Sample:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 def _coerce(values, weights) -> Sample:
     if isinstance(values, Sample):

@@ -64,7 +64,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import AggregationError, ConfigError, DomainError, SchemaError, not_utf8
-from .expfam import WeightedDataset
 
 __all__ = [
     "SchemaConfig",
@@ -76,7 +75,6 @@ __all__ = [
     "DEFAULT_PARTY_MAPPING",
     "load_returns",
     "aggregate",
-    "to_weighted_dataset",
 ]
 
 logger = logging.getLogger(__name__)
@@ -176,12 +174,11 @@ class RejectedRow:
 class ReturnsRows(Sequence):
     """The accepted rows of one load, in file order, held as columns.
 
-    A read-only sequence of :class:`ReturnsRow`: indexing, slicing and
+    A read-only sequence of :class:`ReturnsRow`: integer indexing and
     iteration build rows only when asked for them, with Python ``int`` and
     ``str`` fields.  Year, state and party are held as codes into per-load
     tuples of label objects, so equal labels are one object; the vote
-    counts are int64, or Python ints where a count does not fit.  It
-    compares equal to any sequence of equal rows.
+    counts are int64, or Python ints where a count does not fit.
     """
 
     __slots__ = ("_labels", "_columns")
@@ -194,8 +191,6 @@ class ReturnsRows(Sequence):
         return len(self._columns[0])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ReturnsRows(self._labels, tuple(column[index] for column in self._columns))
         index = operator.index(index)
         year, state, party, candidate, total = (column[index] for column in self._columns)
         years, states, parties = self._labels
@@ -206,14 +201,6 @@ class ReturnsRows(Sequence):
                   for objects, codes in zip(self._labels, self._columns))
         votes = (column.tolist() for column in self._columns[3:])
         return map(ReturnsRow._make, zip(*labels, *votes))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"ReturnsRows({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -603,34 +590,17 @@ class ProportionMatrix:
             lines.append(f"{year},{cells}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "ProportionMatrix":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0].strip() != "year,dem,rep,other":
-            raise SchemaError("proportion CSV must start with header 'year,dem,rep,other'")
-        years = []
-        rows = []
-        for line in lines[1:]:
-            # A wrong number of cells fails the unpacking, a bad cell int() or float().
-            try:
-                year, dem, rep, other = line.split(",")
-                years.append(int(year))
-                rows.append([float(dem), float(rep), float(other)])
-            except ValueError:
-                raise SchemaError(f"malformed proportion row: {line!r}") from None
-        return cls(years=tuple(years), values=np.asarray(rows, dtype=float))
 
-
-def aggregate(rows: Sequence[ReturnsRow], party_mapping: Optional[dict] = None) -> ProportionMatrix:
+def aggregate(rows: ReturnsRows, party_mapping: Optional[dict] = None) -> ProportionMatrix:
     """Aggregate validated rows into one proportion row per cycle year.
 
-    ``rows`` is the :class:`ReturnsRows` of a load or any sequence of
-    ``ReturnsRow``.  ``party_mapping`` sends party labels to
-    ``DEM``/``REP``/``OTHER``; unmapped labels fall through to ``OTHER``.
-    A cycle whose mapped votes sum to zero raises ``AggregationError``.  An
-    exactly-zero proportion is floored at ``ZERO_PROPORTION_FLOOR`` and the
-    row renormalized, with a logged warning, so downstream weight policies
-    stay in-domain.
+    ``rows`` is the :class:`ReturnsRows` of a load (``LoadResult.rows``),
+    whose columns are summed as they are.  ``party_mapping`` sends party
+    labels to ``DEM``/``REP``/``OTHER``; unmapped labels fall through to
+    ``OTHER``.  A cycle whose mapped votes sum to zero raises
+    ``AggregationError``.  An exactly-zero proportion is floored at
+    ``ZERO_PROPORTION_FLOOR`` and the row renormalized, with a logged
+    warning, so downstream weight policies stay in-domain.
     """
     mapping = DEFAULT_PARTY_MAPPING if party_mapping is None else dict(party_mapping)
     bad_targets = set(mapping.values()) - set(_BUCKETS)
@@ -638,11 +608,6 @@ def aggregate(rows: Sequence[ReturnsRow], party_mapping: Optional[dict] = None) 
         raise ConfigError(f"party mapping targets must be in {_BUCKETS}, got {sorted(bad_targets)}")
     if not rows:
         raise AggregationError("no rows to aggregate")
-    if not isinstance(rows, ReturnsRows):
-        columns = _Columns()
-        for row in rows:
-            columns.add((0, *row))  # rows given in order need no line numbers
-        rows = columns.finish()
 
     # Map each distinct party label once, then sum the votes per year and
     # bucket.  Integer sums are exact, so the grouping changes no
@@ -677,13 +642,3 @@ def aggregate(rows: Sequence[ReturnsRow], party_mapping: Optional[dict] = None) 
             proportions = proportions / proportions.sum()
         values[i] = proportions
     return ProportionMatrix(years=tuple(years[code] for code in present), values=values)
-
-
-def to_weighted_dataset(matrix: ProportionMatrix) -> WeightedDataset:
-    """Wrap the proportion matrix as a dataset with unit initial weights.
-
-    Weight policies are applied later by :mod:`wmle.mwle`.
-    """
-    if matrix.n_cycles == 0:
-        raise DomainError("cannot build a dataset from an empty proportion matrix")
-    return WeightedDataset(matrix.values.copy(), np.ones(matrix.n_cycles))

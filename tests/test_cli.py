@@ -257,6 +257,31 @@ class TestFitCommand:
         assert code == 2
         assert f"{data_path}: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("1976,0.5,abc,0.1", "non-numeric cell in row '1976,0.5,abc,0.1'"),
+        ("1976,0.5,0.4", "row '1976,0.5,0.4' has 2 cells, the first row has 3"),
+    ])
+    def test_a_malformed_proportion_row_exits_2(self, capsys, tmp_path, row, message):
+        data_path = tmp_path / "props.csv"
+        data_path.write_text(f"year,dem,rep,other\n1974,0.5,0.4,0.1\n{row}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--data", str(data_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {data_path}: {message}\n"
+
+    def test_data_file_and_positional_values_exit_2(self, capsys, tmp_path):
+        # The positional values were fitted and --data was ignored (exit 0).
+        data_path = tmp_path / "cols.csv"
+        data_path.write_text("0.5\n1.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--data", str(data_path), "1", "2", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: fit takes positional values or --data PATH, not both\n"
+
+    def test_a_negative_seed_exits_2(self, capsys):
+        # numpy rejected it with a ValueError traceback (exit 1).
+        code, out, err = run_cli(capsys, "fit", "--seed", "-1", "1", "2", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: the sampling seed must be non-negative, got -1\n"
+
     def test_numeric_error_exits_2(self, capsys):
         # Lehmer weights at order 0 on values more than exp(600) apart.
         code, _, err = run_cli(capsys, "fit", "--policy", "lehmer", "--beta", "0", "1e-300", "1e300")
@@ -939,8 +964,8 @@ class TestIngestCommand:
         )
         assert code == 0
         assert "1 row(s) rejected" in err
-        matrix = ProportionMatrix.from_csv(out_path.read_text(encoding="utf-8"))
-        np.testing.assert_allclose(matrix.values[0], [0.6, 0.3, 0.1], atol=1e-12)
+        values = cli_module._load_numeric_matrix(str(out_path))
+        np.testing.assert_allclose(values, [[0.6, 0.3, 0.1]], atol=1e-12)
         assert "exceeds totalvotes" in rejects_path.read_text(encoding="utf-8")
 
     def test_stdout_default(self, capsys, synthetic_returns_csv):

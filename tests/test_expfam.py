@@ -113,7 +113,6 @@ class TestWeightedDataset:
     def test_one_dimensional_input_becomes_a_column(self):
         data = WeightedDataset([1.0, 2.0], [1.0, 1.0])
         assert data.observations.shape == (2, 1)
-        assert data.n == 2
 
     def test_total_weight(self):
         data = WeightedDataset([[1.0], [2.0]], [0.5, 2.0])
@@ -381,6 +380,12 @@ class TestCheckMinimality:
         for n in (2, -3):  # numpy's sampler would reject -3 with a bare ValueError
             with pytest.raises(DomainError, match=rf"need at least q\+1=3 samples .* got {n}"):
                 check_minimality(model, model.nat_param(np.array([1.0, 1.0])), n_samples=n)
+
+    def test_a_negative_seed_is_a_config_error(self):
+        # numpy's default_rng rejects it with a bare ValueError.
+        model = weibull_model([1.0, 2.0])
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1$"):
+            check_minimality(model, model.nat_param(np.array([1.0, 1.0])), n_samples=64, seed=-1)
 
     def test_explicit_sample_without_sampler(self):
         model = dataclasses.replace(exponential_model(), sampler=None)

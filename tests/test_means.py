@@ -25,7 +25,6 @@ class TestSample:
     def test_defaults_to_unit_weights(self):
         s = Sample([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(s.weights, [1.0, 1.0, 1.0])
-        assert len(s) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):

@@ -25,9 +25,9 @@ from wmle import (
     SchemaError,
     aggregate,
     load_returns,
-    to_weighted_dataset,
 )
 from wmle import pipeline
+from wmle.cli import _load_numeric_matrix
 from wmle.pipeline import ProportionMatrix, ReturnsRow, ReturnsRows, SchemaConfig
 
 from conftest import SCHEMA_HEADER, write_synthetic_returns
@@ -73,7 +73,7 @@ class TestLoadReturns:
     def test_header_only_file(self, tmp_path):
         path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n")
         result = load_returns(path)
-        assert result.rows == []
+        assert list(result.rows) == []
         assert result.rejects == []
 
     def test_three_row_fixture_roundtrips(self, tmp_path):
@@ -97,7 +97,7 @@ class TestLoadReturns:
             SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,1200,1000\n",
         )
         result = load_returns(path)
-        assert result.rows == []
+        assert list(result.rows) == []
         assert len(result.rejects) == 1
         assert "exceeds totalvotes" in result.rejects[0].reason
         assert result.rejects[0].line_number == 2
@@ -186,7 +186,7 @@ class TestLoadReturns:
         # 0 <= candidate <= total holds for 0/0; the total must be positive
         path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,0,0\n")
         result = load_returns(path)
-        assert result.rows == []
+        assert list(result.rows) == []
         assert [(r.line_number, r.reason) for r in result.rejects] == [
             (2, "non-positive totalvotes 0")
         ]
@@ -233,14 +233,10 @@ class TestLoadReturns:
                 ReturnsRow(1978, "CA", "GREEN", 5, 90), ReturnsRow(1978, "CA", "DEMOCRAT", 60, 90)]
         assert isinstance(rows, ReturnsRows) and isinstance(rows, Sequence)
         assert len(rows) == 4
-        assert rows == want and want == rows and rows == tuple(want) and not rows != want
-        assert rows != want[:3] and rows != want[::-1] and want[::-1] != rows and rows != "rows"
         assert [rows[i] for i in range(-4, 4)] == want + want
         for index in (4, -5):
             with pytest.raises(IndexError):
                 rows[index]
-        assert rows[1:3] == want[1:3] and rows[::-2] == want[::-2] and rows[5:] == []
-        assert rows[1:][-1] == want[-1]
         assert list(rows) == want and list(reversed(rows)) == want[::-1]
         assert rows.index(want[2]) == 2 and want[3] in rows
         for row in [*rows, *(rows[i] for i in range(4))]:
@@ -250,10 +246,10 @@ class TestLoadReturns:
                 row.year = 1980
         with pytest.raises(TypeError):
             rows[0] = want[0]
-        with pytest.raises(TypeError):
-            rows["year"]
+        for key in ("year", slice(1, 3)):
+            with pytest.raises(TypeError):
+                rows[key]
         assert not hasattr(rows, "append")
-        assert repr(rows) == f"ReturnsRows({want!r})"
 
     def test_a_load_retains_at_most_64_bytes_a_row(self, tmp_path, monkeypatch):
         generated = _perfbench_gen(monkeypatch).returns_file(3, races_per_cycle=33, precincts=8)
@@ -330,7 +326,7 @@ class TestLoadReturnsMatchesParseRow:
             except ValueError as exc:
                 rejects.append((line_number, str(exc), delimiter.join(map(_quoted, record))))
         result = load_returns(path, config)
-        assert result.rows == rows
+        assert list(result.rows) == rows
         assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects
 
 
@@ -413,7 +409,7 @@ class TestSplitPathMatchesWholeFileReader:
         config = SchemaConfig()
         rows, rejects = _whole_file_csv_reference(path, config)
         result = load_returns(path, config)
-        assert result.rows == rows
+        assert list(result.rows) == rows
         assert [(r.line_number, r.reason) for r in result.rejects] == rejects
         assert [r.raw for r in result.rejects] == [sources[r.line_number] for r in result.rejects]
 
@@ -447,7 +443,7 @@ class TestOneBlockLoop:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pipeline, "_BLOCK_BYTES", block_bytes)
                 result = load_returns(path, config)
-            assert result.rows == rows, block_bytes
+            assert list(result.rows) == rows, block_bytes
             assert [(r.line_number, r.reason) for r in result.rejects] == rejects, block_bytes
             assert [r.raw for r in result.rejects] == [sources[r.line_number]
                                                        for r in result.rejects], block_bytes
@@ -471,7 +467,7 @@ class TestOneBlockLoop:
         monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 256)
         result = load_returns(path)
         rows, rejects = _whole_file_csv_reference(path, SchemaConfig())
-        assert result.rows == rows and len(rows) == 601
+        assert list(result.rows) == rows and len(rows) == 601
         assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == [
             (603, "invalid integer for candidatevotes: 'x'", "1976,AZ,GREEN,x,100")]
         assert len(scanned) > 10
@@ -526,7 +522,7 @@ class TestBothRecordSourcesAgree:
             (404, "candidatevotes 9 exceeds totalvotes 8"),
         ]
         for name, other in loads.items():
-            assert other.rows == lf.rows, name
+            assert list(other.rows) == list(lf.rows), name
             assert ([(r.line_number, r.reason) for r in other.rejects]
                     == [(r.line_number, r.reason) for r in lf.rejects]), name
             assert aggregate(other.rows).to_csv() == aggregate(lf.rows).to_csv(), name
@@ -586,7 +582,7 @@ def _summary(result):
         sharing[field] = [first.setdefault(id(getattr(row, field)), i)
                           for i, row in enumerate(result.rows)]
     rejects = [(r.line_number, r.reason, r.raw) for r in result.rejects]
-    return result.rows, rejects, sharing
+    return list(result.rows), rejects, sharing
 
 
 def _perfbench_gen(monkeypatch):
@@ -659,7 +655,7 @@ class TestBlockScan:
         )
         for block_bytes in (16, 1 << 20):
             result = _load_at(monkeypatch, path, block_bytes)
-            assert result.rows == [
+            assert list(result.rows) == [
                 ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100),
                 ReturnsRow(1976, "AZ", "DEMOCRAT", 1234567890123456789, 9234567890123456789),
                 ReturnsRow(1976, "AZ", "REPUBLICAN", 5, 100),
@@ -680,8 +676,8 @@ class TestBlockScan:
         )
         for block_bytes in (9, 1 << 20):
             result = _load_at(monkeypatch, path, block_bytes)
-            assert result.rows == [ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100),
-                                   ReturnsRow(1976, "AZ, CA", "REPUBLICAN", 50, 100)]
+            assert list(result.rows) == [ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100),
+                                         ReturnsRow(1976, "AZ, CA", "REPUBLICAN", 50, 100)]
             assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == [
                 (4, "expected 5 fields, got 4", "1976\tAZ\tGREEN\t5")
             ]
@@ -720,7 +716,7 @@ class TestBlockScan:
         config = SchemaConfig()
         rows, rejects = _whole_file_csv_reference(path, config)
         result = load_returns(path, config)
-        assert result.rows == rows and len(rows) == generated.valid_rows
+        assert list(result.rows) == rows and len(rows) == generated.valid_rows
         assert [(r.line_number, r.reason) for r in result.rejects] == rejects
         assert [r.line_number for r in result.rejects] == generated.reject_lines
 
@@ -787,13 +783,15 @@ class TestAggregate:
             reconstructed = proportions.sum() * per_year_total[year]
             assert reconstructed == pytest.approx(per_year_total[year], rel=1e-12)
 
-    def test_row_order_does_not_change_the_csv(self, synthetic_returns_csv):
-        rows = load_returns(synthetic_returns_csv).rows
-        shuffled = list(rows)
+    def test_row_order_does_not_change_the_csv(self, tmp_path, synthetic_returns_csv):
+        with open(synthetic_returns_csv, encoding="utf-8") as handle:
+            header, *lines = handle.readlines()
+        shuffled = lines.copy()
         random.Random(11).shuffle(shuffled)
-        assert shuffled != rows
-        assert aggregate(shuffled).to_csv() == aggregate(rows).to_csv()
-        assert aggregate(list(rows)).to_csv() == aggregate(rows).to_csv()
+        assert shuffled != lines
+        path = write_file(tmp_path / "shuffled.csv", header + "".join(shuffled))
+        assert (aggregate(load_returns(path).rows).to_csv()
+                == aggregate(load_returns(synthetic_returns_csv).rows).to_csv())
 
     @pytest.mark.parametrize("body", [
         # Eighteen digits, which the block scan reads as int64: the DEM sum
@@ -821,10 +819,9 @@ class TestAggregate:
         assert sum(totals[1976].values()) > 2**63
         want = [[votes / sum(per_year.values()) for votes in per_year.values()]
                 for _, per_year in sorted(totals.items())]
-        for given_rows in (rows, list(rows)):
-            matrix = aggregate(given_rows)
-            assert matrix.years == (1976, 1978)
-            assert matrix.values.tolist() == want
+        matrix = aggregate(rows)
+        assert matrix.years == (1976, 1978)
+        assert matrix.values.tolist() == want
 
     def test_explicit_other_mapping_equals_unmapped(self, tmp_path):
         path = write_file(
@@ -856,39 +853,16 @@ class TestAggregate:
 
 
 class TestProportionMatrix:
-    def test_csv_roundtrip_is_stable(self, synthetic_returns_csv):
+    def test_csv_roundtrip_is_stable(self, tmp_path, synthetic_returns_csv):
+        # wmle fit --data reads the CSV back, without its year column.
         matrix = aggregate(load_returns(synthetic_returns_csv).rows)
         text = matrix.to_csv()
-        parsed = ProportionMatrix.from_csv(text)
-        assert parsed.years == matrix.years
-        np.testing.assert_allclose(parsed.values, matrix.values, rtol=1e-11)
+        parsed = _load_numeric_matrix(write_file(tmp_path / "props.csv", text))
+        np.testing.assert_allclose(parsed, matrix.values, rtol=1e-11)
         # 12 significant digits are idempotent: a second serialization is
         # byte-identical to the first
-        assert parsed.to_csv() == text
-
-    def test_header_enforced(self):
-        with pytest.raises(SchemaError):
-            ProportionMatrix.from_csv("a,b,c,d\n1976,0.5,0.4,0.1\n")
+        assert ProportionMatrix(years=matrix.years, values=parsed).to_csv() == text
 
     def test_three_columns_enforced(self):
         with pytest.raises(DomainError):
             ProportionMatrix(years=(1976,), values=np.array([[0.5, 0.5]]))
-
-    @pytest.mark.parametrize("row", ["19x6,0.5,0.4,0.1", "1976,0.5,abc,0.1", "1976,0.5,0.4"])
-    def test_malformed_row_is_a_schema_error(self, row):
-        with pytest.raises(SchemaError, match="malformed proportion row"):
-            ProportionMatrix.from_csv(f"year,dem,rep,other\n1974,0.5,0.4,0.1\n{row}\n")
-
-
-class TestToWeightedDataset:
-    def test_unit_weights(self, synthetic_returns_csv):
-        matrix = aggregate(load_returns(synthetic_returns_csv).rows)
-        data = to_weighted_dataset(matrix)
-        assert data.observations.shape == (23, 3)
-        assert data.total_weight == pytest.approx(23.0)
-        np.testing.assert_array_equal(data.weights, np.ones(23))
-
-    def test_empty_matrix_rejected(self):
-        empty = ProportionMatrix(years=(), values=np.empty((0, 3)))
-        with pytest.raises(DomainError):
-            to_weighted_dataset(empty)
