@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -50,6 +51,33 @@ def write_synthetic_returns(path) -> None:
                 lines.append(f"{year},{state},{party},{votes},{total}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def write_quoted_copies(path) -> dict:
+    """Write three quoted copies of the comma-delimited returns file at
+    ``path`` beside it, and return their paths by name: ``"text"`` quotes
+    every field that is not an integer, ``"full"`` every field, and
+    ``"line2"`` only the first field of line 2.  Blank lines stay blank.  No
+    field of the file may hold a ``"``, so each copy reads as the same
+    records as the original."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+
+    def quoted(line, which):
+        cells = line.split(",")
+        return ",".join(f'"{c}"' if line and which(k, c) else c for k, c in enumerate(cells))
+
+    spellings = {
+        "text": [quoted(line, lambda k, c: not re.fullmatch(r"-?[0-9]+", c)) for line in lines],
+        "full": [quoted(line, lambda k, c: True) for line in lines],
+        "line2": lines[:1] + [quoted(lines[1], lambda k, c: k == 0)] + lines[2:],
+    }
+    paths = {}
+    for name, copy in spellings.items():
+        paths[name] = f"{path}.{name}.csv"
+        with open(paths[name], "w", encoding="utf-8", newline="") as handle:
+            handle.write("\n".join(copy))
+    return paths
 
 
 @pytest.fixture(scope="session")

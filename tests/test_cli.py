@@ -34,7 +34,15 @@ from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, val
 from wmle.pipeline import ProportionMatrix, aggregate, load_returns
 from wmle.svg import render_line_chart
 
-from conftest import SCHEMA_HEADER, holder_oracle, lehmer_condition, lehmer_oracle, ulps_off
+from conftest import (
+    SCHEMA_HEADER,
+    holder_oracle,
+    lehmer_condition,
+    lehmer_oracle,
+    ulps_off,
+    write_quoted_copies,
+    write_synthetic_returns,
+)
 
 
 def run_cli(capsys, *argv):
@@ -985,6 +993,27 @@ class TestIngestCommand:
             capsys, "ingest", "--data", synthetic_returns_csv, "--config", str(config)
         )
         assert code == 2
+
+    def test_quoted_copies_ingest_to_the_same_bytes(self, capsys, tmp_path):
+        # The synthetic returns with malformed records among them; a reject's
+        # raw text keeps its quotes, but the rejects report is (line, reason).
+        plain = tmp_path / "returns.csv"
+        write_synthetic_returns(plain)
+        lines = plain.read_text(encoding="utf-8").split("\n")
+        lines[2:2] = ["1976,AZ,DEMOCRAT,x,100", "", "2022,AZ,DEMOCRAT,1,100", "1976,AZ,GREEN,5"]
+        lines[300:300] = ["1990,OH,DEMOCRAT,-5,100", "1990,OH,REPUBLICAN,9,8", "1990,OH,,0,0"]
+        plain.write_text("\n".join(lines), encoding="utf-8")
+        outputs = {}
+        for name, path in {"plain": str(plain), **write_quoted_copies(plain)}.items():
+            out, rejects = tmp_path / f"{name}.props.csv", tmp_path / f"{name}.rejects.csv"
+            code, _, err = run_cli(capsys, "ingest", "--data", path, "--out", str(out),
+                                   "--rejects", str(rejects))
+            assert code == 0, (name, err)
+            outputs[name] = out.read_bytes(), rejects.read_bytes()
+        want = outputs.pop("plain")
+        assert want[1].count(b"\n") == 1 + 6
+        for name, got in outputs.items():
+            assert got == want, name
 
     def test_non_utf8_returns_file_exits_2(self, capsys, tmp_path):
         returns = tmp_path / "returns.csv"

@@ -354,14 +354,22 @@ def _whole_file_csv_reference(path, config):
     return rows, rejects
 
 
-#: Cells as they appear in the file.  A line holding a ``"`` sends the
-#: rest of the file to csv.reader, so these mix quote-free cells with
-#: quoted ones (holding either delimiter, a doubled quote or a line break)
-#: and with a ``"`` inside an unquoted cell.
-_SOURCE_TEXTS = ("AZ", " CA ", "", '"AZ"', '"DOE, JANE"', '"DOE\tJANE"', 'DO"E', '"A""B"',
-                 '"AB"C', '"DOE\nJANE"', '"DOE\r\nJANE"', '"A\rB"')
-_SOURCE_INTEGERS = ("12", " 40 ", "0", "-3", "12x", '"25"', '" 7 "', '"1\n0"', 'x"1')
-_SOURCE_YEARS = ("1976", "2020", "2021", '"1976"', '"19\r\n76"')
+#: Cells as they appear in the file: quote-free cells, simply quoted ones
+#: (``""`` too), quoted ones holding either delimiter, a doubled quote or a
+#: line break, and cells with a ``"`` inside or after their text.
+_SOURCE_TEXTS = ("AZ", " CA ", "", '"AZ"', '""', '" CA "', '"DOE, JANE"', '"DOE\tJANE"', 'DO"E',
+                 '"A""B"', '"AB"C', '"DOE\nJANE"', '"DOE\r\nJANE"', '"A\rB"', '"A"B"')
+_SOURCE_INTEGERS = ("12", " 40 ", "0", "-3", "12x", '"25"', '""', '" 7 "', '"1\n0"', 'x"1',
+                    '"1,2"')
+_SOURCE_YEARS = ("1976", "2020", "2021", '"1976"', '"2020"', '"19\r\n76"')
+
+
+def _simply_quoted(cell):
+    """Whether ``cell`` is quote-free or has a ``"`` at each end and no
+    other, and holds no delimiter or line break."""
+    quotes = cell.count('"')
+    edged = len(cell) >= 2 and cell[0] == cell[-1] == '"'
+    return (quotes == 0 or quotes == 2 and edged) and not any(c in cell for c in ",\t\r\n")
 
 
 @st.composite
@@ -377,6 +385,8 @@ def _source_files(draw):
     cells = {c: st.sampled_from(t) for c, t in texts.items()}
     quote_free = {c: st.sampled_from([text for text in t if '"' not in text])
                   for c, t in texts.items()}
+    simple = {c: st.sampled_from([text for text in t if _simply_quoted(text)])
+              for c, t in texts.items()}
 
     def records(strategies):
         record = st.fixed_dictionaries(strategies).map(lambda f: [f[c] for c in columns])
@@ -384,8 +394,10 @@ def _source_files(draw):
         return st.one_of(record, record, ragged, st.just(None)).map(
             lambda r: "" if r is None else delimiter.join(r))
 
-    # A quote-free prefix, then records that may hold quotes.
+    # A quote-free prefix, simply quoted records, then records that may
+    # hold any quotes.
     lines = draw(st.lists(records(quote_free), max_size=8))
+    lines += draw(st.lists(records(simple), max_size=8))
     lines += draw(st.lists(records(cells), max_size=12))
     ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines),
                          max_size=len(lines)))
@@ -719,6 +731,134 @@ class TestBlockScan:
         assert list(result.rows) == rows and len(rows) == generated.valid_rows
         assert [(r.line_number, r.reason) for r in result.rejects] == rejects
         assert [r.line_number for r in result.rejects] == generated.reject_lines
+
+
+#: Block sizes for the scan's edge cases: a block of one line or less, a
+#: few lines, and the default.
+_EDGE_BLOCKS = (1, 3, 7, 64, 1 << 20)
+
+
+class TestScanEdges:
+    """Lines whose bounds the block scan most easily gets wrong, each
+    loaded at every block size of ``_EDGE_BLOCKS``."""
+
+    @staticmethod
+    def _check(monkeypatch, path, rows, rejects):
+        for block_bytes in _EDGE_BLOCKS:
+            result = _load_at(monkeypatch, path, block_bytes)
+            assert list(result.rows) == rows, block_bytes
+            assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects, block_bytes
+
+    @pytest.mark.parametrize("last", [
+        "1976,AZ,REPUBLICAN,5,", '1976,"AZ",REPUBLICAN,5,', '"1976",AZ,"REPUBLICAN",5,'])
+    def test_a_last_line_without_a_break_ends_in_the_delimiter(self, tmp_path, monkeypatch, last):
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n1976,AZ,DEMOCRAT,40,100\n" + last)
+        self._check(monkeypatch, path, [ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100)],
+                    [(3, "invalid integer for totalvotes: ''", last)])
+
+    @pytest.mark.parametrize("last", ["1976,AZ,REPUBLICAN,5,100,", '1976,"AZ",REPUBLICAN,5,100,""'])
+    def test_a_last_line_without_a_break_ends_in_an_empty_field(self, tmp_path, monkeypatch, last):
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + ",office\n" + last)
+        self._check(monkeypatch, path, [ReturnsRow(1976, "AZ", "REPUBLICAN", 5, 100)], [])
+
+    def test_a_crlf_split_across_a_block_edge(self, tmp_path, monkeypatch):
+        # The first line is 63 bytes, so with 64-byte blocks its \r ends
+        # the first read and its \n begins the next.
+        first = "1976,AZ,{},40,100".format("D" * 48)
+        body = (first + "\r\n1976,AZ,REPUBLICAN,x,100\r\n" + '1976,"CA",GREEN,7,9\r\n'
+                + '1976,"CA",GREEN,y,9\r\n1978,CA,GREEN,7,9\r\n')
+        assert len(first) == 63
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)
+        self._check(monkeypatch, path, [ReturnsRow(1976, "AZ", "D" * 48, 40, 100),
+                                        ReturnsRow(1976, "CA", "GREEN", 7, 9),
+                                        ReturnsRow(1978, "CA", "GREEN", 7, 9)],
+                    [(3, "invalid integer for candidatevotes: 'x'", "1976,AZ,REPUBLICAN,x,100"),
+                     (5, "invalid integer for candidatevotes: 'y'", '1976,"CA",GREEN,y,9')])
+
+    def test_lines_ended_by_a_lone_cr(self, tmp_path, monkeypatch):
+        body = ('1976,AZ,DEMOCRAT,40,100\r1976,AZ,GREEN,x,9\r\r1978,"CA",GREEN,7,9\r'
+                '1978,"CA","GREEN",-7,9\r"1980",CA,GREEN,7,9\r')
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)
+        self._check(monkeypatch, path, [ReturnsRow(1976, "AZ", "DEMOCRAT", 40, 100),
+                                        ReturnsRow(1978, "CA", "GREEN", 7, 9),
+                                        ReturnsRow(1980, "CA", "GREEN", 7, 9)],
+                    [(3, "invalid integer for candidatevotes: 'x'", "1976,AZ,GREEN,x,9"),
+                     (6, "negative candidatevotes -7", '1978,"CA","GREEN",-7,9')])
+
+    @pytest.mark.parametrize("first, reject", [
+        ("1976,AZ,GREEN,x,100", "invalid integer for candidatevotes: 'x'"),
+        ('"1976",AZ,GREEN,x,100', "invalid integer for candidatevotes: 'x'"),
+        ('1976,"A,Z",GREEN,x,100', "invalid integer for candidatevotes: 'x'"),
+        ('1976,"A\nZ",GREEN,x,100', "invalid integer for candidatevotes: 'x'"),
+        ('1976,AZ,"GR"EEN,x,100', "invalid integer for candidatevotes: 'x'"),
+        ("1976,AZ,GREEN,5", "expected 5 fields, got 4"),
+        # An open quote runs on to the end of the file.
+        ('"1976,AZ,GREEN,5,100', "expected 5 fields, got 4"),
+    ])
+    def test_a_blocks_first_line_fails_the_scan(self, tmp_path, monkeypatch, first, reject):
+        # At the default size the first line of the file is a block's first
+        # line; at the small sizes every line is.
+        body = first + "\n1976,AZ,DEMOCRAT,40,100\n1976,\"AZ\",REPUBLICAN,50,100\n"
+        path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)
+        rows, rejects = _whole_file_csv_reference(path, SchemaConfig())
+        want = _summary(load_returns(path))
+        assert want[0] == rows and [r[:2] for r in want[1]] == rejects
+        assert want[1][0][:2] == (2, reject) and want[1][0][2].startswith(first)
+        for block_bytes in _EDGE_BLOCKS:
+            assert _summary(_load_at(monkeypatch, path, block_bytes)) == want, block_bytes
+
+
+def _unique_coded(keys, codes, label=None):
+    """``pipeline._coded`` as ``np.unique`` defines it: each distinct key in
+    sorted order gets the code of its label, a new label the next code."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    labels = distinct.tolist() if label is None else map(label, distinct.tolist())
+    return np.array([codes.setdefault(x, len(codes)) for x in labels],
+                    dtype=np.int32)[inverse.reshape(-1)]
+
+
+def _padded(texts):
+    """``texts`` as the block scan's fixed-width keys (``pipeline._texts``)."""
+    width = max(map(len, texts), default=0) + 1
+    return np.array([t.encode() + b"\xff" * (width - len(t)) for t in texts], dtype=f"S{width}")
+
+
+def _label(key):
+    return key.rstrip(b"\xff").decode().strip()
+
+
+@st.composite
+def _coded_keys(draw):
+    """``(keys, label, codes)``: text keys with their label function, or
+    year keys without one, in runs that are long, alternating, or of keys
+    that strip to one label; ``codes`` may hold labels of an earlier block."""
+    texts = draw(st.sampled_from([("AZ", "CA", "DEMOCRAT", "", "OH"),
+                                  ("AZ", " AZ", "AZ ", " AZ "), ("GREEN", "GREEN ", "LIB")]))
+    pool = draw(st.sampled_from([texts, (1976, 1978, 2020, 1990)]))
+    kind = draw(st.sampled_from(["long", "alternating", "any"]))
+    if kind == "alternating":
+        pair = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+        runs = [(pair[i % 2], draw(st.integers(1, 3))) for i in range(draw(st.integers(0, 40)))]
+    else:
+        length = st.integers(1, 300 if kind == "long" else 4)
+        runs = draw(st.lists(st.tuples(st.sampled_from(pool), length), max_size=30))
+    keys = [key for key, n in runs for _ in range(n)]
+    earlier = draw(st.lists(st.sampled_from(pool), unique=True))
+    if pool is texts:
+        return _padded(keys), _label, {_label(k): i for i, k in enumerate(_padded(earlier))}
+    return np.array(keys, dtype=np.int64), None, {k: i for i, k in enumerate(earlier)}
+
+
+class TestCoded:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=_coded_keys())
+    def test_codes_match_a_unique_coding(self, drawn):
+        keys, label, earlier = drawn
+        codes, want = dict(earlier), dict(earlier)
+        got = pipeline._coded(keys, codes, label)
+        assert got.dtype == np.int32
+        assert got.tolist() == _unique_coded(keys, want, label).tolist()
+        assert list(codes.items()) == list(want.items())
 
 
 class TestAggregate:
