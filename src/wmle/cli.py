@@ -220,7 +220,8 @@ def _load_numeric_matrix(path: str) -> np.ndarray:
     """Read a numeric CSV for `fit`.
 
     A header row is skipped if its fields are not numeric; the ingest
-    output format (year,dem,rep,other) additionally drops the year column.
+    output format (year,dem,rep,other) additionally drops the year column,
+    whose cells must be integers.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -242,7 +243,9 @@ def _load_numeric_matrix(path: str) -> np.ndarray:
     for line in lines[start:]:
         cells = line.split(",")
         if drop_first_column:
-            cells = cells[1:]
+            year, *cells = cells
+            if not year.strip().isdecimal():
+                raise DomainError(f"{path}: year {year!r} in row {line!r} is not an integer")
         try:
             row = [float(cell) for cell in cells]
         except ValueError:

@@ -268,6 +268,10 @@ class TestFitCommand:
     @pytest.mark.parametrize("row, message", [
         ("1976,0.5,abc,0.1", "non-numeric cell in row '1976,0.5,abc,0.1'"),
         ("1976,0.5,0.4", "row '1976,0.5,0.4' has 2 cells, the first row has 3"),
+        # The year cell was dropped unread, and these fitted with exit 0.
+        ("19x6,0.5,0.4,0.1", "year '19x6' in row '19x6,0.5,0.4,0.1' is not an integer"),
+        ("1976.5,0.5,0.4,0.1", "year '1976.5' in row '1976.5,0.5,0.4,0.1' is not an integer"),
+        (",0.5,0.4,0.1", "year '' in row ',0.5,0.4,0.1' is not an integer"),
     ])
     def test_a_malformed_proportion_row_exits_2(self, capsys, tmp_path, row, message):
         data_path = tmp_path / "props.csv"

@@ -498,6 +498,29 @@ class TestOneBlockLoop:
                 _load_at(monkeypatch, path, block_bytes)
 
 
+    @pytest.mark.parametrize("long_field", ['"' + "D" * 50 + '"', "D" * 50], ids=["quoted", "bare"])
+    def test_the_first_fault_in_the_file_is_reported(self, tmp_path, monkeypatch, long_field):
+        # A field over csv's limit, then a byte that is not UTF-8 thirty
+        # lines on, and the other way round.  The default block decoded
+        # its whole tail first and reported the bad byte.
+        good = b"1976,AZ,DEMOCRAT,40,100\n" * 30
+        long_line = f"1976,AZ,{long_field},40,100\n".encode()
+        bad_line = b"1976,AZ,D\xe9M,40,100\n"
+        path = tmp_path / "r.csv"
+        limit = csv.field_size_limit(30)
+        try:
+            for body, message in (
+                (good + long_line + good + bad_line, "field larger than field limit (30) at line 32"),
+                (good + bad_line + good + long_line, "not UTF-8 text (byte 0xe9: invalid continuation byte)"),
+            ):
+                path.write_bytes(SCHEMA_HEADER.encode() + b"\n" + body)
+                for block_bytes in _EDGE_BLOCKS:
+                    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                        _load_at(monkeypatch, path, block_bytes)
+        finally:
+            csv.field_size_limit(limit)
+
+
 def _four_ways(tmp_path):
     """The synthetic returns, plus malformed records and one row only
     ``_parse_row`` accepts, written with LF and CRLF line breaks, with
