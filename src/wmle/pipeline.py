@@ -90,8 +90,8 @@ _BUCKETS = ("DEM", "REP", "OTHER")
 #: matrix stays strictly positive (negative-order weight policies need it).
 ZERO_PROPORTION_FLOOR = 1e-9
 
-#: Bytes read at a time from the quote-free part of a returns file; a block
-#: grows past this only to hold a longer line.
+#: Bytes read at a time from a returns file after its header; a block grows
+#: past this only to hold a longer line.
 _BLOCK_BYTES = 1 << 20
 
 #: The longest state or party text the block scan takes (longer ones go to
@@ -463,7 +463,7 @@ def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list
     # A line's text stops before its \n, \r or \r\n.
     crlf = (a[ends - 1] == 10) & (a.take(ends - 2, mode="clip") == 13)
     stops = ends - breaks[ends - 1] - crlf
-    to_csv = ends - starts > limit
+    needs_csv = ends - starts > limit
     quotes = block.find(b'"', 0, size) >= 0
     if quotes:
         # A field of 2 or more bytes with a '"' at each end is edged, and a
@@ -473,8 +473,8 @@ def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list
         hi[last] = stops
         edged = (hi - lo >= 2) & (a.take(lo, mode="clip") == 34) & (a.take(hi - 1, mode="clip") == 34)
         count = np.diff(np.searchsorted(np.flatnonzero(a == 34), ends), prepend=0)
-        to_csv |= count != 2 * np.diff(np.cumsum(edged)[last], prepend=0)
-    n = int(np.argmax(np.append(to_csv, True)))
+        needs_csv |= count != 2 * np.diff(np.cumsum(edged)[last], prepend=0)
+    n = int(np.argmax(np.append(needs_csv, True)))  # the lines scanned
     ok = np.diff(last, prepend=-1) == width
     if a.max() >= 128:
         ok[np.searchsorted(ends, np.flatnonzero(a >= 128), side="right")] = False

@@ -602,8 +602,7 @@ class TestCollectorPause:
 
 
 def _load_at(monkeypatch, path, block_bytes):
-    """``load_returns(path)`` with the quote-free scan reading
-    ``block_bytes`` at a time."""
+    """``load_returns(path)`` reading ``block_bytes`` at a time."""
     monkeypatch.setattr(pipeline, "_BLOCK_BYTES", block_bytes)
     return load_returns(path)
 
