@@ -497,7 +497,6 @@ class TestOneBlockLoop:
             with pytest.raises(SchemaError, match=f"^{message}$"):
                 _load_at(monkeypatch, path, block_bytes)
 
-
     @pytest.mark.parametrize("long_field", ['"' + "D" * 50 + '"', "D" * 50], ids=["quoted", "bare"])
     def test_the_first_fault_in_the_file_is_reported(self, tmp_path, monkeypatch, long_field):
         # A field over csv's limit, then a byte that is not UTF-8 thirty
