@@ -437,13 +437,13 @@ def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list
     before the first that ``csv.reader`` must read: one holding a ``"``
     that does not end a simply quoted field, or longer than ``limit``.
 
-    Returns the start and end offset (its line break included) of each of
-    those lines, the lines that pass, and those lines' year, state, party,
+    Returns each of those lines' start and end offset (its line break
+    included), the lines that pass, and their year, state, party,
     candidate-vote and total-vote fields: the integers as int64, the texts
     as :func:`_texts` keys, a simply quoted field without its quotes.  A
     line passes if it is ASCII, has ``width`` fields, its integers are 1-18
-    digits, its state and party texts at most ``_LABEL_BYTES`` long, and it
-    passes ``_parse_row``'s checks.
+    digits, its state and party texts at most ``_LABEL_BYTES`` long, and
+    it passes ``_parse_row``'s checks.
     """
     a = np.frombuffer(block, np.uint8, size)
     breaks = a == 10
@@ -466,14 +466,14 @@ def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list
     needs_csv = ends - starts > limit
     quotes = block.find(b'"', 0, size) >= 0
     if quotes:
-        # A field of 2 or more bytes with a '"' at each end is edged, and a
-        # line with twice as many '"' as edged fields has no other '"'.
+        # csv.reader reads a line holding a '"' that does not end an edged field.
         lo = np.concatenate(([0], marks[:-1] + 1))
         hi = marks.copy()
         hi[last] = stops
         edged = (hi - lo >= 2) & (a.take(lo, mode="clip") == 34) & (a.take(hi - 1, mode="clip") == 34)
-        count = np.diff(np.searchsorted(np.flatnonzero(a == 34), ends), prepend=0)
-        needs_csv |= count != 2 * np.diff(np.cumsum(edged)[last], prepend=0)
+        stray = a == 34
+        stray[lo[edged]] = stray[hi[edged] - 1] = False
+        needs_csv[np.searchsorted(ends, np.flatnonzero(stray), side="right")] = True
     n = int(np.argmax(np.append(needs_csv, True)))  # the lines scanned
     ok = np.diff(last, prepend=-1) == width
     if a.max() >= 128:
