@@ -6,33 +6,32 @@ totalvotes``), validates each row, and aggregates candidate votes per
 election-cycle year into national (dem, rep, other) proportions.  Malformed
 rows are collected into a rejects report instead of being silently dropped.
 
-Ingest is one pass over the file, read once from start to end (so it may be
-a pipe), and each row is checked once.  The text after the header is read
-in blocks of about 1 MiB cut at line breaks (``\\n``, ``\\r\\n`` or a lone
-``\\r``), and every block is read alike.  numpy finds its line breaks and
-delimiters in one pass.  A simply quoted field, with a ``"`` at each end
-and no other, reads as the text between its quotes, as in ``csv.reader``,
-and the lines before the first one holding any other ``"`` (or longer than
-``csv.field_size_limit()``) are scanned: an ASCII line with the header's
-field count, year and vote fields of 1-18 ASCII digits that pass
-``_parse_row``'s range checks, and state and party texts of at most 64
-bytes is accepted with the other accepted lines of its block, as arrays.
-Every other scanned line (ragged, an integer with a sign, spaces, ``_`` or
-``chr(0x1c)``, out of range, non-ASCII, blank) is decoded, so text that is
-not UTF-8 fails here, split on the delimiter, unquoted and given, in file
-order, to ``_parse_row``.  ``_parse_row`` has the last word, so the few
-spellings it accepts and the scan does not (``+5``, ``' 12 '``, a 19-digit
-count) are still rows, and it names the reason a rejected line is not.
+Ingest is one pass over the file, which is read once from start to end (so
+it may be a pipe), and each row is checked once.  The text after the header
+is read in blocks of about 1 MiB cut at line breaks (``\\n``, ``\\r\\n`` or
+a lone ``\\r``), and every block is read alike.  Its lines before the first
+one holding a ``"`` (or longer than ``csv.field_size_limit()``) are
+quote-free, and numpy finds their line breaks and delimiters and runs the
+accept test over all of them at once.  An ASCII line with the header's field
+count, year and vote fields of 1-18 ASCII digits that pass ``_parse_row``'s
+range checks, and state and party texts of at most 64 bytes is accepted
+with the other accepted lines of its block, as arrays.  Every other such
+line (ragged, an integer with a sign, spaces, ``_`` or ``chr(0x1c)``, out
+of range, non-ASCII, blank) is decoded, so text that is not UTF-8 fails
+here, split on the delimiter and given, in file order, to ``_parse_row``.
+``_parse_row`` has the last word, so the few spellings it accepts and the
+scan does not (``+5``, ``' 12 '``, a 19-digit count) are still rows, and it
+names the reason a rejected line is not.
 
-From a block's first line that is not scanned, ``csv.reader`` reads to the
-end of the block, and on into later blocks only while a record is still
-open, so a quoted field may hold the delimiter, a doubled quote or a line
-break; the block after that is scanned again.  A scanned line is one
-record with the fields ``csv.reader`` would give, so a load is that of one
-``csv.reader`` over the whole file, and the first fault of a file is the
-one reported, whatever the block size.  A reject is numbered by the
-physical line its record starts on (the header is line 1), and its ``raw``
-text is the record's source lines without the final line break.
+From a block's first line holding a ``"``, ``csv.reader`` reads to the end
+of the block, so a quoted field may hold the delimiter or span lines, and
+on into later blocks only while a record is still open; the block after
+that is scanned again.  Its records pass an inline accept test or go to
+``_parse_row``.  A quote-free line is one record, and its fields are the
+ones ``csv.reader`` would give, so a load is that of one ``csv.reader``
+over the whole file.  A reject is numbered by the physical line its record
+starts on (the header is line 1), and its ``raw`` text is the record's
+source lines without the final line break.
 
 The accepted rows of one load are a ``ReturnsRows``, a read-only sequence
 of ``ReturnsRow`` named tuples held as columns, in file order: year, state
@@ -251,16 +250,13 @@ def _coded(keys: np.ndarray, codes: dict, label=None) -> np.ndarray:
     """The int32 code of each of ``keys``: ``codes`` maps a label to its
     code, and a new label gets the next one, in sorted order of the keys.
     ``label(key)`` is the label of a key, called once per distinct key.
-    Only the first key of each run of equal keys is sorted, stably."""
+    Only the first key of each run of equal keys is sorted, stably (asking
+    for ``return_index`` makes ``np.unique`` merge sort, faster here)."""
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size])
-    order = np.argsort(keys[heads], kind="stable")
-    ordered = keys[heads[order]]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))[: ordered.size]
-    labels = ordered[new].tolist() if label is None else map(label, ordered[new].tolist())
+    distinct, _, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
+    labels = distinct.tolist() if label is None else map(label, distinct.tolist())
     table = np.array([codes.setdefault(x, len(codes)) for x in labels], dtype=np.int32)
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
-    return np.repeat(table[rank], np.diff(heads, append=keys.size))
+    return np.repeat(table[inverse], np.diff(heads, append=keys.size))
 
 
 def _votes(counts) -> np.ndarray:
@@ -433,17 +429,16 @@ def _texts(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list[int],
           config: SchemaConfig, limit: int):
-    """Cut ``block[:size]`` into lines and run the accept test over those
-    before the first that ``csv.reader`` must read: one holding a ``"``
-    that does not end a simply quoted field, or longer than ``limit``.
+    """Cut ``block[:size]``, quote-free text, into lines and run the accept
+    test over them at once.
 
-    Returns each of those lines' start and end offset (its line break
-    included), the lines that pass, and their year, state, party,
-    candidate-vote and total-vote fields: the integers as int64, the texts
-    as :func:`_texts` keys, a simply quoted field without its quotes.  A
-    line passes if it is ASCII, has ``width`` fields, its integers are 1-18
-    digits, its state and party texts at most ``_LABEL_BYTES`` long, and
-    it passes ``_parse_row``'s checks.
+    Returns each line's start and end offset (its line break included), the
+    lines that pass, and those lines' year, state, party, candidate-vote and
+    total-vote fields: the integers as int64, the texts as :func:`_texts`
+    keys.  A line passes if it is ASCII, no longer than ``limit`` (csv's
+    field limit), has ``width`` fields, its integers are 1-18 digits, its
+    state and party texts at most ``_LABEL_BYTES`` long, and it passes
+    ``_parse_row``'s checks.
     """
     a = np.frombuffer(block, np.uint8, size)
     breaks = a == 10
@@ -463,29 +458,15 @@ def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list
     # A line's text stops before its \n, \r or \r\n.
     crlf = (a[ends - 1] == 10) & (a.take(ends - 2, mode="clip") == 13)
     stops = ends - breaks[ends - 1] - crlf
-    needs_csv = ends - starts > limit
-    quotes = block.find(b'"', 0, size) >= 0
-    if quotes:
-        # csv.reader reads a line holding a '"' that does not end an edged field.
-        lo = np.concatenate(([0], marks[:-1] + 1))
-        hi = marks.copy()
-        hi[last] = stops
-        edged = (hi - lo >= 2) & (a.take(lo, mode="clip") == 34) & (a.take(hi - 1, mode="clip") == 34)
-        stray = a == 34
-        stray[lo[edged]] = stray[hi[edged] - 1] = False
-        needs_csv[np.searchsorted(ends, np.flatnonzero(stray), side="right")] = True
-    n = int(np.argmax(np.append(needs_csv, True)))  # the lines scanned
-    ok = np.diff(last, prepend=-1) == width
+    ok = (np.diff(last, prepend=-1) == width) & (ends - starts <= limit)
     if a.max() >= 128:
         ok[np.searchsorted(ends, np.flatnonzero(a >= 128), side="right")] = False
-    lines = np.flatnonzero(ok[:n])
+    lines = np.flatnonzero(ok)
     first = last[lines] - (width - 1)  # the mark that ends each line's first field
 
     def field(k):
         lo = starts[lines] if k == 0 else marks[first + k - 1] + 1
-        hi = stops[lines] if k == width - 1 else marks[first + k]
-        quoted = a.take(lo, mode="clip") == 34 if quotes else False
-        return lo + quoted, hi - quoted
+        return lo, stops[lines] if k == width - 1 else marks[first + k]
 
     years, states, parties, candidates, totals = map(field, columns)
     year, year_ok = _digits(a, *years)
@@ -496,7 +477,7 @@ def _scan(block: bytearray, size: int, delimiter: str, width: int, columns: list
             & (states[1] - states[0] <= _LABEL_BYTES) & (parties[1] - parties[0] <= _LABEL_BYTES))
     values = (year[keep], _texts(a, states[0][keep], states[1][keep]),
               _texts(a, parties[0][keep], parties[1][keep]), candidate[keep], total[keep])
-    return starts[:n], ends[:n], lines[keep], values
+    return starts, ends, lines[keep], values
 
 
 def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str, int],
@@ -504,6 +485,8 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
     """The rows and rejects of the records after the header line: ``head``,
     the bytes read past the header, then the rest of ``stream``."""
     columns = [index[c] for c in config.required_columns()]
+    fields = operator.itemgetter(*columns)
+    year_min, year_max = config.year_min, config.year_max
     limit = csv.field_size_limit()
     rows = _Columns()
     rejects: list[RejectedRow] = []
@@ -522,49 +505,66 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
             rows.add((line_number, *row))
 
     def rest(data):
-        # Lists of lines: those of data, then those of each later block while
-        # csv.reader is inside a record (between records, it asks for a line
-        # past a block's end while source holds none).  A line that is not
-        # UTF-8 raises once the lines before it are read.
+        # Lines of data, then of each later block while csv.reader is inside a
+        # record (it is between records when it asks for a line past a block's
+        # end and source holds none), each decoded only as csv.reader reads it.
         nonlocal line_number
         while True:
-            try:
-                text, error = data.decode(), None
-            except UnicodeDecodeError as exc:
-                good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
-                text, error = data[:good].decode(), exc
-            lines = io.StringIO(text, newline="").readlines()
+            lines = data.splitlines(True)
             line_number += len(lines)
-            yield lines
-            if error:
-                raise error
+            yield map(bytearray.decode, lines)
             block = next(blocks, None) if source else None
             if block is None:
                 return
             data = block[0][: block[1]]
 
-    # Every block is read alike: its scanned lines that pass the accept test
-    # are added as columns, the others go to _parse_row in file order, and
-    # csv.reader reads on from its first line not scanned.
+    # Every block is read alike.  Its lines before the first one holding a
+    # '"' are scanned: those that pass the accept test are added as columns;
+    # every other line, in file order, is decoded (a line that is not UTF-8
+    # raises here) and split on the delimiter for _parse_row, and a row it
+    # accepts is placed among them by its line.  From the first line holding
+    # a '"' or longer than csv's field limit, csv.reader reads to the end of
+    # the block, so a quoted field may hold the delimiter or span lines, and
+    # on into later blocks while a record is open.
     for block, size in blocks:
-        starts, ends, lines, values = _scan(block, size, delimiter, width, columns, config, limit)
-        accepted = np.zeros(ends.size, dtype=bool)
-        accepted[lines] = True
-        others = np.flatnonzero(~accepted)
-        for j, lo, hi in zip(others.tolist(), starts[others].tolist(), ends[others].tolist()):
-            raw = block[lo:hi].decode().rstrip("\r\n")
-            if raw:
-                fields = raw.split(delimiter)
-                if '"' in raw:
-                    fields = [f[1:-1] if f[:1] == '"' else f for f in fields]
-                parse(fields, line_number + j, raw)
-        rows.extend(line_number + lines, *values)
-        line_number += ends.size
-        cut = ends[-1] if ends.size else 0
+        quote = block.find(b'"', 0, size)
+        cut = size if quote < 0 else max(block.rfind(b"\n", 0, quote),
+                                          block.rfind(b"\r", 0, quote)) + 1
+        if cut:
+            starts, ends, lines, values = _scan(block, cut, delimiter, width, columns, config,
+                                                limit)
+            accepted = np.zeros(ends.size, dtype=bool)
+            accepted[lines] = True
+            others = np.flatnonzero(~accepted)
+            count = ends.size
+            for j, lo, hi in zip(others.tolist(), starts[others].tolist(), ends[others].tolist()):
+                line = block[lo:hi].decode()
+                if len(line) > limit:
+                    cut, count = lo, j
+                    break
+                raw = line.rstrip("\r\n")
+                if raw:
+                    parse(raw.split(delimiter), line_number + j, raw)
+            scanned = np.searchsorted(lines, count)
+            rows.extend(line_number + lines[:scanned], *(column[:scanned] for column in values))
+            line_number += count
         if cut == size:
             continue
         tail = itertools.chain.from_iterable(rest(block[cut:size]))
         for start, record in _csv_records(tail, line_number, delimiter, source):
+            # A file quoted throughout runs only this loop, and this inline
+            # copy of the accept test takes its records faster than
+            # _parse_row; _parse_row judges the rest.
+            if len(record) == width:
+                year, state, party, candidate, total = fields(record)
+                try:
+                    year, candidate, total = int(year), int(candidate), int(total)
+                except ValueError:
+                    pass
+                else:
+                    if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
+                        rows.add((start, year, state.strip(), party.strip(), candidate, total))
+                        continue
             parse(record, start, "".join(source[:-1]) + source[-1].rstrip("\r\n"))
     return LoadResult(rows=rows.finish(), rejects=rejects)
 

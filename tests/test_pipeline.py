@@ -332,52 +332,46 @@ class TestLoadReturnsMatchesParseRow:
 
 def _whole_file_csv_reference(path, config):
     """``load_returns`` as one ``csv.reader`` over the whole file: rows and
-    ``(line_number, reason)`` of each reject, a reject numbered by the line
-    its record starts on (``reader.line_num`` minus the line breaks inside
-    its fields)."""
+    ``(line_number, reason, raw)`` of each reject, a reject numbered by the
+    physical line its record starts on (the line after the previous
+    record's last) and ``raw`` its lines without the final line break."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        header_line = handle.readline()
-        delimiter = "\t" if "\t" in header_line else ","
-        header = next(csv.reader(io.StringIO(header_line), delimiter=delimiter))
-        header = [name.strip().lstrip("\ufeff") for name in header]
-        index = {name: header.index(name) for name in config.required_columns()}
-        rows, rejects = [], []
-        reader = csv.reader(handle, delimiter=delimiter)
-        for record in reader:
-            if not record:
-                continue
+        lines = handle.readlines()
+    delimiter = "\t" if "\t" in lines[0] else ","
+    header = next(csv.reader(lines[:1], delimiter=delimiter))
+    header = [name.strip().lstrip("\ufeff") for name in header]
+    index = {name: header.index(name) for name in config.required_columns()}
+    rows, rejects = [], []
+    reader = csv.reader(lines[1:], delimiter=delimiter)
+    start = 2
+    for record in reader:
+        if record:
             try:
                 rows.append(pipeline._parse_row(record, len(header), index, config))
             except ValueError as exc:
-                breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in record)
-                rejects.append((reader.line_num + 1 - breaks, str(exc)))
+                end = reader.line_num + 1
+                raw = "".join(lines[start - 1 : end - 1]) + lines[end - 1].rstrip("\r\n")
+                rejects.append((start, str(exc), raw))
+        start = reader.line_num + 2
     return rows, rejects
 
 
 #: Cells as they appear in the file: quote-free cells, simply quoted ones
 #: (``""`` too), quoted ones holding either delimiter, a doubled quote or a
-#: line break, and cells with a ``"`` inside or after their text.
+#: line break, cells with a ``"`` inside or after their text, and a lone
+#: ``"``, which opens a field that may run on to the end of the file.
 _SOURCE_TEXTS = ("AZ", " CA ", "", '"AZ"', '""', '" CA "', '"DOE, JANE"', '"DOE\tJANE"', 'DO"E',
-                 '"A""B"', '"AB"C', '"DOE\nJANE"', '"DOE\r\nJANE"', '"A\rB"', '"A"B"')
+                 '"A""B"', '"AB"C', '"DOE\nJANE"', '"DOE\r\nJANE"', '"A\rB"', '"A"B"', '"')
 _SOURCE_INTEGERS = ("12", " 40 ", "0", "-3", "12x", '"25"', '""', '" 7 "', '"1\n0"', 'x"1',
-                    '"1,2"')
+                    '"1,2"', '"')
 _SOURCE_YEARS = ("1976", "2020", "2021", '"1976"', '"2020"', '"19\r\n76"')
-
-
-def _simply_quoted(cell):
-    """Whether ``cell`` is quote-free or has a ``"`` at each end and no
-    other, and holds no delimiter or line break."""
-    quotes = cell.count('"')
-    edged = len(cell) >= 2 and cell[0] == cell[-1] == '"'
-    return (quotes == 0 or quotes == 2 and edged) and not any(c in cell for c in ",\t\r\n")
 
 
 @st.composite
 def _source_files(draw):
-    """``(text, delimiter, sources)``: a returns file over the required
-    columns, and the start line -> source text (terminator dropped) of each
-    non-blank record.  Records end in ``\n``, ``\r\n`` or ``\r``; the
-    last one may have no terminator."""
+    """``(text, delimiter)``: a returns file over the required columns.
+    Records end in ``\n``, ``\r\n`` or ``\r``; the last one may have no
+    terminator."""
     delimiter = draw(st.sampled_from((",", "\t")))
     columns = SCHEMA_HEADER.split(",")
     texts = dict(zip(columns, (_SOURCE_YEARS, _SOURCE_TEXTS, _SOURCE_TEXTS,
@@ -385,8 +379,6 @@ def _source_files(draw):
     cells = {c: st.sampled_from(t) for c, t in texts.items()}
     quote_free = {c: st.sampled_from([text for text in t if '"' not in text])
                   for c, t in texts.items()}
-    simple = {c: st.sampled_from([text for text in t if _simply_quoted(text)])
-              for c, t in texts.items()}
 
     def records(strategies):
         record = st.fixed_dictionaries(strategies).map(lambda f: [f[c] for c in columns])
@@ -394,36 +386,28 @@ def _source_files(draw):
         return st.one_of(record, record, ragged, st.just(None)).map(
             lambda r: "" if r is None else delimiter.join(r))
 
-    # A quote-free prefix, simply quoted records, then records that may
-    # hold any quotes.
+    # A quote-free prefix, then records that may hold quotes.
     lines = draw(st.lists(records(quote_free), max_size=8))
-    lines += draw(st.lists(records(simple), max_size=8))
     lines += draw(st.lists(records(cells), max_size=12))
     ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines),
                          max_size=len(lines)))
     if lines and draw(st.booleans()):
         ends[-1] = ""
-    text = delimiter.join(columns) + "\n"
-    sources = {}
-    for line, end in zip(lines, ends):
-        if line:
-            sources[1 + len(_LINE_BREAK.findall(text))] = line
-        text += line + end
-    return text, delimiter, sources
+    text = delimiter.join(columns) + "\n" + "".join(map("".join, zip(lines, ends)))
+    return text, delimiter
 
 
 class TestSplitPathMatchesWholeFileReader:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(drawn=_source_files())
     def test_rows_and_rejects_match_the_whole_file_reader(self, tmp_path_factory, drawn):
-        text, delimiter, sources = drawn
+        text, delimiter = drawn
         path = write_file(tmp_path_factory.mktemp("returns") / "r.csv", text)
         config = SchemaConfig()
         rows, rejects = _whole_file_csv_reference(path, config)
         result = load_returns(path, config)
         assert list(result.rows) == rows
-        assert [(r.line_number, r.reason) for r in result.rejects] == rejects
-        assert [r.raw for r in result.rejects] == [sources[r.line_number] for r in result.rejects]
+        assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects
 
     def test_a_line_longer_than_the_field_limit_goes_to_csv_reader(self, tmp_path):
         # csv.reader raises on a field above its limit; a quote-free line
@@ -447,7 +431,7 @@ class TestOneBlockLoop:
     def test_small_blocks_match_the_whole_file_reader(self, tmp_path_factory, drawn):
         # At these sizes most blocks hold a line or two, so csv.reader hands
         # back to the scan between almost every pair of quoted records.
-        text, delimiter, sources = drawn
+        text, delimiter = drawn
         path = write_file(tmp_path_factory.mktemp("returns") / "r.csv", text)
         config = SchemaConfig()
         rows, rejects = _whole_file_csv_reference(path, config)
@@ -456,9 +440,7 @@ class TestOneBlockLoop:
                 patch.setattr(pipeline, "_BLOCK_BYTES", block_bytes)
                 result = load_returns(path, config)
             assert list(result.rows) == rows, block_bytes
-            assert [(r.line_number, r.reason) for r in result.rejects] == rejects, block_bytes
-            assert [r.raw for r in result.rejects] == [sources[r.line_number]
-                                                       for r in result.rejects], block_bytes
+            assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects, block_bytes
 
     def test_blocks_after_a_quoted_line_are_scanned(self, tmp_path, monkeypatch):
         # Only line 2 is quoted; every block after the first is quote-free
@@ -658,7 +640,7 @@ class TestBlockScan:
         want = _summary(load_returns(path))
         rows, rejects = _whole_file_csv_reference(path, SchemaConfig())
         assert want[0] == rows
-        assert [r[:2] for r in want[1]] == rejects
+        assert want[1] == rejects
         for block_bytes in range(1, len(body.encode()) + 2):
             assert _summary(_load_at(monkeypatch, path, block_bytes)) == want, block_bytes
 
@@ -750,7 +732,7 @@ class TestBlockScan:
         rows, rejects = _whole_file_csv_reference(path, config)
         result = load_returns(path, config)
         assert list(result.rows) == rows and len(rows) == generated.valid_rows
-        assert [(r.line_number, r.reason) for r in result.rejects] == rejects
+        assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == rejects
         assert [r.line_number for r in result.rejects] == generated.reject_lines
 
 
@@ -823,7 +805,7 @@ class TestScanEdges:
         path = write_file(tmp_path / "r.csv", SCHEMA_HEADER + "\n" + body)
         rows, rejects = _whole_file_csv_reference(path, SchemaConfig())
         want = _summary(load_returns(path))
-        assert want[0] == rows and [r[:2] for r in want[1]] == rejects
+        assert want[0] == rows and want[1] == rejects
         assert want[1][0][:2] == (2, reject) and want[1][0][2].startswith(first)
         for block_bytes in _EDGE_BLOCKS:
             assert _summary(_load_at(monkeypatch, path, block_bytes)) == want, block_bytes
