@@ -19,12 +19,14 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import means, mwle, pipeline, svg
 from .errors import ConfigError, DomainError, SchemaError, SolverError, WmleError, not_utf8
-from .families import gaussian_known_variance_model, weibull_model
+
+if TYPE_CHECKING:  # each command imports the modules it runs when it runs
+    from . import mwle, pipeline
 
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
 
@@ -171,6 +173,8 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
     matrix, or one with a value not finite and strictly positive, raises
     ``DomainError``; an empty grid or a non-finite order ``ConfigError``.
     """
+    from . import mwle
+
     if mode not in ("lehmer", "holder"):
         raise ConfigError(f"sweep mode must be 'lehmer' or 'holder', got {mode!r}")
     if not (grid.size and np.all(np.isfinite(grid))):
@@ -275,6 +279,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_mean(args) -> int:
+    from . import means
+
     values = np.asarray(args.values, dtype=float)
     if args.kind == "f":
         for flag, value in (("--weights", args.weights), ("--alpha", args.alpha)):
@@ -296,14 +302,18 @@ def _cmd_mean(args) -> int:
 
 
 def _build_family(args):
+    from . import families  # through the module, so a rebound weibull_model is the one called
+
     if args.family == "weibull":
         shapes = _parse_float_list(args.shapes, "--shapes")
-        return weibull_model(shapes)
+        return families.weibull_model(shapes)
     sigma = _parse_float_list(args.sigma, "--sigma")
-    return gaussian_known_variance_model(sigma)
+    return families.gaussian_known_variance_model(sigma)
 
 
 def _build_policy(args, n_columns: int) -> mwle.WeightPolicy:
+    from . import mwle
+
     if args.policy == "holder":
         return mwle.WeightPolicy.holder()
     if args.beta is None:
@@ -315,6 +325,8 @@ def _build_policy(args, n_columns: int) -> mwle.WeightPolicy:
 
 
 def _cmd_fit(args) -> int:
+    from . import mwle
+
     if args.values and args.data:
         raise ConfigError("fit takes positional values or --data PATH, not both")
     if args.values:
@@ -358,6 +370,8 @@ def _cmd_fit(args) -> int:
 
 
 def _ingest_matrix(args) -> tuple[pipeline.ProportionMatrix, pipeline.LoadResult]:
+    from . import pipeline
+
     config = pipeline.SchemaConfig.from_file(args.config) if args.config else pipeline.SchemaConfig()
     loaded = pipeline.load_returns(args.data, config)
     if loaded.rejects:
@@ -374,6 +388,8 @@ def _cmd_sweep(args) -> int:
         print(f"note: {len(table.gaps)} grid point(s) failed and were recorded as gaps",
               file=sys.stderr)
     if args.svg:
+        from . import svg
+
         chart = svg.render_line_chart(
             table.orders,
             {
@@ -390,6 +406,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_vweights(args) -> int:
+    from . import means
+
     pair = args.values if args.values else [0.6, 2.0]
     if len(pair) != 2:
         raise ConfigError(f"vweights expects exactly two values, got {len(pair)}")

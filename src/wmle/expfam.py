@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -168,8 +168,7 @@ class WeightedDataset:
             object.__setattr__(self, "total_weight", float(np.add.reduce(w)))
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(NamedTuple):
     """Outcome of the sampled covariance-rank check.
 
     ``direction`` is the unit eigenvector of the near-zero eigenvalue when
@@ -326,8 +325,7 @@ def _stat_covariance(model: FamilyModel, eta: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-@dataclass(frozen=True)
-class _SolveInfo:
+class _SolveInfo(NamedTuple):
     eta: np.ndarray
     iterations: int
     residual: float

@@ -22,8 +22,7 @@ simplification is inherited by design and noted here rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -361,8 +360,7 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
     )
 
 
-@dataclass(frozen=True)
-class MultinomialFixture:
+class MultinomialFixture(NamedTuple):
     """Multinomial(N, p) in two sufficient-statistic encodings.
 
     ``full_model`` keeps all ``k`` counts, so its statistic covariance is

@@ -25,10 +25,9 @@ either, a (model, policy) pair realizes).  Both fits, and
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,8 +61,6 @@ __all__ = [
     "fit",
     "subclass_form",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,7 @@ class WeightPolicy:
         return cls(kind="lehmer", base_w=base_w, exponents=exponents)
 
 
-@dataclass(frozen=True)
-class FitDiagnostics:
+class FitDiagnostics(NamedTuple):
     """Solver and curvature summary attached to every fit.
 
     ``hessian_smallest``/``hessian_largest`` are the extremes of the
@@ -127,8 +123,7 @@ class FitDiagnostics:
     solve_method: str
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Estimate in both parameterizations plus the matched moment target.
 
     ``scale`` holds the factors ``c_j`` the data were divided by: on a
@@ -147,8 +142,7 @@ class FitResult:
     diagnostics: FitDiagnostics
 
 
-@dataclass(frozen=True)
-class SubclassReport:
+class SubclassReport(NamedTuple):
     """Which mean family, if either, an MWLE structurally reduces to."""
 
     is_holder_mean: bool
@@ -394,10 +388,14 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         try:
             verdict = check_minimality(model, eta, n_samples=minimality_samples, seed=seed)
         except NumericError as exc:
-            logger.warning("no minimality verdict: %s", exc)
+            import logging  # imported only to warn: a fresh process starts faster without it
+
+            logging.getLogger(__name__).warning("no minimality verdict: %s", exc)
     # Never succeed silently at a flat maximum.
     if flat:
-        logger.warning(
+        import logging
+
+        logging.getLogger(__name__).warning(
             "weighted log-likelihood Hessian is numerically degenerate at the "
             "estimate (largest eigenvalue %.3e)%s",
             max(flat),

@@ -55,7 +55,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import logging
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -76,8 +75,6 @@ __all__ = [
     "load_returns",
     "aggregate",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Labels not mapped to DEM or REP (write-ins, blanks, minor parties) all
 #: land in OTHER.
@@ -158,8 +155,7 @@ class ReturnsRow(NamedTuple):
     total_votes: int
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(NamedTuple):
     """A row that failed validation, kept for the rejects report.
 
     ``line_number`` is the physical line of the file the record starts on,
@@ -203,8 +199,7 @@ class ReturnsRows(Sequence):
         return map(ReturnsRow._make, zip(*labels, *votes))
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     rows: ReturnsRows
     rejects: list[RejectedRow]
 
@@ -639,7 +634,9 @@ def aggregate(rows: ReturnsRows, party_mapping: Optional[dict] = None) -> Propor
         zero_mask = proportions == 0.0
         if np.any(zero_mask):
             floored = [b for b, z in zip(_BUCKETS, zero_mask) if z]
-            logger.warning(
+            import logging  # imported only to warn: a fresh process starts faster without it
+
+            logging.getLogger(__name__).warning(
                 "cycle %d has zero votes for %s; flooring at %g and renormalizing",
                 years[code],
                 ",".join(floored),

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -1088,23 +1089,65 @@ def modules_after_import(probe):
     return set(result.stdout.split())
 
 
+def modules_after_command(*argv):
+    """The ``sys.modules`` names of a fresh interpreter after ``wmle.cli.main(argv)``
+    has run and returned 0."""
+    return modules_after_import(f"import wmle.cli; assert wmle.cli.main({list(argv)!r}) == 0")
+
+
+#: Imports every wmle module.  ``import wmle`` and ``import wmle.cli`` load
+#: almost none of them, so a probe of those alone would pass whatever the
+#: estimator, pipeline and chart modules import.
+FULL_STACK = "import " + ", ".join(f"wmle.{info.name}" for info in pkgutil.iter_modules(wmle.__path__))
+
+
 class TestRuntimeDependencies:
     def test_imports_load_no_scipy(self):
         # numpy is the only runtime dependency; scipy is a test-only oracle.
-        loaded = modules_after_import("import wmle, wmle.cli")
+        loaded = modules_after_import(FULL_STACK)
         assert sorted(m for m in loaded if m.startswith("scipy")) == []
 
     def test_cli_import_loads_no_fractions_or_decimal(self):
         # parse_grid's exact decimal points take plain integers; the CLI
         # starts a fresh process per command, so every module is start-up.
-        loaded = modules_after_import("import wmle.cli")
+        loaded = modules_after_import(FULL_STACK)
         assert loaded.isdisjoint({"fractions", "decimal", "_decimal", "_pydecimal"})
 
     def test_cli_import_loads_no_process_pools_or_mmap(self):
         # Ingest reads its file in blocks on one thread; every CLI process
         # would pay for importing these.
-        loaded = modules_after_import("import wmle.cli")
+        loaded = modules_after_import(FULL_STACK)
         assert loaded.isdisjoint({"concurrent.futures", "multiprocessing", "mmap"})
+
+
+class TestCommandImports:
+    # Each command runs in a fresh process, where every module it loads but
+    # does not run is start-up time.
+    NOT_FOR_MEANS = {"wmle.expfam", "wmle.mwle", "wmle.families", "wmle.pipeline", "wmle.svg",
+                     "logging", "csv"}
+
+    def test_mean_loads_no_estimator_pipeline_or_chart(self):
+        loaded = modules_after_command("mean", "--kind", "lehmer", "--alpha", "2", "0.6", "2")
+        assert "wmle.means" in loaded
+        assert loaded.isdisjoint(self.NOT_FOR_MEANS)
+
+    def test_vweights_loads_no_estimator_pipeline_or_chart(self, tmp_path):
+        loaded = modules_after_command("vweights", "--out", str(tmp_path / "vweights.csv"))
+        assert "wmle.means" in loaded
+        assert loaded.isdisjoint(self.NOT_FOR_MEANS)
+
+    def test_ingest_loads_no_estimator_or_chart(self, tmp_path, synthetic_returns_csv):
+        # The fixture has no zero proportion, so no cell is floored and
+        # nothing is logged: logging is imported only to warn.
+        loaded = modules_after_command("ingest", "--data", synthetic_returns_csv,
+                                       "--out", str(tmp_path / "props.csv"))
+        assert "wmle.pipeline" in loaded
+        assert loaded.isdisjoint({"wmle.expfam", "wmle.mwle", "wmle.families", "wmle.means",
+                                  "wmle.svg", "logging"})
+
+    def test_a_bare_package_import_loads_no_submodule(self):
+        loaded = modules_after_import("import wmle")
+        assert {m for m in loaded if m.startswith("wmle.")} <= {"wmle.errors"}
 
 
 class TestBenchmarkTracer:
