@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # each command imports the modules it runs when it runs
 __all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
 
 _SWEEP_HEADER = "order,lambda_dem,lambda_rep,lambda_oth"
-#: Row formats of the sweep CSV, indexed by "every estimate is finite".
-_SWEEP_ROWS = ("%r,,,\n", "%r,%r,%r,%r\n")
 
 #: Default sweep grids: the estimator order for the lehmer mode may span
 #: negatives; the holder mode's order is a Weibull shape and must stay > 0.
@@ -97,16 +95,20 @@ class SweepTable:
     gaps: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        # One %-format over the whole table: a row with a non-finite
-        # estimate is a gap and keeps only its order.  %r is repr, so every
-        # number keeps its shortest round-trip digits.
-        estimates = np.asarray(self.estimates, dtype=float).reshape(-1, 3)
-        table = np.column_stack([np.asarray(self.orders, dtype=float), estimates])
-        complete = np.isfinite(estimates).all(axis=1)
-        shown = np.ones(table.shape, dtype=bool)
-        shown[:, 1:] = complete[:, None]
-        layout = "".join(map(_SWEEP_ROWS.__getitem__, complete.tolist()))
-        return f"{_SWEEP_HEADER}\n" + layout % tuple(table[shown].tolist())
+        # A row with a non-finite estimate is a gap and keeps only its order.
+        # Each run of complete rows, and of gaps, is one %-format; %r is repr,
+        # so every number keeps its shortest round-trip digits.
+        from .svg import _runs
+
+        orders = np.asarray(self.orders, dtype=float)
+        table = np.column_stack([orders, np.asarray(self.estimates, dtype=float).reshape(-1, 3)])
+        text, done = [f"{_SWEEP_HEADER}\n"], 0
+        for begin, end in _runs(np.isfinite(table[:, 1:]).all(axis=1)):
+            text.append("%r,,,\n" * (begin - done) % tuple(orders[done:begin].tolist()))
+            text.append("%r,%r,%r,%r\n" * (end - begin) % tuple(table[begin:end].ravel().tolist()))
+            done = end
+        text.append("%r,,,\n" * (orders.size - done) % tuple(orders[done:].tolist()))
+        return "".join(text)
 
     @classmethod
     def from_csv(cls, text: str, parameter: str = "") -> "SweepTable":
@@ -415,16 +417,14 @@ def _cmd_vweights(args) -> int:
     if a <= 0 or b <= 0:
         raise ConfigError("vweights values must be strictly positive")
     grid = parse_grid(args.grid)
-    lines = ["alpha,vl_first,vl_second,vh_first,vh_second"]
-    sample = np.array([a, b])
-    for alpha in grid:
-        # The curves are indexed by the exponent applied to the value
-        # itself, i.e. the weights of the mean of order alpha + 1.
-        vl = means.v_weights("lehmer", alpha + 1.0, sample)
-        vh = means.v_weights("holder", alpha + 1.0, sample)
-        cells = [repr(float(alpha))] + [repr(float(v)) for v in (*vl, *vh)]
-        lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    sample = means.Sample(np.array([a, b]))
+    # The curves are indexed by the exponent applied to the value itself,
+    # i.e. the weights of the mean of order alpha + 1.
+    orders = grid + 1.0
+    table = np.column_stack([grid, means._v_weight_rows("lehmer", orders, sample),
+                             means._v_weight_rows("holder", orders, sample)])
+    rows = "%r,%r,%r,%r,%r\n" * grid.size % tuple(table.ravel().tolist())
+    _write_text(args.out, "alpha,vl_first,vl_second,vh_first,vh_second\n" + rows)
     return 0
 
 

@@ -104,24 +104,25 @@ _EXP_FLOOR = -700.0
 _LOG_SPREAD = 600.0
 
 
-def _lehmer_weights(log_x: np.ndarray, lo: float, hi: float, orders: np.ndarray,
+def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: np.ndarray,
                     out: np.ndarray, log_w: np.ndarray | None = None) -> np.ndarray:
-    """Lehmer weights ``w * x**(a - 1)`` of one column, divided by their largest.
+    """Lehmer weights ``w * x**(a - 1)`` of ``k`` columns, divided by their largest.
 
-    ``log_x`` holds the logs of strictly positive values and ``lo``/``hi``
-    its extremes.  Row ``g`` of the ``(G, n)`` array ``out``, which may be
-    ``log_x`` itself when ``G == 1``, receives the weights at ``orders[g]``.
-    Only the ratios of weights enter a Lehmer mean, so each row is taken
-    relative to the row ``r`` with the largest weight:
+    ``log_x`` holds the logs of strictly positive values, ``(k, 1, n)``,
+    and ``lo``/``hi`` their ``(k, 1)`` extremes.  Row ``(j, g)`` of the
+    ``(k, G, n)`` array ``out``, which may be ``log_x`` itself when ``G ==
+    1``, receives column ``j``'s weights at ``orders[g]``.  Only the ratios
+    of weights enter a Lehmer mean, so each row is taken relative to the
+    row ``r`` with the largest weight:
 
         exp((a - 1) * (log x - log x_r) + (log w - log w_r)),
 
     exactly 1 at ``r``, so nothing overflows.  Without base weights ``r``
     is the largest value for ``a >= 1`` and the smallest below; base
-    weights ``log_w`` are taken for a single order only.  Exponents below
-    ``_EXP_FLOOR`` are raised to it.
+    weights ``log_w`` are taken for one column at one order only.  Exponents
+    below ``_EXP_FLOOR`` are raised to it.
 
-    Returns, per order, whether the raised weights are negligible in both
+    Returns, per row, whether the raised weights are negligible in both
     sums.  That fails only where some value exceeds ``x_r`` by more than a
     factor ``exp(600)``; the caller must not use such a row.
     """
@@ -132,23 +133,23 @@ def _lehmer_weights(log_x: np.ndarray, lo: float, hi: float, orders: np.ndarray,
             ref = np.where(up, hi, lo)
             for side, rows in ((hi, up), (lo, ~up)):
                 if rows.all():
-                    # As a (1, n) view log_x overlaps a one-row out exactly,
+                    # A one-order log_x overlaps a one-order out exactly,
                     # which numpy updates in place instead of via a copy.
-                    np.subtract(log_x[None, :], side, out=out)
+                    np.subtract(log_x, side[..., None], out=out)
                 elif rows.any():
-                    out[rows] = log_x - side
+                    out[:, rows] = log_x - side[..., None]
             out *= c[:, None]
             # Each row's smallest exponent sits at the value farthest from its
             # reference, so it is known without a pass over the row.
             lowest = c * np.where(up, lo - hi, hi - lo)
         else:
-            r = int(np.argmax(log_w + c[0] * log_x))
-            ref = np.array([log_x[r]])  # copied before out, maybe log_x, changes
+            r = int(np.argmax(log_w + c[0] * log_x[0, 0]))
+            ref = log_x[:, 0, r : r + 1].copy()  # copied before out, maybe log_x, changes
             shift = log_w - log_w[r]
-            np.subtract(log_x[None, :], ref[0], out=out)
+            np.subtract(log_x, ref[..., None], out=out)
             out *= c[:, None]
             out += shift
-            lowest = np.minimum.reduce(out, axis=1)
+            lowest = np.minimum.reduce(out, axis=2)
         clamped = lowest < _EXP_FLOOR
         if clamped.any():
             np.maximum(out, _EXP_FLOOR, out=out)
@@ -203,85 +204,91 @@ def _holder_weights(w: np.ndarray):
 
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
                   w: np.ndarray | tuple | None = None):
-    """Lehmer or Holder means of one column at many orders, as shifted sums.
+    """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
-    ``x`` is non-negative, and positive for negative Holder orders; the
-    orders are finite, the Holder ones nonzero and of one sign, and are
-    taken ``B`` at a time in the rows of the ``(B, n)`` buffer ``out``;
-    base weights ``w`` need ``B == 1``.  Lehmer weights are the base
-    weights; Holder ones are the pair :func:`_holder_weights` returns, so a
-    caller with many columns derives them once.  Returns per order the moment
-    target, the total weight, the Weibull closed-form estimate and whether
-    the sums are accurate, then the reference ``x_r``.  Lehmer: weights
-    ``u`` from :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)``,
-    estimate ``(1/target) ** -1``, ``x_r = 1``; a zero value (log ``-inf``)
-    leaves no order accurate.  Holder of order ``k``: ``y = x / x_r``, ``x_r``
+    ``x`` holds one column per row, ``(k, n)``, non-negative, and positive
+    for negative Holder orders; the orders are finite, the Holder ones
+    nonzero and of one sign, and are taken ``B`` at a time, for every
+    column at once, in the ``(k, B, n)`` buffer ``out``.  Lehmer base
+    weights ``w``, ``(n,)``, need ``k == B == 1``; Holder ones are the pair
+    :func:`_holder_weights` returns, shared by every column.  Returns per
+    (column, order) the moment target, the total weight and whether the
+    sums are accurate, then per column the reference ``x_r``.  Lehmer:
+    weights ``u`` from :func:`_lehmer_weights`, target ``sum(u * x) /
+    sum(u)``, ``x_r = 1``; a zero value (log ``-inf``) leaves no order of
+    its column accurate.  Holder of order ``k``: ``y = x / x_r``, ``x_r``
     the value with the largest term (0, giving NaN, for an all-zero column),
     moved to :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under
-    weights over their largest, estimate ``x_r * (1/target) ** (-1/k)``.
-    :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is the
-    estimate to the bit: the sums are rows of a C-order buffer, which numpy
-    reduces pairwise like a 1-D array, and the power takes an exponent per
-    order, laid out like fit's one per component.
+    weights over their largest.  :func:`wmle.mwle.fit` solves these targets,
+    and its ``theta_hat`` is their :func:`_scale_estimates` to the bit: the
+    sums are rows of a C-order buffer, which numpy reduces pairwise like a
+    1-D array.
     """
-    target, total = np.empty((2, orders.size))
-    ok = np.ones(orders.size, dtype=bool)
+    k, n = x.shape
+    target, total = np.empty((2, k, orders.size))
+    ok = np.ones((k, orders.size), dtype=bool)
     single = orders.size == 1  # x is then read into out, where its terms replace it
     if kind == "lehmer":
         if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
             w = None  # equal weights cancel
-        log_x = np.log(x, out=out[0] if single else None)
-        extremes = float(np.minimum.reduce(log_x)), float(np.maximum.reduce(log_x))
+        log_x = np.log(x[:, None, :], out=out if single else None)
+        lo, hi = np.minimum.reduce(log_x, axis=2), np.maximum.reduce(log_x, axis=2)
         log_w = None if w is None else np.log(w)
-        ref, shapes = 1.0, np.ones(orders.size)
+        ref = np.ones(k)
     else:
         up = orders[0] > 0
-        ref = float((np.maximum if up else np.minimum).reduce(x))
+        ref = (np.maximum if up else np.minimum).reduce(x, axis=1)
         # At a negative order, x / min(x) may overflow; the inf is moved to
-        # the power bound below.  An all-zero column gives 0 / 0, NaN.  As a
-        # (1, n) view y matches a one-row out, which numpy updates in place.
+        # the power bound below.  An all-zero column gives 0 / 0, NaN.  A
+        # one-order y matches out, which numpy updates in place.
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.divide(x[None, :], ref, out=out[:1] if single else None)
+            y = np.divide(x[:, None, :], ref[:, None, None], out=out if single else None)
         if w is None:
-            total[:] = x.size
+            total[:] = n
         elif isinstance(w, tuple):
             w, total[:] = w
         else:
             raise TypeError("Holder row weights are the pair _holder_weights returns")
-        shapes = orders
-    for lo in range(0, orders.size, out.shape[0]):
-        block = orders[lo : lo + out.shape[0]]
-        rows = out[: block.size]
-        part = slice(lo, lo + block.size)
+    for start in range(0, orders.size, out.shape[1]):
+        block = orders[start : start + out.shape[1]]
+        part = slice(start, start + block.size)
+        # A short last block takes the buffer's head, so its rows stay contiguous.
+        rows = out.reshape(-1)[: k * block.size * n].reshape(k, block.size, n)
         if kind == "lehmer":
-            ok[part] = (_lehmer_weights(log_x, *extremes, block, rows, log_w)
-                        & (extremes[0] > -np.inf))
-            total[part] = np.add.reduce(rows, axis=1)
-            rows *= x
+            ok[:, part] = _lehmer_weights(log_x, lo, hi, block, rows, log_w) & (lo > -np.inf)
+            total[:, part] = np.add.reduce(rows, axis=2)
+            rows *= x[:, None, :]
         else:
             bounds = _power_bound(block)
             (np.maximum if up else np.minimum)(y, bounds[:, None], out=rows)
             np.power(rows, block[:, None], out=rows)
             # numpy's power swaps in a square root or a square, which can differ
             # in the last bit, for an exponent of 0.5 or 2 repeated along a 1-D
-            # loop.  A one-row block is such a loop (its exponent has stride 0);
-            # in a larger block those rows are raised again one at a time.
+            # loop.  A one-order block is such a loop (its exponent has stride
+            # 0); in a larger block those orders are raised again one at a time.
             if block.size > 1:
                 for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
-                    rows[g] = np.power(np.maximum(y[0], bounds[g]), block[g])
+                    rows[:, g] = np.power(np.maximum(y[:, 0], bounds[g]), block[g])
             if w is not None:
                 rows *= w
-        target[part] = np.add.reduce(rows, axis=1) / total[part]
+        target[:, part] = np.add.reduce(rows, axis=2) / total[:, part]
     if kind == "holder" and w is not None:
         # Terms moved to the power bound may show in a target this small, if
         # any value was moved (under unit weights the target is at least 1/n).
         ok = ~((0 < target) & (target < _MOVED_TERMS_TARGET_MIN))
         if not ok.all():
-            far = (np.minimum if up else np.maximum).reduce(x) / ref
+            far = ((np.minimum if up else np.maximum).reduce(x, axis=1) / ref)[:, None]
             ok |= far >= _power_bound(orders) if up else far <= _power_bound(orders)
+    return target, total, ok, ref
+
+
+def _scale_estimates(ref: np.ndarray, target: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+    """Weibull closed-form estimates ``x_r * (1/target) ** (-1/k)`` of the
+    kernel's ``(k, G)`` targets at shapes ``k``: one power per column, which
+    takes an exponent per order, laid out like fit's one per component."""
+    exponents = -1.0 / shapes
     with np.errstate(divide="ignore", over="ignore"):
-        estimate = ref * np.power(1.0 / target, -1.0 / shapes)
-    return target, total, estimate, ok, ref
+        return np.array([r * np.power(1.0 / t, exponents) for r, t in zip(ref, target)])
 
 
 def f_mean(f: Callable[[float], float], f_inverse: Callable[[float], float], values) -> float:
@@ -348,11 +355,12 @@ def holder_mean(alpha, values, weights=None) -> float:
         return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
     if np.max(x) == 0.0:  # only for a > 0
         return 0.0
-    _, _, estimate, ok, _ = _column_means("holder", x, np.array([a]), np.empty((1, x.size)),
-                                          _holder_weights(w))
-    if not ok[0]:
+    order = np.array([a])
+    target, _, ok, ref = _column_means("holder", x[None, :], order, np.empty((1, 1, x.size)),
+                                       _holder_weights(w))
+    if not ok[0, 0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
-    return float(estimate[0])
+    return float(_scale_estimates(ref, target, order)[0, 0])
 
 
 def lehmer_mean(alpha, values, weights=None) -> float:
@@ -382,10 +390,10 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    target, _, _, ok, _ = _column_means("lehmer", x, np.array([a]), np.empty((1, x.size)), w)
-    if not ok[0]:
+    target, _, ok, _ = _column_means("lehmer", x[None, :], np.array([a]), np.empty((1, 1, x.size)), w)
+    if not ok[0, 0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
-    return float(target[0])
+    return float(target[0, 0])
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
@@ -408,15 +416,22 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
     sample = _coerce(values, weights)
     if a <= 1:
         _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha <= 1")
+    return _v_weight_rows(kind, np.array([a]), sample)[0]
+
+
+def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
+    """:func:`v_weights` of a checked sample at every finite order, one row
+    per order, each taking the steps of a call at that order alone.  Raises
+    ``NumericError`` naming the first order whose Holder weights overflow."""
     with np.errstate(divide="ignore"):
         log_x = np.log(sample.values)
-    expo = np.log(sample.weights) + (a - 1.0) * log_x
+    expo = np.log(sample.weights) + (orders[:, None] - 1.0) * log_x
     if kind == "lehmer":
-        m = float(np.max(expo))
-        shifted = np.exp(expo - m)
-        return shifted / float(np.sum(shifted))
+        shifted = np.exp(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+        return shifted / np.add.reduce(shifted, axis=1, keepdims=True)
     with np.errstate(over="ignore"):
-        v = np.exp(expo) / float(np.sum(sample.weights))
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"the Holder v-weights of order {a} overflow")
+        v = np.exp(expo) / float(np.add.reduce(sample.weights))
+    overflow = ~np.isfinite(v).all(axis=1)
+    if overflow.any():
+        raise NumericError(f"the Holder v-weights of order {float(orders[np.argmax(overflow)])} overflow")
     return v

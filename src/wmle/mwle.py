@@ -48,6 +48,7 @@ from .means import (
     _holder_weights,
     _lehmer_weights,
     _moved_terms_out_of_range,
+    _scale_estimates,
     _weights_out_of_range,
 )
 
@@ -212,14 +213,15 @@ def _relative_weights(policy: WeightPolicy, obs: np.ndarray, w: Optional[np.ndar
         if a == 1.0:
             u_j[:] = 1.0 if w is None else w[:, j] / np.maximum.reduce(w[:, j])
             continue
+        log_u = u_j[None, None, :]  # the kernel's (column, order, value) layout
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(col, out=u_j)
-        lo = float(np.minimum.reduce(u_j))
+        lo = np.minimum.reduce(log_u, axis=2)
         if not lo > -np.inf:  # log of a zero (-inf) or a negative value (nan)
             raise _nonpositive_value(col, j, a)
-        ok = _lehmer_weights(u_j, lo, float(np.maximum.reduce(u_j)), exps[j : j + 1],
-                             u_j[None, :], None if w is None else np.log(w[:, j]))
-        if not ok[0]:
+        ok = _lehmer_weights(log_u, lo, np.maximum.reduce(log_u, axis=2), exps[j : j + 1],
+                             log_u, None if w is None else np.log(w[:, j]))
+        if not ok[0, 0]:
             raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
     return u
 
@@ -239,20 +241,21 @@ def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
 def _kernel_columns(sub_models, obs: np.ndarray, policy: WeightPolicy, w: Optional[np.ndarray]):
     """Per component, ``(target, total weight, scale)`` from :func:`means._column_means`.
 
+    One column at a time, so a fit's buffers do not grow with its columns.
     Each Lehmer column is copied into one contiguous buffer, which the
     kernel's log and its ``u * x`` both read; at order 1 the weights are 1,
     or the base weights over their largest, and a zero value passes.  A
     Holder column needs no copy: the kernel's ``x / x_r`` is contiguous.
     An all-zero Holder column has target 0, the solver's to reject.
     """
-    out, buf = np.empty((1, obs.shape[0])), np.empty(obs.shape[0])
+    out, buf = np.empty((1, 1, obs.shape[0])), np.empty(obs.shape[0])
     # Holder row weights are taken over their largest once for all columns.
     row_weights = None if w is None or policy.kind != "holder" else _holder_weights(w)
     for j, sub_model in enumerate(sub_models):
         ref = 1.0
         if policy.kind == "holder":
-            target, total, _, ok, ref = _column_means("holder", obs[:, j], sub_model.stat_powers, out,
-                                                      row_weights)
+            (target,), (total,), (ok,), (ref,) = _column_means("holder", obs[None, :, j], sub_model.stat_powers,
+                                                               out, row_weights)
             if not ok[0]:
                 raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
             if ref == 0.0:
@@ -266,7 +269,8 @@ def _kernel_columns(sub_models, obs: np.ndarray, policy: WeightPolicy, w: Option
                     total = np.add.reduce(u, keepdims=True)
                     target, ok = np.add.reduce(u * buf, keepdims=True) / total, [True]
                 else:
-                    target, total, _, ok, _ = _column_means("lehmer", buf, policy.exponents[j : j + 1], out, w_j)
+                    (target,), (total,), (ok,), _ = _column_means("lehmer", buf[None, :],
+                                                                  policy.exponents[j : j + 1], out, w_j)
             if not ok[0]:
                 if np.minimum.reduce(buf) == 0.0:
                     raise _nonpositive_value(obs[:, j], j, a)
@@ -414,7 +418,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
 
 
 # The batched sweep takes as many orders at a time as keep its
-# (orders x rows) buffer, which every column reuses, near this many elements.
+# (columns x orders x rows) buffer near this many elements.
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -423,19 +427,20 @@ def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np
     of finite, strictly positive values, at every finite order, in one pass.
 
     Row ``g`` of the returned ``(G, k)`` matrix is :func:`fit`'s
-    ``theta_hat`` at ``orders[g]`` to the bit, each column computed by
-    :func:`means._column_means`: for ``kind="lehmer"`` under the unit-shape
-    Weibull model and the Lehmer policy of that order, for ``kind="holder"``
-    under the Weibull model of that (positive) shape and unit weights.  An
-    order whose sums are inaccurate or whose estimates are not all finite
-    and positive is a NaN row, and ``gaps`` maps it, in grid order, to the
-    message ``fit`` raises there.
+    ``theta_hat`` at ``orders[g]`` to the bit, every column computed at
+    once by :func:`means._column_means`: for ``kind="lehmer"`` under the
+    unit-shape Weibull model and the Lehmer policy of that order, for
+    ``kind="holder"`` under the Weibull model of that (positive) shape and
+    unit weights.  An order whose sums are inaccurate or whose estimates
+    are not all finite and positive is a NaN row, and ``gaps`` maps it, in
+    grid order, to the message ``fit`` raises there.
     """
     n, k = obs.shape
-    out = np.empty((max(1, min(orders.size, _SWEEP_BLOCK_ELEMENTS // n)), n))
+    columns = np.ascontiguousarray(obs.T)  # one contiguous row per column, as fit reads it
+    out = np.empty((k, max(1, min(orders.size, _SWEEP_BLOCK_ELEMENTS // (k * n))), n))
     with np.errstate(all="ignore"):
-        columns = [_column_means(kind, obs[:, j], orders, out) for j in range(k)]
-    target, _, estimate, accurate, _ = (np.array(c) for c in zip(*columns))  # (k, G)
+        target, _, accurate, ref = _column_means(kind, columns, orders, out)  # (k, G)
+    estimate = _scale_estimates(ref, target, orders if kind == "holder" else np.ones(orders.size))
     usable = (0 < estimate) & (estimate < np.inf)
     good = np.all(accurate & usable, axis=0)
     gaps, model = {}, None

@@ -8,7 +8,6 @@ y-values split a series into separate segments (gaps).
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -68,6 +67,15 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
+    """``(begin, end)`` of every maximal run of true entries of a 1-D boolean
+    array, in order: the segments of a series, the complete rows of a table."""
+    padded = np.zeros(flags.size + 2, dtype=bool)
+    padded[1:-1] = flags
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -80,7 +88,8 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
     x = np.asarray(x, dtype=float)
     labels = list(series)
     ys = [np.asarray(series[label], dtype=float) for label in labels]
-    finite_y = np.concatenate([y[np.isfinite(y)] for y in ys]) if ys else np.array([])
+    finites = [np.isfinite(y) for y in ys]
+    finite_y = np.concatenate([y[f] for y, f in zip(ys, finites)]) if ys else np.array([])
     if x.size == 0 or finite_y.size == 0:
         raise DomainError("chart needs at least one finite data point")
     if any(y.shape != x.shape for y in ys):
@@ -149,26 +158,22 @@ def render_line_chart(x, series, *, title: str, x_label: str, y_label: str) -> s
 
     # Series.  sx and sy run over whole arrays: per point they take the same
     # IEEE operations as on a float, so they give the same digits.  The x
-    # coordinates are formatted once for every series, each series' y
-    # coordinates in one call; a run of finite points is one segment.
-    n = x.size
-    px = np.broadcast_to(sx(x), x.shape).tolist()
-    x_text = ("%.2f, " * n % tuple(px)).split(" ")
-    for idx, (label, y) in enumerate(zip(labels, ys)):
+    # coordinates are formatted once for every series; a run of finite points
+    # is one segment, whose y coordinates one call formats beside their x text.
+    points = [None] * (2 * x.size)
+    points[::2] = ("%.2f " * x.size % tuple(np.broadcast_to(sx(x), x.shape).tolist())).split()
+    for idx, (y, finite) in enumerate(zip(ys, finites)):
         color, dash = _STYLES[idx % len(_STYLES)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        y_text = ("%.2f " * n % tuple(sy(y).tolist())).split(" ")
-        points = list(map(operator.add, x_text, y_text))
-        edges = np.flatnonzero(np.diff(np.isfinite(y), prepend=False, append=False)).tolist()
-        for begin, end in zip(edges[::2], edges[1::2]):
+        points[1::2] = sy(y).tolist()
+        for begin, end in _runs(finite):
             if end - begin == 1:
-                cx, cy = x_text[begin][:-1], y_text[begin]
-                out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
+                cx, cy = points[2 * begin : 2 * end]
+                out.append(f'<circle cx="{cx}" cy="{cy:.2f}" r="2.5" fill="{color}"/>')
             else:
-                out.append(
-                    f'<polyline fill="none" stroke="{color}" stroke-width="2"{dash_attr} '
-                    f'points="{" ".join(points[begin:end])}"/>'
-                )
+                segment = "%s,%.2f " * (end - begin) % tuple(points[2 * begin : 2 * end])
+                out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2"{dash_attr} '
+                           f'points="{segment[:-1]}"/>')
 
     # Legend, top-right corner of the plot area.
     legend_x = _WIDTH - _MARGIN_RIGHT - 170

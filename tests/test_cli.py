@@ -710,6 +710,56 @@ class TestBatchedSweep:
         assert any(reason in message for message in table.gaps.values())
         assert_same_sweep(table, per_point_sweep(matrix, mode, grid))
 
+    @pytest.mark.parametrize("spans", [
+        pytest.param({1: 650.0}, id="middle-column"),
+        pytest.param({0: 620.0, 2: 700.0}, id="outer-columns-at-different-orders"),
+    ])
+    def test_matches_one_fit_per_order_where_some_columns_are_gaps(self, spans):
+        # All three columns share each block; only the columns whose values
+        # lie more than exp(600) apart cannot be weighted below order 1, each
+        # from its own order down, and a gap names the first such column.
+        rng = np.random.default_rng(57)
+        values = np.exp(rng.uniform(-2.0, 2.0, size=(9, 3)))
+        for j, span in spans.items():
+            values[:2, j] = [math.exp(-span / 2), math.exp(span / 2)]
+        matrix = ProportionMatrix(years=tuple(range(9)), values=values)
+        grid = parse_grid("-3:4:0.05")
+        table = run_sweep(matrix, "lehmer", grid)
+        named = {int(re.search(r"column (\d)", m).group(1)) for m in table.gaps.values()}
+        assert named == set(spans)
+        assert 0 < len(table.gaps) < grid.size
+        assert_same_sweep(table, per_point_sweep(matrix, "lehmer", grid))
+
+    @pytest.mark.parametrize("mode, grid", [("lehmer", [-1.5, -0.5, 0.5, 1.0, 2.0]),
+                                            ("holder", [0.25, 0.5, 1.0, 1.5, 2.0])])
+    @pytest.mark.parametrize("n", [mwle_module._SWEEP_BLOCK_ELEMENTS // 6,
+                                   mwle_module._SWEEP_BLOCK_ELEMENTS // 6 + 1,
+                                   mwle_module._SWEEP_BLOCK_ELEMENTS // 3,
+                                   mwle_module._SWEEP_BLOCK_ELEMENTS // 3 + 1])
+    def test_matches_one_fit_per_order_where_a_block_holds_one_order(self, n, mode, grid):
+        # The buffer holds two orders of the three columns up to n = budget
+        # // 6 and one from there on, also past budget // 3, where a single
+        # order overflows it.  Five orders end in a short block of one
+        # order, 2, where numpy's power takes its square shortcut.
+        rng = np.random.default_rng(n)
+        values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 3)))
+        matrix = ProportionMatrix(years=tuple(range(n)), values=values)
+        grid = np.array(grid)
+        assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
+
+    @pytest.mark.parametrize("mode, spec", [("lehmer", "-3:4.9:0.1"), ("holder", "0.1:5.1:0.1")])
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_matches_one_fit_per_order_on_grids_of_part_blocks(self, n, mode, spec):
+        # Neither 80 nor 51 orders is a multiple of the orders a block holds
+        # (21 and 7): the last block is short, and its rows must still be
+        # laid out like a full block's.
+        rng = np.random.default_rng(n + 7)
+        values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 3)))
+        matrix = ProportionMatrix(years=tuple(range(n)), values=values)
+        grid = parse_grid(spec)  # with orders 0.5 and 2
+        assert grid.size % (mwle_module._SWEEP_BLOCK_ELEMENTS // (3 * n)) != 0
+        assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
+
     @pytest.mark.parametrize("mode", ["lehmer", "holder"])
     def test_matches_one_fit_per_order_at_power_shortcut_orders(self, mode):
         # numpy's power swaps in a square root, square or reciprocal, which
@@ -1162,6 +1212,15 @@ class TestBenchmarkTracer:
         result = subprocess.run([sys.executable, "-c", probe], cwd=root,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_benchmark_self_check_passes_on_this_tree(self):
+        # Every workload's calls into wmle run on tiny inputs and their
+        # outputs are checked; a change that breaks one fails here, not only
+        # when the benchmark runs.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        result = subprocess.run([sys.executable, "perfbench/run.py", "--self-check"], cwd=root,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
 
     def test_traced_fits_record_the_solver_spans(self):
         # The benchmark's probe suite traces fit with and without the sampled

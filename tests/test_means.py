@@ -150,13 +150,13 @@ class TestHolderMean:
 
     def test_the_kernel_takes_holder_weights_only_with_their_sum(self):
         # Raw row weights would leave the kernel's total weight unset.
-        x, w = np.array([0.6, 2.0]), np.array([1.0, 3.0])
+        x, w = np.array([[0.6, 2.0]]), np.array([1.0, 3.0])
         with pytest.raises(TypeError, match="_holder_weights"):
-            means._column_means("holder", x, np.array([2.0]), np.empty((1, 2)), w)
-        target, total, _, _, _ = means._column_means("holder", x, np.array([2.0]),
-                                                     np.empty((1, 2)), means._holder_weights(w))
-        assert total[0] == 4.0 / 3.0
-        assert target[0] == pytest.approx((0.09 + 3.0) / 4.0, rel=1e-15)
+            means._column_means("holder", x, np.array([2.0]), np.empty((1, 1, 2)), w)
+        target, total, _, _ = means._column_means("holder", x, np.array([2.0]),
+                                                  np.empty((1, 1, 2)), means._holder_weights(w))
+        assert total[0, 0] == 4.0 / 3.0
+        assert target[0, 0] == pytest.approx((0.09 + 3.0) / 4.0, rel=1e-15)
 
 
 class TestLehmerMean:
