@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -28,7 +29,7 @@ from .errors import ConfigError, DomainError, SchemaError, SolverError, WmleErro
 if TYPE_CHECKING:  # each command imports the modules it runs when it runs
     from . import mwle, pipeline
 
-__all__ = ["SweepTable", "run_sweep", "parse_grid", "main"]
+__all__ = ["SweepTable", "run_sweep", "parse_grid", "main", "entry"]
 
 _SWEEP_HEADER = "order,lambda_dem,lambda_rep,lambda_oth"
 
@@ -519,5 +520,23 @@ def main(argv=None) -> int:
         return 4
 
 
+def entry(argv=None) -> None:
+    """Run :func:`main` as the ``wmle`` process and end it with ``os._exit``,
+    skipping the interpreter's teardown of numpy and every other module.  The
+    exit steps before that teardown run here as the interpreter runs them."""
+    code, report = main(argv), []
+    if "logging" in sys.modules:
+        sys.modules["logging"].shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.writelines(report)  # a stdout that failed to flush, reported on stderr
+                stream.flush()
+        except Exception as exc:  # not left to the interpreter, which may find the text gone
+            import traceback
+            code, report = 120, [f"Exception ignored in: {stream!r}\n", *traceback.format_exception_only(exc)]
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -130,18 +130,18 @@ def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: n
     with np.errstate(over="ignore"):
         if log_w is None:
             up = c >= 0
-            ref = np.where(up, hi, lo)
-            for side, rows in ((hi, up), (lo, ~up)):
-                if rows.all():
-                    # A one-order log_x overlaps a one-order out exactly,
-                    # which numpy updates in place instead of via a copy.
-                    np.subtract(log_x, side[..., None], out=out)
-                elif rows.any():
-                    out[:, rows] = log_x - side[..., None]
+            n_up = np.count_nonzero(up)
+            if n_up in (0, c.size):  # every order on one side: fit's and most sweep blocks
+                ref, far = (hi, lo) if n_up else (lo, hi)
+            else:
+                ref, far = np.where(up, hi, lo), np.where(up, lo, hi)
+            # A one-order log_x overlaps a one-order out exactly,
+            # which numpy updates in place instead of via a copy.
+            np.subtract(log_x, ref[..., None], out=out)
             out *= c[:, None]
             # Each row's smallest exponent sits at the value farthest from its
             # reference, so it is known without a pass over the row.
-            lowest = c * np.where(up, lo - hi, hi - lo)
+            lowest = c * (far - ref)
         else:
             r = int(np.argmax(log_w + c[0] * log_x[0, 0]))
             ref = log_x[:, 0, r : r + 1].copy()  # copied before out, maybe log_x, changes
@@ -151,7 +151,7 @@ def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: n
             out += shift
             lowest = np.minimum.reduce(out, axis=2)
         clamped = lowest < _EXP_FLOOR
-        if clamped.any():
+        if np.count_nonzero(clamped):
             np.maximum(out, _EXP_FLOOR, out=out)
         np.exp(out, out=out)
     return ~clamped | (hi - ref <= _LOG_SPREAD)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
+import importlib
 import json
 import logging
 import math
@@ -1250,3 +1252,171 @@ class TestBenchmarkTracer:
             samples, names = json.loads(line)
             want = solver | ({"expfam.check_minimality"} if samples else set())
             assert want <= set(names), line
+
+
+def _process_env():
+    src = os.path.dirname(os.path.dirname(wmle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a user's shell
+    return env
+
+
+#: The same command ended by the interpreter: main's code raised as
+#: SystemExit, after which the interpreter flushes both streams and tears
+#: every module down.
+INTERPRETER_EXIT = "import sys, wmle.cli; raise SystemExit(wmle.cli.main(sys.argv[1:]))"
+
+
+def run_process(argv, *, entry=True, stdout=subprocess.PIPE, env=None):
+    """Exit code, stdout and stderr bytes of ``python -m wmle.cli argv``, or with
+    ``entry=False`` of the same command ended through ``INTERPRETER_EXIT``."""
+    cmd = [sys.executable, "-m", "wmle.cli"] if entry else [sys.executable, "-c", INTERPRETER_EXIT]
+    result = subprocess.run(cmd + list(argv), stdout=stdout, stderr=subprocess.PIPE,
+                            env=env or _process_env())
+    return result.returncode, result.stdout or b"", result.stderr
+
+
+@pytest.fixture(scope="module")
+def process_inputs(tmp_path_factory, synthetic_returns_csv):
+    """A returns file with one rejected row, and its proportions CSV."""
+    root = tmp_path_factory.mktemp("process")
+    returns = root / "returns.csv"
+    with open(synthetic_returns_csv, encoding="utf-8") as handle:
+        returns.write_text(handle.read() + "1976,AZ,DEMOCRAT,500,100\n", encoding="utf-8")
+    props = root / "props.csv"
+    assert main(["ingest", "--data", str(returns), "--out", str(props)]) == 0
+    return {"returns": str(returns), "props": str(props)}
+
+
+#: name -> (argv, exit code, the files it writes into ``{out}``)
+PROCESS_COMMANDS = {
+    "mean": (["mean", "--kind", "lehmer", "--alpha", "2", "0.6", "2"], 0, []),
+    "vweights": (["vweights"], 0, []),
+    "ingest-rejects": (["ingest", "--data", "{returns}", "--rejects", "{out}/rejects.txt"], 0,
+                       ["rejects.txt"]),
+    "sweep-svg": (["sweep", "--data", "{returns}", "--mode", "lehmer", "--svg", "{out}/sweep.svg"], 0,
+                  ["sweep.svg"]),
+    "sweep-over-a-pipe-buffer": (["sweep", "--data", "{returns}", "--mode", "holder",
+                                  "--grid", "0.01:20:0.01"], 0, []),
+    "fit-text": (["fit", "--shapes", "1,1,1", "--policy", "lehmer", "--beta", "2", "--data", "{props}"],
+                 0, []),
+    "fit-csv": (["fit", "--shapes", "1,1,1", "--data", "{props}", "--format", "csv"], 0, []),
+    "fit-logs-a-warning": (["fit", "--policy", "lehmer", "--beta", "2", "1e200", "2e200", "4e200"], 0,
+                           []),
+    "help": (["--help"], 0, []),
+    "argparse-error": (["mean", "1", "2"], 2, []),
+    "domain-error": (["mean", "--kind", "holder", "--alpha", "2", "0", "-1"], 2, []),
+    "unreadable-data": (["fit", "--shapes", "1", "--data", "{out}/missing.csv"], 4, []),
+}
+
+
+def both_exits(name, tmp_path, inputs, **kwargs):
+    """``(code, stdout, stderr, written files)`` of command ``name`` through
+    the entry and through ``INTERPRETER_EXIT``, each writing into its own
+    directory, whose path in stderr reads ``OUT``."""
+    results = []
+    for entry in (True, False):
+        out = tmp_path / ("entry" if entry else "interpreter")
+        out.mkdir()
+        argv = [a.format(out=out, **inputs) for a in PROCESS_COMMANDS[name][0]]
+        code, stdout, stderr = run_process(argv, entry=entry, **kwargs)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((code, stdout, stderr.replace(bytes(out), b"OUT"), files))
+    return results
+
+
+def closed_pipe():
+    """The write end of a pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+class TestProcessExit:
+    # `python -m wmle.cli` ends through cli.entry, which flushes the streams
+    # itself and skips the interpreter's teardown.  Each command must print,
+    # write and exit exactly as the same command ended by the interpreter.
+
+    @pytest.mark.parametrize("name", sorted(PROCESS_COMMANDS))
+    def test_a_command_prints_writes_and_exits_as_at_an_interpreter_exit(self, name, tmp_path,
+                                                                      process_inputs):
+        got, want = both_exits(name, tmp_path, process_inputs)
+        assert got == want
+        _, code, files = PROCESS_COMMANDS[name]
+        assert got[0] == code
+        assert sorted(got[3]) == files and all(got[3].values())
+        if name == "sweep-over-a-pipe-buffer":
+            assert len(got[1]) > 65536
+        if name == "fit-logs-a-warning":
+            assert b"Hessian is numerically degenerate" in got[2]
+            assert b"theta_hat:        [3.e+200]" in got[1]
+
+    def test_output_matches_the_library(self):
+        code, out, err = run_process(["mean", "--kind", "holder", "--alpha", "2.5", "0.6", "2"])
+        assert (code, out, err) == (0, f"{holder_mean(2.5, [0.6, 2.0])!r}\n".encode(), b"")
+
+    # mean's line and vweights' ~6 KB stay in stdout's buffers until the exit
+    # flush, which fails; the big sweep's write fails inside the command.
+    # vweights' text is more than the binary buffer holds, so the failed
+    # flush drops it: an interpreter flushing again would succeed and exit 0
+    # without the report an interpreter exit prints.
+    SINK_CASES = [("mean", 120), ("vweights", 120), ("sweep-over-a-pipe-buffer", 4)]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("name, code", SINK_CASES)
+    def test_stdout_to_a_full_device(self, name, code, tmp_path, process_inputs):
+        with open("/dev/full", "wb") as full:
+            got, want = both_exits(name, tmp_path, process_inputs, stdout=full)
+        assert got == want
+        assert got[0] == code
+        assert b"No space left on device" in got[2]
+
+    @pytest.mark.parametrize("name, code", SINK_CASES)
+    def test_stdout_to_a_reader_that_closed(self, name, code, tmp_path, process_inputs):
+        write = closed_pipe()
+        try:
+            got, want = both_exits(name, tmp_path, process_inputs, stdout=write)
+        finally:
+            os.close(write)
+        assert got == want
+        assert got[0] == code
+        assert b"Broken pipe" in got[2]
+
+    def test_unbuffered_stdout_to_a_reader_that_closed(self, tmp_path, process_inputs):
+        write = closed_pipe()
+        try:
+            got, want = both_exits("mean", tmp_path, process_inputs, stdout=write,
+                                   env=dict(_process_env(), PYTHONUNBUFFERED="1"))
+        finally:
+            os.close(write)
+        assert got == want
+        assert got[:3] == (4, b"", b"error: [Errno 32] Broken pipe\n")
+
+
+class TestEntryPoint:
+    def test_main_returns_its_code_and_the_process_keeps_running(self, capsys):
+        assert main(["mean", "--kind", "lehmer", "--alpha", "2", "0.6", "2"]) == 0
+        assert main(["mean", "--kind", "holder", "--alpha", "2", "0", "-1"]) == 2
+        assert main(["mean", "1", "2"]) == 2
+        probe = ("import wmle.cli; codes = [wmle.cli.main(['mean', '--kind', 'f', '1', '4']),"
+                 " wmle.cli.main(['mean', '--kind', 'f', '--alpha', '1', '1'])]; print('after', codes)")
+        result = subprocess.run([sys.executable, "-c", probe], env=_process_env(),
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "after [0, 2]"
+
+    def test_the_installed_command_runs_the_entry_of_python_m(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["wmle"]
+        module, _, name = target.partition(":")
+        function = getattr(importlib.import_module(module), name)
+        with open(cli_module.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        (statement,) = block.body
+        assert ast.unparse(statement) == f"{function.__name__}()"
+        assert getattr(cli_module, function.__name__) is function is cli_module.entry
