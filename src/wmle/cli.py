@@ -16,6 +16,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -269,7 +270,10 @@ def _load_numeric_matrix(path: str) -> np.ndarray:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout without one or for ``-``."""
     if path is None or path == "-":
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, "stdout is closed")
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -300,7 +304,7 @@ def _cmd_mean(args) -> int:
             result = means.holder_mean(order, values, weights)
         else:
             result = means.lehmer_mean(order, values, weights)
-    print(repr(float(result)))
+    _write_text(None, f"{float(result)!r}\n")
     return 0
 
 
@@ -352,23 +356,24 @@ def _cmd_fit(args) -> int:
             lines.append(f"{key},{getattr(diag, key)!r}")
         minimal = "" if diag.minimality is None else str(diag.minimality.minimal).lower()
         lines.append(f"minimal,{minimal}")
-        print("\n".join(lines))
-        return 0
-
-    print(f"model:            {model.name}")
-    print(f"policy:           {policy.kind}")
-    print(f"theta_hat:        {np.array2string(result.theta_hat, precision=12)}")
-    print(f"eta_hat:          {np.array2string(result.eta_hat, precision=12)}")
-    print(f"moment target:    {np.array2string(result.target, precision=12)}")
-    print(f"scale:            {np.array2string(result.scale, precision=12)}")
-    print(f"solver:           {diag.solve_method}, {diag.iterations} iterations, "
-          f"residual {diag.residual_norm:.3e}")
-    print(f"hessian eigens:   [{diag.hessian_smallest:.6g}, {diag.hessian_largest:.6g}]")
-    if diag.minimality is not None:
-        verdict = "minimal" if diag.minimality.minimal else "degenerate"
-        print(f"minimality:       {verdict} "
-              f"(smallest/largest stat eigenvalue {diag.minimality.smallest_eigenvalue:.3e}"
-              f"/{diag.minimality.largest_eigenvalue:.3e})")
+    else:
+        lines = [
+            f"model:            {model.name}",
+            f"policy:           {policy.kind}",
+            f"theta_hat:        {np.array2string(result.theta_hat, precision=12)}",
+            f"eta_hat:          {np.array2string(result.eta_hat, precision=12)}",
+            f"moment target:    {np.array2string(result.target, precision=12)}",
+            f"scale:            {np.array2string(result.scale, precision=12)}",
+            f"solver:           {diag.solve_method}, {diag.iterations} iterations, "
+            f"residual {diag.residual_norm:.3e}",
+            f"hessian eigens:   [{diag.hessian_smallest:.6g}, {diag.hessian_largest:.6g}]",
+        ]
+        if diag.minimality is not None:
+            verdict = "minimal" if diag.minimality.minimal else "degenerate"
+            lines.append(f"minimality:       {verdict} "
+                         f"(smallest/largest stat eigenvalue {diag.minimality.smallest_eigenvalue:.3e}"
+                         f"/{diag.minimality.largest_eigenvalue:.3e})")
+    _write_text(None, "\n".join(lines) + "\n")
     return 0
 
 

@@ -4,12 +4,14 @@ Every power sum is taken relative to its largest term, which is then
 exactly 1, so orders as extreme as ``alpha = +/-500`` on data spanning
 several decades stay finite instead of overflowing (Blanchard, Higham &
 Higham, IMA J. Numer. Anal. 2021).  That arithmetic lives in
-:func:`_column_means`, which :func:`lehmer_mean`, :func:`holder_mean`,
-the batched sweep of :mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull
-columns all call.  ``holder_mean`` equals the Weibull MWLE to the bit.
-``lehmer_mean`` is the moment target the unit-shape Weibull MWLE inverts,
-and that estimate, ``(-eta) ** -1`` at ``eta = -1/target``, may differ
-from it in the last bit.
+:func:`_column_means`, which :func:`holder_mean`, the batched sweep of
+:mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull Holder columns call,
+and in :func:`_lehmer_column`, the one maker of a Lehmer weight column, for
+:func:`lehmer_mean`, :func:`wmle.mwle.apply_policy` and ``fit``.
+``holder_mean`` equals the Weibull MWLE to the bit.  ``lehmer_mean`` is,
+to the bit, the moment target the unit-shape Weibull MWLE inverts; that
+estimate, ``(-eta) ** -1`` at ``eta = -1/target``, may differ from it in
+the last bit.
 
 Orders are plain floats.  ``float('inf')`` and ``float('-inf')`` are
 accepted as explicit sentinels and return the sample maximum or minimum;
@@ -119,8 +121,8 @@ def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: n
 
     exactly 1 at ``r``, so nothing overflows.  Without base weights ``r``
     is the largest value for ``a >= 1`` and the smallest below; base
-    weights ``log_w`` are taken for one column at one order only.  Exponents
-    below ``_EXP_FLOOR`` are raised to it.
+    weights ``log_w`` are :func:`_lehmer_column`'s, for one column at one
+    order only.  Exponents below ``_EXP_FLOOR`` are raised to it.
 
     Returns, per row, whether the raised weights are negligible in both
     sums.  That fails only where some value exceeds ``x_r`` by more than a
@@ -155,6 +157,30 @@ def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: n
             np.maximum(out, _EXP_FLOOR, out=out)
         np.exp(out, out=out)
     return ~clamped | (hi - ref <= _LOG_SPREAD)
+
+
+def _lehmer_column(x: np.ndarray, a: float, w: np.ndarray | None, out: np.ndarray) -> bool:
+    """One column's Lehmer weights ``w * x**(a - 1)``, divided by their largest, into ``out``.
+
+    ``x``, ``w`` and ``out`` are ``(n,)``; ``w`` is positive and finite, or
+    ``None`` for unit weights, and equal weights cancel.  At order 1 the
+    weights are 1, or ``w`` over its largest, and a zero value passes; at
+    any other order they are :func:`_lehmer_weights` of ``log x``.  Returns
+    whether the column could be formed: not where a value is zero or
+    negative, nor where the raised weights are not negligible.
+    """
+    if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
+        w = None
+    if a == 1.0:
+        out[:] = 1.0 if w is None else w / np.maximum.reduce(w)
+        return True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.log(x, out=out)[None, None, :]  # the kernel's (column, order, value) layout
+    lo = np.minimum.reduce(log_x, axis=2)
+    if not lo > -np.inf:  # the log of a zero (-inf) or of a negative value (nan)
+        return False
+    return bool(_lehmer_weights(log_x, lo, np.maximum.reduce(log_x, axis=2), np.array([a]), log_x,
+                                None if w is None else np.log(w))[0, 0])
 
 
 def _weights_out_of_range(what: str,
@@ -192,9 +218,11 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
     )
 
 
-def _holder_weights(w: np.ndarray):
+def _holder_weights(w: np.ndarray | None):
     """Row weights for the Holder kernel: the pair of ``w`` over its largest
-    and their sum, or ``None`` where all weights are equal and cancel."""
+    and their sum, or ``None`` without weights or where all are equal and cancel."""
+    if w is None:
+        return None
     top = np.maximum.reduce(w)
     if np.minimum.reduce(w) == top:
         return None
@@ -203,37 +231,33 @@ def _holder_weights(w: np.ndarray):
 
 
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
-                  w: np.ndarray | tuple | None = None):
+                  w: tuple | None = None):
     """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
     ``x`` holds one column per row, ``(k, n)``, non-negative, and positive
     for negative Holder orders; the orders are finite, the Holder ones
     nonzero and of one sign, and are taken ``B`` at a time, for every
-    column at once, in the ``(k, B, n)`` buffer ``out``.  Lehmer base
-    weights ``w``, ``(n,)``, need ``k == B == 1``; Holder ones are the pair
-    :func:`_holder_weights` returns, shared by every column.  Returns per
-    (column, order) the moment target, the total weight and whether the
-    sums are accurate, then per column the reference ``x_r``.  Lehmer:
-    weights ``u`` from :func:`_lehmer_weights`, target ``sum(u * x) /
-    sum(u)``, ``x_r = 1``; a zero value (log ``-inf``) leaves no order of
-    its column accurate.  Holder of order ``k``: ``y = x / x_r``, ``x_r``
-    the value with the largest term (0, giving NaN, for an all-zero column),
-    moved to :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under
-    weights over their largest.  :func:`wmle.mwle.fit` solves these targets,
-    and its ``theta_hat`` is their :func:`_scale_estimates` to the bit: the
-    sums are rows of a C-order buffer, which numpy reduces pairwise like a
-    1-D array.
+    column at once, in the ``(k, B, n)`` buffer ``out``.  Row weights ``w``
+    are Holder only: the pair :func:`_holder_weights` returns, shared by
+    every column.  Returns per (column, order) the moment target, the total
+    weight and whether the sums are accurate, then per column the reference
+    ``x_r``.  Lehmer, unweighted, for the batched sweep: weights ``u`` from
+    :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)``, ``x_r = 1``; a
+    zero value (log ``-inf``) leaves no order of its column accurate.
+    Holder of order ``k``: ``y = x / x_r``, ``x_r`` the value with the
+    largest term (0, giving NaN, for an all-zero column), moved to
+    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under weights
+    over their largest.  :func:`wmle.mwle.fit` solves these targets, and its
+    ``theta_hat`` is their :func:`_scale_estimates` to the bit: the sums are
+    rows of a C-order buffer, which numpy reduces pairwise like a 1-D array.
     """
     k, n = x.shape
     target, total = np.empty((2, k, orders.size))
     ok = np.ones((k, orders.size), dtype=bool)
     single = orders.size == 1  # x is then read into out, where its terms replace it
     if kind == "lehmer":
-        if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
-            w = None  # equal weights cancel
         log_x = np.log(x[:, None, :], out=out if single else None)
         lo, hi = np.minimum.reduce(log_x, axis=2), np.maximum.reduce(log_x, axis=2)
-        log_w = None if w is None else np.log(w)
         ref = np.ones(k)
     else:
         up = orders[0] > 0
@@ -255,7 +279,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         # A short last block takes the buffer's head, so its rows stay contiguous.
         rows = out.reshape(-1)[: k * block.size * n].reshape(k, block.size, n)
         if kind == "lehmer":
-            ok[:, part] = _lehmer_weights(log_x, lo, hi, block, rows, log_w) & (lo > -np.inf)
+            ok[:, part] = _lehmer_weights(log_x, lo, hi, block, rows) & (lo > -np.inf)
             total[:, part] = np.add.reduce(rows, axis=2)
             rows *= x[:, None, :]
         else:
@@ -370,9 +394,10 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     the sample max/min at ``alpha = +inf`` / ``-inf``.  Zero values are
     rejected when ``alpha <= 1`` because ``x**(alpha-1)`` has a pole at zero.
 
-    A finite order goes through :func:`_column_means`; the mean is its
-    moment target.  Raises ``NumericError`` where the weights cannot be
-    formed: at an order below 1 on values more than ``exp(600)`` apart.
+    A finite order weighs the values by :func:`_lehmer_column`; the mean
+    is :func:`wmle.mwle.fit`'s moment target ``sum(u * x) / sum(u)`` to the
+    bit.  Raises ``NumericError`` where the weights cannot be formed: at an
+    order below 1 on values more than ``exp(600)`` apart.
     """
     a = _order(alpha)
     sample = _coerce(values, weights)
@@ -390,10 +415,11 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    target, _, ok, _ = _column_means("lehmer", x[None, :], np.array([a]), np.empty((1, 1, x.size)), w)
-    if not ok[0, 0]:
+    u = np.empty(x.size)
+    if not _lehmer_column(x, a, w, u):
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
-    return float(target[0, 0])
+    total = np.add.reduce(u)
+    return float(np.add.reduce(np.multiply(u, x, out=u)) / total)
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:

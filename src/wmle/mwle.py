@@ -19,8 +19,8 @@ requires a separable model.  An identity statistic per component then
 reproduces the Lehmer mean of each column, and a power statistic under the
 ``holder`` policy the Holder mean (:func:`subclass_form` reports which, if
 either, a (model, policy) pair realizes).  Both fits, and
-:func:`_sweep_estimates` over a grid of orders, run the column kernel of
-:mod:`wmle.means`.
+:func:`_sweep_estimates` over a grid of orders, run the column arithmetic
+of :mod:`wmle.means`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .families import weibull_model
 from .means import (
     _column_means,
     _holder_weights,
-    _lehmer_weights,
+    _lehmer_column,
     _moved_terms_out_of_range,
     _scale_estimates,
     _weights_out_of_range,
@@ -151,14 +151,6 @@ class SubclassReport(NamedTuple):
     reason: str
 
 
-def _nonpositive_value(col: np.ndarray, j: int, a: float) -> DomainError:
-    bad = float(col[col <= 0][0])
-    return DomainError(
-        f"value {bad} in column {j} cannot be weighted by x**({a}-1); "
-        "the lehmer policy needs strictly positive observations"
-    )
-
-
 def _base_weights(policy: WeightPolicy, obs: np.ndarray) -> Optional[np.ndarray]:
     """``policy.base_w`` on the checked ``(n, k)`` matrix, checked in turn:
     ``(n,)`` row weights for the holder kind, an ``(n, k)`` matrix for the
@@ -196,34 +188,29 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     than ``exp(600)`` apart.
     """
     obs = _observation_matrix(observations)
-    return _relative_weights(policy, obs, _base_weights(policy, obs))
-
-
-def _relative_weights(policy: WeightPolicy, obs: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
-    """:func:`apply_policy`'s weights from checked observations and base weights."""
+    w = _base_weights(policy, obs)
     if policy.kind == "holder":
-        return np.ones(obs.shape[0]) if w is None else w / np.maximum.reduce(w)
-    exps = policy.exponents
-    # Column-major: each weight column is one contiguous buffer, built in
-    # place and later summed on its own.
+        row_weights = _holder_weights(w)
+        return np.ones(obs.shape[0]) if row_weights is None else row_weights[0]
+    # Column-major: each weight column is one contiguous buffer.
     u = np.empty(obs.shape, order="F")
-    for j, a in enumerate(exps):
-        u_j = u[:, j]
-        col = obs[:, j]
-        if a == 1.0:
-            u_j[:] = 1.0 if w is None else w[:, j] / np.maximum.reduce(w[:, j])
-            continue
-        log_u = u_j[None, None, :]  # the kernel's (column, order, value) layout
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(col, out=u_j)
-        lo = np.minimum.reduce(log_u, axis=2)
-        if not lo > -np.inf:  # log of a zero (-inf) or a negative value (nan)
-            raise _nonpositive_value(col, j, a)
-        ok = _lehmer_weights(log_u, lo, np.maximum.reduce(log_u, axis=2), exps[j : j + 1],
-                             log_u, None if w is None else np.log(w[:, j]))
-        if not ok[0, 0]:
-            raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
+    for j, a in enumerate(policy.exponents):
+        _lehmer_weight_column(obs[:, j], j, a, w, u[:, j])
     return u
+
+
+def _lehmer_weight_column(col: np.ndarray, j: int, a: float, w: Optional[np.ndarray],
+                          out: np.ndarray) -> None:
+    """Column ``j``'s Lehmer weights at order ``a``, by :func:`means._lehmer_column`,
+    into ``out``; raises where they cannot be formed."""
+    if _lehmer_column(col, a, None if w is None else w[:, j], out):
+        return
+    if np.minimum.reduce(col) > 0:
+        raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
+    raise DomainError(
+        f"value {float(col[col <= 0][0])} in column {j} cannot be weighted by x**({a}-1); "
+        "the lehmer policy needs strictly positive observations"
+    )
 
 
 def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
@@ -236,46 +223,6 @@ def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
             f"value {float(obs[i, j])!r} in column {j} is outside the support [{lo:g}, {hi:g}] "
             f"of {model.name}"
         )
-
-
-def _kernel_columns(sub_models, obs: np.ndarray, policy: WeightPolicy, w: Optional[np.ndarray]):
-    """Per component, ``(target, total weight, scale)`` from :func:`means._column_means`.
-
-    One column at a time, so a fit's buffers do not grow with its columns.
-    Each Lehmer column is copied into one contiguous buffer, which the
-    kernel's log and its ``u * x`` both read; at order 1 the weights are 1,
-    or the base weights over their largest, and a zero value passes.  A
-    Holder column needs no copy: the kernel's ``x / x_r`` is contiguous.
-    An all-zero Holder column has target 0, the solver's to reject.
-    """
-    out, buf = np.empty((1, 1, obs.shape[0])), np.empty(obs.shape[0])
-    # Holder row weights are taken over their largest once for all columns.
-    row_weights = None if w is None or policy.kind != "holder" else _holder_weights(w)
-    for j, sub_model in enumerate(sub_models):
-        ref = 1.0
-        if policy.kind == "holder":
-            (target,), (total,), (ok,), (ref,) = _column_means("holder", obs[None, :, j], sub_model.stat_powers,
-                                                               out, row_weights)
-            if not ok[0]:
-                raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
-            if ref == 0.0:
-                target, ref = np.zeros(1), 1.0
-        else:
-            a, w_j = policy.exponents[j], None if w is None else w[:, j]
-            np.copyto(buf, obs[:, j])
-            with np.errstate(all="ignore"):  # the log of a zero, a sum that overflows
-                if a == 1.0:
-                    u = np.ones_like(buf) if w_j is None else w_j / np.maximum.reduce(w_j)
-                    total = np.add.reduce(u, keepdims=True)
-                    target, ok = np.add.reduce(u * buf, keepdims=True) / total, [True]
-                else:
-                    (target,), (total,), (ok,), _ = _column_means("lehmer", buf[None, :],
-                                                                  policy.exponents[j : j + 1], out, w_j)
-            if not ok[0]:
-                if np.minimum.reduce(buf) == 0.0:
-                    raise _nonpositive_value(obs[:, j], j, a)
-                raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
-        yield target, float(total[0]), ref
 
 
 def _unusable_estimate(theta: np.ndarray, model: FamilyModel, positive: bool = True) -> NumericError:
@@ -303,13 +250,15 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     term ``y ** k_j`` is exactly 1: the target neither overflows nor
     underflows at any shape, and ``theta_j = c_j * theta'_j``.
 
-    Those scale families, and Lehmer weights on an identity statistic over
-    independent non-negative components, take their moment targets from
-    :func:`means._column_means`, the kernel of ``holder_mean`` and
-    ``lehmer_mean``; an estimate there that is not finite and positive
-    raises ``NumericError``.  Every other model takes the weights of
-    :func:`apply_policy` and the target of :func:`weighted_stat_mean`, and
-    a non-finite estimate raises ``NumericError``.
+    A scale family's Holder targets come from :func:`means._column_means`,
+    the kernel of ``holder_mean``.  Every Lehmer weight column comes from
+    :func:`means._lehmer_column`, as in ``lehmer_mean`` and
+    :func:`apply_policy`; on an identity statistic over independent
+    non-negative components its target is ``sum(u * x) / sum(u)``,
+    ``lehmer_mean`` to the bit.  An estimate on these two paths that is not
+    finite and positive raises ``NumericError``.  Every other problem takes
+    the target of :func:`weighted_stat_mean`, and a non-finite estimate
+    raises ``NumericError``.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -323,31 +272,49 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         )
     _check_support(model, obs)
     w = _base_weights(policy, obs)
-    per_column = policy.kind == "lehmer"
-    scaled = not per_column and model.scale_family
-    kernel = scaled or (per_column and subclass_form(model, policy).is_lehmer_mean)
-    separate = (per_column or scaled) and model.components is not None
-    sub_models = model.components if separate else (model,)
-    if kernel:
-        columns = _kernel_columns(sub_models, obs, policy, w)
-        if per_column:  # every weight column is formed before any is solved
-            columns = iter(list(columns))
+    if policy.kind == "lehmer" and model.components is None:
+        raise ConfigError(
+            f"model {model.name} is not separable; per-column weight policies "
+            "require independent components"
+        )
+    kernel = model.scale_family if policy.kind == "holder" else subclass_form(model, policy).is_lehmer_mean
+    row_weights = _holder_weights(w) if policy.kind == "holder" else None  # over their largest
+    # One pass forms every problem's (sub-model, target, total weight) and
+    # the scale c_j of each component, so that every weight column is
+    # formed before any problem is solved; theta_j = c_j * theta'_j.
+    problems, scale = [], np.ones(model.dim_eta)
+    if policy.kind == "lehmer":
+        # One column at a time, so that these buffers do not grow with the
+        # columns; the contiguous copy is read by the log and by u * x.
+        x, u = np.empty(obs.shape[0]), np.empty(obs.shape[0])
+        for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
+            np.copyto(x, obs[:, j])
+            _lehmer_weight_column(x, j, a, w, u)
+            if kernel:
+                total = float(np.add.reduce(u))
+                with np.errstate(over="ignore"):
+                    sub_target = np.add.reduce(np.multiply(u, x, out=u), keepdims=True) / total
+            else:
+                data = WeightedDataset(obs[:, j : j + 1], u, _validated=True)
+                sub_target, total = weighted_stat_mean(data, sub_model), data.total_weight
+            problems.append((sub_model, sub_target, total))
+    elif kernel:
+        # A Holder column needs no copy: the kernel's x / x_r is contiguous.
+        out = np.empty((1, 1, obs.shape[0]))
+        for j, sub_model in enumerate(model.components or (model,)):
+            (sub_target,), (total,), (ok,), (ref,) = _column_means(
+                "holder", obs[None, :, j], sub_model.stat_powers, out, row_weights)
+            if not ok[0]:
+                raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
+            if ref == 0.0:  # an all-zero column: target 0, the solver's to reject
+                sub_target, ref = np.zeros(1), 1.0
+            scale[j] = ref
+            problems.append((sub_model, sub_target, float(total[0])))
     else:
-        u = _relative_weights(policy, obs, w)
-        if per_column and model.components is None:
-            raise ConfigError(
-                f"model {model.name} is not separable; per-column weight policies "
-                "require independent components"
-            )
-    scale = np.ones(model.dim_eta)  # theta_j = c_j * theta'_j; c_j is 1 off a scale family
-    targets, infos, curvatures, flat = [], [], [], []
-    for j, sub_model in enumerate(sub_models):
-        if kernel:
-            sub_target, total, scale[j] = next(columns)
-        else:
-            data = WeightedDataset(obs[:, j : j + 1] if per_column else obs,
-                                   u[:, j] if per_column else u, _validated=True)
-            sub_target, total = weighted_stat_mean(data, sub_model), data.total_weight
+        data = WeightedDataset(obs, None if row_weights is None else row_weights[0], _validated=True)
+        problems.append((model, weighted_stat_mean(data, model), data.total_weight))
+    infos, curvatures, flat = [], [], []
+    for sub_model, sub_target, total in problems:
         info = _solve_mean_target(sub_model, sub_target, method=method)
         # A curvature that overflows makes eigvalsh fail; that is reported
         # as a NumericError, not as numpy warnings and a LinAlgError.
@@ -361,7 +328,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                 ) from exc
         # On a joint model, eigvalsh turns an overflowed entry into a NaN
         # spectrum, and a NaN entry can give a finite one.
-        if not separate and not (np.isfinite(hessian).all() and np.isfinite(spectrum).all()):
+        if sub_model is model and not (np.isfinite(hessian).all() and np.isfinite(spectrum).all()):
             raise NumericError(
                 f"the curvature of {sub_model.name} at the estimate is not finite: "
                 f"eigenvalues {spectrum.tolist()}"
@@ -375,9 +342,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         blocks = np.diag(hessian)[:, None] if sub_model.components is not None else [spectrum]
         flat += [float(b.max()) for b in blocks if b.max() >= -1e-12 * abs(b.min())]
         curvatures.append(spectrum)
-        targets.append(sub_target)
         infos.append(info)
-    target = np.concatenate(targets)
+    target = np.concatenate([sub_target for _, sub_target, _ in problems])
     eta = np.concatenate([info.eta for info in infos])
     eigenvalues = np.sort(np.concatenate(curvatures))
     methods = {info.method for info in infos}

@@ -1393,6 +1393,40 @@ class TestProcessExit:
         assert got == want
         assert got[:3] == (4, b"", b"error: [Errno 32] Broken pipe\n")
 
+    # name -> (argv, the files it writes into ``{out}``): a command whose
+    # result goes to stdout, which fails before any file is written, or with
+    # "--out", one that writes only files.
+    CLOSED_STDOUT_COMMANDS = {
+        "mean": (["mean", "--kind", "lehmer", "--alpha", "2", "0.6", "2"], []),
+        "fit-text": (["fit", "--shapes", "1,1,1", "--policy", "lehmer", "--beta", "2", "--data", "{props}"],
+                     []),
+        "fit-csv": (["fit", "--shapes", "1,1,1", "--data", "{props}", "--format", "csv"], []),
+        "vweights": (["vweights"], []),
+        "sweep": (["sweep", "--data", "{returns}", "--mode", "lehmer", "--svg", "{out}/sweep.svg"], []),
+        "ingest": (["ingest", "--data", "{returns}"], []),
+        "vweights --out": (["vweights", "--out", "{out}/vw.csv"], ["vw.csv"]),
+        "sweep --out": (["sweep", "--data", "{returns}", "--mode", "holder", "--out", "{out}/sweep.csv"],
+                        ["sweep.csv"]),
+        "ingest --out": (["ingest", "--data", "{returns}", "--out", "{out}/props.csv",
+                          "--rejects", "{out}/rejects.txt"], ["props.csv", "rejects.txt"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_STDOUT_COMMANDS))
+    def test_a_closed_stdout_is_an_io_error(self, name, tmp_path, process_inputs):
+        # Started with fd 1 closed (`wmle vweights >&-`), the interpreter
+        # sets sys.stdout to None.
+        argv, files = self.CLOSED_STDOUT_COMMANDS[name]
+        argv = [a.format(out=tmp_path, **process_inputs) for a in argv]
+        result = subprocess.run([sys.executable, "-m", "wmle.cli", *argv], stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, env=_process_env(), preexec_fn=lambda: os.close(1))
+        notes = [line for line in result.stderr.splitlines() if line.startswith(b"note: ")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        if "--out" in name:
+            assert (result.returncode, result.stderr.splitlines()) == (0, notes)
+        else:
+            assert (result.returncode, result.stderr.splitlines()) == (
+                4, notes + [b"error: [Errno 9] stdout is closed"])
+
 
 class TestEntryPoint:
     def test_main_returns_its_code_and_the_process_keeps_running(self, capsys):

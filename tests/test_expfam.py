@@ -29,6 +29,9 @@ from wmle import (
     weighted_stat_mean,
 )
 
+from wmle import expfam
+from wmle.expfam import _central_difference, _solve_mean_target, _stat_covariance
+
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
@@ -359,6 +362,77 @@ class TestInverseMeanMap:
             probe = eta_hat + rng.uniform(-1.5, 1.5, size=1)
             if model.natural_domain(probe):
                 assert log_weighted_likelihood(model, data, probe) <= best + 1e-10
+
+
+def _interval_model(interval, log_normalizer, mean):
+    """A univariate family on the natural interval ``interval``, with the
+    closed-form mean map ``mean`` of ``log_normalizer`` and no inverse."""
+    lo, hi = interval
+    return FamilyModel(
+        name=f"interval{interval}",
+        dim_x=1,
+        dim_eta=1,
+        log_base_measure=lambda x: np.zeros(x.shape[0]),
+        sufficient_stat=lambda x: np.asarray(x, dtype=float),
+        nat_param=lambda theta: np.asarray(theta, dtype=float),
+        nat_param_inverse=lambda eta: np.asarray(eta, dtype=float),
+        log_normalizer=lambda eta: log_normalizer(float(eta[0])),
+        natural_domain=lambda eta: bool(lo < eta[0] < hi),
+        mean_map_closed=lambda eta: np.array([mean(float(eta[0]))]),
+        natural_interval=interval,
+    )
+
+
+class TestFallbackPaths:
+    @pytest.mark.parametrize("model, eta", [
+        (gaussian_known_variance_model([1.0, 2.0]), [0.3, -0.7]),
+        (weibull_model([1.0, 2.5]), [-0.8, -2.0]),
+        (multinomial_fixture(30, [0.5, 0.3, 0.2]).reduced_model, [0.4, -0.2]),
+    ])
+    def test_covariance_by_finite_differences_matches_the_closed_form(self, model, eta):
+        eta = np.array(eta)
+        by_differences = _stat_covariance(dataclasses.replace(model, mean_map_jacobian=None), eta)
+        np.testing.assert_allclose(by_differences, _stat_covariance(model, eta), rtol=1e-7, atol=1e-12)
+
+    def test_central_difference_halves_its_step_at_the_domain_boundary(self):
+        # The first step, eps**(1/3) * (1 + 4e-6), crosses eta = 0; half of it does not.
+        model = exponential_model()
+        eta = np.array([-4e-6])
+        h = expfam._FD_SCALE * (1.0 + 4e-6) * 0.5
+        want = (model.log_normalizer(eta + h) - model.log_normalizer(eta - h)) / (2.0 * h)
+        assert _central_difference(model, model.log_normalizer, eta, 0) == want
+
+    def test_central_difference_without_a_finite_step_is_a_numeric_error(self):
+        with pytest.raises(NumericError) as excinfo:
+            _central_difference(exponential_model(), lambda eta: math.nan, np.array([-1.0]), 0)
+        assert str(excinfo.value) == (
+            "could not find a finite-difference step inside the natural domain at eta=[-1.0]"
+        )
+
+    @pytest.mark.parametrize("interval, log_normalizer, mean, target, eta", [
+        ((0.0, math.inf), lambda e: -math.log(e), lambda e: -1.0 / e, -0.5, 2.0),
+        ((0.0, 1.0), lambda e: -math.log(e) - math.log1p(-e), lambda e: 1.0 / (1.0 - e) - 1.0 / e,
+         1.0, (math.sqrt(5.0) - 1.0) / 2.0),
+    ])
+    def test_bisection_anchors_inside_a_half_open_or_finite_interval(self, interval, log_normalizer,
+                                                                   mean, target, eta):
+        model = _interval_model(interval, log_normalizer, mean)
+        for method in ("bisect", "auto"):  # auto: Newton from a coarse bisection
+            info = _solve_mean_target(model, [target], method=method)
+            assert info.eta[0] == pytest.approx(eta, rel=1e-10)
+            assert info.method == method.replace("auto", "newton")
+
+    @pytest.mark.parametrize("model, kwargs, error, message", [
+        (exponential_model(), {"method": "secant"}, ConfigError, "unknown solve method 'secant'"),
+        (strip_closed_forms(weibull_model([2.0])), {"method": "closed"}, ConfigError,
+         "model weibull(k=[2.0]) declares no closed-form mean-map inverse"),
+        (weibull_model([1.0]), {"method": "newton", "init": [0.5]}, DomainError,
+         "Newton initialization [0.5] is outside the natural domain"),
+    ])
+    def test_solver_configuration_errors(self, model, kwargs, error, message):
+        with pytest.raises(error) as excinfo:
+            inverse_mean_map(model, [2.0], **kwargs)
+        assert str(excinfo.value) == message
 
 
 class TestCheckMinimality:

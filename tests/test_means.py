@@ -42,6 +42,16 @@ class TestSample:
         with pytest.raises(DomainError):
             Sample([1.0, 2.0], [1.0])
 
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(DomainError) as excinfo:
+            Sample([1.0, math.inf])
+        assert str(excinfo.value) == "sample values must be finite"
+
+    def test_weights_given_twice_rejected(self):
+        with pytest.raises(DomainError) as excinfo:
+            lehmer_mean(2.0, Sample([1.0, 2.0], [1.0, 3.0]), [1.0, 1.0])
+        assert str(excinfo.value) == "weights were given both in the Sample and separately"
+
     def test_duplicates_count_twice(self):
         # no deduplication: a repeated value behaves like doubled weight
         left = holder_mean(2.0, [1.0, 2.0, 2.0])

@@ -3,6 +3,9 @@
 import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +53,12 @@ class TestWeightPolicy:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             WeightPolicy(kind="huber")
+
+    @pytest.mark.parametrize("exponents", [[], [2.0, math.nan], [math.inf]])
+    def test_lehmer_exponents_must_be_finite(self, exponents):
+        with pytest.raises(ConfigError) as excinfo:
+            WeightPolicy.lehmer(exponents)
+        assert str(excinfo.value) == "lehmer exponents must be a non-empty finite vector"
 
 
 class TestApplyPolicy:
@@ -133,6 +142,26 @@ class TestApplyPolicy:
         log_x = np.abs(np.log(x))
         scale = 4.0 * (1.0 + abs(beta - 1.0) * (log_x + log_x[np.argmax(raw)]))
         np.testing.assert_array_less(np.abs(u - expected), scale * 2.0**-52 * expected)
+
+    @pytest.mark.parametrize("policy, message", [
+        (WeightPolicy.holder(base_w=lambda o: np.ones(2)), "holder base_w must return one weight per row"),
+        (WeightPolicy.lehmer([2.0], base_w=lambda o: np.ones(3)),
+         "lehmer base_w must return a weight per matrix entry"),
+    ])
+    def test_base_weights_of_the_wrong_shape(self, policy, message):
+        for run in (lambda: apply_policy(policy, [1.0, 2.0, 3.0]),
+                    lambda: fit(weibull_model([1.0]), [1.0, 2.0, 3.0], policy)):
+            with pytest.raises(ConfigError) as excinfo:
+                run()
+            assert str(excinfo.value) == message
+
+    def test_a_lehmer_column_that_cannot_be_formed_is_a_numeric_error(self):
+        with pytest.raises(NumericError) as excinfo:
+            apply_policy(WeightPolicy.lehmer([2.0, 0.0]), [[1.0, 1e-300], [2.0, 1e300]])
+        assert str(excinfo.value) == (
+            "the lehmer weights of column 1 at order 0.0 fall below exp(-700) on values more than "
+            "exp(600) apart, which the shifted sums cannot represent"
+        )
 
     def test_custom_map_must_stay_positive(self):
         policy = WeightPolicy.holder(base_w=lambda obs: obs[:, 0] - 1.0)
@@ -531,6 +560,23 @@ def _duplicated_statistic_model():
     )
 
 
+class TestLehmerRelation:
+    # The Lehmer mean is the moment target of the unit-shape Weibull MWLE
+    # under the Lehmer policy of the same order: one computation, to the bit.
+    @pytest.mark.parametrize("weights", ["none", "equal", "unequal"])
+    def test_lehmer_mean_is_the_fits_moment_target_to_the_bit(self, weights):
+        rng = np.random.default_rng(44)
+        for i in range(240):
+            x = _log_uniform(rng, int(rng.integers(1, 40)))
+            # Exactly 1 a quarter of the time, else a default-grid or an extreme order.
+            order = 1.0 if i % 4 == 0 else float(rng.uniform(-3.0, 4.0) if i % 2 else rng.uniform(-500.0, 500.0))
+            w = {"none": None, "equal": np.full(x.size, 2.5),
+                 "unequal": np.exp(rng.uniform(-3.0, 3.0, size=x.size))}[weights]
+            policy = WeightPolicy.lehmer([order], base_w=None if w is None else (lambda o, w=w: w[:, None]))
+            target = fit(weibull_model([1.0]), x, policy, minimality_samples=0).target[0]
+            assert lehmer_mean(order, x, w) == target, (i, order)
+
+
 class TestFit:
     def test_lehmer_policy_reproduces_lehmer_mean(self):
         rng = np.random.default_rng(41)
@@ -868,3 +914,30 @@ class TestSubclassForm:
     def test_nonunit_shape_weibull_with_lehmer_policy_is_neither(self):
         report = subclass_form(weibull_model([2.0]), WeightPolicy.lehmer([2.0]))
         assert not report.is_lehmer_mean
+
+
+class TestDispatchLevels:
+    # numpy picks its exp, log and power kernels at run time by the CPU's
+    # features, and its AVX-512 kernels round some results differently.  The
+    # bit relations (sweep == fit, fit == holder_mean, lehmer_mean == fit's
+    # target) must hold at every level, so they run again in a child whose
+    # NPY_DISABLE_CPU_FEATURES switches the AVX-512 targets off.
+    RELATION_TESTS = ["tests/test_cli.py::TestBatchedSweep", "tests/test_mwle.py::TestHolderAccuracy",
+                      "tests/test_mwle.py::TestLehmerRelation"]
+
+    def test_bit_relations_hold_without_avx512(self):
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        avx512 = [t for t in umath.__cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512")]
+        if not avx512:
+            pytest.skip("numpy has no AVX-512 dispatch target here")
+        child = ("import importlib, sys, pytest\n"
+                 f"umath = importlib.import_module({umath.__name__!r})\n"
+                 f"assert not any(umath.__cpu_features__[t] for t in {avx512!r})\n"
+                 f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{self.RELATION_TESTS!r}]))\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        result = subprocess.run([sys.executable, "-c", child], cwd=root, capture_output=True, text=True,
+                                env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(avx512)))
+        assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
