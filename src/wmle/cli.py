@@ -344,7 +344,7 @@ def _cmd_fit(args) -> int:
         raise ConfigError("fit needs data: positional values or --data PATH")
     model = _build_family(args)
     policy = _build_policy(args, observations.shape[1])
-    result = mwle.fit(model, observations, policy, seed=args.seed)
+    result = mwle.fit(model, observations, policy)
     diag = result.diagnostics
 
     if args.format == "csv":
@@ -476,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--beta", help="comma-separated lehmer exponents (scalar broadcasts); write a negative first one as --beta=-1e-3")
     p_fit.add_argument("--data", help="numeric CSV of observations (columns = components)")
     p_fit.add_argument("--format", choices=("text", "csv"), default="text")
-    p_fit.add_argument("--seed", type=int, default=0, help="seed for sampling diagnostics")
     p_fit.add_argument("values", nargs="*", type=float,
                        help="single-column observations given inline")
     p_fit.set_defaults(func=_cmd_fit)

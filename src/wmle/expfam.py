@@ -64,7 +64,7 @@ _FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # Step halvings a damped Newton step tries before the iteration gives up.
 _MAX_HALVINGS = 50
 
-# Smallest/largest eigenvalue ratio at or below which a model is degenerate.
+# Smallest/largest eigenvalue ratio at or below which a joint model is degenerate.
 _MINIMALITY_RATIO = 1e-8
 
 
@@ -169,11 +169,11 @@ class WeightedDataset:
 
 
 class MinimalityVerdict(NamedTuple):
-    """Outcome of the sampled covariance-rank check.
+    """Outcome of :func:`check_minimality`, the covariance-rank check.
 
-    ``direction`` is the unit eigenvector of the near-zero eigenvalue when
-    the model is degenerate (the linear combination of ``T`` components that
-    is almost surely constant), otherwise ``None``.
+    ``direction`` is the unit direction along which ``Cov[T(X)]`` is flat
+    when the model is degenerate (the linear combination of ``T``
+    components that is almost surely constant), otherwise ``None``.
     """
 
     minimal: bool
@@ -529,55 +529,62 @@ def _expand(comp: FamilyModel, residual_at, anchor: float, bound: float,
     return point, None
 
 
-def check_minimality(model: FamilyModel, eta, n_samples: int = 4096, seed: int = 0,
+def check_minimality(model: FamilyModel, eta, n_samples: Optional[int] = None, seed: int = 0,
                      x_sample=None) -> MinimalityVerdict:
-    """Estimate ``Cov[T(X)]`` from samples and test for a flat direction.
+    """Judge whether ``Cov[T(X)]`` at ``eta``, the Jacobian of the mean map,
+    is positive definite: whether the family is minimal there.
 
-    Draws ``n_samples`` observations from the model at ``eta`` (or uses the
-    supplied ``x_sample``), eigendecomposes the sample covariance of the
-    sufficient statistics and reports ``degenerate`` with the offending unit
-    direction when the smallest eigenvalue is at most ``1e-8`` times the
-    largest.  A separable model's components are independent, and their
-    variances may lie many orders of magnitude apart without any of them
-    being flat: each component is judged on its own and is degenerate,
-    along its own axis, only where its sampled statistic is constant (a
-    zero sample variance, tested without the rounding of the variance
-    itself).  The reported eigenvalues are those of the whole covariance
-    either way.  A sampled statistic that is not finite, as when the
-    sampler overflows, or a sample covariance that overflows raises
-    ``NumericError``: it supports no verdict.  Sampling with a negative
-    ``seed`` raises ``ConfigError``.
+    By default the covariance is the exact one :func:`wmle.mwle.fit` forms
+    for its curvature: the model's closed-form Jacobian, or central
+    differences of its mean map.  Given ``n_samples`` (drawn from the
+    model's sampler, seeded by ``seed``) or an ``x_sample``, it is the
+    sample covariance of their sufficient statistics.  A separable model's
+    components are independent, and their variances may lie many orders of
+    magnitude apart without any of them being flat: each component is
+    degenerate, along its own axis, only where its spread is not positive
+    (its exact variance, or the sample's max - min, free of the rounding of
+    the variance).  A joint model is degenerate, along the unit eigenvector
+    of the smallest eigenvalue, when that is at most ``1e-8`` times the
+    largest.  The reported eigenvalues are those of the whole covariance
+    either way.  A sampled statistic or a covariance that is not finite
+    raises ``NumericError``: it supports no verdict.  Fewer than ``q + 1``
+    samples raise ``DomainError``, a negative sampling ``seed``
+    ``ConfigError``.
     """
     eta = _check_eta(model, eta)
-    if x_sample is None and model.sampler is None:
-        raise ConfigError(f"model {model.name} has no sampler; pass a representative x_sample")
-    xs = None if x_sample is None else np.atleast_2d(np.asarray(x_sample, dtype=float))
-    # Checked before sampling: numpy rejects a negative count or seed with a bare ValueError.
-    count = int(n_samples) if xs is None else xs.shape[0]
-    if count < model.dim_eta + 1:
-        raise DomainError(
-            f"need at least q+1={model.dim_eta + 1} samples to estimate a rank-q covariance, "
-            f"got {count}"
-        )
-    if xs is None and seed < 0:
-        raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
+    sampled = n_samples is not None or x_sample is not None
+    if sampled:
+        if x_sample is None and model.sampler is None:
+            raise ConfigError(f"model {model.name} has no sampler; pass a representative x_sample")
+        xs = None if x_sample is None else np.atleast_2d(np.asarray(x_sample, dtype=float))
+        # Checked before sampling: numpy rejects a negative count or seed with a bare ValueError.
+        count = int(n_samples) if xs is None else xs.shape[0]
+        if count < model.dim_eta + 1:
+            raise DomainError(
+                f"need at least q+1={model.dim_eta + 1} samples to estimate a rank-q covariance, "
+                f"got {count}"
+            )
+        if xs is None and seed < 0:
+            raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
     with np.errstate(all="ignore"):
-        if xs is None:
-            xs = model.sampler(eta, count, np.random.default_rng(seed))
-        stats = model.sufficient_stat(xs)
-    if not np.all(np.isfinite(stats)):
+        if not sampled:
+            cov = _stat_covariance(model, eta)
+            spread = np.diag(cov)
+        else:
+            stats = model.sufficient_stat(
+                model.sampler(eta, count, np.random.default_rng(seed)) if xs is None else xs)
+            cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
+            spread = np.max(stats, axis=0) - np.min(stats, axis=0)
+    if sampled and not np.all(np.isfinite(stats)):
         raise NumericError(f"the sampled statistic of {model.name} is not finite at eta={eta.tolist()}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
     if not np.all(np.isfinite(cov)):
-        raise NumericError(
-            f"the sample covariance of the statistic of {model.name} is not finite at eta={eta.tolist()}"
-        )
+        raise NumericError(f"the {'sample ' if sampled else ''}covariance of the statistic of "
+                           f"{model.name} is not finite at eta={eta.tolist()}")
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     smallest = float(eigenvalues[0])
     largest = float(eigenvalues[-1])
     if model.components is not None:
-        flat = np.flatnonzero(np.max(stats, axis=0) == np.min(stats, axis=0))
+        flat = np.flatnonzero(~(spread > 0))
         if flat.size:
             return MinimalityVerdict(False, np.eye(model.dim_eta)[flat[0]], smallest, largest)
     elif largest <= 0.0 or smallest <= _MINIMALITY_RATIO * largest:

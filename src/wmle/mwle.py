@@ -113,7 +113,9 @@ class FitDiagnostics(NamedTuple):
     estimate, in the problem :func:`fit` solves: under weights relative to
     their largest, and on a scale family in the scaled coordinates
     ``x_j / c_j`` of :attr:`FitResult.scale`, where it stays finite at
-    every shape.
+    every shape.  ``minimality`` is :func:`check_minimality`'s verdict at
+    ``eta_hat``, in the same coordinates, or ``None`` when the covariance
+    there is not finite.
     """
 
     iterations: int
@@ -132,7 +134,8 @@ class FitResult(NamedTuple):
     ``x_j / c_j`` with ``c_j`` the column's largest value, and ``eta_hat``
     and ``target`` are those of that scaled problem; everywhere else
     ``scale`` is all ones.  Invariants: ``nat_param(theta_hat / scale) ==
-    eta_hat`` to 1e-10 and ``mean_map(eta_hat) == target`` to the solver
+    eta_hat`` to 1e-10 on a scale family and ``nat_param(theta_hat) ==
+    eta_hat`` elsewhere, and ``mean_map(eta_hat) == target`` to the solver
     tolerance.
     """
 
@@ -232,14 +235,14 @@ def _unusable_estimate(theta: np.ndarray, model: FamilyModel, positive: bool = T
 
 
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
-        method: str = "auto", seed: int = 0, minimality_samples: int = 2048) -> FitResult:
+        method: str = "auto", seed: int = 0, minimality_samples: int = 0) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
 
     ``method`` is forwarded to the moment solver (``auto``/``closed``/
-    ``newton``/``bisect``).  The minimality verdict in the diagnostics is
-    estimated by sampling the fitted model (``minimality_samples`` draws,
-    seeded); pass ``minimality_samples=0`` to skip it.  A sample that
-    overflows gives no verdict either, and a logged warning.
+    ``newton``/``bisect``).  The diagnostics carry :func:`check_minimality`'s
+    verdict at the estimate: of the exact covariance of ``T``, or of
+    ``minimality_samples`` seeded draws when that is positive.  A degenerate
+    verdict logs a warning, and so does a covariance that supports none.
 
     The observations are checked once, here, for finiteness and against
     ``model.support``, and the base weights once, where they are made.
@@ -313,7 +316,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     else:
         data = WeightedDataset(obs, None if row_weights is None else row_weights[0], _validated=True)
         problems.append((model, weighted_stat_mean(data, model), data.total_weight))
-    infos, curvatures, flat = [], [], []
+    infos, curvatures = [], []
     for sub_model, sub_target, total in problems:
         info = _solve_mean_target(sub_model, sub_target, method=method)
         # A curvature that overflows makes eigvalsh fail; that is reported
@@ -333,14 +336,6 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                 f"the curvature of {sub_model.name} at the estimate is not finite: "
                 f"eigenvalues {spectrum.tolist()}"
             )
-        # A flat direction of the curvature at the estimate means the maximum
-        # is not isolated.  The test is relative to the spectrum, so that a
-        # uniformly small but full-rank curvature passes, and it is applied to
-        # each independent component on its own: a separable model's Hessian
-        # is diagonal, and its components' curvatures may lie hundreds of
-        # orders of magnitude apart without any of them being flat.
-        blocks = np.diag(hessian)[:, None] if sub_model.components is not None else [spectrum]
-        flat += [float(b.max()) for b in blocks if b.max() >= -1e-12 * abs(b.min())]
         curvatures.append(spectrum)
         infos.append(info)
     target = np.concatenate([sub_target for _, sub_target, _ in problems])
@@ -349,28 +344,26 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     methods = {info.method for info in infos}
     solve_method = methods.pop() if len(methods) == 1 else "mixed"
 
-    theta = scale * np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
+    theta = np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
+    if model.scale_family:  # elsewhere theta need not have one entry per component of scale
+        theta = scale * theta
     # (1/target) ** (-1/k) may underflow to 0 or overflow where the target is fine.
     if not (np.isfinite(theta).all() and (not kernel or (theta > 0).all())):
         raise _unusable_estimate(theta, model, positive=kernel)
-    verdict = None
-    if minimality_samples and model.sampler is not None:
-        try:
-            verdict = check_minimality(model, eta, n_samples=minimality_samples, seed=seed)
-        except NumericError as exc:
-            import logging  # imported only to warn: a fresh process starts faster without it
+    # A flat direction of the covariance at the estimate means the maximum
+    # is not isolated: never succeed silently there.
+    try:
+        verdict = check_minimality(model, eta, n_samples=minimality_samples or None, seed=seed)
+    except NumericError as exc:
+        verdict, warning = None, ("no minimality verdict: %s", exc)
+    else:
+        warning = None if verdict.minimal else (
+            "weighted log-likelihood Hessian is numerically degenerate at the estimate: "
+            "Cov[T] is flat along %s", verdict.direction.tolist())
+    if warning:
+        import logging  # imported only to warn: a fresh process starts faster without it
 
-            logging.getLogger(__name__).warning("no minimality verdict: %s", exc)
-    # Never succeed silently at a flat maximum.
-    if flat:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "weighted log-likelihood Hessian is numerically degenerate at the "
-            "estimate (largest eigenvalue %.3e)%s",
-            max(flat),
-            "" if verdict is None else "; inspect the minimality verdict",
-        )
+        logging.getLogger(__name__).warning(*warning)
     diagnostics = FitDiagnostics(
         iterations=max(info.iterations for info in infos),
         residual_norm=max(info.residual for info in infos),

@@ -291,11 +291,11 @@ class TestFitCommand:
         assert (code, out) == (2, "")
         assert err == "error: fit takes positional values or --data PATH, not both\n"
 
-    def test_a_negative_seed_exits_2(self, capsys):
-        # numpy rejected it with a ValueError traceback (exit 1).
-        code, out, err = run_cli(capsys, "fit", "--seed", "-1", "1", "2", "3")
+    def test_seed_is_not_an_option(self, capsys):
+        # The verdict is of the exact covariance: no fit samples.
+        code, out, err = run_cli(capsys, "fit", "--seed", "1", "1", "2", "3")
         assert (code, out) == (2, "")
-        assert err == "error: the sampling seed must be non-negative, got -1\n"
+        assert err.endswith("error: unrecognized arguments: --seed\n")
 
     def test_numeric_error_exits_2(self, capsys):
         # Lehmer weights at order 0 on values more than exp(600) apart.
@@ -311,26 +311,32 @@ class TestFitCommand:
         assert out == ""
         assert "theta_hat=[0.0] of weibull(k=[0.0001]) is not finite and positive" in err
 
-    def test_an_overflowed_minimality_sample_prints_no_verdict(self, capsys, caplog):
-        # Shape 1e-3 draws (-log u) ** 1000, which overflows: this printed two
-        # RuntimeWarnings and "minimal (... eigenvalue nan/nan)".
+    def test_a_tiny_shape_prints_the_exact_verdict(self, capsys, caplog):
+        # Shape 1e-3 drew (-log u) ** 1000 for a sampled verdict, which
+        # overflowed, so no verdict was printed; the exact covariance is
+        # 1/eta**2 in the scaled coordinates of the Hessian.
         with caplog.at_level(logging.WARNING):
             code, out, _ = run_cli(capsys, "fit", "--shapes", "1e-3", "1", "2", "3")
         assert code == 0
         assert "theta_hat:        [1.817307535472]" in out
-        assert "minimality" not in out
-        assert any(m.startswith("no minimality verdict: the sampled statistic") for m in caplog.messages)
+        assert "hessian eigens:   [-2.99699, -2.99699]" in out
+        assert "minimality:       minimal (smallest/largest stat eigenvalue 9.990e-01/9.990e-01)" in out
+        assert caplog.messages == []
 
     def test_an_overflowed_minimality_covariance_prints_no_verdict(self, capsys, caplog):
         # The covariance of values near 1e200 overflows: this printed
-        # "minimal (smallest/largest stat eigenvalue inf/inf)".
+        # "minimal (smallest/largest stat eigenvalue inf/inf)", and later a
+        # "degenerate (largest eigenvalue -inf)" warning as well.
         with caplog.at_level(logging.WARNING):
             code, out, _ = run_cli(capsys, "fit", "--policy", "lehmer", "--beta", "2",
                                    "1e200", "2e200", "4e200")
         assert code == 0
         assert "theta_hat:        [3.e+200]" in out
         assert "minimality" not in out
-        assert any(m.startswith("no minimality verdict: the sample covariance") for m in caplog.messages)
+        assert caplog.messages == [
+            "no minimality verdict: the covariance of the statistic of weibull(k=[1.0]) "
+            "is not finite at eta=[-3.333333333333332e-201]"
+        ]
 
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
@@ -1197,6 +1203,12 @@ class TestCommandImports:
         assert loaded.isdisjoint({"wmle.expfam", "wmle.mwle", "wmle.families", "wmle.means",
                                   "wmle.svg", "logging"})
 
+    def test_fit_loads_no_numpy_random(self):
+        # The minimality verdict is of the exact covariance: nothing samples.
+        loaded = modules_after_command("fit", "1", "2", "3")
+        assert "wmle.mwle" in loaded
+        assert sorted(m for m in loaded if m.startswith("numpy.random")) == []
+
     def test_a_bare_package_import_loads_no_submodule(self):
         loaded = modules_after_import("import wmle")
         assert {m for m in loaded if m.startswith("wmle.")} <= {"wmle.errors"}
@@ -1349,7 +1361,7 @@ class TestProcessExit:
         if name == "sweep-over-a-pipe-buffer":
             assert len(got[1]) > 65536
         if name == "fit-logs-a-warning":
-            assert b"Hessian is numerically degenerate" in got[2]
+            assert b"no minimality verdict: the covariance of the statistic" in got[2]
             assert b"theta_hat:        [3.e+200]" in got[1]
 
     def test_output_matches_the_library(self):

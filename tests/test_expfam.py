@@ -503,3 +503,54 @@ class TestCheckMinimality:
         # Finite statistics near 1e200 have a variance near 1e400.
         with pytest.raises(NumericError, match=r"sample covariance of the statistic of weibull\(k=\[1\.0\]\) is not finite"):
             check_minimality(weibull_model([1.0]), [-1.0], x_sample=[[1e200], [2e200], [4e200]])
+
+
+class TestExactMinimality:
+    # Without a sample count or a sample, the verdict is of the exact
+    # covariance of T: the model's closed-form Jacobian of the mean map, or
+    # central differences of the mean map where it has none.
+    def test_full_multinomial_is_degenerate_along_ones(self):
+        # The full statistic has no closed-form Jacobian: central differences.
+        fixture = multinomial_fixture(10, [0.2, 0.3, 0.5])
+        verdict = check_minimality(fixture.full_model, fixture.eta_full)
+        assert not verdict.minimal
+        alignment = abs(float(verdict.direction @ (np.ones(3) / math.sqrt(3.0))))
+        assert math.acos(min(alignment, 1.0)) <= 1e-3
+        assert abs(verdict.smallest_eigenvalue) <= 1e-8 * verdict.largest_eigenvalue
+
+    def test_reduced_multinomial_is_minimal(self):
+        fixture = multinomial_fixture(10, [0.2, 0.3, 0.5])
+        verdict = check_minimality(fixture.reduced_model, fixture.eta_reduced)
+        assert verdict.minimal and verdict.direction is None
+        # N * (diag(p) - p p^T) for p = (0.2, 0.3) has eigenvalues 1.2 and 2.5.
+        assert verdict.smallest_eigenvalue == pytest.approx(1.2, rel=1e-12)
+        assert verdict.largest_eigenvalue == pytest.approx(2.5, rel=1e-12)
+
+    def test_weibull_eigenvalues_are_the_exact_variances(self):
+        # Cov[T] = diag(1 / eta**2), whose extremes eigh returns to the bit.
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            q = int(rng.integers(1, 5))
+            eta = -np.exp(rng.uniform(-60.0, 60.0, q) * math.log(10.0))
+            verdict = check_minimality(weibull_model(rng.uniform(0.1, 5.0, q)), eta)
+            variances = 1.0 / eta**2
+            assert verdict.minimal and verdict.direction is None
+            assert (verdict.smallest_eigenvalue, verdict.largest_eigenvalue) == (
+                float(variances.min()), float(variances.max())), eta.tolist()
+
+    def test_separable_components_decades_apart_are_minimal(self):
+        # Variances 1e-200 and 1e200: neither component is flat.
+        verdict = check_minimality(gaussian_known_variance_model([1e-100, 1e100]), [0.0, 0.0])
+        assert verdict.minimal
+        assert verdict.smallest_eigenvalue < 1e-8 * verdict.largest_eigenvalue
+
+    def test_a_variance_that_underflows_is_flat_along_its_axis(self):
+        verdict = check_minimality(weibull_model([1.0, 1.0]), [-1.0, -1e200])
+        assert not verdict.minimal
+        np.testing.assert_array_equal(verdict.direction, [0.0, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_covariance_that_overflows_is_a_numeric_error(self):
+        # 1 / eta**2 at eta = -1e-200 overflows: no verdict and no warning.
+        with pytest.raises(NumericError, match=r"^the covariance of the statistic of weibull\(k=\[1\.0\]\) is not finite"):
+            check_minimality(weibull_model([1.0]), [-1e-200])

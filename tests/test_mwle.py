@@ -521,7 +521,8 @@ class TestKernelPath:
     def test_an_overflowed_minimality_sample_gives_no_verdict(self, caplog):
         # Shape 1e-3 draws (-log u) ** 1000, which overflows.
         with caplog.at_level(logging.WARNING):
-            result = fit(weibull_model([1e-3]), [1.0, 2.0, 3.0], WeightPolicy.holder())
+            result = fit(weibull_model([1e-3]), [1.0, 2.0, 3.0], WeightPolicy.holder(),
+                         minimality_samples=2048)
         assert result.diagnostics.minimality is None
         assert result.theta_hat[0] == pytest.approx(1.8173075354, rel=1e-9)
         assert [m for m in caplog.messages if "minimality" in m] == [
@@ -534,7 +535,8 @@ class TestKernelPath:
         # eigh raised an uncaught LinAlgError on it.
         x = [[1e200, 2e200, 3e200], [2e200, 5e200, 1e200], [4e200, 1e201, 7e200]]
         with caplog.at_level(logging.WARNING):
-            result = fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer(np.full(3, 2.0)))
+            result = fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer(np.full(3, 2.0)),
+                         minimality_samples=2048)
         assert result.diagnostics.minimality is None
         np.testing.assert_allclose(result.theta_hat, [3e200, 129e200 / 17, 59e200 / 11], rtol=1e-12)
         assert any(m.startswith("no minimality verdict: the sample covariance of the statistic "
@@ -639,6 +641,19 @@ class TestFit:
             verdict = fit(weibull_model([1.0, 1.0]), x, policy).diagnostics.minimality
             assert verdict.minimal
 
+    def test_no_minimality_samples_gives_the_exact_verdict(self):
+        # minimality_samples=0 gave no verdict; it now gives the exact one,
+        # in the scaled coordinates of the Hessian extremes.
+        x = np.array([[0.5, 2.0], [1.5, 3.0], [1.0, 6.0]])
+        result = fit(weibull_model([1.0, 2.0]), x, WeightPolicy.holder(), minimality_samples=0)
+        verdict = result.diagnostics.minimality
+        assert verdict.minimal and verdict.direction is None
+        variances = 1.0 / result.eta_hat**2
+        assert (verdict.smallest_eigenvalue, verdict.largest_eigenvalue) == (
+            float(variances.min()), float(variances.max()))
+        assert result.diagnostics.hessian_largest == pytest.approx(-3.0 * verdict.smallest_eigenvalue,
+                                                                   rel=1e-15)
+
     def test_fit_is_a_likelihood_maximum(self):
         rng = np.random.default_rng(45)
         model = weibull_model([1.6])
@@ -677,6 +692,21 @@ class TestFit:
         with pytest.raises(ConfigError, match="separable"):
             fit(model, obs, WeightPolicy.lehmer([2.0, 2.0]))
 
+    def test_reduced_multinomial_fit(self):
+        # theta_hat has k probabilities where eta_hat has k - 1 entries, and
+        # fit broadcast scale against them: a bare ValueError.
+        fixture = multinomial_fixture(10, [0.2, 0.3, 0.5])
+        model = fixture.reduced_model
+        obs = model.sampler(fixture.eta_reduced, 40, np.random.default_rng(49))
+        result = fit(model, obs, WeightPolicy.holder())
+        means = obs.mean(axis=0)
+        np.testing.assert_allclose(result.theta_hat, np.append(means, 10.0 - means.sum()) / 10.0,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(model.nat_param(result.theta_hat), result.eta_hat, rtol=1e-10)
+        np.testing.assert_array_equal(result.scale, np.ones(2))
+        assert result.diagnostics.solve_method == "closed"
+        assert result.diagnostics.minimality.minimal
+
     def test_column_count_mismatch(self):
         with pytest.raises(DomainError):
             fit(weibull_model([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), WeightPolicy.holder())
@@ -700,26 +730,29 @@ class TestFit:
         assert result.diagnostics.hessian_largest >= -1e-12
         assert any("degenerate" in message for message in caplog.messages)
 
-    def test_the_degenerate_warning_points_only_at_a_verdict_given(self, caplog):
-        # At 1e200 the curvature is -inf and the sampled covariance
-        # overflows, so there is no verdict to inspect.
+    def test_the_degenerate_warning_follows_the_verdict(self, caplog):
+        # At 1e200 the exact covariance overflows: there is no verdict, and
+        # no "degenerate (largest eigenvalue -inf)" warning either.
         with caplog.at_level(logging.WARNING):
             result = fit(weibull_model([1.0]), [1e200, 2e200, 4e200], WeightPolicy.lehmer([2.0]))
         assert result.diagnostics.minimality is None
+        assert result.diagnostics.hessian_largest == -math.inf
         assert caplog.messages == [
-            "no minimality verdict: the sample covariance of the statistic of weibull(k=[1.0]) "
+            "no minimality verdict: the covariance of the statistic of weibull(k=[1.0]) "
             "is not finite at eta=[-3.333333333333332e-201]",
-            "weighted log-likelihood Hessian is numerically degenerate at the estimate "
-            "(largest eigenvalue -inf)",
         ]
-        # With a sampler the flat model gets a verdict, and the warning names it.
+        # The flat model needs no sampler for its verdict, and the warning
+        # names the verdict's direction.
         caplog.clear()
-        model = dataclasses.replace(_duplicated_statistic_model(),
-                                    sampler=lambda eta, n, rng: rng.normal(size=(n, 2)))
         with caplog.at_level(logging.WARNING):
-            result = fit(model, [[0.4, 9.0], [1.0, 9.0], [1.6, 9.0]], WeightPolicy.holder())
-        assert not result.diagnostics.minimality.minimal
-        assert [m.split(")", 1)[1] for m in caplog.messages] == ["; inspect the minimality verdict"]
+            result = fit(_duplicated_statistic_model(), [[0.4, 9.0], [1.0, 9.0], [1.6, 9.0]],
+                         WeightPolicy.holder())
+        verdict = result.diagnostics.minimality
+        assert not verdict.minimal
+        assert caplog.messages == [
+            "weighted log-likelihood Hessian is numerically degenerate at the estimate: "
+            f"Cov[T] is flat along {verdict.direction.tolist()}"
+        ]
 
     def test_degeneracy_is_judged_per_component(self, caplog):
         # Independent components whose curvatures lie 1e32 apart: neither is
@@ -920,10 +953,12 @@ class TestDispatchLevels:
     # numpy picks its exp, log and power kernels at run time by the CPU's
     # features, and its AVX-512 kernels round some results differently.  The
     # bit relations (sweep == fit, fit == holder_mean, lehmer_mean == fit's
-    # target) must hold at every level, so they run again in a child whose
-    # NPY_DISABLE_CPU_FEATURES switches the AVX-512 targets off.
+    # target) and the exact minimality verdict must hold at every level, so
+    # they run again in a child whose NPY_DISABLE_CPU_FEATURES switches the
+    # AVX-512 targets off.
     RELATION_TESTS = ["tests/test_cli.py::TestBatchedSweep", "tests/test_mwle.py::TestHolderAccuracy",
-                      "tests/test_mwle.py::TestLehmerRelation"]
+                      "tests/test_mwle.py::TestLehmerRelation",
+                      "tests/test_expfam.py::TestExactMinimality"]
 
     def test_bit_relations_hold_without_avx512(self):
         try:
