@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, SolverError, WmleError, not_utf8
+from .errors import ConfigError, DomainError, SolverError, WmleError, not_utf8
 
 if TYPE_CHECKING:  # each command imports the modules it runs when it runs
     from . import mwle, pipeline
@@ -111,34 +111,6 @@ class SweepTable:
             done = end
         text.append("%r,,,\n" * (orders.size - done) % tuple(orders[done:].tolist()))
         return "".join(text)
-
-    @classmethod
-    def from_csv(cls, text: str, parameter: str = "") -> "SweepTable":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0].strip() != _SWEEP_HEADER:
-            raise SchemaError(f"sweep CSV must start with header {_SWEEP_HEADER!r}")
-        orders = []
-        rows = []
-        gaps = {}
-        for line in lines[1:]:
-            # A wrong number of cells fails the unpacking, a bad cell float().
-            try:
-                first, dem, rep, other = line.split(",")
-                order = float(first)
-                if "" in (dem.strip(), rep.strip(), other.strip()):
-                    rows.append([math.nan] * 3)
-                    gaps[order] = "gap"
-                else:
-                    rows.append([float(dem), float(rep), float(other)])
-            except ValueError:
-                raise SchemaError(f"malformed sweep row: {line!r}") from None
-            orders.append(order)
-        return cls(
-            parameter=parameter,
-            orders=np.asarray(orders, dtype=float),
-            estimates=np.asarray(rows, dtype=float),
-            gaps=gaps,
-        )
 
 
 def validate_sweep_table(table: SweepTable) -> None:

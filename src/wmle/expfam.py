@@ -61,6 +61,9 @@ __all__ = [
 # Central-difference step scale for first derivatives.
 _FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
+# Damped Newton iterations before the solver falls back or gives up.
+_MAX_ITER = 200
+
 # Step halvings a damped Newton step tries before the iteration gives up.
 _MAX_HALVINGS = 50
 
@@ -332,8 +335,7 @@ class _SolveInfo(NamedTuple):
     method: str
 
 
-def inverse_mean_map(model: FamilyModel, target, init=None, *, method: str = "auto",
-                     max_iter: int = 200) -> np.ndarray:
+def inverse_mean_map(model: FamilyModel, target, init=None, *, method: str = "auto") -> np.ndarray:
     """Solve ``r(eta) = target`` for eta.
 
     ``method`` selects the path: ``"closed"`` requires the model's
@@ -345,13 +347,13 @@ def inverse_mean_map(model: FamilyModel, target, init=None, *, method: str = "au
     Guarantees ``max|r(eta) - target| <= 1e-10 * (1 + max|target|)`` on
     success.  Raises ``NoSolutionError`` when the target is outside the
     attainable range and ``ConvergenceError`` (carrying the last iterate and
-    residual) when the iteration cap is exhausted without a fallback.
+    residual) when the ``_MAX_ITER`` Newton iterations are exhausted without
+    a fallback.
     """
-    return _solve_mean_target(model, target, init=init, method=method, max_iter=max_iter).eta
+    return _solve_mean_target(model, target, init=init, method=method).eta
 
 
-def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "auto",
-                       max_iter: int = 200) -> _SolveInfo:
+def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "auto") -> _SolveInfo:
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape[0] != model.dim_eta:
         raise DomainError(
@@ -378,11 +380,11 @@ def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "
     if method == "bisect":
         return _solve_bisect(model, target, tol_strong, tol_weak)
 
-    return _solve_newton(model, target, init, tol_strong, tol_weak, max_iter)
+    return _solve_newton(model, target, init, tol_strong, tol_weak)
 
 
 def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: float,
-                  tol_weak: float, max_iter: int) -> _SolveInfo:
+                  tol_weak: float) -> _SolveInfo:
     if init is not None:
         eta = np.asarray(init, dtype=float).reshape(-1).copy()
         if not model.natural_domain(eta):
@@ -393,7 +395,7 @@ def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: floa
     residual_vec = mean_map(model, eta) - target
     residual = float(np.max(np.abs(residual_vec)))
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         if residual <= tol_strong:
             return _SolveInfo(eta, iterations - 1, residual, "newton")
         jac = _stat_covariance(model, eta)
@@ -529,50 +531,48 @@ def _expand(comp: FamilyModel, residual_at, anchor: float, bound: float,
     return point, None
 
 
-def check_minimality(model: FamilyModel, eta, n_samples: Optional[int] = None, seed: int = 0,
-                     x_sample=None) -> MinimalityVerdict:
+def check_minimality(model: FamilyModel, eta, n_samples: Optional[int] = None,
+                     seed: int = 0) -> MinimalityVerdict:
     """Judge whether ``Cov[T(X)]`` at ``eta``, the Jacobian of the mean map,
     is positive definite: whether the family is minimal there.
 
     By default the covariance is the exact one :func:`wmle.mwle.fit` forms
     for its curvature: the model's closed-form Jacobian, or central
-    differences of its mean map.  Given ``n_samples`` (drawn from the
-    model's sampler, seeded by ``seed``) or an ``x_sample``, it is the
-    sample covariance of their sufficient statistics.  A separable model's
-    components are independent, and their variances may lie many orders of
-    magnitude apart without any of them being flat: each component is
-    degenerate, along its own axis, only where its spread is not positive
-    (its exact variance, or the sample's max - min, free of the rounding of
-    the variance).  A joint model is degenerate, along the unit eigenvector
-    of the smallest eigenvalue, when that is at most ``1e-8`` times the
-    largest.  The reported eigenvalues are those of the whole covariance
-    either way.  A sampled statistic or a covariance that is not finite
-    raises ``NumericError``: it supports no verdict.  Fewer than ``q + 1``
-    samples raise ``DomainError``, a negative sampling ``seed``
-    ``ConfigError``.
+    differences of its mean map.  Given ``n_samples``, it is the sample
+    covariance of the sufficient statistics of that many draws from the
+    model's sampler, seeded by ``seed``; a model without a sampler raises
+    ``ConfigError``.  A separable model's components are independent, and
+    their variances may lie many orders of magnitude apart without any of
+    them being flat: each component is degenerate, along its own axis, only
+    where its spread is not positive (its exact variance, or the sample's
+    max - min, free of the rounding of the variance).  A joint model is
+    degenerate, along the unit eigenvector of the smallest eigenvalue, when
+    that is at most ``1e-8`` times the largest.  The reported eigenvalues
+    are those of the whole covariance either way.  A sampled statistic or a
+    covariance that is not finite raises ``NumericError``: it supports no
+    verdict.  Fewer than ``q + 1`` samples raise ``DomainError``, a negative
+    sampling ``seed`` ``ConfigError``.
     """
     eta = _check_eta(model, eta)
-    sampled = n_samples is not None or x_sample is not None
+    sampled = n_samples is not None
     if sampled:
-        if x_sample is None and model.sampler is None:
-            raise ConfigError(f"model {model.name} has no sampler; pass a representative x_sample")
-        xs = None if x_sample is None else np.atleast_2d(np.asarray(x_sample, dtype=float))
+        if model.sampler is None:
+            raise ConfigError(f"model {model.name} has no sampler")
         # Checked before sampling: numpy rejects a negative count or seed with a bare ValueError.
-        count = int(n_samples) if xs is None else xs.shape[0]
+        count = int(n_samples)
         if count < model.dim_eta + 1:
             raise DomainError(
                 f"need at least q+1={model.dim_eta + 1} samples to estimate a rank-q covariance, "
                 f"got {count}"
             )
-        if xs is None and seed < 0:
+        if seed < 0:
             raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
     with np.errstate(all="ignore"):
         if not sampled:
             cov = _stat_covariance(model, eta)
             spread = np.diag(cov)
         else:
-            stats = model.sufficient_stat(
-                model.sampler(eta, count, np.random.default_rng(seed)) if xs is None else xs)
+            stats = model.sufficient_stat(model.sampler(eta, count, np.random.default_rng(seed)))
             cov = np.atleast_2d(np.cov(stats, rowvar=False, ddof=1))
             spread = np.max(stats, axis=0) - np.min(stats, axis=0)
     if sampled and not np.all(np.isfinite(stats)):

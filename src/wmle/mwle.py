@@ -235,13 +235,13 @@ def _unusable_estimate(theta: np.ndarray, model: FamilyModel, positive: bool = T
 
 
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
-        method: str = "auto", seed: int = 0, minimality_samples: int = 0) -> FitResult:
+        method: str = "auto", minimality_samples: int = 0) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
 
     ``method`` is forwarded to the moment solver (``auto``/``closed``/
     ``newton``/``bisect``).  The diagnostics carry :func:`check_minimality`'s
     verdict at the estimate: of the exact covariance of ``T``, or of
-    ``minimality_samples`` seeded draws when that is positive.  A degenerate
+    ``minimality_samples`` draws (seed 0) when that is positive.  A degenerate
     verdict logs a warning, and so does a covariance that supports none.
 
     The observations are checked once, here, for finiteness and against
@@ -353,7 +353,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     # A flat direction of the covariance at the estimate means the maximum
     # is not isolated: never succeed silently there.
     try:
-        verdict = check_minimality(model, eta, n_samples=minimality_samples or None, seed=seed)
+        verdict = check_minimality(model, eta, n_samples=minimality_samples or None)
     except NumericError as exc:
         verdict, warning = None, ("no minimality verdict: %s", exc)
     else:

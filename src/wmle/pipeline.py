@@ -593,21 +593,17 @@ class ProportionMatrix:
         return "\n".join(lines) + "\n"
 
 
-def aggregate(rows: ReturnsRows, party_mapping: Optional[dict] = None) -> ProportionMatrix:
+def aggregate(rows: ReturnsRows) -> ProportionMatrix:
     """Aggregate validated rows into one proportion row per cycle year.
 
     ``rows`` is the :class:`ReturnsRows` of a load (``LoadResult.rows``),
-    whose columns are summed as they are.  ``party_mapping`` sends party
-    labels to ``DEM``/``REP``/``OTHER``; unmapped labels fall through to
-    ``OTHER``.  A cycle whose mapped votes sum to zero raises
-    ``AggregationError``.  An exactly-zero proportion is floored at
-    ``ZERO_PROPORTION_FLOOR`` and the row renormalized, with a logged
-    warning, so downstream weight policies stay in-domain.
+    whose columns are summed as they are.  ``DEFAULT_PARTY_MAPPING`` sends
+    party labels to ``DEM``/``REP``; every other label counts as ``OTHER``.
+    A cycle whose mapped votes sum to zero raises ``AggregationError``.  An
+    exactly-zero proportion is floored at ``ZERO_PROPORTION_FLOOR`` and the
+    row renormalized, with a logged warning, so downstream weight policies
+    stay in-domain.
     """
-    mapping = DEFAULT_PARTY_MAPPING if party_mapping is None else dict(party_mapping)
-    bad_targets = set(mapping.values()) - set(_BUCKETS)
-    if bad_targets:
-        raise ConfigError(f"party mapping targets must be in {_BUCKETS}, got {sorted(bad_targets)}")
     if not rows:
         raise AggregationError("no rows to aggregate")
 
@@ -615,7 +611,8 @@ def aggregate(rows: ReturnsRows, party_mapping: Optional[dict] = None) -> Propor
     # bucket.  Integer sums are exact, so the grouping changes no
     # proportion; int64 sums are exact while no sum can pass 2**63.
     (years, _, parties), (year, _, party, votes, _) = rows._labels, rows._columns
-    bucket = np.array([_BUCKETS.index(mapping.get(p, "OTHER")) for p in parties], dtype=np.intp)
+    bucket = np.array([_BUCKETS.index(DEFAULT_PARTY_MAPPING.get(p, "OTHER")) for p in parties],
+                      dtype=np.intp)
     if votes.dtype != object and max(int(votes.max()), -int(votes.min())) * votes.size >= 1 << 63:
         votes = votes.astype(object)
     sums = np.zeros(3 * len(years), dtype=votes.dtype)

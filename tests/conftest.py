@@ -14,6 +14,7 @@ case-study tests at a real returns file instead.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -96,6 +97,12 @@ def returns_csv(synthetic_returns_csv) -> str:
             pytest.fail(f"WMLE_SENATE_RETURNS points at a missing file: {real}")
         return real
     return synthetic_returns_csv
+
+
+def read_sweep_csv(text: str) -> np.ndarray:
+    """A sweep CSV's rows as ``(order, dem, rep, other)``; a gap row's
+    estimates read as NaN, every other value exactly as written."""
+    return np.genfromtxt(io.StringIO(text), delimiter=",", skip_header=1, ndmin=2)
 
 
 def random_positive_sample(rng: np.random.Generator, max_n: int = 20,

@@ -37,9 +37,9 @@ from wmle import (
     weibull_moment,
     WeightPolicy,
 )
-from wmle.cli import SweepTable, main
+from wmle.cli import main
 
-from conftest import random_positive_sample
+from conftest import random_positive_sample, read_sweep_csv
 from test_expfam import fd_gradient, random_case
 
 
@@ -244,17 +244,18 @@ def test_criterion_09_case_study_sweeps(tmp_path, returns_csv):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
 
-    lehmer = SweepTable.from_csv(lehmer_path.read_text(encoding="utf-8"))
-    holder = SweepTable.from_csv(holder_path.read_text(encoding="utf-8"))
+    lehmer = read_sweep_csv(lehmer_path.read_text(encoding="utf-8"))
+    holder = read_sweep_csv(holder_path.read_text(encoding="utf-8"))
     for table in (lehmer, holder):
-        assert table.gaps == {}
-        dem, rep, oth = table.estimates.T
+        estimates = table[:, 1:]
+        assert not np.isnan(estimates).any()
+        dem, rep, oth = estimates.T
         assert np.all(dem > rep), "dem estimate must dominate rep at every order"
         assert np.all(rep > oth), "rep estimate must dominate oth at every order"
-        slack = 1e-12 * np.maximum(1.0, np.abs(table.estimates[:-1]))
-        assert np.all(np.diff(table.estimates, axis=0) >= -slack)
-    lehmer_at_one = lehmer.estimates[np.where(lehmer.orders == 1.0)[0][0]]
-    holder_at_one = holder.estimates[np.where(holder.orders == 1.0)[0][0]]
+        slack = 1e-12 * np.maximum(1.0, np.abs(estimates[:-1]))
+        assert np.all(np.diff(estimates, axis=0) >= -slack)
+    lehmer_at_one = lehmer[np.where(lehmer[:, 0] == 1.0)[0][0], 1:]
+    holder_at_one = holder[np.where(holder[:, 0] == 1.0)[0][0], 1:]
     gap = float(np.max(np.abs(lehmer_at_one - holder_at_one)))
     assert gap <= 1e-12
     report(9, f"both sweeps ordered and monotone; order-1 gap {gap:.2e}; {elapsed:.2f}s")

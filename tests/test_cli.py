@@ -22,7 +22,6 @@ from wmle import (
     ConfigError,
     DomainError,
     NumericError,
-    SchemaError,
     SolverError,
     WeightPolicy,
     fit,
@@ -42,6 +41,7 @@ from conftest import (
     holder_oracle,
     lehmer_condition,
     lehmer_oracle,
+    read_sweep_csv,
     ulps_off,
     write_quoted_copies,
     write_synthetic_returns,
@@ -410,20 +410,15 @@ class TestSweepCommand:
         )
         assert code == 0
         text = out_path.read_text(encoding="utf-8")
-        table = SweepTable.from_csv(text)
-        assert table.gaps == {}
+        rows = read_sweep_csv(text)
+        estimates = rows[:, 1:]
+        assert not np.isnan(estimates).any()
         # exact roundtrip through repr formatting
-        assert table.to_csv() == text
+        assert SweepTable("", rows[:, 0], estimates).to_csv() == text
         # dem > rep > oth at every grid point; columns non-decreasing
-        assert np.all(table.estimates[:, 0] > table.estimates[:, 1])
-        assert np.all(table.estimates[:, 1] > table.estimates[:, 2])
-        assert np.all(np.diff(table.estimates, axis=0) >= -1e-12)
-
-    @pytest.mark.parametrize("row", ["abc,1,2,3", "1.5,1,x,3", "1.5,1,2"])
-    def test_malformed_sweep_row_is_a_schema_error(self, row):
-        text = SweepTable("", np.array([1.0]), np.ones((1, 3))).to_csv() + row + "\n"
-        with pytest.raises(SchemaError, match="malformed sweep row"):
-            SweepTable.from_csv(text)
+        assert np.all(estimates[:, 0] > estimates[:, 1])
+        assert np.all(estimates[:, 1] > estimates[:, 2])
+        assert np.all(np.diff(estimates, axis=0) >= -1e-12)
 
     def test_a_column_that_halves_below_one_violates_monotonicity(self):
         # The slack is relative to each estimate, not an absolute 1e-9 for
@@ -441,10 +436,10 @@ class TestSweepCommand:
                 "--grid=" + grid, "--out", str(paths[mode]),
             )
             assert code == 0
-        lehmer = SweepTable.from_csv(paths["lehmer"].read_text(encoding="utf-8"))
-        holder = SweepTable.from_csv(paths["holder"].read_text(encoding="utf-8"))
-        lehmer_row = lehmer.estimates[np.where(lehmer.orders == 1.0)[0][0]]
-        holder_row = holder.estimates[np.where(holder.orders == 1.0)[0][0]]
+        lehmer = read_sweep_csv(paths["lehmer"].read_text(encoding="utf-8"))
+        holder = read_sweep_csv(paths["holder"].read_text(encoding="utf-8"))
+        lehmer_row = lehmer[np.where(lehmer[:, 0] == 1.0)[0][0], 1:]
+        holder_row = holder[np.where(holder[:, 0] == 1.0)[0][0], 1:]
         np.testing.assert_allclose(lehmer_row, holder_row, atol=1e-12)
 
     def test_byte_identical_reruns(self, capsys, tmp_path, synthetic_returns_csv):
@@ -503,10 +498,10 @@ class TestSweepCommand:
         )
         assert code == 0
         assert svg_path.exists()
-        table = SweepTable.from_csv(csv_path.read_text(encoding="utf-8"))
-        assert table.gaps == {}
+        rows = read_sweep_csv(csv_path.read_text(encoding="utf-8"))
+        assert not np.isnan(rows).any()
         values = aggregate(load_returns(synthetic_returns_csv).rows).values
-        for order, row in zip(table.orders, table.estimates):
+        for order, *row in rows:
             for j, got in enumerate(row):
                 column = values[:, j]
                 bound = 4 * max(1.0, lehmer_condition(int(order), column))
@@ -562,9 +557,10 @@ class TestSweepCommand:
         at_gap = table.orders == gap
         assert np.all(np.isnan(table.estimates[at_gap]))
         assert np.all(np.isfinite(table.estimates[~at_gap]))
-        parsed = SweepTable.from_csv(table.to_csv())
-        assert list(parsed.gaps) == [gap]
-        np.testing.assert_array_equal(np.isnan(parsed.estimates), np.isnan(table.estimates))
+        parsed = read_sweep_csv(table.to_csv())
+        assert parsed[np.isnan(parsed[:, 1:]).any(axis=1), 0].tolist() == [gap]
+        np.testing.assert_array_equal(np.isnan(parsed[:, 1:]), np.isnan(table.estimates))
+        assert SweepTable("", parsed[:, 0], parsed[:, 1:]).to_csv() == table.to_csv()
         # 0.03 ** -401 overflowed the Lehmer weights here, a DomainError gap;
         # taken relative to the largest weight, they fit each column's value.
         table = run_sweep(ProportionMatrix(years=years, values=values), "lehmer",
@@ -1237,8 +1233,9 @@ class TestBenchmarkTracer:
         assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
 
     def test_traced_fits_record_the_solver_spans(self):
-        # The benchmark's probe suite traces fit with and without the sampled
-        # minimality check; its per-layer metrics read these spans.
+        # The benchmark's per-layer metrics read these spans.  fit judges
+        # minimality on every call, on the exact covariance (0 samples) or on
+        # 2048 draws, so both passes record the check_minimality span.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         probe = (
             "import sys; sys.path[:0] = ['perfbench', 'src']\n"
@@ -1250,8 +1247,7 @@ class TestBenchmarkTracer:
             "    fits = ((families.weibull_model(np.ones(3)), mwle.WeightPolicy.lehmer(np.full(3, 2.0))),\n"
             "            (families.weibull_model(np.full(3, 2.0)), mwle.WeightPolicy.holder()))\n"
             "    for model, policy in fits:\n"
-            "        kwargs = {'minimality_samples': 0} if samples == 0 else {}\n"
-            "        mwle.fit(model, x, policy, **kwargs)\n"
+            "        mwle.fit(model, x, policy, minimality_samples=samples)\n"
             "        print(json.dumps([samples, sorted({s[3] for s in tracer.take()[0]})]))\n"
         )
         result = subprocess.run([sys.executable, "-c", probe], cwd=root,
@@ -1259,11 +1255,11 @@ class TestBenchmarkTracer:
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert len(lines) == 4
-        solver = {"mwle.fit", "expfam.solve_mean_target", "expfam.stat_covariance"}
+        want = {"mwle.fit", "expfam.solve_mean_target", "expfam.stat_covariance",
+                "expfam.check_minimality"}
+        assert [json.loads(line)[0] for line in lines] == [0, 0, 2048, 2048]
         for line in lines:
-            samples, names = json.loads(line)
-            want = solver | ({"expfam.check_minimality"} if samples else set())
-            assert want <= set(names), line
+            assert want <= set(json.loads(line)[1]), line
 
 
 def _process_env():

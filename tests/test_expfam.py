@@ -327,14 +327,13 @@ class TestInverseMeanMap:
         with pytest.raises(NoSolutionError):
             inverse_mean_map(model, [-1.0], init=np.array([-1.0]), method="newton")
 
-    def test_iteration_cap_raises_convergence_error_with_state(self):
+    def test_iteration_cap_raises_convergence_error_with_state(self, monkeypatch):
         fixture = multinomial_fixture(30, [0.5, 0.3, 0.2])
         model = fixture.reduced_model
         target = mean_map(model, fixture.eta_reduced)
+        monkeypatch.setattr(expfam, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            inverse_mean_map(
-                model, target, init=np.array([8.0, -8.0]), method="newton", max_iter=1
-            )
+            inverse_mean_map(model, target, init=np.array([8.0, -8.0]), method="newton")
         assert excinfo.value.last_eta is not None
         assert excinfo.value.residual is not None and excinfo.value.residual > 0
 
@@ -435,6 +434,11 @@ class TestFallbackPaths:
         assert str(excinfo.value) == message
 
 
+def _drawing(model, xs):
+    """``model`` with a sampler that draws the crafted sample ``xs``."""
+    return dataclasses.replace(model, sampler=lambda eta, n, rng: xs)
+
+
 class TestCheckMinimality:
     def test_weibull_independent_components_minimal(self):
         model = weibull_model([1.0, 2.0, 3.0])
@@ -461,33 +465,32 @@ class TestCheckMinimality:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1$"):
             check_minimality(model, model.nat_param(np.array([1.0, 1.0])), n_samples=64, seed=-1)
 
-    def test_explicit_sample_without_sampler(self):
+    def test_a_sampled_verdict_without_sampler_is_a_config_error(self):
         model = dataclasses.replace(exponential_model(), sampler=None)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^model weibull\(k=\[1\.0\]\) has no sampler$"):
             check_minimality(model, [-1.0], n_samples=128)
         xs = np.linspace(0.1, 3.0, 50).reshape(-1, 1)
-        verdict = check_minimality(model, [-1.0], x_sample=xs)
+        verdict = check_minimality(_drawing(model, xs), [-1.0], n_samples=len(xs))
         assert verdict.minimal
 
     def test_constant_statistic_flagged_degenerate(self):
-        model = dataclasses.replace(exponential_model(), sampler=None)
         xs = np.full((32, 1), 1.23)
-        verdict = check_minimality(model, [-1.0], x_sample=xs)
+        verdict = check_minimality(_drawing(exponential_model(), xs), [-1.0], n_samples=len(xs))
         assert not verdict.minimal
 
     def test_constant_component_of_a_separable_model_flagged_along_its_axis(self):
-        model = weibull_model([1.0, 1.0])
         xs = np.column_stack([np.linspace(0.1, 3.0, 40), np.full(40, 1.23)])
-        verdict = check_minimality(model, [-1.0, -1.0], x_sample=xs)
+        verdict = check_minimality(_drawing(weibull_model([1.0, 1.0]), xs), [-1.0, -1.0],
+                                   n_samples=len(xs))
         assert not verdict.minimal
         np.testing.assert_array_equal(verdict.direction, [0.0, 1.0])
 
     def test_separable_components_are_judged_on_their_own_variance(self):
         # Variances 1e-7 and 1e5 lie 12 decades apart; neither is flat.
-        model = weibull_model([1.0, 1.0])
         rng = np.random.default_rng(7)
         xs = np.column_stack([rng.uniform(1e-3, 2e-3, 64), rng.uniform(1e3, 2e3, 64)])
-        verdict = check_minimality(model, [-1.0, -1.0], x_sample=xs)
+        verdict = check_minimality(_drawing(weibull_model([1.0, 1.0]), xs), [-1.0, -1.0],
+                                   n_samples=len(xs))
         assert verdict.minimal and verdict.direction is None
         assert verdict.smallest_eigenvalue < 1e-8 * verdict.largest_eigenvalue
 
@@ -502,7 +505,8 @@ class TestCheckMinimality:
     def test_a_covariance_that_overflows_is_a_numeric_error(self):
         # Finite statistics near 1e200 have a variance near 1e400.
         with pytest.raises(NumericError, match=r"sample covariance of the statistic of weibull\(k=\[1\.0\]\) is not finite"):
-            check_minimality(weibull_model([1.0]), [-1.0], x_sample=[[1e200], [2e200], [4e200]])
+            check_minimality(_drawing(weibull_model([1.0]), np.array([[1e200], [2e200], [4e200]])),
+                             [-1.0], n_samples=3)
 
 
 class TestExactMinimality:

@@ -2,6 +2,7 @@
 record types are plain named tuples."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import wmle
-from wmle import expfam, families, mwle, pipeline
+from wmle import cli, expfam, families, mwle, pipeline
 
 MODULES = ["wmle", *(f"wmle.{info.name}" for info in pkgutil.iter_modules(wmle.__path__))]
 
@@ -30,6 +31,15 @@ def test_removed_names_are_not_exported():
         module = importlib.import_module(name)
         assert "to_weighted_dataset" not in module.__all__, name
         assert not hasattr(module, "to_weighted_dataset"), name
+    # Each caller gets the one value these took: numpy.genfromtxt reads a
+    # sweep CSV, check_minimality takes a seed and draws from the model's
+    # sampler, the solver caps Newton at expfam._MAX_ITER, and every label
+    # other than DEMOCRAT and REPUBLICAN counts as OTHER.
+    assert not hasattr(cli.SweepTable, "from_csv")
+    for function, removed in ((mwle.fit, "seed"), (expfam.check_minimality, "x_sample"),
+                              (expfam.inverse_mean_map, "max_iter"),
+                              (pipeline.aggregate, "party_mapping")):
+        assert removed not in inspect.signature(function).parameters, function.__name__
 
 
 def test_names_resolve_lazily_after_a_bare_import():

@@ -966,7 +966,7 @@ class TestAggregate:
         assert matrix.years == (1976, 1978)
         assert matrix.values.tolist() == want
 
-    def test_explicit_other_mapping_equals_unmapped(self, tmp_path):
+    def test_unmapped_labels_count_as_other(self, tmp_path):
         path = write_file(
             tmp_path / "r.csv",
             SCHEMA_HEADER + "\n"
@@ -975,15 +975,9 @@ class TestAggregate:
             "1976,AZ,GREEN,15,100\n"
             "1976,AZ,LIBERTARIAN,5,100\n",
         )
-        rows = load_returns(path).rows
-        explicit = aggregate(rows, party_mapping={**pipeline.DEFAULT_PARTY_MAPPING, "GREEN": "OTHER"})
-        unmapped = aggregate(rows)
-        assert explicit.values.tobytes() == unmapped.values.tobytes()
-        assert explicit.to_csv() == unmapped.to_csv()
-
-    def test_bad_mapping_target_rejected(self):
-        with pytest.raises(ConfigError):
-            aggregate([], party_mapping={"DEMOCRAT": "BLUE"})
+        # GREEN (15) and LIBERTARIAN (5) both land in OTHER: 20 of 100.
+        matrix = aggregate(load_returns(path).rows)
+        assert matrix.values.tolist() == [[0.5, 0.3, 0.2]]
 
     def test_no_rows_is_aggregation_error(self):
         with pytest.raises(AggregationError):
