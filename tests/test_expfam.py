@@ -448,6 +448,19 @@ class TestCheckMinimality:
         assert verdict.direction is None
         assert verdict.smallest_eigenvalue > 0
 
+    def test_a_sampled_verdict_draws_n_samples_under_its_seed(self):
+        # The crafted-sample cases below rest on this: the sampler is asked
+        # for exactly n_samples draws, from a generator seeded by seed.
+        calls = []
+
+        def sampler(eta, n, rng):
+            calls.append((n, rng.integers(1 << 62)))
+            return np.linspace(0.1, 3.0, n).reshape(-1, 1)
+
+        model = dataclasses.replace(exponential_model(), sampler=sampler)
+        assert check_minimality(model, [-1.0], n_samples=40, seed=9).minimal
+        assert calls == [(40, np.random.default_rng(9).integers(1 << 62))]
+
     def test_scalar_nonconstant_statistic_minimal(self):
         model = exponential_model()
         verdict = check_minimality(model, [-1.0], n_samples=512, seed=6)

@@ -21,6 +21,7 @@ from wmle import (
     WeightedDataset,
     WeightPolicy,
     apply_policy,
+    check_minimality,
     exponential_model,
     fit,
     gaussian_known_variance_model,
@@ -653,6 +654,25 @@ class TestFit:
             float(variances.min()), float(variances.max()))
         assert result.diagnostics.hessian_largest == pytest.approx(-3.0 * verdict.smallest_eigenvalue,
                                                                    rel=1e-15)
+
+    def test_a_sampled_verdict_is_drawn_under_seed_zero(self):
+        # fit takes no seed: its sampled verdict is check_minimality's at the
+        # estimate with the default seed 0, eigenvalues to the bit.
+        model = weibull_model([1.0, 2.0])
+        x = np.array([[0.5, 2.0], [1.5, 3.0], [1.0, 6.0]])
+        result = fit(model, x, WeightPolicy.holder(), minimality_samples=512)
+        verdict = result.diagnostics.minimality
+        assert verdict == check_minimality(model, result.eta_hat, n_samples=512, seed=0)
+        other = check_minimality(model, result.eta_hat, n_samples=512, seed=1)
+        assert other.smallest_eigenvalue != verdict.smallest_eigenvalue
+
+    def test_sampling_a_model_without_a_sampler_is_a_config_error(self):
+        # The message gives no hint to pass a sample, which fit cannot take.
+        model = dataclasses.replace(weibull_model([1.0]), sampler=None)
+        x = np.array([0.5, 1.5, 1.0])
+        with pytest.raises(ConfigError, match=r"^model weibull\(k=\[1\.0\]\) has no sampler$"):
+            fit(model, x, WeightPolicy.holder(), minimality_samples=64)
+        assert fit(model, x, WeightPolicy.holder()).diagnostics.minimality.minimal
 
     def test_fit_is_a_likelihood_maximum(self):
         rng = np.random.default_rng(45)

@@ -979,6 +979,11 @@ class TestAggregate:
         matrix = aggregate(load_returns(path).rows)
         assert matrix.values.tolist() == [[0.5, 0.3, 0.2]]
 
+    def test_default_mapping_targets_are_buckets(self):
+        # aggregate takes no mapping, so nothing checks its targets at run
+        # time; a target outside the buckets would fail every load.
+        assert set(pipeline.DEFAULT_PARTY_MAPPING.values()) <= set(pipeline._BUCKETS) - {"OTHER"}
+
     def test_no_rows_is_aggregation_error(self):
         with pytest.raises(AggregationError):
             aggregate([])
