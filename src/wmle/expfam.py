@@ -30,7 +30,7 @@ returns ``(n,)`` for ``log_base_measure`` or ``(n, q)`` for
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -43,6 +43,7 @@ from .errors import (
     NoSolutionError,
     NumericError,
 )
+from .means import _weight_vector
 
 __all__ = [
     "FamilyModel",
@@ -141,30 +142,17 @@ class WeightedDataset:
     observations before any fit (see :mod:`wmle.mwle`).  ``weights=None``
     means unit weights.  ``total_weight`` is their sum, computed once at
     construction; the weights are positive, so that is numpy's pairwise sum.
-    ``_validated=True`` takes a finite float ``(n, k)`` matrix and finite
-    positive ``(n,)`` weights as they are, for callers that checked them.
+    The constructor always checks its input; :func:`wmle.mwle.fit` builds none.
     """
 
     observations: np.ndarray
     weights: Optional[np.ndarray] = None
     total_weight: float = field(init=False)
-    _: KW_ONLY
-    _validated: InitVar[bool] = False
 
-    def __post_init__(self, _validated):
-        obs = self.observations if _validated else _observation_matrix(self.observations)
-        if self.weights is None:
-            w = np.broadcast_to(1.0, obs.shape[:1])  # read-only ones, no memory
-        elif _validated:
-            w = self.weights
-        else:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape[0] != obs.shape[0]:
-                raise DomainError(
-                    f"got {obs.shape[0]} observations but {w.shape[0]} weights"
-                )
-            if not (np.all(np.isfinite(w)) and np.min(w) > 0):
-                raise DomainError("observation weights must be positive and finite")
+    def __post_init__(self):
+        obs = _observation_matrix(self.observations)
+        w = (np.broadcast_to(1.0, obs.shape[:1]) if self.weights is None  # read-only ones
+             else _weight_vector(self.weights, obs.shape[0], "observations", "observation"))
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "weights", w)
         with np.errstate(over="ignore"):
@@ -249,7 +237,13 @@ def log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> f
 
 
 def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
-    """Moment target ``sum(u_i T(x_i)) / sum(u_i)``.
+    """Moment target ``sum(u_i T(x_i)) / sum(u_i)`` of a dataset."""
+    return _weighted_stat_mean(model, data.observations, data.weights, data.total_weight)
+
+
+def _weighted_stat_mean(model: FamilyModel, obs: np.ndarray, weights, total: float) -> np.ndarray:
+    """:func:`weighted_stat_mean` of a checked ``(n, k)`` matrix under positive
+    weights ``(n,)``, or the scalar 1, that sum to ``total``; :func:`wmle.mwle.fit` calls it.
 
     Each column of ``T`` is summed on its own by :func:`_sum`: numpy's
     pairwise sum for a non-negative statistic (relative error 2.9e-16 at
@@ -258,9 +252,8 @@ def weighted_stat_mean(data: WeightedDataset, model: FamilyModel) -> np.ndarray:
     reports as a ``DomainError``.
     """
     with np.errstate(over="ignore"):
-        stats = model.sufficient_stat(data.observations)
-        return np.array([_sum(data.weights * stats[:, j]) / data.total_weight
-                         for j in range(stats.shape[1])])
+        stats = model.sufficient_stat(obs)
+        return np.array([_sum(weights * stats[:, j]) / total for j in range(stats.shape[1])])
 
 
 def grad_log_weighted_likelihood(model: FamilyModel, data: WeightedDataset, eta) -> np.ndarray:

@@ -60,18 +60,21 @@ class Sample:
         if np.any(values < 0):
             bad = float(values[values < 0][0])
             raise DomainError(f"sample values must be non-negative, got {bad}")
-        if self.weights is None:
-            weights = np.ones_like(values)
-        else:
-            weights = np.asarray(self.weights, dtype=float).reshape(-1)
-            if weights.shape != values.shape:
-                raise DomainError(
-                    f"got {values.size} values but {weights.size} weights"
-                )
-            if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-                raise DomainError("sample weights must be positive and finite")
+        weights = (np.ones_like(values) if self.weights is None
+                   else _weight_vector(self.weights, values.size, "values", "sample"))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
+
+
+def _weight_vector(weights, n: int, items: str, owner: str) -> np.ndarray:
+    """``weights`` for ``n >= 1`` ``items`` as a finite, strictly positive float ``(n,)``
+    vector: the weight check of :class:`Sample` and :class:`wmle.expfam.WeightedDataset`."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != n:
+        raise DomainError(f"got {n} {items} but {w.shape[0]} weights")
+    if not (np.all(np.isfinite(w)) and np.minimum.reduce(w) > 0):
+        raise DomainError(f"{owner} weights must be positive and finite")
+    return w
 
 
 def _coerce(values, weights) -> Sample:

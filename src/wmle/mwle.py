@@ -20,7 +20,8 @@ reproduces the Lehmer mean of each column, and a power statistic under the
 ``holder`` policy the Holder mean (:func:`subclass_form` reports which, if
 either, a (model, policy) pair realizes).  Both fits, and
 :func:`_sweep_estimates` over a grid of orders, run the column arithmetic
-of :mod:`wmle.means`.
+of :mod:`wmle.means`; every other fit takes :func:`weighted_stat_mean`'s
+target of the arrays :func:`fit` checked, without a ``WeightedDataset``.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, SolverError
-from .expfam import (
+from .expfam import (  # WeightedDataset and weighted_stat_mean stay bound for perfbench's tracer
     FamilyModel,
     MinimalityVerdict,
     WeightedDataset,
     _observation_matrix,
     _solve_mean_target,
     _stat_covariance,
+    _weighted_stat_mean,
     check_minimality,
     weighted_stat_mean,
 )
@@ -235,14 +237,14 @@ def _unusable_estimate(theta: np.ndarray, model: FamilyModel, positive: bool = T
 
 
 def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
-        method: str = "auto", minimality_samples: int = 0) -> FitResult:
+        minimality_samples: int = 0) -> FitResult:
     """Maximum weighted likelihood estimate of the model parameters.
 
-    ``method`` is forwarded to the moment solver (``auto``/``closed``/
-    ``newton``/``bisect``).  The diagnostics carry :func:`check_minimality`'s
-    verdict at the estimate: of the exact covariance of ``T``, or of
-    ``minimality_samples`` draws (seed 0) when that is positive.  A degenerate
-    verdict logs a warning, and so does a covariance that supports none.
+    The solver takes the model's closed-form inverse, else damped Newton.
+    The diagnostics carry :func:`check_minimality`'s verdict at the
+    estimate: of the exact covariance of ``T``, or of ``minimality_samples``
+    draws (seed 0) when that is positive.  A degenerate verdict logs a
+    warning, and so does a covariance that supports none.
 
     The observations are checked once, here, for finiteness and against
     ``model.support``, and the base weights once, where they are made.
@@ -260,8 +262,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     non-negative components its target is ``sum(u * x) / sum(u)``,
     ``lehmer_mean`` to the bit.  An estimate on these two paths that is not
     finite and positive raises ``NumericError``.  Every other problem takes
-    the target of :func:`weighted_stat_mean`, and a non-finite estimate
-    raises ``NumericError``.
+    the target :func:`weighted_stat_mean` forms, on these checked arrays,
+    and a non-finite estimate raises ``NumericError``.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -293,13 +295,12 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
             np.copyto(x, obs[:, j])
             _lehmer_weight_column(x, j, a, w, u)
+            total = float(np.add.reduce(u))
             if kernel:
-                total = float(np.add.reduce(u))
                 with np.errstate(over="ignore"):
                     sub_target = np.add.reduce(np.multiply(u, x, out=u), keepdims=True) / total
             else:
-                data = WeightedDataset(obs[:, j : j + 1], u, _validated=True)
-                sub_target, total = weighted_stat_mean(data, sub_model), data.total_weight
+                sub_target = _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total)
             problems.append((sub_model, sub_target, total))
     elif kernel:
         # A Holder column needs no copy: the kernel's x / x_r is contiguous.
@@ -314,11 +315,11 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             scale[j] = ref
             problems.append((sub_model, sub_target, float(total[0])))
     else:
-        data = WeightedDataset(obs, None if row_weights is None else row_weights[0], _validated=True)
-        problems.append((model, weighted_stat_mean(data, model), data.total_weight))
+        u, total = row_weights or (1.0, float(obs.shape[0]))
+        problems.append((model, _weighted_stat_mean(model, obs, u, total), total))
     infos, curvatures = [], []
     for sub_model, sub_target, total in problems:
-        info = _solve_mean_target(sub_model, sub_target, method=method)
+        info = _solve_mean_target(sub_model, sub_target)
         # A curvature that overflows makes eigvalsh fail; that is reported
         # as a NumericError, not as numpy warnings and a LinAlgError.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ case-study tests at a real returns file instead.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
@@ -112,6 +113,14 @@ def random_positive_sample(rng: np.random.Generator, max_n: int = 20,
     values = rng.uniform(0.05, 3.0, size=n)
     weights = rng.uniform(0.1, 4.0, size=n) if weighted else None
     return values, weights
+
+
+def without_closed_inverse(model):
+    """``model`` without a closed-form mean-map inverse, on its components
+    too, so that fit solves every one of its problems by Newton."""
+    components = model.components and tuple(
+        dataclasses.replace(c, mean_map_inverse=None) for c in model.components)
+    return dataclasses.replace(model, mean_map_inverse=None, components=components)
 
 
 

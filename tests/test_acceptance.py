@@ -13,7 +13,6 @@ tolerance.  The implementation is verified against the exact closed form
 of its large-order behaviour in ``test_means.py``.
 """
 
-import dataclasses
 import math
 import time
 
@@ -39,7 +38,7 @@ from wmle import (
 )
 from wmle.cli import main
 
-from conftest import random_positive_sample, read_sweep_csv
+from conftest import random_positive_sample, read_sweep_csv, without_closed_inverse
 from test_expfam import fd_gradient, random_case
 
 
@@ -161,9 +160,10 @@ def test_criterion_06_generic_solver_oracle():
             obs = rng.normal(0.0, 2.0, size=(n, q))
         weights = rng.uniform(0.2, 3.0, size=n)
         policy = WeightPolicy.holder(base_w=lambda o, w=weights: w)
-        closed = fit(model, obs, policy, method="closed", minimality_samples=0)
-        numeric_model = dataclasses.replace(model, mean_map_inverse=None)
-        newton = fit(numeric_model, obs, policy, method="newton", minimality_samples=0)
+        closed = fit(model, obs, policy, minimality_samples=0)
+        newton = fit(without_closed_inverse(model), obs, policy, minimality_samples=0)
+        assert closed.diagnostics.solve_method == "closed"
+        assert newton.diagnostics.solve_method == "newton"
         rel = float(np.max(np.abs(newton.theta_hat - closed.theta_hat)
                            / np.abs(closed.theta_hat)))
         worst_rel = max(worst_rel, rel)

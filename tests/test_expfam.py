@@ -14,6 +14,7 @@ from wmle import (
     FamilyModel,
     NoSolutionError,
     NumericError,
+    Sample,
     WeightedDataset,
     check_minimality,
     exponential_model,
@@ -137,6 +138,23 @@ class TestWeightedDataset:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             WeightedDataset(np.empty((0, 1)), np.empty(0))
+
+
+# One routine checks both types' weights; each names its own items and weights.
+@pytest.mark.parametrize("make, items, owner", [
+    (Sample, "values", "sample"),
+    (WeightedDataset, "observations", "observation"),
+])
+@pytest.mark.parametrize("weights", [
+    [1.0, 2.0], [1.0, 0.0, 2.0], [1.0, -1.0, 2.0], [1.0, math.nan, 2.0], [1.0, math.inf, 2.0],
+])
+def test_weight_messages(make, items, owner, weights):
+    want = (f"got 3 {items} but 2 weights" if len(weights) == 2
+            else f"{owner} weights must be positive and finite")
+    with pytest.raises(DomainError) as caught:
+        make([0.5, 1.0, 2.0], weights)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == want
 
 
 class TestLogPdf:

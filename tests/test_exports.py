@@ -36,10 +36,14 @@ def test_removed_names_are_not_exported():
     # sampler, the solver caps Newton at expfam._MAX_ITER, and every label
     # other than DEMOCRAT and REPUBLICAN counts as OTHER.
     assert not hasattr(cli.SweepTable, "from_csv")
-    for function, removed in ((mwle.fit, "seed"), (expfam.check_minimality, "x_sample"),
+    # fit solves by the model's closed form, else Newton, and a dataset is
+    # always checked: fit builds none, so no caller needs to skip the checks.
+    for function, removed in ((mwle.fit, "seed"), (mwle.fit, "method"),
+                              (expfam.check_minimality, "x_sample"),
                               (expfam.inverse_mean_map, "max_iter"),
                               (pipeline.aggregate, "party_mapping")):
         assert removed not in inspect.signature(function).parameters, function.__name__
+    assert list(inspect.signature(expfam.WeightedDataset).parameters) == ["observations", "weights"]
 
 
 def test_names_resolve_lazily_after_a_bare_import():

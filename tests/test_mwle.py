@@ -30,12 +30,19 @@ from wmle import (
     log_weighted_likelihood,
     mean_map,
     multinomial_fixture,
+    mwle,
     subclass_form,
     weibull_model,
     weighted_stat_mean,
 )
 
-from conftest import holder_oracle, lehmer_condition, lehmer_oracle, ulps_off
+from conftest import (
+    holder_oracle,
+    lehmer_condition,
+    lehmer_oracle,
+    ulps_off,
+    without_closed_inverse,
+)
 
 
 class TestWeightPolicy:
@@ -320,34 +327,62 @@ class TestHolderAccuracy:
             assert result.scale.tolist() == [1.0, 1.0, 1.0]
 
 
+def _fit_paths():
+    """One fit of each of fit's paths, as (model, observations, policy, what
+    fit checks for finiteness), and the base weights the policies use."""
+    x = _log_uniform(np.random.default_rng(53), (1000, 3))
+    base = _log_uniform(np.random.default_rng(54), (1000, 3))
+    fixture = multinomial_fixture(10, [0.2, 0.3, 0.5])
+    counts = fixture.reduced_model.sampler(fixture.eta_reduced, 1000, np.random.default_rng(55))
+    row_base = WeightPolicy.holder(base_w=lambda o: base[:, 0])
+    both = ["observations", "weights"]
+    return [
+        # The column kernels: Lehmer on the identity statistic, Holder on a scale family.
+        (weibull_model(np.ones(3)), x, WeightPolicy.lehmer([-200.0, 0.5, 3.0]), ["observations"]),
+        (weibull_model(np.ones(3)), x, WeightPolicy.lehmer([2.0, 1.0, 4.0], base_w=lambda o: base),
+         both),
+        (weibull_model(np.full(3, 2.0)), x, WeightPolicy.holder(), ["observations"]),
+        (weibull_model(np.full(3, 2.0)), x, row_base, both),
+        # The generic paths: row weights on a model that is not a scale
+        # family, a Lehmer column on a non-identity statistic, a joint model.
+        (gaussian_known_variance_model(np.ones(3)), x, WeightPolicy.holder(), ["observations"]),
+        (gaussian_known_variance_model(np.ones(3)), x, row_base, both),
+        (weibull_model(np.full(3, 2.0)), x,
+         WeightPolicy.lehmer([2.0, 1.0, 4.0], base_w=lambda o: base), both),
+        (fixture.reduced_model, counts.astype(float), WeightPolicy.holder(), ["observations"]),
+    ], base
+
+
 class TestValidation:
     def test_one_fit_checks_observations_once_and_weights_once(self, monkeypatch):
         # Every finiteness check fit makes goes through np.isfinite; count
         # the calls that read the observations or the policy's weights.
-        x = _log_uniform(np.random.default_rng(53), (1000, 3))
-        base = _log_uniform(np.random.default_rng(54), (1000, 3))
-        passes = []
+        paths, base = _fit_paths()
+        passes, obs = [], None
         real_isfinite = np.isfinite
 
         def counting_isfinite(a, *args, **kwargs):
-            for name, array in (("observations", x), ("weights", base), ("weights", base[:, 0])):
+            for name, array in (("observations", obs), ("weights", base), ("weights", base[:, 0])):
                 if isinstance(a, np.ndarray) and np.shares_memory(a, array):
                     passes.append(name)
                     break
             return real_isfinite(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        for model, policy, checked in (
-            (weibull_model(np.ones(3)), WeightPolicy.lehmer([-200.0, 0.5, 3.0]), ["observations"]),
-            (weibull_model(np.ones(3)), WeightPolicy.lehmer([2.0, 1.0, 4.0], base_w=lambda o: base),
-             ["observations", "weights"]),
-            (weibull_model(np.full(3, 2.0)), WeightPolicy.holder(), ["observations"]),
-            (weibull_model(np.full(3, 2.0)), WeightPolicy.holder(base_w=lambda o: base[:, 0]),
-             ["observations", "weights"]),
-        ):
+        for model, obs, policy, checked in paths:
             passes.clear()
-            fit(model, x, policy)
-            assert sorted(passes) == checked
+            fit(model, obs, policy)
+            assert sorted(passes) == checked, (model.name, policy.kind)
+
+    def test_fit_builds_no_weighted_dataset(self, monkeypatch):
+        # fit forms every moment target from the arrays it has checked; a
+        # dataset built on the way would only check them again.
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit built a WeightedDataset")
+
+        monkeypatch.setattr(mwle, "WeightedDataset", refuse)
+        for model, obs, policy, _ in _fit_paths()[0]:
+            assert np.isfinite(fit(model, obs, policy).theta_hat).all()
 
 
 # fit's float.hex outputs (theta_hat, eta_hat, target, then the Hessian
@@ -938,11 +973,11 @@ class TestFit:
             xs = rng.uniform(0.1, 3.0, size=10)
             shape = rng.uniform(0.5, 4.0)
             model = weibull_model([shape])
-            closed = fit(model, xs, WeightPolicy.holder(), method="closed",
-                         minimality_samples=0)
-            newton = fit(model, xs, WeightPolicy.holder(), method="newton",
+            closed = fit(model, xs, WeightPolicy.holder(), minimality_samples=0)
+            newton = fit(without_closed_inverse(model), xs, WeightPolicy.holder(),
                          minimality_samples=0)
             np.testing.assert_allclose(newton.theta_hat, closed.theta_hat, rtol=1e-9)
+            assert closed.diagnostics.solve_method == "closed"
             # Newton must not start at the closed-form answer.
             assert newton.diagnostics.solve_method == "newton"
             assert newton.diagnostics.iterations > 0
