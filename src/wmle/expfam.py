@@ -84,7 +84,10 @@ class FamilyModel:
     that each component (the model itself when univariate) is a scale
     family with that power statistic: data ``x_j / c`` have the estimate
     ``theta_j / c``, so :func:`wmle.mwle.fit` may fit each component on its
-    values relative to their largest.
+    values relative to their largest.  Where ``fit`` solves per component
+    (every Lehmer fit, and a scale family under row weights), it reads the
+    components' callables, ``mean_map_inverse`` included, and not the
+    model's own; nothing checks that the two agree.
     """
 
     name: str
@@ -121,17 +124,21 @@ class FamilyModel:
             raise ConfigError("a scale family with several parameters needs its components")
 
 
-def _observation_matrix(observations) -> np.ndarray:
-    """Observations as a finite, non-empty ``(n, k)`` float matrix; a 1-D
-    input is one column."""
+def _observation_matrix(observations) -> tuple[np.ndarray, float, float]:
+    """Observations as a finite, non-empty ``(n, k)`` float matrix, a 1-D
+    input being one column, with its smallest and largest value (``inf``
+    and ``-inf`` when ``k == 0``)."""
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
         obs = obs.reshape(-1, 1)
     if obs.ndim != 2 or obs.shape[0] < 1:
         raise DomainError("observations must form a non-empty n-by-k matrix")
-    if not np.all(np.isfinite(obs)):
+    # Two reductions, no temporary: a NaN reaches both, an infinity one.
+    lo = float(np.minimum.reduce(obs, axis=None, initial=math.inf))
+    hi = float(np.maximum.reduce(obs, axis=None, initial=-math.inf))
+    if not (-math.inf < lo and hi < math.inf):
         raise DomainError("observations must be finite")
-    return obs
+    return obs, lo, hi
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,7 @@ class WeightedDataset:
     total_weight: float = field(init=False)
 
     def __post_init__(self):
-        obs = _observation_matrix(self.observations)
+        obs = _observation_matrix(self.observations)[0]
         w = (np.broadcast_to(1.0, obs.shape[:1]) if self.weights is None  # read-only ones
              else _weight_vector(self.weights, obs.shape[0], "observations", "observation"))
         object.__setattr__(self, "observations", obs)

@@ -55,9 +55,10 @@ class Sample:
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if values.size == 0:
             raise DomainError("sample must contain at least one value")
-        if not np.all(np.isfinite(values)):
+        lo, hi = np.minimum.reduce(values), np.maximum.reduce(values)
+        if not (-math.inf < lo and hi < math.inf):  # a NaN fails both
             raise DomainError("sample values must be finite")
-        if np.any(values < 0):
+        if lo < 0:
             bad = float(values[values < 0][0])
             raise DomainError(f"sample values must be non-negative, got {bad}")
         weights = (np.ones_like(values) if self.weights is None
@@ -72,7 +73,7 @@ def _weight_vector(weights, n: int, items: str, owner: str) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != n:
         raise DomainError(f"got {n} {items} but {w.shape[0]} weights")
-    if not (np.all(np.isfinite(w)) and np.minimum.reduce(w) > 0):
+    if not (np.minimum.reduce(w) > 0 and np.maximum.reduce(w) < math.inf):  # a NaN fails both
         raise DomainError(f"{owner} weights must be positive and finite")
     return w
 
@@ -109,81 +110,166 @@ _EXP_FLOOR = -700.0
 _LOG_SPREAD = 600.0
 
 
+#: Rows a column kernel takes at a time.  Every step of the kernels is
+#: elementwise, so a block holds the same values as the whole column would,
+#: and the sums stay one pairwise sum over the column; blocks of 2**16
+#: doubles keep a block's working arrays (1 MiB) in a 2 MiB L2 cache.  The
+#: batched sweep keeps its (columns x orders x rows) buffer near this size.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: np.ndarray,
-                    out: np.ndarray, log_w: np.ndarray | None = None) -> np.ndarray:
-    """Lehmer weights ``w * x**(a - 1)`` of ``k`` columns, divided by their largest.
+                    out: np.ndarray) -> np.ndarray:
+    """Lehmer weights ``x**(a - 1)`` of ``k`` columns at many orders, divided by their largest.
 
     ``log_x`` holds the logs of strictly positive values, ``(k, 1, n)``,
     and ``lo``/``hi`` their ``(k, 1)`` extremes.  Row ``(j, g)`` of the
     ``(k, G, n)`` array ``out``, which may be ``log_x`` itself when ``G ==
     1``, receives column ``j``'s weights at ``orders[g]``.  Only the ratios
     of weights enter a Lehmer mean, so each row is taken relative to the
-    row ``r`` with the largest weight:
+    row ``r`` with the largest weight, the largest value for ``a >= 1`` and
+    the smallest below:
 
-        exp((a - 1) * (log x - log x_r) + (log w - log w_r)),
+        exp((a - 1) * (log x - log x_r)),
 
-    exactly 1 at ``r``, so nothing overflows.  Without base weights ``r``
-    is the largest value for ``a >= 1`` and the smallest below; base
-    weights ``log_w`` are :func:`_lehmer_column`'s, for one column at one
-    order only.  Exponents below ``_EXP_FLOOR`` are raised to it.
+    exactly 1 at ``r``, so nothing overflows.  Exponents below
+    ``_EXP_FLOOR`` are raised to it.
 
     Returns, per row, whether the raised weights are negligible in both
     sums.  That fails only where some value exceeds ``x_r`` by more than a
     factor ``exp(600)``; the caller must not use such a row.
     """
     c = orders - 1.0
+    up = c >= 0
+    n_up = np.count_nonzero(up)
+    if n_up in (0, c.size):  # every order on one side: most sweep blocks
+        ref, far = (hi, lo) if n_up else (lo, hi)
+    else:
+        ref, far = np.where(up, hi, lo), np.where(up, lo, hi)
     with np.errstate(over="ignore"):
-        if log_w is None:
-            up = c >= 0
-            n_up = np.count_nonzero(up)
-            if n_up in (0, c.size):  # every order on one side: fit's and most sweep blocks
-                ref, far = (hi, lo) if n_up else (lo, hi)
-            else:
-                ref, far = np.where(up, hi, lo), np.where(up, lo, hi)
-            # A one-order log_x overlaps a one-order out exactly,
-            # which numpy updates in place instead of via a copy.
-            np.subtract(log_x, ref[..., None], out=out)
-            out *= c[:, None]
-            # Each row's smallest exponent sits at the value farthest from its
-            # reference, so it is known without a pass over the row.
-            lowest = c * (far - ref)
-        else:
-            r = int(np.argmax(log_w + c[0] * log_x[0, 0]))
-            ref = log_x[:, 0, r : r + 1].copy()  # copied before out, maybe log_x, changes
-            shift = log_w - log_w[r]
-            np.subtract(log_x, ref[..., None], out=out)
-            out *= c[:, None]
-            out += shift
-            lowest = np.minimum.reduce(out, axis=2)
-        clamped = lowest < _EXP_FLOOR
+        # A one-order log_x overlaps a one-order out exactly,
+        # which numpy updates in place instead of via a copy.
+        np.subtract(log_x, ref[..., None], out=out)
+        out *= c[:, None]
+        # Each row's smallest exponent sits at the value farthest from its
+        # reference, so it is known without a pass over the row.
+        clamped = c * (far - ref) < _EXP_FLOOR
         if np.count_nonzero(clamped):
             np.maximum(out, _EXP_FLOOR, out=out)
         np.exp(out, out=out)
     return ~clamped | (hi - ref <= _LOG_SPREAD)
 
 
-def _lehmer_column(x: np.ndarray, a: float, w: np.ndarray | None, out: np.ndarray) -> bool:
+def _lehmer_column(col: np.ndarray, a: float, w: np.ndarray | None, out: np.ndarray,
+                   x: np.ndarray | None = None) -> bool:
     """One column's Lehmer weights ``w * x**(a - 1)``, divided by their largest, into ``out``.
 
-    ``x``, ``w`` and ``out`` are ``(n,)``; ``w`` is positive and finite, or
-    ``None`` for unit weights, and equal weights cancel.  At order 1 the
-    weights are 1, or ``w`` over its largest, and a zero value passes; at
-    any other order they are :func:`_lehmer_weights` of ``log x``.  Returns
-    whether the column could be formed: not where a value is zero or
-    negative, nor where the raised weights are not negligible.
+    ``col``, ``w`` and ``out`` are ``(n,)``; ``w`` is positive and finite, or
+    ``None`` for unit weights, and equal weights cancel.  Given an ``(n,)``
+    buffer ``x``, ``col`` is copied into it and it ends holding the products
+    ``u * x`` of the weights ``u``, which :func:`_lehmer_target` sums.
+    Returns whether the column could be formed: not where a value is zero
+    or negative, nor where the raised weights are not negligible.
+
+    At order 1 the weights are 1, or ``w`` over its largest, and a zero
+    value passes.  At any other order each weight is taken relative to the
+    row ``r`` with the largest one, as in :func:`_lehmer_weights`:
+
+        exp((a - 1) * (log x - log x_r) + (log w - log w_r)),
+
+    where ``r`` is the first row with the largest ``log w + (a - 1) * log
+    x``.  The rows are walked in blocks of ``_BLOCK_ELEMENTS``, in two
+    passes: the logs and their extremes (and ``r``), then the weights and
+    products, so each block's steps run in cache.  Every step is
+    elementwise, so the weights do not depend on the block size.
     """
     if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
         w = None
     if a == 1.0:
         out[:] = 1.0 if w is None else w / np.maximum.reduce(w)
+        if x is not None:
+            np.multiply(out, col, out=x)
         return True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x = np.log(x, out=out)[None, None, :]  # the kernel's (column, order, value) layout
-    lo = np.minimum.reduce(log_x, axis=2)
-    if not lo > -np.inf:  # the log of a zero (-inf) or of a negative value (nan)
-        return False
-    return bool(_lehmer_weights(log_x, lo, np.maximum.reduce(log_x, axis=2), np.array([a]), log_x,
-                                None if w is None else np.log(w))[0, 0])
+    c, size = a - 1.0, _BLOCK_ELEMENTS
+    blocks = [slice(start, start + size) for start in range(0, col.shape[0], size)]
+    lows, highs = np.empty((2, len(blocks)))
+    if w is not None:
+        log_w, scratch = np.empty((2, min(size, col.shape[0])))
+        r = None  # the first row with the largest log w + c * log x, as np.argmax finds it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b, part in enumerate(blocks):
+            log_x, values = out[part], col[part]
+            if x is not None:  # a contiguous copy, which the products read again
+                values = x[part]
+                np.copyto(values, col[part])
+            np.log(values, out=log_x)
+            lows[b], highs[b] = np.minimum.reduce(log_x), np.maximum.reduce(log_x)
+            if w is not None:
+                lw, t = log_w[: log_x.size], scratch[: log_x.size]
+                np.log(w[part], out=lw)
+                np.multiply(log_x, c, out=t)
+                t += lw
+                i = int(np.argmax(t))
+                if r is None or t[i] > peak:  # a tie in a later block keeps the first
+                    r, peak, log_w_r = part.start + i, t[i], lw[i]
+        # Exact, and a NaN or -inf in any block reaches them as in one reduce.
+        lo, hi = np.minimum.reduce(lows), np.maximum.reduce(highs)
+        if not lo > -np.inf:  # the log of a zero (-inf) or of a negative value (nan)
+            return False
+        if w is None:
+            ref = hi if c >= 0 else lo
+            # The smallest exponent sits at the value farthest from the
+            # reference, so it is known without a pass over the column.
+            clamped = c * ((lo if c >= 0 else hi) - ref) < _EXP_FLOOR
+        else:
+            ref, clamped = float(out[r]), False
+        for part in blocks:
+            terms = out[part]
+            terms -= ref
+            terms *= c
+            if w is not None:
+                lw = log_w[: terms.size]
+                np.log(w[part], out=lw)
+                lw -= log_w_r
+                terms += lw
+                # Raising the exponents below the floor leaves the others as they are,
+                # so a block needs it only where its own smallest is below.
+                if np.minimum.reduce(terms) < _EXP_FLOOR:
+                    clamped = True
+                    np.maximum(terms, _EXP_FLOOR, out=terms)
+            elif clamped:
+                np.maximum(terms, _EXP_FLOOR, out=terms)
+            np.exp(terms, out=terms)
+            if x is not None:
+                x[part] *= terms
+    return bool(not clamped or hi - ref <= _LOG_SPREAD)
+
+
+def _lehmer_target(col: np.ndarray, a: float, w: np.ndarray | None, u: np.ndarray,
+                   products: np.ndarray, total: float) -> float:
+    """The Lehmer moment target ``sum(u * x) / sum(u)`` of the values ``col`` at
+    order ``a``, from :func:`_lehmer_column`'s weights ``u``, of sum ``total``,
+    and products ``u * x``.
+
+    Each product is at most the largest value, but near the top of the
+    range their sum may overflow where the mean does not.  The mean is then
+    taken again on the values times ``2**-e``, ``e`` the exponent of the
+    largest: the weights are the same ratios, now of logs near 0, which
+    are accurate, and the mean is multiplied back.  Where a value falls to 0
+    on the way, the first weights are formed again instead.  ``u`` and
+    ``products`` are overwritten.  Inputs whose sum is finite keep their bits.
+    """
+    with np.errstate(over="ignore"):
+        numerator = np.add.reduce(products)
+    if numerator < math.inf:
+        return float(numerator / total)
+    e = math.frexp(np.maximum.reduce(col))[1]
+    np.ldexp(col, -e, out=products)
+    if not _lehmer_column(products, a, w, u, products):
+        _lehmer_column(col, a, w, u)
+        np.ldexp(col, -e, out=products)
+        products *= u
+    return math.ldexp(float(np.add.reduce(products) / np.add.reduce(u)), e)
 
 
 def _weights_out_of_range(what: str,
@@ -245,14 +331,17 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     every column.  Returns per (column, order) the moment target, the total
     weight and whether the sums are accurate, then per column the reference
     ``x_r``.  Lehmer, unweighted, for the batched sweep: weights ``u`` from
-    :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)``, ``x_r = 1``; a
-    zero value (log ``-inf``) leaves no order of its column accurate.
-    Holder of order ``k``: ``y = x / x_r``, ``x_r`` the value with the
-    largest term (0, giving NaN, for an all-zero column), moved to
-    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under weights
-    over their largest.  :func:`wmle.mwle.fit` solves these targets, and its
-    ``theta_hat`` is their :func:`_scale_estimates` to the bit: the sums are
-    rows of a C-order buffer, which numpy reduces pairwise like a 1-D array.
+    :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)`` (by
+    :func:`_lehmer_target` where that sum overflows), ``x_r = 1``; a zero
+    value (log ``-inf``) leaves no order of its column accurate.  Holder of
+    order ``k``: ``y = x / x_r``, ``x_r`` the value with the largest term
+    (0, giving NaN, for an all-zero column), moved to :func:`_power_bound`,
+    target ``sum(w * y**k) / sum(w)`` under weights over their largest; a
+    single order, as in ``fit`` and ``holder_mean``, takes these steps
+    ``_BLOCK_ELEMENTS`` rows at a time.  :func:`wmle.mwle.fit` solves these
+    targets, and its ``theta_hat`` is their :func:`_scale_estimates` to the
+    bit: the sums are rows of a C-order buffer, which numpy reduces
+    pairwise like a 1-D array.
     """
     k, n = x.shape
     target, total = np.empty((2, k, orders.size))
@@ -264,12 +353,16 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         ref = np.ones(k)
     else:
         up = orders[0] > 0
-        ref = (np.maximum if up else np.minimum).reduce(x, axis=1)
-        # At a negative order, x / min(x) may overflow; the inf is moved to
-        # the power bound below.  An all-zero column gives 0 / 0, NaN.  A
-        # one-order y matches out, which numpy updates in place.
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.divide(x[:, None, :], ref[:, None, None], out=out if single else None)
+        extreme = np.maximum if up else np.minimum
+        if single:  # fit's and holder_mean's path: one contiguous copy, then blocks in place
+            np.copyto(out[:, 0], x)
+            ref = extreme.reduce(out[:, 0], axis=1)
+        else:
+            ref = extreme.reduce(x, axis=1)
+            # At a negative order, x / min(x) may overflow; the inf is moved
+            # to the power bound below.  An all-zero column gives 0 / 0, NaN.
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = np.divide(x[:, None, :], ref[:, None, None])
         if w is None:
             total[:] = n
         elif isinstance(w, tuple):
@@ -287,19 +380,38 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
             rows *= x[:, None, :]
         else:
             bounds = _power_bound(block)
-            (np.maximum if up else np.minimum)(y, bounds[:, None], out=rows)
-            np.power(rows, block[:, None], out=rows)
-            # numpy's power swaps in a square root or a square, which can differ
-            # in the last bit, for an exponent of 0.5 or 2 repeated along a 1-D
-            # loop.  A one-order block is such a loop (its exponent has stride
-            # 0); in a larger block those orders are raised again one at a time.
-            if block.size > 1:
-                for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
-                    rows[:, g] = np.power(np.maximum(y[:, 0], bounds[g]), block[g])
-            if w is not None:
-                rows *= w
+            if single:  # the same steps, _BLOCK_ELEMENTS rows at a time, in cache
+                for row in range(0, n, _BLOCK_ELEMENTS):
+                    span = slice(row, row + _BLOCK_ELEMENTS)
+                    terms = out[:, 0, span]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        np.divide(terms, ref[:, None], out=terms)
+                    extreme(terms, bounds, out=terms)
+                    np.power(terms, block, out=terms)
+                    if w is not None:
+                        terms *= w[span]
+            else:
+                extreme(y, bounds[:, None], out=rows)
+                np.power(rows, block[:, None], out=rows)
+                # numpy's power swaps in a square root or a square, which can
+                # differ in the last bit, for an exponent of 0.5 or 2 repeated
+                # along a 1-D loop.  A one-order block is such a loop (its
+                # exponent has stride 0); in a larger block those orders are
+                # raised again one at a time.
+                if block.size > 1:
+                    for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
+                        rows[:, g] = np.power(np.maximum(y[:, 0], bounds[g]), block[g])
+                if w is not None:
+                    rows *= w
         target[:, part] = np.add.reduce(rows, axis=2) / total[:, part]
-    if kind == "holder" and w is not None:
+    if kind == "lehmer":
+        # Where the products' sum overflows, fit's column path takes the
+        # target again on scaled values; so does the sweep, column by column.
+        for j, g in np.argwhere(ok & (target == math.inf)):
+            u, products = np.empty((2, n))
+            _lehmer_column(x[j], orders[g], None, u, products)
+            target[j, g] = _lehmer_target(x[j], orders[g], None, u, products, total[j, g])
+    elif w is not None:
         # Terms moved to the power bound may show in a target this small, if
         # any value was moved (under unit weights the target is at least 1/n).
         ok = ~((0 < target) & (target < _MOVED_TERMS_TARGET_MIN))
@@ -399,7 +511,8 @@ def lehmer_mean(alpha, values, weights=None) -> float:
 
     A finite order weighs the values by :func:`_lehmer_column`; the mean
     is :func:`wmle.mwle.fit`'s moment target ``sum(u * x) / sum(u)`` to the
-    bit.  Raises ``NumericError`` where the weights cannot be formed: at an
+    bit, taken by :func:`_lehmer_target` so that it stays finite near the
+    top of the range.  Raises ``NumericError`` where the weights cannot be formed: at an
     order below 1 on values more than ``exp(600)`` apart.
     """
     a = _order(alpha)
@@ -418,11 +531,10 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    u = np.empty(x.size)
-    if not _lehmer_column(x, a, w, u):
+    u, products = np.empty((2, x.size))
+    if not _lehmer_column(x, a, w, u, products):
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
-    total = np.add.reduce(u)
-    return float(np.add.reduce(np.multiply(u, x, out=u)) / total)
+    return _lehmer_target(x, a, w, u, products, float(np.add.reduce(u)))
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:

@@ -46,9 +46,11 @@ from .expfam import (  # WeightedDataset and weighted_stat_mean stay bound for p
 )
 from .families import weibull_model
 from .means import (
+    _BLOCK_ELEMENTS,
     _column_means,
     _holder_weights,
     _lehmer_column,
+    _lehmer_target,
     _moved_terms_out_of_range,
     _scale_estimates,
     _weights_out_of_range,
@@ -174,7 +176,7 @@ def _base_weights(policy: WeightPolicy, obs: np.ndarray) -> Optional[np.ndarray]
             raise ConfigError("holder base_w must return one weight per row")
     elif w.shape != obs.shape:
         raise ConfigError("lehmer base_w must return a weight per matrix entry")
-    if not (np.all(np.isfinite(w)) and np.min(w) > 0):
+    if not (np.minimum.reduce(w, axis=None) > 0 and np.maximum.reduce(w, axis=None) < math.inf):
         raise DomainError("weight policy produced weights that are not strictly positive and finite")
     return w
 
@@ -192,7 +194,7 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     column cannot be formed accurately: at an order below 1 on values more
     than ``exp(600)`` apart.
     """
-    obs = _observation_matrix(observations)
+    obs = _observation_matrix(observations)[0]
     w = _base_weights(policy, obs)
     if policy.kind == "holder":
         row_weights = _holder_weights(w)
@@ -205,10 +207,11 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
 
 
 def _lehmer_weight_column(col: np.ndarray, j: int, a: float, w: Optional[np.ndarray],
-                          out: np.ndarray) -> None:
+                          out: np.ndarray, x: Optional[np.ndarray] = None) -> None:
     """Column ``j``'s Lehmer weights at order ``a``, by :func:`means._lehmer_column`,
-    into ``out``; raises where they cannot be formed."""
-    if _lehmer_column(col, a, None if w is None else w[:, j], out):
+    into ``out``, and with ``x`` their products with the column into ``x``;
+    raises where they cannot be formed."""
+    if _lehmer_column(col, a, None if w is None else w[:, j], out, x):
         return
     if np.minimum.reduce(col) > 0:
         raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
@@ -218,11 +221,11 @@ def _lehmer_weight_column(col: np.ndarray, j: int, a: float, w: Optional[np.ndar
     )
 
 
-def _check_support(model: FamilyModel, obs: np.ndarray) -> None:
-    """Raise ``DomainError`` naming the first value outside ``model.support``."""
+def _check_support(model: FamilyModel, obs: np.ndarray, smallest: float, largest: float) -> None:
+    """Raise ``DomainError`` naming the first value outside ``model.support``;
+    ``smallest`` and ``largest`` are the extremes of ``obs``."""
     lo, hi = model.support
-    if (lo > -math.inf and np.minimum.reduce(obs, axis=None) < lo) or (
-            hi < math.inf and np.maximum.reduce(obs, axis=None) > hi):
+    if smallest < lo or largest > hi:
         i, j = np.argwhere((obs < lo) | (obs > hi))[0]
         raise DomainError(
             f"value {float(obs[i, j])!r} in column {j} is outside the support [{lo:g}, {hi:g}] "
@@ -253,7 +256,10 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     (``model.scale_family``), where each component is fitted on its own
     column relative to its largest value, ``y = x_j / c_j``, whose largest
     term ``y ** k_j`` is exactly 1: the target neither overflows nor
-    underflows at any shape, and ``theta_j = c_j * theta'_j``.
+    underflows at any shape, and ``theta_j = c_j * theta'_j``.  A
+    per-component problem is solved with that component's own callables
+    (its ``mean_map_inverse`` too); the model's own serve the joint problem
+    and, with ``nat_param_inverse``, the estimate and its minimality verdict.
 
     A scale family's Holder targets come from :func:`means._column_means`,
     the kernel of ``holder_mean``.  Every Lehmer weight column comes from
@@ -270,12 +276,12 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             f"model {model.name} declares a non-bijective parameter map; "
             "theta cannot be recovered from eta"
         )
-    obs = _observation_matrix(observations)
+    obs, smallest, largest = _observation_matrix(observations)
     if obs.shape[1] != model.dim_x:
         raise DomainError(
             f"data has {obs.shape[1]} columns, model {model.name} expects {model.dim_x}"
         )
-    _check_support(model, obs)
+    _check_support(model, obs, smallest, largest)
     w = _base_weights(policy, obs)
     if policy.kind == "lehmer" and model.components is None:
         raise ConfigError(
@@ -290,15 +296,14 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     problems, scale = [], np.ones(model.dim_eta)
     if policy.kind == "lehmer":
         # One column at a time, so that these buffers do not grow with the
-        # columns; the contiguous copy is read by the log and by u * x.
-        x, u = np.empty(obs.shape[0]), np.empty(obs.shape[0])
+        # columns; on the kernel path x receives the products u * x.
+        u, x = np.empty(obs.shape[0]), (np.empty(obs.shape[0]) if kernel else None)
         for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
-            np.copyto(x, obs[:, j])
-            _lehmer_weight_column(x, j, a, w, u)
+            _lehmer_weight_column(obs[:, j], j, a, w, u, x)
             total = float(np.add.reduce(u))
             if kernel:
-                with np.errstate(over="ignore"):
-                    sub_target = np.add.reduce(np.multiply(u, x, out=u), keepdims=True) / total
+                sub_target = np.array([_lehmer_target(obs[:, j], a, None if w is None else w[:, j],
+                                                      u, x, total)])
             else:
                 sub_target = _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total)
             problems.append((sub_model, sub_target, total))
@@ -377,11 +382,6 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                      diagnostics=diagnostics)
 
 
-# The batched sweep takes as many orders at a time as keep its
-# (columns x orders x rows) buffer near this many elements.
-_SWEEP_BLOCK_ELEMENTS = 1 << 16
-
-
 def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, dict]:
     """Weibull scale estimates of every column of ``obs``, a non-empty matrix
     of finite, strictly positive values, at every finite order, in one pass.
@@ -397,7 +397,7 @@ def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np
     """
     n, k = obs.shape
     columns = np.ascontiguousarray(obs.T)  # one contiguous row per column, as fit reads it
-    out = np.empty((k, max(1, min(orders.size, _SWEEP_BLOCK_ELEMENTS // (k * n))), n))
+    out = np.empty((k, max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n))), n))
     with np.errstate(all="ignore"):
         target, _, accurate, ref = _column_means(kind, columns, orders, out)  # (k, G)
     estimate = _scale_estimates(ref, target, orders if kind == "holder" else np.ones(orders.size))

@@ -30,6 +30,7 @@ from wmle import (
     weibull_model,
 )
 from wmle import cli as cli_module
+from wmle import means as means_module
 from wmle import mwle as mwle_module
 from wmle import svg as svg_module
 from wmle.cli import DEFAULT_GRIDS, SweepTable, main, parse_grid, run_sweep, validate_sweep_table
@@ -710,9 +711,6 @@ class TestBatchedSweep:
         # Below order 1 the weights of values more than exp(600) apart
         # cannot be formed.
         pytest.param(beyond_the_weight_range(), "lehmer", "-3:4:0.25", "exp(600)", id="weights"),
-        # A Lehmer mean near 1.8e308 overflows.
-        pytest.param(matrix_of([[1.7e308, 1, 1], [1.79e308, 2, 2], [1.5e308, 3, 3]]), "lehmer",
-                     "-3:4:0.1", "moment target must be finite", id="target-not-finite"),
         # A Lehmer mean of order 3 of values near 5e-324 rounds to 0.
         pytest.param(subnormal_target(), "lehmer", "2:3:1", "target [0.0] is not attainable",
                      id="target-not-positive"),
@@ -730,6 +728,15 @@ class TestBatchedSweep:
         table = run_sweep(matrix, mode, grid)
         assert any(reason in message for message in table.gaps.values())
         assert_same_sweep(table, per_point_sweep(matrix, mode, grid))
+
+    def test_matches_one_fit_per_order_near_the_top_of_the_range(self):
+        # sum(u * x) overflows near 1.8e308, where the Lehmer mean does not;
+        # fit and the sweep take such a target again on scaled values.
+        matrix = matrix_of([[1.7e308, 1, 1], [1.79e308, 2, 2], [1.5e308, 3, 3]])
+        grid = parse_grid("-3:4:0.1")
+        table = run_sweep(matrix, "lehmer", grid)
+        assert table.gaps == {}
+        assert_same_sweep(table, per_point_sweep(matrix, "lehmer", grid))
 
     @pytest.mark.parametrize("spans", [
         pytest.param({1: 650.0}, id="middle-column"),
@@ -753,10 +760,10 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("mode, grid", [("lehmer", [-1.5, -0.5, 0.5, 1.0, 2.0]),
                                             ("holder", [0.25, 0.5, 1.0, 1.5, 2.0])])
-    @pytest.mark.parametrize("n", [mwle_module._SWEEP_BLOCK_ELEMENTS // 6,
-                                   mwle_module._SWEEP_BLOCK_ELEMENTS // 6 + 1,
-                                   mwle_module._SWEEP_BLOCK_ELEMENTS // 3,
-                                   mwle_module._SWEEP_BLOCK_ELEMENTS // 3 + 1])
+    @pytest.mark.parametrize("n", [means_module._BLOCK_ELEMENTS // 6,
+                                   means_module._BLOCK_ELEMENTS // 6 + 1,
+                                   means_module._BLOCK_ELEMENTS // 3,
+                                   means_module._BLOCK_ELEMENTS // 3 + 1])
     def test_matches_one_fit_per_order_where_a_block_holds_one_order(self, n, mode, grid):
         # The buffer holds two orders of the three columns up to n = budget
         # // 6 and one from there on, also past budget // 3, where a single
@@ -778,7 +785,7 @@ class TestBatchedSweep:
         values = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 3)))
         matrix = ProportionMatrix(years=tuple(range(n)), values=values)
         grid = parse_grid(spec)  # with orders 0.5 and 2
-        assert grid.size % (mwle_module._SWEEP_BLOCK_ELEMENTS // (3 * n)) != 0
+        assert grid.size % (means_module._BLOCK_ELEMENTS // (3 * n)) != 0
         assert_same_sweep(run_sweep(matrix, mode, grid), per_point_sweep(matrix, mode, grid))
 
     @pytest.mark.parametrize("mode", ["lehmer", "holder"])

@@ -197,6 +197,21 @@ class TestLehmerMean:
         assert lehmer_mean(3, [0.0, 1.0, 0.0, 2.0]) == 1.8
         assert lehmer_mean(3, [0.0, 1.0, 2.0], [5.0, 1.0, 1.0]) == 1.8
 
+    def test_a_sum_that_overflows_near_the_top_of_the_range(self):
+        # sum(u * x) overflows; taken again on x * 2**-e, whose logs are
+        # near 0, the mean is exact.  pytest turns any RuntimeWarning into
+        # an error.
+        x = [1e308, 1.7e308]
+        mean = lehmer_mean(2, x)
+        assert ulps_off(mean, lehmer_oracle(2, x)) <= 1
+        assert mean == 1.4407407407407406e308
+        # An integer weight is that many copies of the value.
+        assert ulps_off(lehmer_mean(2, x, [1.0, 3.0]), lehmer_oracle(2, [1e308] + [1.7e308] * 3)) <= 1
+        # Where a value falls to 0 on the way, the first weights are kept:
+        # their logs near 709 cost them about 40 ulps, but the mean is finite.
+        wide = [1e-20, 1e308, 1.7e308]
+        assert ulps_off(lehmer_mean(2, wide), lehmer_oracle(2, wide)) <= 64
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(-500, 500),
            st.lists(st.tuples(st.floats(math.log(1e-3), math.log(1e3)), st.integers(1, 5)),

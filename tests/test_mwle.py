@@ -23,12 +23,14 @@ from wmle import (
     apply_policy,
     check_minimality,
     exponential_model,
+    expfam,
     fit,
     gaussian_known_variance_model,
     holder_mean,
     lehmer_mean,
     log_weighted_likelihood,
     mean_map,
+    means,
     multinomial_fixture,
     mwle,
     subclass_form,
@@ -355,21 +357,27 @@ def _fit_paths():
 
 class TestValidation:
     def test_one_fit_checks_observations_once_and_weights_once(self, monkeypatch):
-        # Every finiteness check fit makes goes through np.isfinite; count
-        # the calls that read the observations or the policy's weights.
-        paths, base = _fit_paths()
-        passes, obs = [], None
-        real_isfinite = np.isfinite
+        # Observations are checked by expfam._observation_matrix, weight
+        # vectors by means._weight_vector and a policy's base weights by
+        # mwle._base_weights; count the checks fit makes, wherever it could
+        # reach them.
+        passes = []
 
-        def counting_isfinite(a, *args, **kwargs):
-            for name, array in (("observations", obs), ("weights", base), ("weights", base[:, 0])):
-                if isinstance(a, np.ndarray) and np.shares_memory(a, array):
+        def counting(name, check):
+            def counted(*args, **kwargs):
+                result = check(*args, **kwargs)
+                if result is not None:  # _base_weights checks only a policy's base_w
                     passes.append(name)
-                    break
-            return real_isfinite(a, *args, **kwargs)
+                return result
+            return counted
 
-        monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        for model, obs, policy, checked in paths:
+        checks = [("observations", expfam._observation_matrix, (expfam, mwle)),
+                  ("weights", means._weight_vector, (means, expfam)),
+                  ("weights", mwle._base_weights, (mwle,))]
+        for name, check, modules in checks:
+            for module in modules:
+                monkeypatch.setattr(module, check.__name__, counting(name, check))
+        for model, obs, policy, checked in _fit_paths()[0]:
             passes.clear()
             fit(model, obs, policy)
             assert sorted(passes) == checked, (model.name, policy.kind)
@@ -577,6 +585,100 @@ class TestKernelPath:
         np.testing.assert_allclose(result.theta_hat, [3e200, 129e200 / 17, 59e200 / 11], rtol=1e-12)
         assert any(m.startswith("no minimality verdict: the sample covariance of the statistic "
                                 "of weibull(k=[1.0,1.0,1.0]) is not finite") for m in caplog.messages)
+
+
+def _block_walk_results(x, base):
+    """Everything the column kernels' block walk computes on ``(n, 3)``
+    values ``x``, in hex or bytes: fits, apply_policy and the two means."""
+    results = []
+    for order in (200.0, -200.0, -2.0, 0.5, 2.0):
+        for w in (None, base):
+            policy = WeightPolicy.lehmer(np.full(3, order), base_w=None if w is None else (lambda o, w=w: w))
+            results.append(_fit_bits(fit(weibull_model(np.ones(3)), x, policy)))
+            results.append(apply_policy(policy, x).tobytes())
+            results.append(lehmer_mean(order, x[:, 0], None if w is None else w[:, 0]).hex())
+    for shape in (0.5, 2.0, 60.0):
+        for w in (None, base[:, 0]):
+            policy = WeightPolicy.holder(None if w is None else (lambda o, w=w: w))
+            results.append(_fit_bits(fit(weibull_model(np.full(3, shape)), x, policy)))
+            results.append(holder_mean(shape, x[:, 1], w).hex())
+            results.append(holder_mean(-shape, x[:, 2], w).hex())
+            results.append(apply_policy(policy, x).tobytes())
+    return results
+
+
+def _outcome(call):
+    """What ``call()`` gives: its value, or its exception's type and message."""
+    try:
+        return "returned", call()
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return "raised", type(exc), str(exc)
+
+
+class TestBlockWalk:
+    # The column kernels walk their rows in blocks of means._BLOCK_ELEMENTS;
+    # every step is elementwise and every sum still spans the column, so the
+    # block size must not change a bit.  n = B - 1, B, B + 1 give a short
+    # block, exact blocks and a one-value tail.
+    SIZES = [1, 3, 7, 64, means._BLOCK_ELEMENTS]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_every_block_size_gives_the_one_block_bits(self, monkeypatch, size):
+        rng = np.random.default_rng(size)
+        for n in (size - 1, size, size + 1):
+            if n == 0:
+                continue
+            big = _log_uniform(rng, (2 * n, 6))
+            base = _log_uniform(rng, (n, 3))
+            layouts = {"strided": big[::2, ::2]}
+            layouts["C"] = np.ascontiguousarray(layouts["strided"])
+            layouts["F"] = np.asfortranarray(layouts["strided"])
+            monkeypatch.setattr(means, "_BLOCK_ELEMENTS", n)
+            want = _block_walk_results(layouts["C"], base)
+            monkeypatch.setattr(means, "_BLOCK_ELEMENTS", size)
+            for layout, x in layouts.items():
+                assert _block_walk_results(x, base) == want, (n, layout)
+
+    def test_tied_largest_weights_are_taken_relative_to_the_first_row(self, monkeypatch):
+        # log w + (a - 1) * log x is log 4 at (x, w) = (2, 2) and at (4, 1),
+        # the first row and the last, which most sizes put in different
+        # blocks.  The weights are relative to the first, as np.argmax over
+        # the whole column picks it; relative to the last, a third of them
+        # differ in the last bit.
+        rng = np.random.default_rng(69)
+        x, w = rng.uniform(0.1, 1.9, size=(50, 1)), rng.uniform(0.1, 1.0, size=(50, 1))
+        x[0], w[0], x[-1], w[-1] = 2.0, 2.0, 4.0, 1.0
+        policy = WeightPolicy.lehmer([2.0], base_w=lambda o: w)
+        monkeypatch.setattr(means, "_BLOCK_ELEMENTS", 50)
+        want = apply_policy(policy, x).tobytes()
+        for size in self.SIZES:
+            monkeypatch.setattr(means, "_BLOCK_ELEMENTS", size)
+            assert apply_policy(policy, x).tobytes() == want, size
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_a_bad_value_in_the_last_block_gives_the_same_error_at_every_size(self, monkeypatch, bad):
+        rng = np.random.default_rng(68)
+        n = 150
+        good = _log_uniform(rng, (n, 3))
+        x, w = good.copy(), _log_uniform(rng, (n, 3))
+        x[-1, 1] = w[-1, 1] = bad
+        calls = [
+            lambda: _fit_bits(fit(weibull_model(np.ones(3)), x, WeightPolicy.lehmer([2.0, 0.5, -2.0]))),
+            lambda: _fit_bits(fit(weibull_model(np.full(3, 2.0)), x, WeightPolicy.holder())),
+            lambda: apply_policy(WeightPolicy.lehmer([2.0, 0.5, -2.0]), x).tobytes(),
+            lambda: lehmer_mean(0.5, x[:, 1]),
+            lambda: holder_mean(-2.0, x[:, 1]),
+            lambda: _fit_bits(fit(weibull_model(np.ones(3)), good,
+                                  WeightPolicy.lehmer([2.0] * 3, base_w=lambda o: w))),
+            lambda: _fit_bits(fit(weibull_model(np.full(3, 2.0)), good, WeightPolicy.holder(lambda o: w[:, 1]))),
+            lambda: lehmer_mean(2.0, good[:, 1], w[:, 1]),
+        ]
+        monkeypatch.setattr(means, "_BLOCK_ELEMENTS", n)
+        want = [_outcome(call) for call in calls]
+        assert [outcome[0] for outcome in want[5:]] == ["raised"] * 3  # the weights are refused
+        for size in self.SIZES:
+            monkeypatch.setattr(means, "_BLOCK_ELEMENTS", size)
+            assert [_outcome(call) for call in calls] == want, size
 
 
 def _duplicated_statistic_model():
@@ -842,9 +944,21 @@ class TestFit:
         assert ulps_off(result.theta_hat[0], holder_oracle(200, x)) <= 2
 
     def test_overflowing_target_is_a_domain_error_without_warnings(self):
-        # Each value is finite, their sum is not.
+        # Each value is finite, their sum is not.  (A Gaussian column is a
+        # generic problem; the Lehmer kernel's target cannot overflow.)
         with pytest.raises(DomainError, match="moment target must be finite"):
-            fit(exponential_model(1), [[1e308], [1e308]], WeightPolicy.lehmer([1.0]))
+            fit(gaussian_known_variance_model([1.0]), [[1e308], [1e308]], WeightPolicy.lehmer([1.0]))
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_a_lehmer_target_whose_sum_overflows_fits_the_exact_mean(self, order):
+        # sum(u * x) overflows; taken again on x * 2**-e, the target is the
+        # mean, and the estimate lands within 1 ulp of it (0.44 at order 2).
+        x = [1e308, 1.7e308]
+        exact = lehmer_oracle(int(order), x)
+        result = fit(weibull_model([1.0]), x, WeightPolicy.lehmer([order]))
+        assert ulps_off(result.theta_hat[0], exact) <= 1
+        assert result.target[0] == lehmer_mean(order, x)
+        assert fit(exponential_model(1), [[1e308], [1e308]], WeightPolicy.lehmer([order])).theta_hat.tolist() == [1e308]
 
     def test_weights_whose_total_overflows_fit_the_exact_mean(self):
         # Each weight 1e308 is finite, their sum is not; divided by the
@@ -982,6 +1096,18 @@ class TestFit:
             assert newton.diagnostics.solve_method == "newton"
             assert newton.diagnostics.iterations > 0
 
+    @pytest.mark.parametrize("policy", [WeightPolicy.holder(), WeightPolicy.lehmer([2.0])])
+    def test_per_component_problems_use_the_components_inverses(self, policy):
+        # fit solves a scale family under row weights, and every Lehmer fit,
+        # per component, with the component's callables: the model's own
+        # mean_map_inverse is not read there.
+        x = _log_uniform(np.random.default_rng(67), 30)
+        shape = [2.0] if policy.kind == "holder" else [1.0]
+        stripped = dataclasses.replace(weibull_model(shape), mean_map_inverse=None)
+        result = fit(stripped, x, policy)
+        assert result.diagnostics.solve_method == "closed"
+        assert _fit_bits(result) == _fit_bits(fit(weibull_model(shape), x, policy))
+
 
 class TestSubclassForm:
     def test_weibull_with_holder_policy(self):
@@ -1008,11 +1134,13 @@ class TestDispatchLevels:
     # numpy picks its exp, log and power kernels at run time by the CPU's
     # features, and its AVX-512 kernels round some results differently.  The
     # bit relations (sweep == fit, fit == holder_mean, lehmer_mean == fit's
-    # target) and the exact minimality verdict must hold at every level, so
+    # target, any block size == one block; numpy's SIMD loops treat a
+    # block's tail differently at each level) and the exact minimality
+    # verdict must hold at every level, so
     # they run again in a child whose NPY_DISABLE_CPU_FEATURES switches the
     # AVX-512 targets off.
     RELATION_TESTS = ["tests/test_cli.py::TestBatchedSweep", "tests/test_mwle.py::TestHolderAccuracy",
-                      "tests/test_mwle.py::TestLehmerRelation",
+                      "tests/test_mwle.py::TestLehmerRelation", "tests/test_mwle.py::TestBlockWalk",
                       "tests/test_expfam.py::TestExactMinimality"]
 
     def test_bit_relations_hold_without_avx512(self):
