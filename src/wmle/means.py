@@ -6,12 +6,15 @@ several decades stay finite instead of overflowing (Blanchard, Higham &
 Higham, IMA J. Numer. Anal. 2021).  That arithmetic lives in
 :func:`_column_means`, which :func:`holder_mean`, the batched sweep of
 :mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull Holder columns call,
-and in :func:`_lehmer_column`, the one maker of a Lehmer weight column, for
-:func:`lehmer_mean`, :func:`wmle.mwle.apply_policy` and ``fit``.
-``holder_mean`` equals the Weibull MWLE to the bit.  ``lehmer_mean`` is,
-to the bit, the moment target the unit-shape Weibull MWLE inverts; that
-estimate, ``(-eta) ** -1`` at ``eta = -1/target``, may differ from it in
-the last bit.
+and in :func:`_lehmer_weights`, the one maker of Lehmer weights, for
+:func:`lehmer_mean`, :func:`v_weights`, the sweep, and
+:func:`wmle.mwle.apply_policy` and ``fit``.  Both divide a column by a
+reference that scales with it (its largest term, a power of two), so a
+power-of-two scaling of the values scales each mean exactly and one of
+the weights changes no bit.  ``holder_mean`` is the Weibull MWLE exactly.
+``lehmer_mean`` is, to the bit, the moment target the unit-shape Weibull
+MWLE inverts times its scale; that estimate, ``(-eta) ** -1`` at ``eta =
+-1/target`` times the scale, may differ from it in the last bit.
 
 Orders are plain floats.  ``float('inf')`` and ``float('-inf')`` are
 accepted as explicit sentinels and return the sample maximum or minimum;
@@ -118,158 +121,137 @@ _LOG_SPREAD = 600.0
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _lehmer_weights(log_x: np.ndarray, lo: np.ndarray, hi: np.ndarray, orders: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """Lehmer weights ``x**(a - 1)`` of ``k`` columns at many orders, divided by their largest.
+def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.ndarray,
+                    w: np.ndarray | None = None, products: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Lehmer weights ``w * x**(a - 1)`` of ``k`` columns at ``G`` orders, each divided by its largest.
 
-    ``log_x`` holds the logs of strictly positive values, ``(k, 1, n)``,
-    and ``lo``/``hi`` their ``(k, 1)`` extremes.  Row ``(j, g)`` of the
-    ``(k, G, n)`` array ``out``, which may be ``log_x`` itself when ``G ==
-    1``, receives column ``j``'s weights at ``orders[g]``.  Only the ratios
-    of weights enter a Lehmer mean, so each row is taken relative to the
-    row ``r`` with the largest weight, the largest value for ``a >= 1`` and
-    the smallest below:
+    ``x`` holds one column of non-negative values per row, ``(k, n)``, in
+    any layout, and ``w`` positive finite base weights of the same shape
+    (equal ones cancel), or ``None``.  Row ``(j, g)`` of the ``(k, G, n)``
+    buffer ``out`` receives column ``j``'s weights at ``orders[g]``, and
+    the ``(k, n)`` buffer ``y`` the values ``x_j * 2**-e_j``, or with
+    ``products`` (one order) ``u * y``.  Returns ``e`` per column, then per
+    (column, order) whether the weights could be formed: not at an order
+    other than 1 on a column holding a zero, nor where the raised weights
+    below are not negligible.
 
-        exp((a - 1) * (log x - log x_r)),
+    The logs are of ``y``, whose power of two centres their range on 0
+    (:func:`_scale_exponents`), and of ``w`` over its largest, so a weight
+    depends on ratios of values and of weights only: scaling a column or
+    its weights by a power of two (the values staying normal) changes no
+    bit of the weights or of ``y``.  Each weight is relative to the row
+    ``r`` with the largest one:
 
-    exactly 1 at ``r``, so nothing overflows.  Exponents below
-    ``_EXP_FLOOR`` are raised to it.
+        exp((a - 1) * (log y - log y_r) + (log w - log w_r)),
 
-    Returns, per row, whether the raised weights are negligible in both
-    sums.  That fails only where some value exceeds ``x_r`` by more than a
-    factor ``exp(600)``; the caller must not use such a row.
+    exactly 1 at ``r``, so nothing overflows (Blanchard, Higham & Higham,
+    IMA J. Numer. Anal. 2021).  ``r`` is the largest value for ``a >= 1``
+    and the smallest below, or, with base weights, the first row with the
+    largest ``log w + (a - 1) * log y``.  Exponents below ``_EXP_FLOOR`` are
+    raised to it; that is negligible in both sums unless some value exceeds
+    ``x_r`` by more than a factor ``exp(600)``.  At order 1 the weights are
+    ``w`` over its largest, or 1, and a zero value passes.
+
+    The rows are walked in blocks of ``_BLOCK_ELEMENTS``: one pass copies
+    ``x`` into ``y`` and finds each column's extremes, one with base
+    weights finds ``r``, and one forms the weights, so each block's steps
+    run in cache.  Every step is elementwise, so the weights do not depend
+    on the block size, the number of columns or orders, or the layout.
     """
+    k, n = x.shape
     c = orders - 1.0
-    up = c >= 0
-    n_up = np.count_nonzero(up)
-    if n_up in (0, c.size):  # every order on one side: most sweep blocks
-        ref, far = (hi, lo) if n_up else (lo, hi)
-    else:
-        ref, far = np.where(up, hi, lo), np.where(up, lo, hi)
-    with np.errstate(over="ignore"):
-        # A one-order log_x overlaps a one-order out exactly,
-        # which numpy updates in place instead of via a copy.
-        np.subtract(log_x, ref[..., None], out=out)
-        out *= c[:, None]
-        # Each row's smallest exponent sits at the value farthest from its
-        # reference, so it is known without a pass over the row.
-        clamped = c * (far - ref) < _EXP_FLOOR
-        if np.count_nonzero(clamped):
-            np.maximum(out, _EXP_FLOOR, out=out)
-        np.exp(out, out=out)
-    return ~clamped | (hi - ref <= _LOG_SPREAD)
-
-
-def _lehmer_column(col: np.ndarray, a: float, w: np.ndarray | None, out: np.ndarray,
-                   x: np.ndarray | None = None) -> bool:
-    """One column's Lehmer weights ``w * x**(a - 1)``, divided by their largest, into ``out``.
-
-    ``col``, ``w`` and ``out`` are ``(n,)``; ``w`` is positive and finite, or
-    ``None`` for unit weights, and equal weights cancel.  Given an ``(n,)``
-    buffer ``x``, ``col`` is copied into it and it ends holding the products
-    ``u * x`` of the weights ``u``, which :func:`_lehmer_target` sums.
-    Returns whether the column could be formed: not where a value is zero
-    or negative, nor where the raised weights are not negligible.
-
-    At order 1 the weights are 1, or ``w`` over its largest, and a zero
-    value passes.  At any other order each weight is taken relative to the
-    row ``r`` with the largest one, as in :func:`_lehmer_weights`:
-
-        exp((a - 1) * (log x - log x_r) + (log w - log w_r)),
-
-    where ``r`` is the first row with the largest ``log w + (a - 1) * log
-    x``.  The rows are walked in blocks of ``_BLOCK_ELEMENTS``, in two
-    passes: the logs and their extremes (and ``r``), then the weights and
-    products, so each block's steps run in cache.  Every step is
-    elementwise, so the weights do not depend on the block size.
-    """
-    if w is not None and np.minimum.reduce(w) == np.maximum.reduce(w):
-        w = None
-    if a == 1.0:
-        out[:] = 1.0 if w is None else w / np.maximum.reduce(w)
-        if x is not None:
-            np.multiply(out, col, out=x)
-        return True
-    c, size = a - 1.0, _BLOCK_ELEMENTS
-    blocks = [slice(start, start + size) for start in range(0, col.shape[0], size)]
-    lows, highs = np.empty((2, len(blocks)))
+    size = _BLOCK_ELEMENTS
+    parts = [slice(start, start + size) for start in range(0, n, size)]
     if w is not None:
-        log_w, scratch = np.empty((2, min(size, col.shape[0])))
-        r = None  # the first row with the largest log w + c * log x, as np.argmax finds it
+        tops = np.maximum.reduce(w, axis=1)
+        if (np.minimum.reduce(w, axis=1) == tops).all():
+            w = None
+    lows, highs = np.empty((2, k, len(parts)))
+    for b, part in enumerate(parts):
+        for j in range(k):  # a one-dimensional copy of a strided column is the fastest
+            block = y[j, part]
+            np.copyto(block, x[j, part])
+            lows[j, b], highs[j, b] = np.minimum.reduce(block), np.maximum.reduce(block)
+    lo, hi = np.minimum.reduce(lows, axis=1), np.maximum.reduce(highs, axis=1)
+    e = _scale_exponents(lo, hi, n)
+    up, one, single = c >= 0, c == 0, orders.size == 1
+    logs = np.empty((k, min(n, size)))  # a block of log y, where it cannot go into out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b, part in enumerate(blocks):
-            log_x, values = out[part], col[part]
-            if x is not None:  # a contiguous copy, which the products read again
-                values = x[part]
-                np.copyto(values, col[part])
-            np.log(values, out=log_x)
-            lows[b], highs[b] = np.minimum.reduce(log_x), np.maximum.reduce(log_x)
-            if w is not None:
-                lw, t = log_w[: log_x.size], scratch[: log_x.size]
-                np.log(w[part], out=lw)
-                np.multiply(log_x, c, out=t)
-                t += lw
-                i = int(np.argmax(t))
-                if r is None or t[i] > peak:  # a tie in a later block keeps the first
-                    r, peak, log_w_r = part.start + i, t[i], lw[i]
-        # Exact, and a NaN or -inf in any block reaches them as in one reduce.
-        lo, hi = np.minimum.reduce(lows), np.maximum.reduce(highs)
-        if not lo > -np.inf:  # the log of a zero (-inf) or of a negative value (nan)
-            return False
+        factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
+        log_lo, log_hi = np.log(np.ldexp(lo, -e)), np.log(np.ldexp(hi, -e))
         if w is None:
-            ref = hi if c >= 0 else lo
-            # The smallest exponent sits at the value farthest from the
-            # reference, so it is known without a pass over the column.
-            clamped = c * ((lo if c >= 0 else hi) - ref) < _EXP_FLOOR
+            ref = np.where(up, log_hi[:, None], log_lo[:, None])
+            # Each row's smallest exponent sits at the value farthest from
+            # its reference, so it is known without a pass over the row.
+            clamped = c * (np.where(up, log_lo[:, None], log_hi[:, None]) - ref) < _EXP_FLOOR
+            clamp = np.count_nonzero(clamped)
         else:
-            ref, clamped = float(out[r]), False
-        for part in blocks:
-            terms = out[part]
-            terms -= ref
-            terms *= c
+            ref, ref_w = np.zeros((2, k, orders.size))
+            peak, clamped = np.full((k, orders.size), -np.inf), np.zeros((k, orders.size), dtype=bool)
+            for part in parts:
+                log_y = logs[:, : y[:, part].shape[1]]
+                np.log(np.ldexp(y[:, part], -e[:, None], out=log_y), out=log_y)
+                log_w = np.log(w[:, part] / tops[:, None])
+                t = log_y[:, None, :] * c[:, None] + log_w[:, None, :]
+                i = np.argmax(t, axis=2)[..., None]
+                best = np.take_along_axis(t, i, axis=2)[..., 0]
+                better = best > peak  # a tie in a later block keeps the first row
+                peak = np.where(better, best, peak)
+                ref = np.where(better, np.take_along_axis(log_y, i[..., 0], axis=1), ref)
+                ref_w = np.where(better, np.take_along_axis(log_w, i[..., 0], axis=1), ref_w)
+        c_rows, ref_rows, ones = c[:, None], ref[..., None], np.count_nonzero(one)
+        for part in parts:
+            block, rows = y[:, part], out[:, :, part]
+            if np.isfinite(factor).all():
+                block *= factor[:, None]
+            else:
+                np.ldexp(block, -e[:, None], out=block)
+            if single:  # the logs go into out, where the weights replace them in place
+                np.log(block, out=rows[:, 0])
+                rows -= ref_rows
+            else:
+                np.subtract(np.log(block, out=logs[:, : block.shape[1]])[:, None, :], ref_rows, out=rows)
+            rows *= c_rows
             if w is not None:
-                lw = log_w[: terms.size]
-                np.log(w[part], out=lw)
-                lw -= log_w_r
-                terms += lw
-                # Raising the exponents below the floor leaves the others as they are,
-                # so a block needs it only where its own smallest is below.
-                if np.minimum.reduce(terms) < _EXP_FLOOR:
-                    clamped = True
-                    np.maximum(terms, _EXP_FLOOR, out=terms)
-            elif clamped:
-                np.maximum(terms, _EXP_FLOOR, out=terms)
-            np.exp(terms, out=terms)
-            if x is not None:
-                x[part] *= terms
-    return bool(not clamped or hi - ref <= _LOG_SPREAD)
+                relative = w[:, part] / tops[:, None]
+                rows += np.log(relative)[:, None, :] - ref_w[..., None]
+                # Raising the exponents below the floor leaves the others as
+                # they are, so a block needs it only where its own are below.
+                low = np.minimum.reduce(rows, axis=2) < _EXP_FLOOR
+                clamped |= low
+                clamp = np.count_nonzero(low)
+            if clamp:
+                np.maximum(rows, _EXP_FLOOR, out=rows)
+            np.exp(rows, out=rows)
+            if ones:
+                rows[:, one] = 1.0 if w is None else relative[:, None, :]
+            if products:
+                block *= rows[:, 0]
+    accurate = ~clamped | (log_hi[:, None] - ref <= _LOG_SPREAD)
+    return e, one | ((lo > 0)[:, None] & accurate)
 
 
-def _lehmer_target(col: np.ndarray, a: float, w: np.ndarray | None, u: np.ndarray,
-                   products: np.ndarray, total: float) -> float:
-    """The Lehmer moment target ``sum(u * x) / sum(u)`` of the values ``col`` at
-    order ``a``, from :func:`_lehmer_column`'s weights ``u``, of sum ``total``,
-    and products ``u * x``.
+def _scale_exponents(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Per column, the exponent ``e`` of the power of two that :func:`_lehmer_weights`
+    divides ``n`` values with extremes ``lo >= 0`` and ``hi > 0`` by.
 
-    Each product is at most the largest value, but near the top of the
-    range their sum may overflow where the mean does not.  The mean is then
-    taken again on the values times ``2**-e``, ``e`` the exponent of the
-    largest: the weights are the same ratios, now of logs near 0, which
-    are accurate, and the mean is multiplied back.  Where a value falls to 0
-    on the way, the first weights are formed again instead.  ``u`` and
-    ``products`` are overwritten.  Inputs whose sum is finite keep their bits.
+    ``e`` lies halfway between the binary exponents of the extremes, so the
+    logs of the scaled values, each rounded at its own size, are as small
+    as they can be, while the smallest stays normal (every scaled value is
+    exact) and ``n`` times the largest below ``2**1024`` (no sum of
+    products overflows); only a column spanning nearly the whole double
+    range gives up the first.  Scaling the column by ``2**m`` adds ``m``.
     """
-    with np.errstate(over="ignore"):
-        numerator = np.add.reduce(products)
-    if numerator < math.inf:
-        return float(numerator / total)
-    e = math.frexp(np.maximum.reduce(col))[1]
-    np.ldexp(col, -e, out=products)
-    if not _lehmer_column(products, a, w, u, products):
-        _lehmer_column(col, a, w, u)
-        np.ldexp(col, -e, out=products)
-        products *= u
-    return math.ldexp(float(np.add.reduce(products) / np.add.reduce(u)), e)
+    top, bottom = np.frexp(hi)[1], np.frexp(lo)[1]
+    return np.maximum(np.minimum((top + bottom) >> 1, bottom + 1021), top + (n.bit_length() - 1024))
+
+
+def _unit_targets(target, e):
+    """Lehmer targets ``sum(u * y) / sum(u)`` of values over ``2**e`` as a
+    mantissa in ``[1, 2)`` and a power of two whose product is the mean,
+    exactly, so the curvature of the problem ``fit`` solves stays finite."""
+    mantissa, exponent = np.frexp(target)
+    return 2.0 * mantissa, np.ldexp(1.0, e + exponent - 1)
 
 
 def _weights_out_of_range(what: str,
@@ -329,11 +311,11 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     column at once, in the ``(k, B, n)`` buffer ``out``.  Row weights ``w``
     are Holder only: the pair :func:`_holder_weights` returns, shared by
     every column.  Returns per (column, order) the moment target, the total
-    weight and whether the sums are accurate, then per column the reference
-    ``x_r``.  Lehmer, unweighted, for the batched sweep: weights ``u`` from
-    :func:`_lehmer_weights`, target ``sum(u * x) / sum(u)`` (by
-    :func:`_lehmer_target` where that sum overflows), ``x_r = 1``; a zero
-    value (log ``-inf``) leaves no order of its column accurate.  Holder of
+    weight and whether the sums are accurate, then the reference ``x_r``.
+    Lehmer, unweighted, for the batched sweep: weights ``u`` from
+    :func:`_lehmer_weights` on ``y = x * 2**-e``, target ``sum(u * y) /
+    sum(u)`` as :func:`_unit_targets` splits it, a mantissa in ``[1, 2)``
+    and ``x_r`` its power of two, per (column, order).  Holder of
     order ``k``: ``y = x / x_r``, ``x_r`` the value with the largest term
     (0, giving NaN, for an all-zero column), moved to :func:`_power_bound`,
     target ``sum(w * y**k) / sum(w)`` under weights over their largest; a
@@ -348,9 +330,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     ok = np.ones((k, orders.size), dtype=bool)
     single = orders.size == 1  # x is then read into out, where its terms replace it
     if kind == "lehmer":
-        log_x = np.log(x[:, None, :], out=out if single else None)
-        lo, hi = np.minimum.reduce(log_x, axis=2), np.maximum.reduce(log_x, axis=2)
-        ref = np.ones(k)
+        scaled = np.empty((k, n))
     else:
         up = orders[0] > 0
         extreme = np.maximum if up else np.minimum
@@ -375,9 +355,9 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         # A short last block takes the buffer's head, so its rows stay contiguous.
         rows = out.reshape(-1)[: k * block.size * n].reshape(k, block.size, n)
         if kind == "lehmer":
-            ok[:, part] = _lehmer_weights(log_x, lo, hi, block, rows) & (lo > -np.inf)
+            e, ok[:, part] = _lehmer_weights(x, block, rows, scaled)
             total[:, part] = np.add.reduce(rows, axis=2)
-            rows *= x[:, None, :]
+            rows *= scaled[:, None, :]
         else:
             bounds = _power_bound(block)
             if single:  # the same steps, _BLOCK_ELEMENTS rows at a time, in cache
@@ -405,12 +385,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
                     rows *= w
         target[:, part] = np.add.reduce(rows, axis=2) / total[:, part]
     if kind == "lehmer":
-        # Where the products' sum overflows, fit's column path takes the
-        # target again on scaled values; so does the sweep, column by column.
-        for j, g in np.argwhere(ok & (target == math.inf)):
-            u, products = np.empty((2, n))
-            _lehmer_column(x[j], orders[g], None, u, products)
-            target[j, g] = _lehmer_target(x[j], orders[g], None, u, products, total[j, g])
+        target, ref = _unit_targets(target, e[:, None])
     elif w is not None:
         # Terms moved to the power bound may show in a target this small, if
         # any value was moved (under unit weights the target is at least 1/n).
@@ -509,11 +484,12 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     the sample max/min at ``alpha = +inf`` / ``-inf``.  Zero values are
     rejected when ``alpha <= 1`` because ``x**(alpha-1)`` has a pole at zero.
 
-    A finite order weighs the values by :func:`_lehmer_column`; the mean
-    is :func:`wmle.mwle.fit`'s moment target ``sum(u * x) / sum(u)`` to the
-    bit, taken by :func:`_lehmer_target` so that it stays finite near the
-    top of the range.  Raises ``NumericError`` where the weights cannot be formed: at an
-    order below 1 on values more than ``exp(600)`` apart.
+    A finite order weighs ``y = x * 2**-e`` by :func:`_lehmer_weights`; the
+    mean, ``sum(u * y) / sum(u) * 2**e``, is :func:`wmle.mwle.fit`'s moment
+    target times its scale to the bit, cannot overflow, and scales exactly
+    with ``x`` and not at all with ``w`` by powers of two while the values
+    stay normal.  Raises ``NumericError`` where the weights cannot be
+    formed: at an order below 1 on values more than ``exp(600)`` apart.
     """
     a = _order(alpha)
     sample = _coerce(values, weights)
@@ -531,10 +507,11 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         # A zero value has weight exactly 0 and adds nothing to either sum.
         keep = x > 0
         x, w = x[keep], w[keep]
-    u, products = np.empty((2, x.size))
-    if not _lehmer_column(x, a, w, u, products):
+    u, y = np.empty((2, x.size))
+    e, ok = _lehmer_weights(x[None], np.array([a]), u[None, None], y[None], w[None], products=True)
+    if not ok[0, 0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
-    return _lehmer_target(x, a, w, u, products, float(np.add.reduce(u)))
+    return math.ldexp(float(np.add.reduce(y)) / float(np.add.reduce(u)), int(e[0]))
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
@@ -547,7 +524,9 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
     useful diagnostic and is simply ``v.sum()``.
 
     Only finite orders are accepted: the defining expressions have no
-    finite normalization at infinite order.
+    finite normalization at infinite order.  The Lehmer weights are those
+    :func:`lehmer_mean` averages with, so a weight below ``exp(-700)``
+    times the largest reads as that bound over the sum.
     """
     if kind not in ("lehmer", "holder"):
         raise DomainError(f"unknown v-weight kind {kind!r}, expected 'lehmer' or 'holder'")
@@ -564,12 +543,22 @@ def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
     """:func:`v_weights` of a checked sample at every finite order, one row
     per order, each taking the steps of a call at that order alone.  Raises
     ``NumericError`` naming the first order whose Holder weights overflow."""
+    if kind == "lehmer":
+        x, w = sample.values, sample.weights
+        keep = x > 0  # above order 1 a zero value weighs exactly 0; below, callers reject it
+        u = np.empty((1, orders.size, np.count_nonzero(keep)))
+        if u.shape[2] < x.size:
+            x, w = x[keep], w[keep]
+        if u.size:
+            _lehmer_weights(x[None], orders, u, np.empty((1, x.size)), w[None])
+        if x.size == keep.size:
+            return u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
+        v = np.full((orders.size, keep.size), 0.0 if x.size else math.nan)
+        v[:, keep] = u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
+        return v
     with np.errstate(divide="ignore"):
         log_x = np.log(sample.values)
     expo = np.log(sample.weights) + (orders[:, None] - 1.0) * log_x
-    if kind == "lehmer":
-        shifted = np.exp(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
-        return shifted / np.add.reduce(shifted, axis=1, keepdims=True)
     with np.errstate(over="ignore"):
         v = np.exp(expo) / float(np.add.reduce(sample.weights))
     overflow = ~np.isfinite(v).all(axis=1)

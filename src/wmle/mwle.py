@@ -18,10 +18,12 @@ independent component is fitted as its own univariate problem, which
 requires a separable model.  An identity statistic per component then
 reproduces the Lehmer mean of each column, and a power statistic under the
 ``holder`` policy the Holder mean (:func:`subclass_form` reports which, if
-either, a (model, policy) pair realizes).  Both fits, and
-:func:`_sweep_estimates` over a grid of orders, run the column arithmetic
-of :mod:`wmle.means`; every other fit takes :func:`weighted_stat_mean`'s
-target of the arrays :func:`fit` checked, without a ``WeightedDataset``.
+either, a (model, policy) pair realizes).  On a scale family both fits,
+and :func:`_sweep_estimates` over a grid of orders, run the column
+arithmetic of :mod:`wmle.means`, each column divided by a scale that
+keeps its target and curvature finite; every other fit takes
+:func:`weighted_stat_mean`'s target of the arrays :func:`fit` checked,
+without a ``WeightedDataset``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, SolverError
+from .errors import ConfigError, DomainError, NumericError
 from .expfam import (  # WeightedDataset and weighted_stat_mean stay bound for perfbench's tracer
     FamilyModel,
     MinimalityVerdict,
@@ -49,10 +51,10 @@ from .means import (
     _BLOCK_ELEMENTS,
     _column_means,
     _holder_weights,
-    _lehmer_column,
-    _lehmer_target,
+    _lehmer_weights,
     _moved_terms_out_of_range,
     _scale_estimates,
+    _unit_targets,
     _weights_out_of_range,
 )
 
@@ -115,11 +117,12 @@ class FitDiagnostics(NamedTuple):
     ``hessian_smallest``/``hessian_largest`` are the extremes of the
     weighted log-likelihood's curvature ``-sum(u) * Cov[T]`` at the
     estimate, in the problem :func:`fit` solves: under weights relative to
-    their largest, and on a scale family in the scaled coordinates
-    ``x_j / c_j`` of :attr:`FitResult.scale`, where it stays finite at
-    every shape.  ``minimality`` is :func:`check_minimality`'s verdict at
-    ``eta_hat``, in the same coordinates, or ``None`` when the covariance
-    there is not finite.
+    their largest, and in the coordinates ``x_j / c_j`` of
+    :attr:`FitResult.scale`, where a Weibull column's curvature stays
+    finite at every shape and magnitude; a curvature that is not finite
+    raises ``NumericError``.  ``minimality`` is :func:`check_minimality`'s
+    verdict at ``eta_hat``, in the same coordinates, or ``None`` when the
+    covariance there is not finite.
     """
 
     iterations: int
@@ -133,14 +136,15 @@ class FitDiagnostics(NamedTuple):
 class FitResult(NamedTuple):
     """Estimate in both parameterizations plus the matched moment target.
 
-    ``scale`` holds the factors ``c_j`` the data were divided by: on a
-    scale family under row weights each component is fitted on
-    ``x_j / c_j`` with ``c_j`` the column's largest value, and ``eta_hat``
-    and ``target`` are those of that scaled problem; everywhere else
-    ``scale`` is all ones.  Invariants: ``nat_param(theta_hat / scale) ==
-    eta_hat`` to 1e-10 on a scale family and ``nat_param(theta_hat) ==
-    eta_hat`` elsewhere, and ``mean_map(eta_hat) == target`` to the solver
-    tolerance.
+    ``scale`` holds the factors ``c_j`` the data were divided by, and
+    ``eta_hat`` and ``target`` are those of the scaled problem: on a scale
+    family the column's largest value under row weights, and under the
+    Lehmer policy on the identity statistic the power of two that puts
+    ``target[j]`` in ``[1, 2)`` (``target[j] * scale[j]`` is ``lehmer_mean``
+    to the bit); ones elsewhere.  Invariants: ``nat_param(theta_hat /
+    scale) == eta_hat`` to 1e-10 on a scale family and
+    ``nat_param(theta_hat) == eta_hat`` elsewhere, and ``mean_map(eta_hat)
+    == target`` to the solver tolerance.
     """
 
     theta_hat: np.ndarray
@@ -200,19 +204,23 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
         row_weights = _holder_weights(w)
         return np.ones(obs.shape[0]) if row_weights is None else row_weights[0]
     # Column-major: each weight column is one contiguous buffer.
-    u = np.empty(obs.shape, order="F")
+    u, y = np.empty(obs.shape, order="F"), np.empty(obs.shape[0])
     for j, a in enumerate(policy.exponents):
-        _lehmer_weight_column(obs[:, j], j, a, w, u[:, j])
+        _lehmer_weight_column(obs, j, a, w, u[:, j], y)
     return u
 
 
-def _lehmer_weight_column(col: np.ndarray, j: int, a: float, w: Optional[np.ndarray],
-                          out: np.ndarray, x: Optional[np.ndarray] = None) -> None:
-    """Column ``j``'s Lehmer weights at order ``a``, by :func:`means._lehmer_column`,
-    into ``out``, and with ``x`` their products with the column into ``x``;
-    raises where they cannot be formed."""
-    if _lehmer_column(col, a, None if w is None else w[:, j], out, x):
-        return
+def _lehmer_weight_column(obs: np.ndarray, j: int, a: float, w: Optional[np.ndarray],
+                          u: np.ndarray, y: np.ndarray, products: bool = False) -> int:
+    """Column ``j``'s Lehmer weights at order ``a`` into ``u`` by
+    :func:`means._lehmer_weights`, and the column times ``2**-e`` (with
+    ``products``, times ``u``) into ``y``; returns ``e``, or raises where
+    the weights cannot be formed."""
+    col = obs[:, j]
+    e, ok = _lehmer_weights(col[None], np.array([a]), u[None, None], y[None],
+                            None if w is None else w[None, :, j], products)
+    if ok[0, 0]:
+        return int(e[0])
     if np.minimum.reduce(col) > 0:
         raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
     raise DomainError(
@@ -263,13 +271,15 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
 
     A scale family's Holder targets come from :func:`means._column_means`,
     the kernel of ``holder_mean``.  Every Lehmer weight column comes from
-    :func:`means._lehmer_column`, as in ``lehmer_mean`` and
-    :func:`apply_policy`; on an identity statistic over independent
-    non-negative components its target is ``sum(u * x) / sum(u)``,
-    ``lehmer_mean`` to the bit.  An estimate on these two paths that is not
-    finite and positive raises ``NumericError``.  Every other problem takes
-    the target :func:`weighted_stat_mean` forms, on these checked arrays,
-    and a non-finite estimate raises ``NumericError``.
+    :func:`means._lehmer_weights`, as in ``lehmer_mean``, the sweep and
+    :func:`apply_policy`; on the identity statistic of a scale family (the
+    unit-shape Weibull model) the column is fitted on ``x_j * 2**-e_j``,
+    whose target ``sum(u * y) / sum(u)`` cannot overflow.  An estimate on
+    these two paths that is not finite and positive raises
+    ``NumericError``.  Every other problem takes the target
+    :func:`weighted_stat_mean` forms, on these checked arrays, and a
+    non-finite estimate raises ``NumericError``; so does a curvature that
+    is not finite, on every path.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -288,7 +298,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             f"model {model.name} is not separable; per-column weight policies "
             "require independent components"
         )
-    kernel = model.scale_family if policy.kind == "holder" else subclass_form(model, policy).is_lehmer_mean
+    kernel = model.scale_family and (policy.kind == "holder" or subclass_form(model, policy).is_lehmer_mean)
     row_weights = _holder_weights(w) if policy.kind == "holder" else None  # over their largest
     # One pass forms every problem's (sub-model, target, total weight) and
     # the scale c_j of each component, so that every weight column is
@@ -296,14 +306,14 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     problems, scale = [], np.ones(model.dim_eta)
     if policy.kind == "lehmer":
         # One column at a time, so that these buffers do not grow with the
-        # columns; on the kernel path x receives the products u * x.
-        u, x = np.empty(obs.shape[0]), (np.empty(obs.shape[0]) if kernel else None)
+        # columns; on the kernel path y receives the products u * y.
+        u, y = np.empty((2, obs.shape[0]))
         for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
-            _lehmer_weight_column(obs[:, j], j, a, w, u, x)
+            e = _lehmer_weight_column(obs, j, a, w, u, y, products=kernel)
             total = float(np.add.reduce(u))
             if kernel:
-                sub_target = np.array([_lehmer_target(obs[:, j], a, None if w is None else w[:, j],
-                                                      u, x, total)])
+                target_j, scale[j] = _unit_targets(float(np.add.reduce(y)) / total, e)
+                sub_target = np.array([target_j])
             else:
                 sub_target = _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total)
             problems.append((sub_model, sub_target, total))
@@ -335,9 +345,9 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                 raise NumericError(
                     f"the curvature of {sub_model.name} at the estimate is not finite: {exc}"
                 ) from exc
-        # On a joint model, eigvalsh turns an overflowed entry into a NaN
-        # spectrum, and a NaN entry can give a finite one.
-        if sub_model is model and not (np.isfinite(hessian).all() and np.isfinite(spectrum).all()):
+        # eigvalsh turns an overflowed entry into a NaN spectrum, and a NaN
+        # entry can give a finite one.
+        if not (np.isfinite(hessian).all() and np.isfinite(spectrum).all()):
             raise NumericError(
                 f"the curvature of {sub_model.name} at the estimate is not finite: "
                 f"eigenvalues {spectrum.tolist()}"
@@ -403,28 +413,20 @@ def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np
     estimate = _scale_estimates(ref, target, orders if kind == "holder" else np.ones(orders.size))
     usable = (0 < estimate) & (estimate < np.inf)
     good = np.all(accurate & usable, axis=0)
-    gaps, model = {}, None
+    gaps = {}
+    # fit forms every weight column before it solves one, and the solver
+    # accepts every target here: a Lehmer mantissa in [1, 2), or a Holder
+    # target of at least 1/n.
     for g in np.flatnonzero(~good):
         order = orders[g]
-        if model is None or kind == "holder":  # only a Holder model's shapes change
-            model = weibull_model(np.full(k, order) if kind == "holder" else np.ones(k))
-        gaps[float(order)] = _sweep_gap(model, order, target[:, g], estimate[:, g],
-                                        accurate[:, g], usable[:, g])
+        if not accurate[:, g].all():
+            j = int(np.argmin(accurate[:, g]))
+            gap = _weights_out_of_range(f"the lehmer weights of column {j} at order {order}")
+        else:
+            gap = _unusable_estimate(estimate[:, g], weibull_model(np.full(k, order) if kind == "holder"
+                                                                    else np.ones(k)))
+        gaps[float(order)] = str(gap)
     return np.where(good[:, None], estimate.T, np.nan), gaps
-
-
-def _sweep_gap(model, order, targets, estimates, accurate, usable) -> str:
-    """The first of fit's reasons that applies at a rejected sweep order."""
-    if not accurate.all():  # fit forms every weight column before it solves one
-        j = int(np.argmin(accurate))
-        return str(_weights_out_of_range(f"the lehmer weights of column {j} at order {order}"))
-    # The solver accepts the target of every column whose estimate is usable.
-    for j in np.flatnonzero(~usable):
-        try:
-            _solve_mean_target(model.components[j], targets[j])
-        except (DomainError, SolverError) as exc:
-            return str(exc)
-    return str(_unusable_estimate(estimates, model))
 
 
 def subclass_form(model: FamilyModel, policy: WeightPolicy) -> SubclassReport:

@@ -324,20 +324,18 @@ class TestFitCommand:
         assert "minimality:       minimal (smallest/largest stat eigenvalue 9.990e-01/9.990e-01)" in out
         assert caplog.messages == []
 
-    def test_an_overflowed_minimality_covariance_prints_no_verdict(self, capsys, caplog):
-        # The covariance of values near 1e200 overflows: this printed
-        # "minimal (smallest/largest stat eigenvalue inf/inf)", and later a
-        # "degenerate (largest eigenvalue -inf)" warning as well.
+    def test_values_near_1e200_print_a_verdict(self, capsys, caplog):
+        # The unscaled covariance of values near 1e200 overflowed: this
+        # printed "minimal (smallest/largest stat eigenvalue inf/inf)", later
+        # no verdict and a warning.  Fitted on x * 2**-e, the curvature is
+        # finite and the verdict minimal.
         with caplog.at_level(logging.WARNING):
             code, out, _ = run_cli(capsys, "fit", "--policy", "lehmer", "--beta", "2",
                                    "1e200", "2e200", "4e200")
         assert code == 0
         assert "theta_hat:        [3.e+200]" in out
-        assert "minimality" not in out
-        assert caplog.messages == [
-            "no minimality verdict: the covariance of the statistic of weibull(k=[1.0]) "
-            "is not finite at eta=[-3.333333333333332e-201]"
-        ]
+        assert "minimality:       minimal" in out
+        assert caplog.messages == []
 
     def test_solver_failure_exits_3(self, capsys):
         # all-zero data puts the moment target outside the attainable range
@@ -551,7 +549,7 @@ class TestSweepCommand:
         with pytest.raises(ConfigError, match="non-empty grid of finite orders"):
             run_sweep(matrix, mode, np.array(grid))
 
-    def test_solver_gaps_are_recorded_and_run_continues(self):
+    def test_gaps_are_recorded_and_run_continues(self):
         years = (1976, 1978, 1980, 1982)
         values = np.tile([0.5, 0.45, 0.03], (4, 1))
         # 30 ** 210 overflows and 0.03 ** 205 is subnormal, which made these
@@ -564,14 +562,13 @@ class TestSweepCommand:
             for order, row in zip(grid, table.estimates):
                 for got, column in zip(row, rows.T):
                     assert ulps_off(got, holder_oracle(int(order), column)) <= 2
-        # A Lehmer mean near 1e-310 is subnormal, so the closed-form inverse
-        # -1/target overflows and leaves the natural domain: a NoSolutionError.
-        rows = values.copy()
-        rows[:, 2] = [1e-310, 1e-60, 1e-60, 1e-60]
-        gap = -400.0
-        table = run_sweep(ProportionMatrix(years=years, values=rows), "lehmer", np.array([gap, 2.0]))
+        # At Holder order 1e-4, (1/target) ** -1e4 underflows to 0 on values
+        # 1e600 apart: fit's NumericError names the gap, and the run goes on.
+        rows = np.array([[1e-300, 1.0, 1.0], [1e300, 2.0, 2.0], [1.0, 3.0, 3.0], [1.0, 3.0, 3.0]])
+        gap = 1e-4
+        table = run_sweep(ProportionMatrix(years=years, values=rows), "holder", np.array([gap, 2.0]))
         assert list(table.gaps) == [gap]
-        assert "closed-form inverse left the natural domain" in table.gaps[gap]
+        assert "is not finite and positive" in table.gaps[gap]
         at_gap = table.orders == gap
         assert np.all(np.isnan(table.estimates[at_gap]))
         assert np.all(np.isfinite(table.estimates[~at_gap]))
@@ -711,12 +708,6 @@ class TestBatchedSweep:
         # Below order 1 the weights of values more than exp(600) apart
         # cannot be formed.
         pytest.param(beyond_the_weight_range(), "lehmer", "-3:4:0.25", "exp(600)", id="weights"),
-        # A Lehmer mean of order 3 of values near 5e-324 rounds to 0.
-        pytest.param(subnormal_target(), "lehmer", "2:3:1", "target [0.0] is not attainable",
-                     id="target-not-positive"),
-        # A subnormal Lehmer mean: -1/target overflows to -inf.
-        pytest.param(matrix_of([[0.5, 0.45, 1e-310]] + [[0.5, 0.45, 1e-60]] * 3), "lehmer",
-                     "-600:600:50", "closed-form inverse left the natural domain", id="inverse"),
         # At Holder orders up to 8e-4, (1/target) ** (-1/k) underflows to 0.
         pytest.param(matrix_of([[1e-300, 1, 1], [1e300, 2, 2], [1, 3, 3]]), "holder",
                      "0.0001:0.001:0.0001", "is not finite and positive", id="estimate"),
@@ -729,11 +720,17 @@ class TestBatchedSweep:
         assert any(reason in message for message in table.gaps.values())
         assert_same_sweep(table, per_point_sweep(matrix, mode, grid))
 
-    def test_matches_one_fit_per_order_near_the_top_of_the_range(self):
-        # sum(u * x) overflows near 1.8e308, where the Lehmer mean does not;
-        # fit and the sweep take such a target again on scaled values.
-        matrix = matrix_of([[1.7e308, 1, 1], [1.79e308, 2, 2], [1.5e308, 3, 3]])
-        grid = parse_grid("-3:4:0.1")
+    @pytest.mark.parametrize("matrix", [
+        # sum(u * x) overflowed near 1.8e308, where the Lehmer mean does not.
+        pytest.param(matrix_of([[1.7e308, 1, 1], [1.79e308, 2, 2], [1.5e308, 3, 3]]), id="top"),
+        # A Lehmer mean of values near 5e-324 rounded to 0, and a subnormal
+        # one overflowed -1/target: both were gaps.
+        pytest.param(subnormal_target(), id="subnormal-values"),
+        pytest.param(matrix_of([[0.5, 0.45, 1e-310]] + [[0.5, 0.45, 1e-60]] * 3), id="subnormal-mean"),
+    ])
+    def test_matches_one_fit_per_order_at_the_ends_of_the_range(self, matrix):
+        # On x * 2**-e the target is a mantissa in [1, 2) at every magnitude.
+        grid = np.union1d(parse_grid("-3:4:0.1"), parse_grid("-600:600:50"))
         table = run_sweep(matrix, "lehmer", grid)
         assert table.gaps == {}
         assert_same_sweep(table, per_point_sweep(matrix, "lehmer", grid))
@@ -1311,14 +1308,18 @@ def run_process(argv, *, entry=True, stdout=subprocess.PIPE, env=None):
 
 @pytest.fixture(scope="module")
 def process_inputs(tmp_path_factory, synthetic_returns_csv):
-    """A returns file with one rejected row, and its proportions CSV."""
+    """A returns file with one rejected row, its proportions CSV, and a
+    returns file whose one cycle has no votes outside the two parties."""
     root = tmp_path_factory.mktemp("process")
     returns = root / "returns.csv"
     with open(synthetic_returns_csv, encoding="utf-8") as handle:
         returns.write_text(handle.read() + "1976,AZ,DEMOCRAT,500,100\n", encoding="utf-8")
     props = root / "props.csv"
     assert main(["ingest", "--data", str(returns), "--out", str(props)]) == 0
-    return {"returns": str(returns), "props": str(props)}
+    floored = root / "floored.csv"
+    floored.write_text(f"{SCHEMA_HEADER}\n1976,AZ,DEMOCRAT,60,100\n1976,AZ,REPUBLICAN,40,100\n",
+                       encoding="utf-8")
+    return {"returns": str(returns), "props": str(props), "floored": str(floored)}
 
 
 #: name -> (argv, exit code, the files it writes into ``{out}``)
@@ -1334,8 +1335,7 @@ PROCESS_COMMANDS = {
     "fit-text": (["fit", "--shapes", "1,1,1", "--policy", "lehmer", "--beta", "2", "--data", "{props}"],
                  0, []),
     "fit-csv": (["fit", "--shapes", "1,1,1", "--data", "{props}", "--format", "csv"], 0, []),
-    "fit-logs-a-warning": (["fit", "--policy", "lehmer", "--beta", "2", "1e200", "2e200", "4e200"], 0,
-                           []),
+    "ingest-logs-a-warning": (["ingest", "--data", "{floored}"], 0, []),
     "help": (["--help"], 0, []),
     "argparse-error": (["mean", "1", "2"], 2, []),
     "domain-error": (["mean", "--kind", "holder", "--alpha", "2", "0", "-1"], 2, []),
@@ -1380,9 +1380,9 @@ class TestProcessExit:
         assert sorted(got[3]) == files and all(got[3].values())
         if name == "sweep-over-a-pipe-buffer":
             assert len(got[1]) > 65536
-        if name == "fit-logs-a-warning":
-            assert b"no minimality verdict: the covariance of the statistic" in got[2]
-            assert b"theta_hat:        [3.e+200]" in got[1]
+        if name == "ingest-logs-a-warning":
+            assert b"cycle 1976 has zero votes for OTHER; flooring at" in got[2]
+            assert got[1].startswith(b"year,dem,rep,other\n1976,")
 
     def test_output_matches_the_library(self):
         code, out, err = run_process(["mean", "--kind", "holder", "--alpha", "2.5", "0.6", "2"])
