@@ -124,19 +124,35 @@ class FamilyModel:
             raise ConfigError("a scale family with several parameters needs its components")
 
 
-def _observation_matrix(observations) -> tuple[np.ndarray, float, float]:
+#: Rows of a C-order matrix that :func:`_observation_matrix` folds into one
+#: row of its reduction, whose ``m * k`` running extremes stay in L1.
+_EXTREME_ROWS = 512
+
+
+def _observation_matrix(observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observations as a finite, non-empty ``(n, k)`` float matrix, a 1-D
-    input being one column, with its smallest and largest value (``inf``
-    and ``-inf`` when ``k == 0``)."""
+    input being one column, with each column's smallest and largest value.
+
+    Each extreme is one pass with no temporary: over a C-order matrix as
+    ``(n / m, m * k)`` rows, each step one contiguous loop, then its last
+    ``m`` rows (seeing a row twice changes no extreme) and the ``m`` rows
+    of ``k``; column by column otherwise.  A NaN reaches both extremes of
+    its column and an infinity one, so the finite check reads them, as do
+    ``fit``'s support check and the column kernels of :mod:`wmle.means`.
+    """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
         obs = obs.reshape(-1, 1)
     if obs.ndim != 2 or obs.shape[0] < 1:
         raise DomainError("observations must form a non-empty n-by-k matrix")
-    # Two reductions, no temporary: a NaN reaches both, an infinity one.
-    lo = float(np.minimum.reduce(obs, axis=None, initial=math.inf))
-    hi = float(np.maximum.reduce(obs, axis=None, initial=-math.inf))
-    if not (-math.inf < lo and hi < math.inf):
+    (n, k), m = obs.shape, _EXTREME_ROWS
+    if obs.flags.c_contiguous and n >= m:
+        head, last = obs[: n - n % m].reshape(-1, m * k), obs[n - m :]
+        lo, hi = (extreme.reduce(extreme(extreme.reduce(head, axis=0).reshape(m, k), last), axis=0)
+                  for extreme in (np.minimum, np.maximum))
+    else:  # one pass per column, contiguous in F order
+        lo, hi = (np.array([extreme.reduce(obs[:, j]) for j in range(k)]) for extreme in (np.minimum, np.maximum))
+    if not ((-math.inf < lo).all() and (hi < math.inf).all()):
         raise DomainError("observations must be finite")
     return obs, lo, hi
 

@@ -11,7 +11,10 @@ and in :func:`_lehmer_weights`, the one maker of Lehmer weights, for
 :func:`wmle.mwle.apply_policy` and ``fit``.  Both divide a column by a
 reference that scales with it (its largest term, a power of two), so a
 power-of-two scaling of the values scales each mean exactly and one of
-the weights changes no bit.  ``holder_mean`` is the Weibull MWLE exactly.
+the weights changes no bit.  Neither finds a column's extremes: each
+caller passes those it has from its own check (:class:`Sample`'s, the
+observation check's, the sweep's columns'), and each column is then read
+once, where it lies.  ``holder_mean`` is the Weibull MWLE exactly.
 ``lehmer_mean`` is, to the bit, the moment target the unit-shape Weibull
 MWLE inverts times its scale; that estimate, ``(-eta) ** -1`` at ``eta =
 -1/target`` times the scale, may differ from it in the last bit.
@@ -33,7 +36,7 @@ exposed by :func:`v_weights`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,10 +52,14 @@ class Sample:
 
     ``weights=None`` means uniform weights of one.  Duplicated values are
     kept as-is; a repeated observation simply contributes its weight twice.
+    ``smallest`` and ``largest`` are the extremes the check finds, which the
+    means take instead of reducing the values again.
     """
 
     values: np.ndarray
     weights: np.ndarray | None = None
+    smallest: np.float64 = field(init=False, repr=False, compare=False)
+    largest: np.float64 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(-1)
@@ -68,6 +75,8 @@ class Sample:
                    else _weight_vector(self.weights, values.size, "values", "sample"))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "smallest", lo)
+        object.__setattr__(self, "largest", hi)
 
 
 def _weight_vector(weights, n: int, items: str, owner: str) -> np.ndarray:
@@ -97,7 +106,7 @@ def _order(alpha) -> float:
 
 
 def _require_positive(sample: Sample, alpha: float, reason: str) -> None:
-    if np.any(sample.values == 0):
+    if sample.smallest == 0:
         raise DomainError(
             f"value 0 is outside the domain for order alpha={alpha} ({reason})"
         )
@@ -122,18 +131,20 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.ndarray,
-                    w: np.ndarray | None = None, products: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                    lo: np.ndarray, hi: np.ndarray, w: np.ndarray | None = None,
+                    products: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Lehmer weights ``w * x**(a - 1)`` of ``k`` columns at ``G`` orders, each divided by its largest.
 
     ``x`` holds one column of non-negative values per row, ``(k, n)``, in
-    any layout, and ``w`` positive finite base weights of the same shape
-    (equal ones cancel), or ``None``.  Row ``(j, g)`` of the ``(k, G, n)``
-    buffer ``out`` receives column ``j``'s weights at ``orders[g]``, and
-    the ``(k, n)`` buffer ``y`` the values ``x_j * 2**-e_j``, or with
-    ``products`` (one order) ``u * y``.  Returns ``e`` per column, then per
-    (column, order) whether the weights could be formed: not at an order
-    other than 1 on a column holding a zero, nor where the raised weights
-    below are not negligible.
+    any layout, ``lo`` and ``hi`` each column's smallest and largest value,
+    from the caller's check, and ``w`` positive finite base weights of the
+    same shape (equal ones cancel), or ``None``.  Row ``(j, g)`` of the
+    ``(k, G, n)`` buffer ``out`` receives column ``j``'s weights at
+    ``orders[g]``, and the ``(k, n)`` buffer ``y`` the values ``x_j *
+    2**-e_j``, or with ``products`` (one order) ``u * y``.  Returns ``e``
+    per column, then per (column, order) whether the weights could be
+    formed: not at an order other than 1 on a column holding a zero, nor
+    where the raised weights below are not negligible.
 
     The logs are of ``y``, whose power of two centres their range on 0
     (:func:`_scale_exponents`), and of ``w`` over its largest, so a weight
@@ -152,11 +163,12 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     ``x_r`` by more than a factor ``exp(600)``.  At order 1 the weights are
     ``w`` over its largest, or 1, and a zero value passes.
 
-    The rows are walked in blocks of ``_BLOCK_ELEMENTS``: one pass copies
-    ``x`` into ``y`` and finds each column's extremes, one with base
-    weights finds ``r``, and one forms the weights, so each block's steps
-    run in cache.  Every step is elementwise, so the weights do not depend
-    on the block size, the number of columns or orders, or the layout.
+    The rows are walked in blocks of ``_BLOCK_ELEMENTS``: with base weights
+    one pass forms ``y`` straight from ``x`` and finds ``r``, and one forms
+    the weights, which without them forms ``y`` first, so each column is
+    read once and each block's steps run in cache.  Every step is
+    elementwise, so the weights do not depend on the block size, the
+    number of columns or orders, or the layout.
     """
     k, n = x.shape
     c = orders - 1.0
@@ -166,19 +178,23 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
         tops = np.maximum.reduce(w, axis=1)
         if (np.minimum.reduce(w, axis=1) == tops).all():
             w = None
-    lows, highs = np.empty((2, k, len(parts)))
-    for b, part in enumerate(parts):
-        for j in range(k):  # a one-dimensional copy of a strided column is the fastest
-            block = y[j, part]
-            np.copyto(block, x[j, part])
-            lows[j, b], highs[j, b] = np.minimum.reduce(block), np.maximum.reduce(block)
-    lo, hi = np.minimum.reduce(lows, axis=1), np.maximum.reduce(highs, axis=1)
     e = _scale_exponents(lo, hi, n)
     up, one, single = c >= 0, c == 0, orders.size == 1
     logs = np.empty((k, min(n, size)))  # a block of log y, where it cannot go into out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
+        exact = np.isfinite(factor).all()
         log_lo, log_hi = np.log(np.ldexp(lo, -e)), np.log(np.ldexp(hi, -e))
+
+        def scaled(part):
+            """``y``'s rows ``part``: the caller's ``x`` times ``2**-e``."""
+            block = y[:, part]
+            if exact:
+                np.multiply(x[:, part], factor[:, None], out=block)
+            else:
+                np.ldexp(x[:, part], -e[:, None], out=block)
+            return block
+
         if w is None:
             ref = np.where(up, log_hi[:, None], log_lo[:, None])
             # Each row's smallest exponent sits at the value farthest from
@@ -189,8 +205,8 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
             ref, ref_w = np.zeros((2, k, orders.size))
             peak, clamped = np.full((k, orders.size), -np.inf), np.zeros((k, orders.size), dtype=bool)
             for part in parts:
-                log_y = logs[:, : y[:, part].shape[1]]
-                np.log(np.ldexp(y[:, part], -e[:, None], out=log_y), out=log_y)
+                block = scaled(part)
+                log_y = np.log(block, out=logs[:, : block.shape[1]])
                 log_w = np.log(w[:, part] / tops[:, None])
                 t = log_y[:, None, :] * c[:, None] + log_w[:, None, :]
                 i = np.argmax(t, axis=2)[..., None]
@@ -201,11 +217,7 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
                 ref_w = np.where(better, np.take_along_axis(log_w, i[..., 0], axis=1), ref_w)
         c_rows, ref_rows, ones = c[:, None], ref[..., None], np.count_nonzero(one)
         for part in parts:
-            block, rows = y[:, part], out[:, :, part]
-            if np.isfinite(factor).all():
-                block *= factor[:, None]
-            else:
-                np.ldexp(block, -e[:, None], out=block)
+            block, rows = scaled(part) if w is None else y[:, part], out[:, :, part]
             if single:  # the logs go into out, where the weights replace them in place
                 np.log(block, out=rows[:, 0])
                 rows -= ref_rows
@@ -227,7 +239,7 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
                 rows[:, one] = 1.0 if w is None else relative[:, None, :]
             if products:
                 block *= rows[:, 0]
-    accurate = ~clamped | (log_hi[:, None] - ref <= _LOG_SPREAD)
+        accurate = ~clamped | (log_hi[:, None] - ref <= _LOG_SPREAD)  # -inf - -inf on an all-zero column
     return e, one | ((lo > 0)[:, None] & accurate)
 
 
@@ -302,43 +314,43 @@ def _holder_weights(w: np.ndarray | None):
 
 
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
-                  w: tuple | None = None):
+                  lo: np.ndarray, hi: np.ndarray, w: tuple | None = None):
     """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
-    ``x`` holds one column per row, ``(k, n)``, non-negative, and positive
-    for negative Holder orders; the orders are finite, the Holder ones
-    nonzero and of one sign, and are taken ``B`` at a time, for every
-    column at once, in the ``(k, B, n)`` buffer ``out``.  Row weights ``w``
-    are Holder only: the pair :func:`_holder_weights` returns, shared by
-    every column.  Returns per (column, order) the moment target, the total
-    weight and whether the sums are accurate, then the reference ``x_r``.
-    Lehmer, unweighted, for the batched sweep: weights ``u`` from
-    :func:`_lehmer_weights` on ``y = x * 2**-e``, target ``sum(u * y) /
-    sum(u)`` as :func:`_unit_targets` splits it, a mantissa in ``[1, 2)``
-    and ``x_r`` its power of two, per (column, order).  Holder of
-    order ``k``: ``y = x / x_r``, ``x_r`` the value with the largest term
-    (0, giving NaN, for an all-zero column), moved to :func:`_power_bound`,
-    target ``sum(w * y**k) / sum(w)`` under weights over their largest; a
-    single order, as in ``fit`` and ``holder_mean``, takes these steps
-    ``_BLOCK_ELEMENTS`` rows at a time.  :func:`wmle.mwle.fit` solves these
-    targets, and its ``theta_hat`` is their :func:`_scale_estimates` to the
-    bit: the sums are rows of a C-order buffer, which numpy reduces
-    pairwise like a 1-D array.
+    ``x`` holds one column per row, ``(k, n)``, in any layout,
+    non-negative, and positive for negative Holder orders, and ``lo`` and
+    ``hi`` each column's smallest and largest value, from the caller's
+    check; the orders are finite, the Holder ones nonzero and of one sign,
+    and are taken ``B`` at a time, for every column at once, in the
+    ``(k, B, n)`` buffer ``out``.  Row weights ``w`` are Holder only: the
+    pair :func:`_holder_weights` returns, shared by every column.  Returns
+    per (column, order) the moment target, the total weight and whether the
+    sums are accurate, then the reference ``x_r``.  Lehmer, unweighted, for
+    the batched sweep: weights ``u`` from :func:`_lehmer_weights` on ``y =
+    x * 2**-e``, target ``sum(u * y) / sum(u)`` as :func:`_unit_targets`
+    splits it, a mantissa in ``[1, 2)`` and ``x_r`` its power of two, per
+    (column, order).  Holder of order ``k``: ``y = x / x_r``, ``x_r`` the
+    extreme with the largest term, ``hi`` or ``lo`` (0, giving NaN, for an
+    all-zero column), moved to :func:`_power_bound`, target ``sum(w *
+    y**k) / sum(w)`` under weights over their largest; a single order, as
+    in ``fit`` and ``holder_mean``, divides ``_BLOCK_ELEMENTS`` rows of
+    ``x`` at a time into ``out`` and takes the other steps there, so each
+    column is read once.  :func:`wmle.mwle.fit` solves these targets, and
+    its ``theta_hat`` is their :func:`_scale_estimates` to the bit: the
+    sums are rows of a C-order buffer, which numpy reduces pairwise like a
+    1-D array.
     """
     k, n = x.shape
     target, total = np.empty((2, k, orders.size))
     ok = np.ones((k, orders.size), dtype=bool)
-    single = orders.size == 1  # x is then read into out, where its terms replace it
+    single = orders.size == 1  # x / x_r then goes into out, where its terms replace it
     if kind == "lehmer":
         scaled = np.empty((k, n))
     else:
         up = orders[0] > 0
         extreme = np.maximum if up else np.minimum
-        if single:  # fit's and holder_mean's path: one contiguous copy, then blocks in place
-            np.copyto(out[:, 0], x)
-            ref = extreme.reduce(out[:, 0], axis=1)
-        else:
-            ref = extreme.reduce(x, axis=1)
+        ref, far = (hi, lo) if up else (lo, hi)
+        if not single:
             # At a negative order, x / min(x) may overflow; the inf is moved
             # to the power bound below.  An all-zero column gives 0 / 0, NaN.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -355,7 +367,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         # A short last block takes the buffer's head, so its rows stay contiguous.
         rows = out.reshape(-1)[: k * block.size * n].reshape(k, block.size, n)
         if kind == "lehmer":
-            e, ok[:, part] = _lehmer_weights(x, block, rows, scaled)
+            e, ok[:, part] = _lehmer_weights(x, block, rows, scaled, lo, hi)
             total[:, part] = np.add.reduce(rows, axis=2)
             rows *= scaled[:, None, :]
         else:
@@ -365,7 +377,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
                     span = slice(row, row + _BLOCK_ELEMENTS)
                     terms = out[:, 0, span]
                     with np.errstate(over="ignore", invalid="ignore"):
-                        np.divide(terms, ref[:, None], out=terms)
+                        np.divide(x[:, span], ref[:, None], out=terms)
                     extreme(terms, bounds, out=terms)
                     np.power(terms, block, out=terms)
                     if w is not None:
@@ -391,7 +403,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
         # any value was moved (under unit weights the target is at least 1/n).
         ok = ~((0 < target) & (target < _MOVED_TERMS_TARGET_MIN))
         if not ok.all():
-            far = ((np.minimum if up else np.maximum).reduce(x, axis=1) / ref)[:, None]
+            far = (far / ref)[:, None]
             ok |= far >= _power_bound(orders) if up else far <= _power_bound(orders)
     return target, total, ok, ref
 
@@ -457,21 +469,21 @@ def holder_mean(alpha, values, weights=None) -> float:
     """
     a = _order(alpha)
     sample = _coerce(values, weights)
-    x, w = sample.values, sample.weights
+    x, w, lo, hi = sample.values, sample.weights, sample.smallest, sample.largest
     if a == math.inf:
-        return float(np.max(x))
+        return float(hi)
     if a == -math.inf:
         _require_positive(sample, a, "min limit of positive-order means")
-        return float(np.min(x))
+        return float(lo)
     if a <= 0:
         _require_positive(sample, a, "x**alpha has a pole at 0 for alpha <= 0")
     if a == 0.0:
         return float(math.exp(float(np.dot(w, np.log(x))) / float(np.sum(w))))
-    if np.max(x) == 0.0:  # only for a > 0
+    if hi == 0.0:  # only for a > 0
         return 0.0
     order = np.array([a])
     target, _, ok, ref = _column_means("holder", x[None, :], order, np.empty((1, 1, x.size)),
-                                       _holder_weights(w))
+                                       lo[None], hi[None], _holder_weights(w))
     if not ok[0, 0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(_scale_estimates(ref, target, order)[0, 0])
@@ -493,22 +505,23 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     """
     a = _order(alpha)
     sample = _coerce(values, weights)
+    x, w, lo, hi = sample.values, sample.weights, sample.smallest, sample.largest
     if a == math.inf:
-        return float(np.max(sample.values))
+        return float(hi)
     if a == -math.inf:
         _require_positive(sample, a, "min limit of the Lehmer family")
-        return float(np.min(sample.values))
+        return float(lo)
     if a <= 1:
         _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha <= 1")
-    x, w = sample.values, sample.weights
-    if np.min(x) == 0.0:  # only for a > 1, where x**(a-1) is 0 at 0
-        if np.max(x) == 0.0:
+    if lo == 0.0:  # only for a > 1, where x**(a-1) is 0 at 0
+        if hi == 0.0:
             return 0.0
-        # A zero value has weight exactly 0 and adds nothing to either sum.
-        keep = x > 0
+        keep = x > 0  # a zero value has weight exactly 0 and adds nothing to either sum
         x, w = x[keep], w[keep]
+        lo = np.minimum.reduce(x)
     u, y = np.empty((2, x.size))
-    e, ok = _lehmer_weights(x[None], np.array([a]), u[None, None], y[None], w[None], products=True)
+    e, ok = _lehmer_weights(x[None], np.array([a]), u[None, None], y[None], lo[None], hi[None], w[None],
+                            products=True)
     if not ok[0, 0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
     return math.ldexp(float(np.add.reduce(y)) / float(np.add.reduce(u)), int(e[0]))
@@ -525,8 +538,8 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
 
     Only finite orders are accepted: the defining expressions have no
     finite normalization at infinite order.  The Lehmer weights are those
-    :func:`lehmer_mean` averages with, so a weight below ``exp(-700)``
-    times the largest reads as that bound over the sum.
+    :func:`lehmer_mean` averages with, except that one below ``exp(-700)``
+    times the largest, which ``lehmer_mean`` raises to that bound, reads as 0.
     """
     if kind not in ("lehmer", "holder"):
         raise DomainError(f"unknown v-weight kind {kind!r}, expected 'lehmer' or 'holder'")
@@ -544,18 +557,24 @@ def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
     per order, each taking the steps of a call at that order alone.  Raises
     ``NumericError`` naming the first order whose Holder weights overflow."""
     if kind == "lehmer":
-        x, w = sample.values, sample.weights
+        x, w, lo = sample.values, sample.weights, sample.smallest
         keep = x > 0  # above order 1 a zero value weighs exactly 0; below, callers reject it
-        u = np.empty((1, orders.size, np.count_nonzero(keep)))
-        if u.shape[2] < x.size:
+        if lo == 0.0:
+            if sample.largest == 0.0:
+                return np.full((orders.size, x.size), math.nan)
             x, w = x[keep], w[keep]
-        if u.size:
-            _lehmer_weights(x[None], orders, u, np.empty((1, x.size)), w[None])
+            lo = np.minimum.reduce(x)
+        u = np.empty((1, orders.size, x.size))
+        _lehmer_weights(x[None], orders, u, np.empty((1, x.size)), lo[None], sample.largest[None], w[None])
+        # A weight raised to exp(-700), exactly below it over a sum of at
+        # least 1, reads as 0, as that rounds.  Order 1 raises none.
+        u[0][(u[0] <= np.exp(_EXP_FLOOR)) & (orders != 1.0)[:, None]] = 0.0
+        v = u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
         if x.size == keep.size:
-            return u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
-        v = np.full((orders.size, keep.size), 0.0 if x.size else math.nan)
-        v[:, keep] = u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
-        return v
+            return v
+        full = np.zeros((orders.size, keep.size))
+        full[:, keep] = v
+        return full
     with np.errstate(divide="ignore"):
         log_x = np.log(sample.values)
     expo = np.log(sample.weights) + (orders[:, None] - 1.0) * log_x

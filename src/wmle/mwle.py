@@ -198,7 +198,7 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     column cannot be formed accurately: at an order below 1 on values more
     than ``exp(600)`` apart.
     """
-    obs = _observation_matrix(observations)[0]
+    obs, lo, hi = _observation_matrix(observations)
     w = _base_weights(policy, obs)
     if policy.kind == "holder":
         row_weights = _holder_weights(w)
@@ -206,22 +206,24 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     # Column-major: each weight column is one contiguous buffer.
     u, y = np.empty(obs.shape, order="F"), np.empty(obs.shape[0])
     for j, a in enumerate(policy.exponents):
-        _lehmer_weight_column(obs, j, a, w, u[:, j], y)
+        _lehmer_weight_column(obs, lo, hi, j, a, w, u[:, j], y)
     return u
 
 
-def _lehmer_weight_column(obs: np.ndarray, j: int, a: float, w: Optional[np.ndarray],
-                          u: np.ndarray, y: np.ndarray, products: bool = False) -> int:
+def _lehmer_weight_column(obs: np.ndarray, lo: np.ndarray, hi: np.ndarray, j: int, a: float,
+                          w: Optional[np.ndarray], u: np.ndarray, y: np.ndarray,
+                          products: bool = False) -> int:
     """Column ``j``'s Lehmer weights at order ``a`` into ``u`` by
-    :func:`means._lehmer_weights`, and the column times ``2**-e`` (with
+    :func:`means._lehmer_weights`, on the column extremes ``lo`` and ``hi``
+    of the observation check, and the column times ``2**-e`` (with
     ``products``, times ``u``) into ``y``; returns ``e``, or raises where
     the weights cannot be formed."""
     col = obs[:, j]
-    e, ok = _lehmer_weights(col[None], np.array([a]), u[None, None], y[None],
+    e, ok = _lehmer_weights(col[None], np.array([a]), u[None, None], y[None], lo[j : j + 1], hi[j : j + 1],
                             None if w is None else w[None, :, j], products)
     if ok[0, 0]:
         return int(e[0])
-    if np.minimum.reduce(col) > 0:
+    if lo[j] > 0:
         raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
     raise DomainError(
         f"value {float(col[col <= 0][0])} in column {j} cannot be weighted by x**({a}-1); "
@@ -229,11 +231,11 @@ def _lehmer_weight_column(obs: np.ndarray, j: int, a: float, w: Optional[np.ndar
     )
 
 
-def _check_support(model: FamilyModel, obs: np.ndarray, smallest: float, largest: float) -> None:
+def _check_support(model: FamilyModel, obs: np.ndarray, smallest: np.ndarray, largest: np.ndarray) -> None:
     """Raise ``DomainError`` naming the first value outside ``model.support``;
-    ``smallest`` and ``largest`` are the extremes of ``obs``."""
+    ``smallest`` and ``largest`` are the column extremes of ``obs``."""
     lo, hi = model.support
-    if smallest < lo or largest > hi:
+    if (smallest < lo).any() or (largest > hi).any():
         i, j = np.argwhere((obs < lo) | (obs > hi))[0]
         raise DomainError(
             f"value {float(obs[i, j])!r} in column {j} is outside the support [{lo:g}, {hi:g}] "
@@ -258,7 +260,8 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     warning, and so does a covariance that supports none.
 
     The observations are checked once, here, for finiteness and against
-    ``model.support``, and the base weights once, where they are made.
+    ``model.support``, on each column's extremes, which the column kernels
+    take too, and the base weights once, where they are made.
     Per-column (Lehmer) weights give one univariate problem per independent
     component.  Row weights give one problem, except on a scale family
     (``model.scale_family``), where each component is fitted on its own
@@ -309,7 +312,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         # columns; on the kernel path y receives the products u * y.
         u, y = np.empty((2, obs.shape[0]))
         for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
-            e = _lehmer_weight_column(obs, j, a, w, u, y, products=kernel)
+            e = _lehmer_weight_column(obs, smallest, largest, j, a, w, u, y, products=kernel)
             total = float(np.add.reduce(u))
             if kernel:
                 target_j, scale[j] = _unit_targets(float(np.add.reduce(y)) / total, e)
@@ -318,11 +321,12 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                 sub_target = _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total)
             problems.append((sub_model, sub_target, total))
     elif kernel:
-        # A Holder column needs no copy: the kernel's x / x_r is contiguous.
+        # A Holder column needs no copy: the kernel divides it into out.
         out = np.empty((1, 1, obs.shape[0]))
         for j, sub_model in enumerate(model.components or (model,)):
             (sub_target,), (total,), (ok,), (ref,) = _column_means(
-                "holder", obs[None, :, j], sub_model.stat_powers, out, row_weights)
+                "holder", obs[None, :, j], sub_model.stat_powers, out,
+                smallest[j : j + 1], largest[j : j + 1], row_weights)
             if not ok[0]:
                 raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
             if ref == 0.0:  # an all-zero column: target 0, the solver's to reject
@@ -406,10 +410,11 @@ def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np
     grid order, to the message ``fit`` raises there.
     """
     n, k = obs.shape
-    columns = np.ascontiguousarray(obs.T)  # one contiguous row per column, as fit reads it
+    columns = np.ascontiguousarray(obs.T)  # one contiguous row per column
+    lo, hi = np.minimum.reduce(columns, axis=1), np.maximum.reduce(columns, axis=1)
     out = np.empty((k, max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n))), n))
     with np.errstate(all="ignore"):
-        target, _, accurate, ref = _column_means(kind, columns, orders, out)  # (k, G)
+        target, _, accurate, ref = _column_means(kind, columns, orders, out, lo, hi)  # (k, G)
     estimate = _scale_estimates(ref, target, orders if kind == "holder" else np.ones(orders.size))
     usable = (0 < estimate) & (estimate < np.inf)
     good = np.all(accurate & usable, axis=0)

@@ -162,9 +162,9 @@ class TestHolderMean:
         # Raw row weights would leave the kernel's total weight unset.
         x, w = np.array([[0.6, 2.0]]), np.array([1.0, 3.0])
         with pytest.raises(TypeError, match="_holder_weights"):
-            means._column_means("holder", x, np.array([2.0]), np.empty((1, 1, 2)), w)
-        target, total, _, _ = means._column_means("holder", x, np.array([2.0]),
-                                                  np.empty((1, 1, 2)), means._holder_weights(w))
+            means._column_means("holder", x, np.array([2.0]), np.empty((1, 1, 2)), x.min(1), x.max(1), w)
+        target, total, _, _ = means._column_means("holder", x, np.array([2.0]), np.empty((1, 1, 2)),
+                                                  x.min(1), x.max(1), means._holder_weights(w))
         assert total[0, 0] == 4.0 / 3.0
         assert target[0, 0] == pytest.approx((0.09 + 3.0) / 4.0, rel=1e-15)
 
@@ -290,6 +290,15 @@ class TestVWeights:
     def test_zero_value_rejected_at_low_orders(self):
         with pytest.raises(DomainError):
             v_weights("holder", 0.5, [0.0, 2.0])
+
+    def test_a_weight_below_the_exponent_floor_reads_as_zero(self):
+        # The exact first weight is about exp(-8275); raised to exp(-700) it
+        # read 9.86e-305.  lehmer_mean keeps the raised weight in its sums.
+        assert v_weights("lehmer", 600.0, [1e-3, 1e3]).tolist() == [0.0, 1.0]
+        assert v_weights("lehmer", -600.0, [1e-3, 1e3], [1.0, 2.0]).tolist() == [1.0, 0.0]
+        assert lehmer_mean(600.0, [1e-3, 1e3]) == 1e3
+        # Order 1 raises no exponent: a tiny relative weight stays as it is.
+        assert v_weights("lehmer", 1.0, [1.0, 2.0], [1e-310, 1.0]).tolist() == [1e-310, 1.0]
 
     def test_overflowing_holder_weights_are_a_numeric_error(self):
         # w * x ** (alpha - 1) / sum(w) overflows in the exponential or in

@@ -407,6 +407,110 @@ class TestValidation:
             assert np.isfinite(fit(model, obs, policy).theta_hat).all()
 
 
+#: Entries observation_cases sets in a matrix of positive values.
+_SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+
+
+@st.composite
+def observation_cases(draw):
+    """A row count ``m`` for the observation check's chunks, and an ``(n,
+    k)`` matrix of log-uniform values in [1e-3, 1e3], ``n`` from 1 to
+    several ``m``, ``k`` from 1 to 4, C-order, F-order or a strided view,
+    with up to three entries anywhere (in the chunked head or in the tail
+    rows) set to NaN, +-inf, +-0 or -1, and sometimes a column of zeros of
+    one sign."""
+    m = draw(st.sampled_from([1, 2, 3, 8]))
+    n, k = draw(st.integers(1, 5 * m + 3)), draw(st.integers(1, 4))
+    logs = draw(st.lists(st.floats(math.log(1e-3), math.log(1e3)), min_size=n * k, max_size=n * k))
+    x = np.exp(np.asarray(logs)).reshape(n, k)
+    for _ in range(draw(st.integers(0, 3))):
+        x[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = draw(st.sampled_from(_SPECIAL_VALUES))
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, k - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        big = np.ones((n, 2 * k))
+        big[:, ::2] = x
+        x = big[:, ::2]
+    return m, x
+
+
+class TestObservationExtremes:
+    # The observation check finds each column's extremes in one reduction
+    # per extreme, over (n / m, m * k) rows of a C-order matrix; its finite
+    # check, fit's support check and the column kernels all read them.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(observation_cases())
+    def test_extremes_and_errors_are_those_of_each_column(self, case):
+        m, x = case
+        n, k = x.shape
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expfam, "_EXTREME_ROWS", m)
+            fits = {
+                "columns": lambda: fit(weibull_model(np.ones(k + 1)), x, WeightPolicy.holder()),
+                "lehmer": lambda: _fit_bits(fit(weibull_model(np.ones(k)), x, WeightPolicy.lehmer(np.full(k, 2.0)))),
+                "holder": lambda: _fit_bits(fit(weibull_model(np.full(k, 2.0)), x, WeightPolicy.holder())),
+                "policy": lambda: apply_policy(WeightPolicy.lehmer(np.full(k, 2.0)), x).tobytes(),
+            }
+            outcomes = {name: _outcome(call) for name, call in fits.items()}
+            if not np.isfinite(x).all():
+                # Finiteness is checked first, before the column count.
+                with pytest.raises(DomainError, match="^observations must be finite$"):
+                    expfam._observation_matrix(x)
+                assert set(outcomes.values()) == {("raised", DomainError, "observations must be finite")}
+                return
+            obs, lo, hi = expfam._observation_matrix(x)
+        assert obs is x
+        assert np.array_equal(lo, np.minimum.reduce(x, axis=0)) and np.array_equal(hi, np.maximum.reduce(x, axis=0))
+        assert outcomes["columns"] == ("raised", DomainError,
+                                       f"data has {k} columns, model {weibull_model(np.ones(k + 1)).name} expects {k + 1}")
+        negative = np.argwhere(x < 0)
+        if negative.size:
+            i, j = negative[0]
+            for name in ("lehmer", "holder"):
+                assert outcomes[name][:2] == ("raised", DomainError)
+                assert outcomes[name][2].startswith(f"value {float(x[i, j])!r} in column {j} is outside the support")
+            return
+        zeros = np.flatnonzero((x == 0).any(axis=0))
+        if zeros.size:
+            j = zeros[0]
+            error = ("raised", DomainError, f"value {float(x[x[:, j] == 0, j][0])} in column {j} cannot be weighted "
+                     "by x**(2.0-1); the lehmer policy needs strictly positive observations")
+            assert outcomes["lehmer"] == outcomes["policy"] == error
+        else:
+            assert outcomes["lehmer"][0] == outcomes["policy"][0] == "returned"
+        empty = np.flatnonzero((x == 0).all(axis=0))
+        if empty.size:
+            assert outcomes["holder"][:2] == ("raised", NoSolutionError)
+            assert "target [0.0] is not attainable" in outcomes["holder"][2]
+        else:
+            theta = [float.fromhex(h) for h in outcomes["holder"][1][:k]]
+            assert theta == [holder_mean(2.0, x[:, j]) for j in range(k)]
+
+
+class TestLayouts:
+    # The column kernels read the caller's column where it lies, with no
+    # copy, so fit and apply_policy give the same bits on every layout.
+    # 2000 rows take the observation check's chunks and a tail; values
+    # near 2**-1060 scale by ldexp, whose factor 2**-e would overflow.
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1060])
+    @pytest.mark.parametrize("shapes, policy", [
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 0.5, 200.0])),
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([2.0, 1.0, -200.0], base_w=lambda o: 1.0 + o)),
+        ([0.5, 2.0, 60.0], WeightPolicy.holder()),
+        ([0.5, 2.0, 60.0], WeightPolicy.holder(base_w=lambda o: 1.0 + o[:, 0])),
+    ])
+    def test_c_f_and_strided_matrices_give_the_same_bits(self, shapes, policy, scale):
+        big = scale * _log_uniform(np.random.default_rng(71), (2000, 6))
+        layouts = [np.ascontiguousarray(big[:, ::2]), np.asfortranarray(big[:, ::2]), big[:, ::2]]
+        fits = [_outcome(lambda: _fit_bits(fit(weibull_model(shapes), x, policy))) for x in layouts]
+        weights = [_outcome(lambda: apply_policy(policy, x).tobytes()) for x in layouts]
+        assert fits[0][0] == "returned" or scale != 1.0
+        assert fits[1:] == fits[:1] * 2 and weights[1:] == weights[:1] * 2
+
+
 #: fit's kernel-path cases, (kind, order, weighted): the Lehmer policy on
 #: the unit-shape Weibull model, or a Holder shape under row weights, with or
 #: without base weights.
@@ -1237,7 +1341,7 @@ class TestDispatchLevels:
     RELATION_TESTS = ["tests/test_cli.py::TestBatchedSweep", "tests/test_mwle.py::TestHolderAccuracy",
                       "tests/test_mwle.py::TestLehmerRelation", "tests/test_mwle.py::TestBlockWalk",
                       "tests/test_mwle.py::TestKernelPath", "tests/test_mwle.py::TestHomogeneity",
-                      "tests/test_expfam.py::TestExactMinimality"]
+                      "tests/test_mwle.py::TestLayouts", "tests/test_expfam.py::TestExactMinimality"]
 
     def test_bit_relations_hold_without_avx512(self):
         try:
