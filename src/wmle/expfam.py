@@ -124,22 +124,16 @@ class FamilyModel:
             raise ConfigError("a scale family with several parameters needs its components")
 
 
-#: Rows of a C-order matrix that :func:`_observation_matrix` folds into one
-#: row of its reduction, whose ``m * k`` running extremes stay in L1.
-_EXTREME_ROWS = 512
+_EXTREME_ROWS = 512  # rows of a C-order matrix folded into one row of the reduction below
 
 
 def _observation_matrix(observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observations as a finite, non-empty ``(n, k)`` float matrix, a 1-D
-    input being one column, with each column's smallest and largest value.
-
-    Each extreme is one pass with no temporary: over a C-order matrix as
-    ``(n / m, m * k)`` rows, each step one contiguous loop, then its last
-    ``m`` rows (seeing a row twice changes no extreme) and the ``m`` rows
-    of ``k``; column by column otherwise.  A NaN reaches both extremes of
-    its column and an infinity one, so the finite check reads them, as do
-    ``fit``'s support check and the column kernels of :mod:`wmle.means`.
-    """
+    input being one column, with each column's extremes, which ``fit``'s
+    support check and the column kernels of :mod:`wmle.means` read too.
+    Each is one pass with no temporary, over a C-order matrix as ``(n / m,
+    m * k)`` rows, whose steps are contiguous loops, then its last ``m``
+    rows (a row seen twice moves no extreme) and the ``m`` rows of ``k``."""
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
         obs = obs.reshape(-1, 1)
@@ -150,7 +144,7 @@ def _observation_matrix(observations) -> tuple[np.ndarray, np.ndarray, np.ndarra
         head, last = obs[: n - n % m].reshape(-1, m * k), obs[n - m :]
         lo, hi = (extreme.reduce(extreme(extreme.reduce(head, axis=0).reshape(m, k), last), axis=0)
                   for extreme in (np.minimum, np.maximum))
-    else:  # one pass per column, contiguous in F order
+    else:  # a NaN reaches both extremes of its column, an infinity one
         lo, hi = (np.array([extreme.reduce(obs[:, j]) for j in range(k)]) for extreme in (np.minimum, np.maximum))
     if not ((-math.inf < lo).all() and (hi < math.inf).all()):
         raise DomainError("observations must be finite")

@@ -11,10 +11,9 @@ and in :func:`_lehmer_weights`, the one maker of Lehmer weights, for
 :func:`wmle.mwle.apply_policy` and ``fit``.  Both divide a column by a
 reference that scales with it (its largest term, a power of two), so a
 power-of-two scaling of the values scales each mean exactly and one of
-the weights changes no bit.  Neither finds a column's extremes: each
-caller passes those it has from its own check (:class:`Sample`'s, the
-observation check's, the sweep's columns'), and each column is then read
-once, where it lies.  ``holder_mean`` is the Weibull MWLE exactly.
+the weights changes no bit.  Each reads a column once, where it lies, and
+takes its extremes from the caller's own check.  ``holder_mean`` is the
+Weibull MWLE exactly.
 ``lehmer_mean`` is, to the bit, the moment target the unit-shape Weibull
 MWLE inverts times its scale; that estimate, ``(-eta) ** -1`` at ``eta =
 -1/target`` times the scale, may differ from it in the last bit.
@@ -52,8 +51,7 @@ class Sample:
 
     ``weights=None`` means uniform weights of one.  Duplicated values are
     kept as-is; a repeated observation simply contributes its weight twice.
-    ``smallest`` and ``largest`` are the extremes the check finds, which the
-    means take instead of reducing the values again.
+    ``smallest`` and ``largest`` are the extremes the check finds.
     """
 
     values: np.ndarray
@@ -163,12 +161,11 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     ``x_r`` by more than a factor ``exp(600)``.  At order 1 the weights are
     ``w`` over its largest, or 1, and a zero value passes.
 
-    The rows are walked in blocks of ``_BLOCK_ELEMENTS``: with base weights
-    one pass forms ``y`` straight from ``x`` and finds ``r``, and one forms
-    the weights, which without them forms ``y`` first, so each column is
-    read once and each block's steps run in cache.  Every step is
-    elementwise, so the weights do not depend on the block size, the
-    number of columns or orders, or the layout.
+    The rows are walked in blocks of ``_BLOCK_ELEMENTS``: one pass forms
+    ``y`` straight from ``x`` and then the weights, or with base weights
+    one forms ``y`` and finds ``r`` first, so each block's steps run in
+    cache.  Every step is elementwise, so the weights do not depend on the
+    block size, the number of columns or orders, or the layout.
     """
     k, n = x.shape
     c = orders - 1.0
@@ -183,18 +180,7 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     logs = np.empty((k, min(n, size)))  # a block of log y, where it cannot go into out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
-        exact = np.isfinite(factor).all()
         log_lo, log_hi = np.log(np.ldexp(lo, -e)), np.log(np.ldexp(hi, -e))
-
-        def scaled(part):
-            """``y``'s rows ``part``: the caller's ``x`` times ``2**-e``."""
-            block = y[:, part]
-            if exact:
-                np.multiply(x[:, part], factor[:, None], out=block)
-            else:
-                np.ldexp(x[:, part], -e[:, None], out=block)
-            return block
-
         if w is None:
             ref = np.where(up, log_hi[:, None], log_lo[:, None])
             # Each row's smallest exponent sits at the value farthest from
@@ -205,7 +191,7 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
             ref, ref_w = np.zeros((2, k, orders.size))
             peak, clamped = np.full((k, orders.size), -np.inf), np.zeros((k, orders.size), dtype=bool)
             for part in parts:
-                block = scaled(part)
+                block = np.ldexp(x[:, part], -e[:, None], out=y[:, part])
                 log_y = np.log(block, out=logs[:, : block.shape[1]])
                 log_w = np.log(w[:, part] / tops[:, None])
                 t = log_y[:, None, :] * c[:, None] + log_w[:, None, :]
@@ -217,7 +203,11 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
                 ref_w = np.where(better, np.take_along_axis(log_w, i[..., 0], axis=1), ref_w)
         c_rows, ref_rows, ones = c[:, None], ref[..., None], np.count_nonzero(one)
         for part in parts:
-            block, rows = scaled(part) if w is None else y[:, part], out[:, :, part]
+            block, rows = y[:, part], out[:, :, part]  # with base weights y is formed above
+            if w is None and np.isfinite(factor).all():
+                np.multiply(x[:, part], factor[:, None], out=block)
+            elif w is None:
+                np.ldexp(x[:, part], -e[:, None], out=block)
             if single:  # the logs go into out, where the weights replace them in place
                 np.log(block, out=rows[:, 0])
                 rows -= ref_rows
@@ -317,28 +307,26 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray, w: tuple | None = None):
     """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
-    ``x`` holds one column per row, ``(k, n)``, in any layout,
-    non-negative, and positive for negative Holder orders, and ``lo`` and
-    ``hi`` each column's smallest and largest value, from the caller's
-    check; the orders are finite, the Holder ones nonzero and of one sign,
-    and are taken ``B`` at a time, for every column at once, in the
-    ``(k, B, n)`` buffer ``out``.  Row weights ``w`` are Holder only: the
-    pair :func:`_holder_weights` returns, shared by every column.  Returns
-    per (column, order) the moment target, the total weight and whether the
-    sums are accurate, then the reference ``x_r``.  Lehmer, unweighted, for
-    the batched sweep: weights ``u`` from :func:`_lehmer_weights` on ``y =
-    x * 2**-e``, target ``sum(u * y) / sum(u)`` as :func:`_unit_targets`
-    splits it, a mantissa in ``[1, 2)`` and ``x_r`` its power of two, per
-    (column, order).  Holder of order ``k``: ``y = x / x_r``, ``x_r`` the
-    extreme with the largest term, ``hi`` or ``lo`` (0, giving NaN, for an
-    all-zero column), moved to :func:`_power_bound`, target ``sum(w *
-    y**k) / sum(w)`` under weights over their largest; a single order, as
-    in ``fit`` and ``holder_mean``, divides ``_BLOCK_ELEMENTS`` rows of
-    ``x`` at a time into ``out`` and takes the other steps there, so each
-    column is read once.  :func:`wmle.mwle.fit` solves these targets, and
-    its ``theta_hat`` is their :func:`_scale_estimates` to the bit: the
-    sums are rows of a C-order buffer, which numpy reduces pairwise like a
-    1-D array.
+    ``x`` holds one column per row, ``(k, n)``, in any layout, with
+    extremes ``lo`` and ``hi``, non-negative, and positive for negative
+    Holder orders; the orders are finite, the Holder ones nonzero and of
+    one sign, and are taken ``B`` at a time, for every column at once, in
+    the ``(k, B, n)`` buffer ``out``.  Row weights ``w`` are Holder only:
+    the pair :func:`_holder_weights` returns, shared by every column.
+    Returns per (column, order) the moment target, the total weight and
+    whether the sums are accurate, then the reference ``x_r``.  Lehmer,
+    unweighted, for the batched sweep: weights ``u`` from
+    :func:`_lehmer_weights` on ``y = x * 2**-e``, target ``sum(u * y) /
+    sum(u)`` as :func:`_unit_targets` splits it, a mantissa in ``[1, 2)``
+    and ``x_r`` its power of two, per (column, order).  Holder of order
+    ``k``: ``y = x / x_r``, ``x_r`` the extreme with the largest term (0,
+    giving NaN, for an all-zero column), moved to :func:`_power_bound`,
+    target ``sum(w * y**k) / sum(w)`` under weights over their largest; a
+    single order, as in ``fit`` and ``holder_mean``, takes these steps
+    ``_BLOCK_ELEMENTS`` rows of ``x`` at a time into ``out``.
+    :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is
+    their :func:`_scale_estimates` to the bit: the sums are rows of a
+    C-order buffer, which numpy reduces pairwise like a 1-D array.
     """
     k, n = x.shape
     target, total = np.empty((2, k, orders.size))
@@ -566,8 +554,7 @@ def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
             lo = np.minimum.reduce(x)
         u = np.empty((1, orders.size, x.size))
         _lehmer_weights(x[None], orders, u, np.empty((1, x.size)), lo[None], sample.largest[None], w[None])
-        # A weight raised to exp(-700), exactly below it over a sum of at
-        # least 1, reads as 0, as that rounds.  Order 1 raises none.
+        # A weight raised to exp(-700) reads as 0, as its exact value over a sum of at least 1 rounds.
         u[0][(u[0] <= np.exp(_EXP_FLOOR)) & (orders != 1.0)[:, None]] = 0.0
         v = u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
         if x.size == keep.size:

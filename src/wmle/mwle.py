@@ -211,13 +211,11 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
 
 
 def _lehmer_weight_column(obs: np.ndarray, lo: np.ndarray, hi: np.ndarray, j: int, a: float,
-                          w: Optional[np.ndarray], u: np.ndarray, y: np.ndarray,
-                          products: bool = False) -> int:
+                          w: Optional[np.ndarray], u: np.ndarray, y: np.ndarray, products: bool = False) -> int:
     """Column ``j``'s Lehmer weights at order ``a`` into ``u`` by
-    :func:`means._lehmer_weights`, on the column extremes ``lo`` and ``hi``
-    of the observation check, and the column times ``2**-e`` (with
-    ``products``, times ``u``) into ``y``; returns ``e``, or raises where
-    the weights cannot be formed."""
+    :func:`means._lehmer_weights`, given the column extremes ``lo`` and
+    ``hi``, and the column times ``2**-e`` (with ``products``, times ``u``)
+    into ``y``; returns ``e``, or raises where they cannot be formed."""
     col = obs[:, j]
     e, ok = _lehmer_weights(col[None], np.array([a]), u[None, None], y[None], lo[j : j + 1], hi[j : j + 1],
                             None if w is None else w[None, :, j], products)
