@@ -139,12 +139,14 @@ def _observation_matrix(observations) -> tuple[np.ndarray, np.ndarray, np.ndarra
         obs = obs.reshape(-1, 1)
     if obs.ndim != 2 or obs.shape[0] < 1:
         raise DomainError("observations must form a non-empty n-by-k matrix")
+    if not (obs.flags.c_contiguous or obs.flags.f_contiguous):
+        obs = np.ascontiguousarray(obs)  # a strided view: one copy, which the check and the kernels read
     (n, k), m = obs.shape, _EXTREME_ROWS
     if obs.flags.c_contiguous and n >= m:
         head, last = obs[: n - n % m].reshape(-1, m * k), obs[n - m :]
         lo, hi = (extreme.reduce(extreme(extreme.reduce(head, axis=0).reshape(m, k), last), axis=0)
                   for extreme in (np.minimum, np.maximum))
-    else:  # a NaN reaches both extremes of its column, an infinity one
+    else:  # F order, or few rows; a NaN reaches both extremes of its column, an infinity one
         lo, hi = (np.array([extreme.reduce(obs[:, j]) for j in range(k)]) for extreme in (np.minimum, np.maximum))
     if not ((-math.inf < lo).all() and (hi < math.inf).all()):
         raise DomainError("observations must be finite")

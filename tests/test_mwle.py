@@ -439,8 +439,9 @@ def observation_cases(draw):
 
 class TestObservationExtremes:
     # The observation check finds each column's extremes in one reduction
-    # per extreme, over (n / m, m * k) rows of a C-order matrix; its finite
-    # check, fit's support check and the column kernels all read them.
+    # per extreme, over (n / m, m * k) rows of a C-order matrix (a strided
+    # view is copied to C order first); its finite check, fit's support
+    # check and the column kernels all read them.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(observation_cases())
     def test_extremes_and_errors_are_those_of_each_column(self, case):
@@ -462,7 +463,7 @@ class TestObservationExtremes:
                 assert set(outcomes.values()) == {("raised", DomainError, "observations must be finite")}
                 return
             obs, lo, hi = expfam._observation_matrix(x)
-        assert obs is x
+        assert obs is x if x.flags.c_contiguous or x.flags.f_contiguous else obs.flags.c_contiguous
         assert np.array_equal(lo, np.minimum.reduce(x, axis=0)) and np.array_equal(hi, np.maximum.reduce(x, axis=0))
         assert outcomes["columns"] == ("raised", DomainError,
                                        f"data has {k} columns, model {weibull_model(np.ones(k + 1)).name} expects {k + 1}")
@@ -491,10 +492,11 @@ class TestObservationExtremes:
 
 
 class TestLayouts:
-    # The column kernels read the caller's column where it lies, with no
-    # copy, so fit and apply_policy give the same bits on every layout.
-    # 2000 rows take the observation check's chunks and a tail; values
-    # near 2**-1060 scale by ldexp, whose factor 2**-e would overflow.
+    # The column kernels read a C- or F-order column where it lies, and the
+    # observation check copies a strided view to C order, so fit and
+    # apply_policy must give the same bits on every layout.  2000 rows take
+    # the check's chunks and a tail; values near 2**-1060 scale by ldexp,
+    # whose factor 2**-e would overflow.
     @pytest.mark.parametrize("scale", [1.0, 2.0**-1060])
     @pytest.mark.parametrize("shapes, policy", [
         ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 0.5, 200.0])),
