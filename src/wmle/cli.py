@@ -157,10 +157,8 @@ def run_sweep(matrix: pipeline.ProportionMatrix, mode: str, grid: np.ndarray) ->
         raise ConfigError("the sweep needs a non-empty grid of finite orders")
     if mode == "holder" and np.any(grid <= 0):
         raise ConfigError("the holder sweep needs a strictly positive order grid")
-    values = matrix.values
-    if not (values.size and np.min(values) > 0 and np.max(values) < np.inf):
-        raise DomainError("the sweep needs a non-empty matrix of finite, strictly positive values")
-    table = SweepTable("beta" if mode == "lehmer" else "k", grid, *mwle._sweep_estimates(mode, values, grid))
+    estimates, gaps = mwle._sweep_estimates(mode, matrix.values, grid)
+    table = SweepTable("beta" if mode == "lehmer" else "k", grid, estimates, gaps)
     validate_sweep_table(table)
     return table
 

@@ -123,8 +123,8 @@ _LOG_SPREAD = 600.0
 #: Rows a column kernel takes at a time.  Every step of the kernels is
 #: elementwise, so a block holds the same values as the whole column would,
 #: and the sums stay one pairwise sum over the column; blocks of 2**16
-#: doubles keep a block's working arrays (1 MiB) in a 2 MiB L2 cache.  The
-#: batched sweep keeps its (columns x orders x rows) buffer near this size.
+#: doubles keep a block's working arrays (1 MiB) in a 2 MiB L2 cache.
+#: :func:`_column_means` sizes its (columns x orders x rows) buffer by it.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -303,7 +303,7 @@ def _holder_weights(w: np.ndarray | None):
     return w, float(np.add.reduce(w))
 
 
-def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
+def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray, w: tuple | None = None):
     """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
@@ -311,19 +311,18 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     extremes ``lo`` and ``hi``, non-negative, and positive for negative
     Holder orders; the orders are finite, the Holder ones nonzero and of
     one sign, and are taken ``B`` at a time, for every column at once, in
-    the ``(k, B, n)`` buffer ``out``.  Row weights ``w`` are Holder only:
-    the pair :func:`_holder_weights` returns, shared by every column.
-    Returns per (column, order) the moment target, the total weight and
-    whether the sums are accurate, then the reference ``x_r``.  Lehmer,
-    unweighted, for the batched sweep: weights ``u`` from
-    :func:`_lehmer_weights` on ``y = x * 2**-e``, target ``sum(u * y) /
-    sum(u)`` as :func:`_unit_targets` splits it, a mantissa in ``[1, 2)``
-    and ``x_r`` its power of two, per (column, order).  Holder of order
-    ``k``: ``y = x / x_r``, ``x_r`` the extreme with the largest term (0,
-    giving NaN, for an all-zero column), moved to :func:`_power_bound`,
-    target ``sum(w * y**k) / sum(w)`` under weights over their largest; a
-    single order, as in ``fit`` and ``holder_mean``, takes these steps
-    ``_BLOCK_ELEMENTS`` rows of ``x`` at a time into ``out``.
+    a ``(k, B, n)`` buffer of at most ``_BLOCK_ELEMENTS`` values, or of one
+    order.  Row weights ``w`` are Holder only: the pair
+    :func:`_holder_weights` returns, shared by every column.  Returns per
+    (column, order) the moment target, the total weight and whether the
+    sums are accurate, then the reference ``x_r``.  Lehmer, unweighted, for
+    the batched sweep: weights ``u`` from :func:`_lehmer_weights` on ``y =
+    x * 2**-e``, target ``sum(u * y) / sum(u)`` as :func:`_unit_targets`
+    splits it, a mantissa in ``[1, 2)`` and ``x_r`` its power of two.
+    Holder of order ``k``: ``y = x / x_r``, ``x_r`` the extreme with the
+    largest term (0, giving NaN, for an all-zero column), moved to
+    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under weights
+    over their largest, each step on ``_BLOCK_ELEMENTS`` rows at a time.
     :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is
     their :func:`_scale_estimates` to the bit: the sums are rows of a
     C-order buffer, which numpy reduces pairwise like a 1-D array.
@@ -331,18 +330,13 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
     k, n = x.shape
     target, total = np.empty((2, k, orders.size))
     ok = np.ones((k, orders.size), dtype=bool)
-    single = orders.size == 1  # x / x_r then goes into out, where its terms replace it
+    out = np.empty((k, max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n))), n))
     if kind == "lehmer":
         scaled = np.empty((k, n))
     else:
         up = orders[0] > 0
         extreme = np.maximum if up else np.minimum
         ref, far = (hi, lo) if up else (lo, hi)
-        if not single:
-            # At a negative order, x / min(x) may overflow; the inf is moved
-            # to the power bound below.  An all-zero column gives 0 / 0, NaN.
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = np.divide(x[:, None, :], ref[:, None, None])
         if w is None:
             total[:] = n
         elif isinstance(w, tuple):
@@ -360,29 +354,25 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray, out: np.ndarray,
             rows *= scaled[:, None, :]
         else:
             bounds = _power_bound(block)
-            if single:  # the same steps, _BLOCK_ELEMENTS rows at a time, in cache
-                for row in range(0, n, _BLOCK_ELEMENTS):
-                    span = slice(row, row + _BLOCK_ELEMENTS)
-                    terms = out[:, 0, span]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        np.divide(x[:, span], ref[:, None], out=terms)
-                    extreme(terms, bounds, out=terms)
-                    np.power(terms, block, out=terms)
-                    if w is not None:
-                        terms *= w[span]
-            else:
-                extreme(y, bounds[:, None], out=rows)
-                np.power(rows, block[:, None], out=rows)
-                # numpy's power swaps in a square root or a square, which can
-                # differ in the last bit, for an exponent of 0.5 or 2 repeated
-                # along a 1-D loop.  A one-order block is such a loop (its
-                # exponent has stride 0); in a larger block those orders are
-                # raised again one at a time.
-                if block.size > 1:
-                    for g in np.flatnonzero((block == 0.5) | (block == 2.0)):
-                        rows[:, g] = np.power(np.maximum(y[:, 0], bounds[g]), block[g])
+            # numpy's power swaps in a square root or a square, which can
+            # differ in the last bit, for an exponent of 0.5 or 2 repeated
+            # along a 1-D loop, as in a one-order block; in a larger block
+            # those orders are raised again on their own.
+            again = np.flatnonzero((block == 0.5) | (block == 2.0)) if block.size > 1 else ()
+            for row in range(0, n, _BLOCK_ELEMENTS):
+                span = slice(row, row + _BLOCK_ELEMENTS)
+                terms = rows[:, :, span]
+                # At a negative order, x / min(x) may overflow; the inf is
+                # moved to the power bound.  An all-zero column gives 0 / 0, NaN.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.divide(x[:, None, span], ref[:, None, None], out=terms)
+                extreme(terms, bounds[:, None], out=terms)
+                np.power(terms, block[:, None], out=terms)
+                for g in again:
+                    term = np.divide(x[:, span], ref[:, None], out=terms[:, g])
+                    np.power(np.maximum(term, bounds[g], out=term), block[g], out=term)
                 if w is not None:
-                    rows *= w
+                    terms *= w[span]
         target[:, part] = np.add.reduce(rows, axis=2) / total[:, part]
     if kind == "lehmer":
         target, ref = _unit_targets(target, e[:, None])
@@ -447,10 +437,11 @@ def holder_mean(alpha, values, weights=None) -> float:
     ``alpha``, the weighted geometric mean at ``alpha = 0`` (its continuity
     limit), and the sample max/min at ``alpha = +inf`` / ``-inf``.
 
-    A finite nonzero order goes through :func:`_column_means`, so nothing
-    overflows and at ``alpha > 0`` the mean is :func:`wmle.mwle.fit`'s
-    Weibull estimate of shape ``alpha`` to the bit.  Raises ``NumericError``
-    where the weights could let the terms moved to the power bound show.
+    A finite nonzero order takes the walk of :func:`_column_means`, as the
+    sweep and ``fit`` do, so nothing overflows and at ``alpha > 0`` the
+    mean is ``fit``'s Weibull estimate of shape ``alpha`` to the bit.
+    Raises ``NumericError`` where the weights could let the terms moved to
+    the power bound show.
 
     Zero values are rejected when ``alpha <= 0`` because a non-positive
     exponent has a pole at zero.
@@ -470,8 +461,7 @@ def holder_mean(alpha, values, weights=None) -> float:
     if hi == 0.0:  # only for a > 0
         return 0.0
     order = np.array([a])
-    target, _, ok, ref = _column_means("holder", x[None, :], order, np.empty((1, 1, x.size)),
-                                       lo[None], hi[None], _holder_weights(w))
+    target, _, ok, ref = _column_means("holder", x[None, :], order, lo[None], hi[None], _holder_weights(w))
     if not ok[0, 0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(_scale_estimates(ref, target, order)[0, 0])
@@ -482,7 +472,8 @@ def lehmer_mean(alpha, values, weights=None) -> float:
 
     ``sum(w * x**alpha) / sum(w * x**(alpha-1))`` for finite ``alpha`` and
     the sample max/min at ``alpha = +inf`` / ``-inf``.  Zero values are
-    rejected when ``alpha <= 1`` because ``x**(alpha-1)`` has a pole at zero.
+    rejected when ``alpha < 1`` because ``x**(alpha-1)`` has a pole at zero;
+    at ``alpha = 1`` a zero keeps its weight ``w``, as in ``fit``.
 
     A finite order weighs ``y = x * 2**-e`` by :func:`_lehmer_weights`; the
     mean, ``sum(u * y) / sum(u) * 2**e``, is :func:`wmle.mwle.fit`'s moment
@@ -499,12 +490,12 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     if a == -math.inf:
         _require_positive(sample, a, "min limit of the Lehmer family")
         return float(lo)
-    if a <= 1:
-        _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha <= 1")
-    if lo == 0.0:  # only for a > 1, where x**(a-1) is 0 at 0
-        if hi == 0.0:
-            return 0.0
-        keep = x > 0  # a zero value has weight exactly 0 and adds nothing to either sum
+    if a < 1:
+        _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha < 1")
+    if hi == 0.0:  # only for a >= 1
+        return 0.0
+    if lo == 0.0 and a > 1:  # x**(a-1) is 0 at 0: a zero value adds nothing to either sum
+        keep = x > 0
         x, w = x[keep], w[keep]
         lo = np.minimum.reduce(x)
     u, y = np.empty((2, x.size))
@@ -522,12 +513,16 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
     normalizes by its own sum (so the result sums to one) while the Holder
     kind divides by ``sum(w)`` and is deliberately left unnormalized.  The
     sum of the Holder weights, ``holder_mean(alpha-1)**(alpha-1)``, is a
-    useful diagnostic and is simply ``v.sum()``.
+    useful diagnostic and is simply ``v.sum()``; they are formed as
+    written, ``w * np.power(x, alpha-1) / sum(w)``, and raise
+    ``NumericError`` where they overflow.
 
     Only finite orders are accepted: the defining expressions have no
-    finite normalization at infinite order.  The Lehmer weights are those
-    :func:`lehmer_mean` averages with, except that one below ``exp(-700)``
-    times the largest, which ``lehmer_mean`` raises to that bound, reads as 0.
+    finite normalization at infinite order.  Zero values are rejected below
+    order 1, where ``x**(alpha-1)`` has a pole; at 1 a zero keeps its weight
+    ``w``.  The Lehmer weights are those :func:`lehmer_mean` averages with,
+    except that one below ``exp(-700)`` times the largest, which
+    ``lehmer_mean`` raises to that bound, reads as 0.
     """
     if kind not in ("lehmer", "holder"):
         raise DomainError(f"unknown v-weight kind {kind!r}, expected 'lehmer' or 'holder'")
@@ -535,21 +530,23 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
     if math.isinf(a):
         raise DomainError("v-weights are only defined for finite orders")
     sample = _coerce(values, weights)
-    if a <= 1:
-        _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha <= 1")
+    if a < 1:
+        _require_positive(sample, a, "x**(alpha-1) has a pole at 0 for alpha < 1")
     return _v_weight_rows(kind, np.array([a]), sample)[0]
 
 
 def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
     """:func:`v_weights` of a checked sample at every finite order, one row
-    per order, each taking the steps of a call at that order alone.  Raises
-    ``NumericError`` naming the first order whose Holder weights overflow."""
+    per order, each taking the steps of a call at that order alone (one
+    order, with a zero value).  Raises ``NumericError`` naming the first
+    order whose Holder weights overflow."""
+    x, w, lo = sample.values, sample.weights, sample.smallest
     if kind == "lehmer":
-        x, w, lo = sample.values, sample.weights, sample.smallest
-        keep = x > 0  # above order 1 a zero value weighs exactly 0; below, callers reject it
-        if lo == 0.0:
+        drop = lo == 0.0 and orders[0] > 1.0  # a zero weighs 0 above order 1, w at 1; below, rejected
+        if drop:
             if sample.largest == 0.0:
                 return np.full((orders.size, x.size), math.nan)
+            keep = x > 0
             x, w = x[keep], w[keep]
             lo = np.minimum.reduce(x)
         u = np.empty((1, orders.size, x.size))
@@ -557,16 +554,18 @@ def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
         # A weight raised to exp(-700) reads as 0, as its exact value over a sum of at least 1 rounds.
         u[0][(u[0] <= np.exp(_EXP_FLOOR)) & (orders != 1.0)[:, None]] = 0.0
         v = u[0] / np.add.reduce(u[0], axis=1, keepdims=True)
-        if x.size == keep.size:
+        if not drop:
             return v
         full = np.zeros((orders.size, keep.size))
         full[:, keep] = v
         return full
-    with np.errstate(divide="ignore"):
-        log_x = np.log(sample.values)
-    expo = np.log(sample.weights) + (orders[:, None] - 1.0) * log_x
+    # One power per order: numpy's power may round an exponent of 0.5 or 2
+    # differently where it varies along the rows.
+    v = np.empty((orders.size, x.size))
     with np.errstate(over="ignore"):
-        v = np.exp(expo) / float(np.add.reduce(sample.weights))
+        for row, c in zip(v, orders - 1.0):
+            np.multiply(w, np.power(x, c), out=row)
+        v /= float(np.add.reduce(w))
     overflow = ~np.isfinite(v).all(axis=1)
     if overflow.any():
         raise NumericError(f"the Holder v-weights of order {float(orders[np.argmax(overflow)])} overflow")

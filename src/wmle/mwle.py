@@ -48,7 +48,6 @@ from .expfam import (  # WeightedDataset and weighted_stat_mean stay bound for p
 )
 from .families import weibull_model
 from .means import (
-    _BLOCK_ELEMENTS,
     _column_means,
     _holder_weights,
     _lehmer_weights,
@@ -319,11 +318,10 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
                 sub_target = _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total)
             problems.append((sub_model, sub_target, total))
     elif kernel:
-        # A Holder column needs no copy: the kernel divides it into out.
-        out = np.empty((1, 1, obs.shape[0]))
+        # A Holder column needs no copy: the kernel divides it where it lies.
         for j, sub_model in enumerate(model.components or (model,)):
             (sub_target,), (total,), (ok,), (ref,) = _column_means(
-                "holder", obs[None, :, j], sub_model.stat_powers, out,
+                "holder", obs[None, :, j], sub_model.stat_powers,
                 smallest[j : j + 1], largest[j : j + 1], row_weights)
             if not ok[0]:
                 raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
@@ -395,8 +393,9 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
 
 
 def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Weibull scale estimates of every column of ``obs``, a non-empty matrix
-    of finite, strictly positive values, at every finite order, in one pass.
+    """Weibull scale estimates of every column of ``obs`` at every finite
+    order, in one pass; ``DomainError`` unless its column extremes show a
+    non-empty matrix of finite, strictly positive values.
 
     Row ``g`` of the returned ``(G, k)`` matrix is :func:`fit`'s
     ``theta_hat`` at ``orders[g]`` to the bit, every column computed at
@@ -407,12 +406,14 @@ def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np
     are not all finite and positive is a NaN row, and ``gaps`` maps it, in
     grid order, to the message ``fit`` raises there.
     """
-    n, k = obs.shape
+    k = obs.shape[1]
     columns = np.ascontiguousarray(obs.T)  # one contiguous row per column
-    lo, hi = np.minimum.reduce(columns, axis=1), np.maximum.reduce(columns, axis=1)
-    out = np.empty((k, max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n))), n))
+    if columns.size:
+        lo, hi = np.minimum.reduce(columns, axis=1), np.maximum.reduce(columns, axis=1)
+    if not (columns.size and (lo > 0).all() and (hi < np.inf).all()):  # a NaN fails both
+        raise DomainError("the sweep needs a non-empty matrix of finite, strictly positive values")
     with np.errstate(all="ignore"):
-        target, _, accurate, ref = _column_means(kind, columns, orders, out, lo, hi)  # (k, G)
+        target, _, accurate, ref = _column_means(kind, columns, orders, lo, hi)  # (k, G)
     estimate = _scale_estimates(ref, target, orders if kind == "holder" else np.ones(orders.size))
     usable = (0 < estimate) & (estimate < np.inf)
     good = np.all(accurate & usable, axis=0)

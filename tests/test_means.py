@@ -162,9 +162,9 @@ class TestHolderMean:
         # Raw row weights would leave the kernel's total weight unset.
         x, w = np.array([[0.6, 2.0]]), np.array([1.0, 3.0])
         with pytest.raises(TypeError, match="_holder_weights"):
-            means._column_means("holder", x, np.array([2.0]), np.empty((1, 1, 2)), x.min(1), x.max(1), w)
-        target, total, _, _ = means._column_means("holder", x, np.array([2.0]), np.empty((1, 1, 2)),
-                                                  x.min(1), x.max(1), means._holder_weights(w))
+            means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1), w)
+        target, total, _, _ = means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1),
+                                                  means._holder_weights(w))
         assert total[0, 0] == 4.0 / 3.0
         assert target[0, 0] == pytest.approx((0.09 + 3.0) / 4.0, rel=1e-15)
 
@@ -184,9 +184,16 @@ class TestLehmerMean:
         assert lehmer_mean(-INF, [0.6, 2.0]) == 0.6
 
     def test_zero_value_rejected_at_or_below_one(self):
-        for order in (1.0, 0.5, 0.0, -3.0):
+        for order in (0.5, 0.0, -3.0):
             with pytest.raises(DomainError):
                 lehmer_mean(order, [0.0, 1.0])
+
+    def test_zero_values_keep_their_weight_at_one(self):
+        # x**0 has no pole at 0: the order-1 mean is the weighted arithmetic
+        # mean, zeros included, as fit and holder_mean(1) take it.
+        assert lehmer_mean(1.0, [0.0, 1.0, 2.0]) == 1.0 == holder_mean(1.0, [0.0, 1.0, 2.0])
+        assert lehmer_mean(1.0, [0.0, 1.0, 2.0], [2.0, 1.0, 1.0]) == 0.75
+        assert lehmer_mean(1.0, [0.0, 0.0]) == 0.0
 
     def test_zero_values_fine_above_one(self):
         assert lehmer_mean(2.0, [0.0, 2.0]) == pytest.approx(2.0, rel=1e-14)
@@ -290,6 +297,22 @@ class TestVWeights:
     def test_zero_value_rejected_at_low_orders(self):
         with pytest.raises(DomainError):
             v_weights("holder", 0.5, [0.0, 2.0])
+
+    def test_zero_value_keeps_its_weight_at_order_one(self):
+        for kind in ("lehmer", "holder"):
+            assert v_weights(kind, 1.0, [0.0, 1.0, 2.0]).tolist() == [1 / 3] * 3
+            assert v_weights(kind, 1.0, [0.0, 1.0, 2.0], [2.0, 1.0, 1.0]).tolist() == [0.5, 0.25, 0.25]
+        above = v_weights("lehmer", 2.0, [0.0, 1.0, 3.0])  # a zero weighs 0 above order 1
+        assert above[0] == 0.0 and above[1:].tolist() == pytest.approx([0.25, 0.75], rel=1e-15)
+        assert v_weights("holder", 2.0, [0.0, 1.0, 3.0]).tolist() == [0.0, 1 / 3, 1.0]
+
+    def test_holder_weights_are_formed_without_exp_and_log(self):
+        # w * x**(alpha-1) / sum(w): exactly [1.5, 2.5] here, where
+        # exp(log w + (alpha-1) * log x) read 1.5000000000000002 and
+        # 2.4999999999999996, and about 119 ulps off on [1e-300, 1e300].
+        assert v_weights("holder", 2.0, [3.0, 5.0]).tolist() == [1.5, 2.5]
+        assert v_weights("holder", 2.0, [1e-300, 1e300]).tolist() == [5e-301, 5e299]
+        assert v_weights("holder", 3.0, [3.0, 5.0], [1.0, 3.0]).tolist() == [9 / 4, 75 / 4]
 
     def test_a_weight_below_the_exponent_floor_reads_as_zero(self):
         # The exact first weight is about exp(-8275); raised to exp(-700) it

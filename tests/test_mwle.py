@@ -685,6 +685,16 @@ def _block_walk_results(x, base):
             results.append(holder_mean(shape, x[:, 1], w).hex())
             results.append(holder_mean(-shape, x[:, 2], w).hex())
             results.append(apply_policy(policy, x).tobytes())
+    # The sweep over all of x takes one order per buffer; over a one-column
+    # corner of it, a buffer holds 2 to 20 of its 20 orders at every size
+    # but 1, mostly with a short last block, and orders 0.5 and 2 are raised
+    # again on their own.
+    corner = x[: max(1, x.shape[0] // 16), :1]
+    for kind, orders in (("holder", np.geomspace(0.1, 60.0, 17)), ("lehmer", np.linspace(-3.0, 20.0, 17))):
+        orders = np.sort(np.concatenate([orders, [0.5, 1.0, 2.0]]))
+        for values in (x, corner):
+            estimates, gaps = mwle._sweep_estimates(kind, values, orders)
+            results.append((estimates.tobytes(), gaps))
     return results
 
 
@@ -880,6 +890,19 @@ class TestLehmerRelation:
             policy = WeightPolicy.lehmer([order], base_w=None if w is None else (lambda o, w=w: w[:, None]))
             result = fit(weibull_model([1.0]), x, policy, minimality_samples=0)
             assert lehmer_mean(order, x, w) == result.target[0] * result.scale[0], (i, order)
+
+    @pytest.mark.parametrize("weights", ["none", "unequal"])
+    def test_at_order_one_a_zero_value_keeps_its_weight_in_both(self, weights):
+        # x**0 has no pole: at order 1 a zero is weighed by w alone, in the
+        # mean as in the fit, which always took it.
+        rng = np.random.default_rng(45)
+        for i in range(60):
+            x = _log_uniform(rng, int(rng.integers(2, 40)))
+            x[rng.integers(1, x.size, size=1 + i % 3)] = 0.0  # x[0] stays positive
+            w = None if weights == "none" else np.exp(rng.uniform(-3.0, 3.0, size=x.size))
+            policy = WeightPolicy.lehmer([1.0], base_w=None if w is None else (lambda o, w=w: w[:, None]))
+            result = fit(weibull_model([1.0]), x[:, None], policy, minimality_samples=0)
+            assert lehmer_mean(1.0, x, w) == result.target[0] * result.scale[0], i
 
 
 class TestFit:
