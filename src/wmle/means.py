@@ -4,11 +4,12 @@ Every power sum is taken relative to its largest term, which is then
 exactly 1, so orders as extreme as ``alpha = +/-500`` on data spanning
 several decades stay finite instead of overflowing (Blanchard, Higham &
 Higham, IMA J. Numer. Anal. 2021).  That arithmetic lives in
-:func:`_column_means`, which :func:`holder_mean`, the batched sweep of
-:mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull Holder columns call,
-and in :func:`_lehmer_weights`, the one maker of Lehmer weights, for
-:func:`lehmer_mean`, :func:`v_weights`, the sweep, and
-:func:`wmle.mwle.apply_policy` and ``fit``.  Both divide a column by a
+:func:`_column_means`, the one maker of every Weibull moment target, Holder
+and Lehmer, which :func:`holder_mean`, :func:`lehmer_mean`, the batched
+sweep of :mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull columns
+call, and in :func:`_lehmer_weights`, the one maker of Lehmer weights,
+for it, :func:`v_weights` and :func:`wmle.mwle.apply_policy`, and for
+``fit``'s other Lehmer problems.  Both divide a column by a
 reference that scales with it (its largest term, a power of two), so a
 power-of-two scaling of the values scales each mean exactly and one of
 the weights changes no bit.  Each reads a column once, where it lies, and
@@ -49,8 +50,9 @@ __all__ = ["Sample", "f_mean", "holder_mean", "lehmer_mean", "v_weights"]
 class Sample:
     """Non-negative observations paired with strictly positive weights.
 
-    ``weights=None`` means uniform weights of one.  Duplicated values are
-    kept as-is; a repeated observation simply contributes its weight twice.
+    ``weights=None`` means unit weights, a read-only broadcast of 1.0 that
+    the kernels drop unread.  Duplicated values are kept as-is; a repeated
+    observation simply contributes its weight twice.
     ``smallest`` and ``largest`` are the extremes the check finds.
     """
 
@@ -69,7 +71,7 @@ class Sample:
         if lo < 0:
             bad = float(values[values < 0][0])
             raise DomainError(f"sample values must be non-negative, got {bad}")
-        weights = (np.ones_like(values) if self.weights is None
+        weights = (np.broadcast_to(1.0, values.shape) if self.weights is None
                    else _weight_vector(self.weights, values.size, "values", "sample"))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -136,7 +138,8 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     ``x`` holds one column of non-negative values per row, ``(k, n)``, in
     any layout, ``lo`` and ``hi`` each column's smallest and largest value,
     from the caller's check, and ``w`` positive finite base weights of the
-    same shape (equal ones cancel), or ``None``.  Row ``(j, g)`` of the
+    same shape (equal ones cancel, unread if a zero stride repeats them), or
+    ``None``.  Row ``(j, g)`` of the
     ``(k, G, n)`` buffer ``out`` receives column ``j``'s weights at
     ``orders[g]``, and the ``(k, n)`` buffer ``y`` the values ``x_j *
     2**-e_j``, or with ``products`` (one order) ``u * y``.  Returns ``e``
@@ -171,6 +174,8 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     c = orders - 1.0
     size = _BLOCK_ELEMENTS
     parts = [slice(start, start + size) for start in range(0, n, size)]
+    if w is not None and w.strides[1] == 0:  # one weight per column, as Sample's unit weights
+        w = None
     if w is not None:
         tops = np.maximum.reduce(w, axis=1)
         if (np.minimum.reduce(w, axis=1) == tops).all():
@@ -248,14 +253,6 @@ def _scale_exponents(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(np.minimum((top + bottom) >> 1, bottom + 1021), top + (n.bit_length() - 1024))
 
 
-def _unit_targets(target, e):
-    """Lehmer targets ``sum(u * y) / sum(u)`` of values over ``2**e`` as a
-    mantissa in ``[1, 2)`` and a power of two whose product is the mean,
-    exactly, so the curvature of the problem ``fit`` solves stays finite."""
-    mantissa, exponent = np.frexp(target)
-    return 2.0 * mantissa, np.ldexp(1.0, e + exponent - 1)
-
-
 def _weights_out_of_range(what: str,
                           where: str = f"on values more than exp({_LOG_SPREAD:g}) apart") -> NumericError:
     return NumericError(
@@ -293,8 +290,9 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
 
 def _holder_weights(w: np.ndarray | None):
     """Row weights for the Holder kernel: the pair of ``w`` over its largest
-    and their sum, or ``None`` without weights or where all are equal and cancel."""
-    if w is None:
+    and their sum, or ``None`` without weights or where all are equal and
+    cancel, unread if a zero stride repeats one, as in Sample's unit weights."""
+    if w is None or w.strides[0] == 0:
         return None
     top = np.maximum.reduce(w)
     if np.minimum.reduce(w) == top:
@@ -304,7 +302,7 @@ def _holder_weights(w: np.ndarray | None):
 
 
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray, w: tuple | None = None):
+                  lo: np.ndarray, hi: np.ndarray, w: np.ndarray | tuple | None = None):
     """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
     ``x`` holds one column per row, ``(k, n)``, in any layout, with
@@ -312,15 +310,18 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
     Holder orders; the orders are finite, the Holder ones nonzero and of
     one sign, and are taken ``B`` at a time, for every column at once, in
     a ``(k, B, n)`` buffer of at most ``_BLOCK_ELEMENTS`` values, or of one
-    order.  Row weights ``w`` are Holder only: the pair
-    :func:`_holder_weights` returns, shared by every column.  Returns per
-    (column, order) the moment target, the total weight and whether the
-    sums are accurate, then the reference ``x_r``.  Lehmer, unweighted, for
-    the batched sweep: weights ``u`` from :func:`_lehmer_weights` on ``y =
-    x * 2**-e``, target ``sum(u * y) / sum(u)`` as :func:`_unit_targets`
-    splits it, a mantissa in ``[1, 2)`` and ``x_r`` its power of two.
-    Holder of order ``k``: ``y = x / x_r``, ``x_r`` the extreme with the
-    largest term (0, giving NaN, for an all-zero column), moved to
+    order.  Weights ``w`` are Lehmer base weights shaped like ``x``, or the
+    Holder row weights :func:`_holder_weights` returns, shared by every
+    column.  Returns per (column, order) the moment target, the total
+    weight and whether the sums are accurate, then the reference ``x_r``,
+    shaped to broadcast against them.
+    Lehmer, for ``lehmer_mean``, the sweep and ``fit`` alike: weights ``u``
+    from :func:`_lehmer_weights` on ``y = x * 2**-e``, which in a one-order
+    block writes the products ``u * y`` in place, target ``sum(u * y) /
+    sum(u)`` as a mantissa in ``[1, 2)`` and ``x_r`` a power of two whose
+    product is the mean, exactly, so the curvature ``fit`` meets stays
+    finite.  Holder of order ``k``: ``y = x / x_r``, ``x_r`` the extreme
+    with the largest term (0, giving NaN, for an all-zero column), moved to
     :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under weights
     over their largest, each step on ``_BLOCK_ELEMENTS`` rows at a time.
     :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is
@@ -330,9 +331,12 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
     k, n = x.shape
     target, total = np.empty((2, k, orders.size))
     ok = np.ones((k, orders.size), dtype=bool)
-    out = np.empty((k, max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n))), n))
+    width = max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n)))  # orders per block
+    # Lehmer's y takes k more rows: glibc's malloc keeps one buffer for the next
+    # call, where it returns two of this size, freed together, to the system.
+    out = np.empty((k * width + (k if kind == "lehmer" else 0), n))
     if kind == "lehmer":
-        scaled = np.empty((k, n))
+        scaled = out[k * width :]
     else:
         up = orders[0] > 0
         extreme = np.maximum if up else np.minimum
@@ -343,15 +347,16 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
             w, total[:] = w
         else:
             raise TypeError("Holder row weights are the pair _holder_weights returns")
-    for start in range(0, orders.size, out.shape[1]):
-        block = orders[start : start + out.shape[1]]
+    for start in range(0, orders.size, width):
+        block = orders[start : start + width]
         part = slice(start, start + block.size)
         # A short last block takes the buffer's head, so its rows stay contiguous.
         rows = out.reshape(-1)[: k * block.size * n].reshape(k, block.size, n)
         if kind == "lehmer":
-            e, ok[:, part] = _lehmer_weights(x, block, rows, scaled, lo, hi)
+            e, ok[:, part] = _lehmer_weights(x, block, rows, scaled, lo, hi, w, products=block.size == 1)
             total[:, part] = np.add.reduce(rows, axis=2)
-            rows *= scaled[:, None, :]
+            # In a one-order block the kernel has left the products u * y in scaled.
+            rows = scaled[:, None, :] if block.size == 1 else np.multiply(rows, scaled[:, None, :], out=rows)
         else:
             bounds = _power_bound(block)
             # numpy's power swaps in a square root or a square, which can
@@ -375,7 +380,8 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
                     terms *= w[span]
         target[:, part] = np.add.reduce(rows, axis=2) / total[:, part]
     if kind == "lehmer":
-        target, ref = _unit_targets(target, e[:, None])
+        mantissa, exponent = np.frexp(target)
+        target, ref = 2.0 * mantissa, np.ldexp(1.0, e[:, None] + exponent - 1)
     elif w is not None:
         # Terms moved to the power bound may show in a target this small, if
         # any value was moved (under unit weights the target is at least 1/n).
@@ -383,7 +389,7 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
         if not ok.all():
             far = (far / ref)[:, None]
             ok |= far >= _power_bound(orders) if up else far <= _power_bound(orders)
-    return target, total, ok, ref
+    return target, total, ok, ref if kind == "lehmer" else ref[:, None]
 
 
 def _scale_estimates(ref: np.ndarray, target: np.ndarray, shapes: np.ndarray) -> np.ndarray:
@@ -475,9 +481,9 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     rejected when ``alpha < 1`` because ``x**(alpha-1)`` has a pole at zero;
     at ``alpha = 1`` a zero keeps its weight ``w``, as in ``fit``.
 
-    A finite order weighs ``y = x * 2**-e`` by :func:`_lehmer_weights`; the
-    mean, ``sum(u * y) / sum(u) * 2**e``, is :func:`wmle.mwle.fit`'s moment
-    target times its scale to the bit, cannot overflow, and scales exactly
+    A finite order takes :func:`_column_means`'s Lehmer target, as the
+    sweep and :func:`wmle.mwle.fit` do; the mean, that target times its
+    scale, ``sum(u * y) / sum(u) * 2**e``, cannot overflow, and scales exactly
     with ``x`` and not at all with ``w`` by powers of two while the values
     stay normal.  Raises ``NumericError`` where the weights cannot be
     formed: at an order below 1 on values more than ``exp(600)`` apart.
@@ -498,12 +504,10 @@ def lehmer_mean(alpha, values, weights=None) -> float:
         keep = x > 0
         x, w = x[keep], w[keep]
         lo = np.minimum.reduce(x)
-    u, y = np.empty((2, x.size))
-    e, ok = _lehmer_weights(x[None], np.array([a]), u[None, None], y[None], lo[None], hi[None], w[None],
-                            products=True)
+    target, _, ok, scale = _column_means("lehmer", x[None], np.array([a]), lo[None], hi[None], w[None])
     if not ok[0, 0]:
         raise _weights_out_of_range(f"the Lehmer weights of order {a}")
-    return math.ldexp(float(np.add.reduce(y)) / float(np.add.reduce(u)), int(e[0]))
+    return float(target[0, 0] * scale[0, 0])
 
 
 def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
@@ -514,8 +518,9 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
     kind divides by ``sum(w)`` and is deliberately left unnormalized.  The
     sum of the Holder weights, ``holder_mean(alpha-1)**(alpha-1)``, is a
     useful diagnostic and is simply ``v.sum()``; they are formed as
-    written, ``w * np.power(x, alpha-1) / sum(w)``, and raise
-    ``NumericError`` where they overflow.
+    written, ``w * np.power(x, alpha-1) / sum(w)``, or, where ``w *
+    x**(alpha-1)`` overflows, as ``exp(log w + (alpha-1) log x - log
+    sum(w))``, and raise ``NumericError`` where a weight itself overflows.
 
     Only finite orders are accepted: the defining expressions have no
     finite normalization at infinite order.  Zero values are rejected below
@@ -562,11 +567,14 @@ def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
     # One power per order: numpy's power may round an exponent of 0.5 or 2
     # differently where it varies along the rows.
     v = np.empty((orders.size, x.size))
+    total = float(np.add.reduce(w))
     with np.errstate(over="ignore"):
-        for row, c in zip(v, orders - 1.0):
-            np.multiply(w, np.power(x, c), out=row)
-        v /= float(np.add.reduce(w))
-    overflow = ~np.isfinite(v).all(axis=1)
-    if overflow.any():
-        raise NumericError(f"the Holder v-weights of order {float(orders[np.argmax(overflow)])} overflow")
+        for a, row in zip(orders, v):
+            np.multiply(w, np.power(x, a - 1.0), out=row)
+            row /= total
+            far = np.flatnonzero(row == math.inf)
+            if far.size:  # w * x**(a-1) overflows, the weight itself perhaps not
+                row[far] = np.exp(np.log(w[far]) + (a - 1.0) * np.log(x[far]) - math.log(total))
+            if not np.isfinite(row).all():
+                raise NumericError(f"the Holder v-weights of order {float(a)} overflow")
     return v

@@ -53,7 +53,6 @@ from .means import (
     _lehmer_weights,
     _moved_terms_out_of_range,
     _scale_estimates,
-    _unit_targets,
     _weights_out_of_range,
 )
 
@@ -210,20 +209,23 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
 
 
 def _lehmer_weight_column(obs: np.ndarray, lo: np.ndarray, hi: np.ndarray, j: int, a: float,
-                          w: Optional[np.ndarray], u: np.ndarray, y: np.ndarray, products: bool = False) -> int:
+                          w: Optional[np.ndarray], u: np.ndarray, y: np.ndarray) -> None:
     """Column ``j``'s Lehmer weights at order ``a`` into ``u`` by
     :func:`means._lehmer_weights`, given the column extremes ``lo`` and
-    ``hi``, and the column times ``2**-e`` (with ``products``, times ``u``)
-    into ``y``; returns ``e``, or raises where they cannot be formed."""
-    col = obs[:, j]
-    e, ok = _lehmer_weights(col[None], np.array([a]), u[None, None], y[None], lo[j : j + 1], hi[j : j + 1],
-                            None if w is None else w[None, :, j], products)
-    if ok[0, 0]:
-        return int(e[0])
-    if lo[j] > 0:
-        raise _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
-    raise DomainError(
-        f"value {float(col[col <= 0][0])} in column {j} cannot be weighted by x**({a}-1); "
+    ``hi``, with ``y`` its scratch column; raises where they cannot be formed."""
+    _, ok = _lehmer_weights(obs[None, :, j], np.array([a]), u[None, None], y[None], lo[j : j + 1],
+                            hi[j : j + 1], None if w is None else w[None, :, j])
+    if not ok[0, 0]:
+        raise _lehmer_weights_error(obs[:, j], lo[j], j, a)
+
+
+def _lehmer_weights_error(column: np.ndarray, smallest: float, j: int, a: float) -> Exception:
+    """The error for column ``j``, with smallest value ``smallest``, whose
+    Lehmer weights at order ``a`` could not be formed."""
+    if smallest > 0:
+        return _weights_out_of_range(f"the lehmer weights of column {j} at order {a}")
+    return DomainError(
+        f"value {float(column[column <= 0][0])} in column {j} cannot be weighted by x**({a}-1); "
         "the lehmer policy needs strictly positive observations"
     )
 
@@ -269,15 +271,15 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     (its ``mean_map_inverse`` too); the model's own serve the joint problem
     and, with ``nat_param_inverse``, the estimate and its minimality verdict.
 
-    A scale family's Holder targets come from :func:`means._column_means`,
-    the kernel of ``holder_mean``.  Every Lehmer weight column comes from
-    :func:`means._lehmer_weights`, as in ``lehmer_mean``, the sweep and
-    :func:`apply_policy`; on the identity statistic of a scale family (the
-    unit-shape Weibull model) the column is fitted on ``x_j * 2**-e_j``,
-    whose target ``sum(u * y) / sum(u)`` cannot overflow.  An estimate on
-    these two paths that is not finite and positive raises
-    ``NumericError``.  Every other problem takes the target
-    :func:`weighted_stat_mean` forms, on these checked arrays, and a
+    A scale family's Holder targets, and the Lehmer ones on its identity
+    statistic (the unit-shape Weibull model), come from one loop over the
+    columns through :func:`means._column_means`, the kernel of
+    ``holder_mean``, ``lehmer_mean`` and the sweep; a Lehmer column is
+    fitted on ``x_j * 2**-e_j``, whose target ``sum(u * y) / sum(u)``
+    cannot overflow.  An estimate on this path that is not finite and
+    positive raises ``NumericError``.  Every other problem takes the target
+    :func:`weighted_stat_mean` forms, on these checked arrays, under
+    :func:`means._lehmer_weights`'s columns for a Lehmer policy, and a
     non-finite estimate raises ``NumericError``; so does a curvature that
     is not finite, on every path.
     """
@@ -304,31 +306,29 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     # the scale c_j of each component, so that every weight column is
     # formed before any problem is solved; theta_j = c_j * theta'_j.
     problems, scale = [], np.ones(model.dim_eta)
-    if policy.kind == "lehmer":
-        # One column at a time, so that these buffers do not grow with the
-        # columns; on the kernel path y receives the products u * y.
+    lehmer = policy.kind == "lehmer"
+    if kernel:
+        # One column at a time, where it lies, so that the kernel's buffers
+        # do not grow with the columns.
+        for j, sub_model in enumerate(model.components or (model,)):
+            orders, weights = ((policy.exponents[j : j + 1], None if w is None else w[None, :, j]) if lehmer
+                               else (sub_model.stat_powers, row_weights))
+            ((target_j,),), ((total,),), ((ok,),), ((ref,),) = _column_means(
+                policy.kind, obs[None, :, j], orders, smallest[j : j + 1], largest[j : j + 1], weights)
+            if not ok:
+                raise (_lehmer_weights_error(obs[:, j], smallest[j], j, orders[0]) if lehmer else
+                       _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}"))
+            if ref == 0.0:  # an all-zero Holder column: target 0, the solver's to reject
+                target_j, ref = 0.0, 1.0
+            scale[j] = ref
+            problems.append((sub_model, np.array([target_j]), float(total)))
+    elif lehmer:
+        # One column at a time, so that these buffers do not grow with the columns.
         u, y = np.empty((2, obs.shape[0]))
         for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
-            e = _lehmer_weight_column(obs, smallest, largest, j, a, w, u, y, products=kernel)
+            _lehmer_weight_column(obs, smallest, largest, j, a, w, u, y)
             total = float(np.add.reduce(u))
-            if kernel:
-                target_j, scale[j] = _unit_targets(float(np.add.reduce(y)) / total, e)
-                sub_target = np.array([target_j])
-            else:
-                sub_target = _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total)
-            problems.append((sub_model, sub_target, total))
-    elif kernel:
-        # A Holder column needs no copy: the kernel divides it where it lies.
-        for j, sub_model in enumerate(model.components or (model,)):
-            (sub_target,), (total,), (ok,), (ref,) = _column_means(
-                "holder", obs[None, :, j], sub_model.stat_powers,
-                smallest[j : j + 1], largest[j : j + 1], row_weights)
-            if not ok[0]:
-                raise _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}")
-            if ref == 0.0:  # an all-zero column: target 0, the solver's to reject
-                sub_target, ref = np.zeros(1), 1.0
-            scale[j] = ref
-            problems.append((sub_model, sub_target, float(total[0])))
+            problems.append((sub_model, _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total), total))
     else:
         u, total = row_weights or (1.0, float(obs.shape[0]))
         problems.append((model, _weighted_stat_mean(model, obs, u, total), total))
@@ -425,7 +425,7 @@ def _sweep_estimates(kind: str, obs: np.ndarray, orders: np.ndarray) -> tuple[np
         order = orders[g]
         if not accurate[:, g].all():
             j = int(np.argmin(accurate[:, g]))
-            gap = _weights_out_of_range(f"the lehmer weights of column {j} at order {order}")
+            gap = _lehmer_weights_error(columns[j], lo[j], j, order)
         else:
             gap = _unusable_estimate(estimate[:, g], weibull_model(np.full(k, order) if kind == "holder"
                                                                     else np.ones(k)))

@@ -26,10 +26,10 @@ names the reason a rejected line is not.
 From a block's first line holding a ``"``, ``csv.reader`` reads to the end
 of the block, so a quoted field may hold the delimiter or span lines, and
 on into later blocks only while a record is still open; the block after
-that is scanned again.  Its records pass an inline accept test or go to
-``_parse_row``.  A quote-free line is one record, and its fields are the
-ones ``csv.reader`` would give, so a load is that of one ``csv.reader``
-over the whole file.  A reject is numbered by the physical line its record
+that is scanned again.  ``_parse_row`` judges its records, so ``_scan``
+and ``_parse_row`` are the only accept tests.  A quote-free line is one
+record, and its fields are the ones ``csv.reader`` would give, so a load
+is that of one ``csv.reader`` over the whole file.  A reject is numbered by the physical line its record
 starts on (the header is line 1), and its ``raw`` text is the record's
 source lines without the final line break.
 
@@ -480,8 +480,6 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
     """The rows and rejects of the records after the header line: ``head``,
     the bytes read past the header, then the rest of ``stream``."""
     columns = [index[c] for c in config.required_columns()]
-    fields = operator.itemgetter(*columns)
-    year_min, year_max = config.year_min, config.year_max
     limit = csv.field_size_limit()
     rows = _Columns()
     rejects: list[RejectedRow] = []
@@ -489,12 +487,15 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
     source: list[str] = []
     line_number = 2
 
-    def parse(record, line_number, raw):
-        # _parse_row alone decides whether a record that failed the accept
-        # test is a row, and names the reason when it is not.
+    def parse(record, line_number, raw=None):
+        # _parse_row decides whether a record _scan did not take is a row,
+        # and names the reason when it is not.  A csv record's raw text is
+        # joined from its source lines only when it is rejected.
         try:
             row = _parse_row(record, width, index, config)
         except ValueError as exc:
+            if raw is None:
+                raw = "".join(source[:-1]) + source[-1].rstrip("\r\n")
             rejects.append(RejectedRow(line_number, str(exc), raw))
         else:
             rows.add((line_number, *row))
@@ -547,20 +548,7 @@ def _load_rows(stream, head: bytes, delimiter: str, width: int, index: dict[str,
             continue
         tail = itertools.chain.from_iterable(rest(block[cut:size]))
         for start, record in _csv_records(tail, line_number, delimiter, source):
-            # A file quoted throughout runs only this loop, and this inline
-            # copy of the accept test takes its records faster than
-            # _parse_row; _parse_row judges the rest.
-            if len(record) == width:
-                year, state, party, candidate, total = fields(record)
-                try:
-                    year, candidate, total = int(year), int(candidate), int(total)
-                except ValueError:
-                    pass
-                else:
-                    if year_min <= year <= year_max and 0 <= candidate <= total and total > 0:
-                        rows.add((start, year, state.strip(), party.strip(), candidate, total))
-                        continue
-            parse(record, start, "".join(source[:-1]) + source[-1].rstrip("\r\n"))
+            parse(record, start)
     return LoadResult(rows=rows.finish(), rejects=rejects)
 
 

@@ -1,8 +1,10 @@
-"""Tests for the trajectory writer's parsing and summaries, on canned lines;
-no benchmark runs."""
+"""Tests for the trajectory writer's parsing and summaries, on canned lines,
+and its source records, on a throwaway git repository; no benchmark runs."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,26 @@ class TestSummaries:
     def test_seed_lists(self):
         assert bench_trajectory.seed_list("1-4") == [1, 2, 3, 4]
         assert bench_trajectory.seed_list("1,3,7-8") == [1, 3, 7, 8]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestSourceRecord:
+    def test_a_commit_a_changed_tree_and_directories_outside_git(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "sub").mkdir(parents=True)
+
+        def git(*args):
+            return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com",
+                                   *args], check=True, capture_output=True, text=True).stdout.strip()
+
+        git("init", "-q")
+        (repo / "a.txt").write_text("one\n")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", "one")
+        head = git("rev-parse", "HEAD")
+        assert bench_trajectory.source_record(repo) == {"commit": head, "dirty": False}
+        (repo / "a.txt").write_text("two\n")
+        assert bench_trajectory.source_record(repo) == {"commit": head, "dirty": True}
+        # A copy inside another work tree, or outside any, is not a commit.
+        for outside in (repo / "sub", tmp_path):
+            assert bench_trajectory.source_record(outside) == {"commit": None, "dirty": None}

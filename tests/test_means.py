@@ -26,6 +26,16 @@ class TestSample:
         s = Sample([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(s.weights, [1.0, 1.0, 1.0])
 
+    def test_unit_weights_are_read_only_and_give_the_bits_of_explicit_ones(self):
+        x = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, 1001))
+        assert not Sample(x).weights.flags.writeable
+        ones = np.ones_like(x)
+        for alpha in (-200.0, 0.0, 0.5, 2.0, 7.0):
+            assert lehmer_mean(alpha, x) == lehmer_mean(alpha, x, ones)
+            assert holder_mean(alpha, x) == holder_mean(alpha, x, ones)
+            for kind in ("lehmer", "holder"):
+                assert v_weights(kind, alpha, x).tobytes() == v_weights(kind, alpha, x, ones).tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             Sample([])
@@ -330,6 +340,12 @@ class TestVWeights:
             v_weights("holder", 301.0, [1000.0, 2.0])
         with pytest.raises(NumericError, match="overflow"):
             v_weights("holder", 3.0, [1e300, 2.0], [1e-300, 1e-300])
+
+    @pytest.mark.parametrize("alpha, values", [(3.0, [1e200, 1.0]), (-1.0, [1e-200, 1.0])])
+    def test_holder_weights_whose_power_overflows_are_formed_in_logs(self, alpha, values):
+        # x ** (alpha - 1) is 1e400, but w * x ** (alpha - 1) / sum(w) is 1e100.
+        v = v_weights("holder", alpha, values, [1e-300, 1.0])
+        assert v[1] == 1.0 and v[0] == pytest.approx(1e100, rel=1e-12)
 
 
 class TestFamilyProperties:

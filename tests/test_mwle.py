@@ -518,14 +518,16 @@ class TestLayouts:
 #: without base weights.
 _KERNEL_FITS = [("lehmer", -200.0, False), ("lehmer", -2.0, False), ("lehmer", 0.5, False),
                 ("lehmer", 1.0, False), ("lehmer", 2.0, False), ("lehmer", 200.0, False),
-                ("lehmer", 2.0, True), ("holder", 0.5, False), ("holder", 1.0, False),
+                ("lehmer", -200.0, True), ("lehmer", 0.5, True), ("lehmer", 2.0, True),
+                ("holder", 0.5, False), ("holder", 1.0, False),
                 ("holder", 2.0, False), ("holder", 6.0, False), ("holder", 200.0, False),
                 ("holder", 6.0, True)]
 
 #: The worst distance of those fits' estimates on 4000 x 3 values from the
 #: exact mean, in ulps, as measured at native dispatch, with AVX-512 off and
-#: at baseline.
-_KERNEL_ULPS = {"lehmer": 1.82, "holder": 0.71}
+#: at baseline, per kind, and for the one fit that needs more on its own:
+#: the base-weighted order -200 Lehmer fit measured 1.93 at every level.
+_KERNEL_ULPS = {"lehmer": 1.82, "holder": 0.71, ("lehmer", -200.0, True): 1.94}
 
 
 def _kernel_policy(kind, order, weighted, base):
@@ -580,7 +582,8 @@ class TestKernelPath:
             for j in range(3):
                 w = (base[:, j] if kind == "lehmer" else base[:, 0]) if weighted else None
                 oracle = lehmer_oracle if kind == "lehmer" else holder_oracle
-                assert ulps_off(theta[j], oracle(order, x[:, j], w)) <= _KERNEL_ULPS[kind], (kind, order, weighted, j)
+                bound = _KERNEL_ULPS.get((kind, order, weighted), _KERNEL_ULPS[kind])
+                assert ulps_off(theta[j], oracle(order, x[:, j], w)) <= bound, (kind, order, weighted, j)
 
     @pytest.mark.parametrize("shapes, policy", [
         ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 1.0, 2.5])),

@@ -16,7 +16,9 @@ every end-to-end metric over the seeds, N, the first run's environment,
 and whether every run was correct; with two checkouts, per workload and
 metric, in how many pairs the first checkout did better.  It also records
 numpy's CPU dispatch list, on which the last bits of every estimate
-depend.  The file is rewritten after every run, so a cut session leaves
+depend, and per checkout the commit its tree is at and whether the tree
+differs from it, so an exported copy or an uncommitted tree shows as
+such.  The file is rewritten after every run, so a cut session leaves
 the runs it finished.
 """
 
@@ -100,6 +102,24 @@ def seed_list(spec: str) -> list[int]:
     return seeds
 
 
+def source_record(checkout: Path) -> dict:
+    """``git -C DIR rev-parse HEAD`` of a checkout and whether its tree
+    differs from that commit (``git status --porcelain`` lists a file); both
+    ``None`` unless the checkout is the top of a git work tree."""
+    def git(*args):
+        try:
+            done = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True,
+                                  check=False)
+        except OSError:  # no git
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != Path(checkout).resolve():
+        return {"commit": None, "dirty": None}
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
@@ -125,7 +145,8 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     runs = {label: {w: [] for w in args.workload} for label in checkouts}
     record = {"pr": args.pr, "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
-              "seconds": args.seconds, "cpu_dispatch": cpu_dispatch(), "checkouts": list(checkouts)}
+              "seconds": args.seconds, "cpu_dispatch": cpu_dispatch(), "checkouts": list(checkouts),
+              "sources": {label: source_record(Path(path)) for label, path in checkouts.items()}}
     for workload in args.workload:
         for i, seed in enumerate(seed_list(args.seeds)):
             order = list(checkouts) if i % 2 == 0 else list(reversed(checkouts))
