@@ -138,14 +138,16 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     ``x`` holds one column of non-negative values per row, ``(k, n)``, in
     any layout, ``lo`` and ``hi`` each column's smallest and largest value,
     from the caller's check, and ``w`` positive finite base weights of the
-    same shape (equal ones cancel, unread if a zero stride repeats them), or
-    ``None``.  Row ``(j, g)`` of the
-    ``(k, G, n)`` buffer ``out`` receives column ``j``'s weights at
-    ``orders[g]``, and the ``(k, n)`` buffer ``y`` the values ``x_j *
-    2**-e_j``, or with ``products`` (one order) ``u * y``.  Returns ``e``
-    per column, then per (column, order) whether the weights could be
-    formed: not at an order other than 1 on a column holding a zero, nor
-    where the raised weights below are not negligible.
+    same shape (unread if a zero stride repeats them), or ``None``.
+    ``orders`` is ``(G,)``, shared by every column, or ``(k, G)``, one row
+    per column.  Row ``(j, g)`` of the ``(k, G, n)`` buffer ``out``
+    receives column ``j``'s weights at its order ``g``, and the ``(k, n)``
+    buffer ``y`` the values ``x_j * 2**-e_j``, or with ``products`` (one
+    order) ``u * y``.  Returns ``e`` per column, then per (column, order)
+    whether the weights could be formed: not at an order other than 1 on a
+    column holding a zero, nor where the raised weights below are not
+    negligible.  A column's weights depend on that column and its orders
+    only, so one call gives the bits of one call per column.
 
     The logs are of ``y``, whose power of two centres their range on 0
     (:func:`_scale_exponents`), and of ``w`` over its largest, so a weight
@@ -171,21 +173,18 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     block size, the number of columns or orders, or the layout.
     """
     k, n = x.shape
-    c = orders - 1.0
+    c = np.broadcast_to(orders - 1.0, (k, orders.shape[-1]))
     size = _BLOCK_ELEMENTS
     parts = [slice(start, start + size) for start in range(0, n, size)]
     if w is not None and w.strides[1] == 0:  # one weight per column, as Sample's unit weights
         w = None
-    if w is not None:
-        tops = np.maximum.reduce(w, axis=1)
-        if (np.minimum.reduce(w, axis=1) == tops).all():
-            w = None
     e = _scale_exponents(lo, hi, n)
-    up, one, single = c >= 0, c == 0, orders.size == 1
+    up, one, single = c >= 0, c == 0, c.shape[1] == 1
     logs = np.empty((k, min(n, size)))  # a block of log y, where it cannot go into out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
         log_lo, log_hi = np.log(np.ldexp(lo, -e)), np.log(np.ldexp(hi, -e))
+        c_rows = c[..., None]
         if w is None:
             ref = np.where(up, log_hi[:, None], log_lo[:, None])
             # Each row's smallest exponent sits at the value farthest from
@@ -193,20 +192,21 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
             clamped = c * (np.where(up, log_lo[:, None], log_hi[:, None]) - ref) < _EXP_FLOOR
             clamp = np.count_nonzero(clamped)
         else:
-            ref, ref_w = np.zeros((2, k, orders.size))
-            peak, clamped = np.full((k, orders.size), -np.inf), np.zeros((k, orders.size), dtype=bool)
+            tops = np.maximum.reduce(w, axis=1)
+            ref, ref_w = np.zeros((2,) + c.shape)
+            peak, clamped = np.full(c.shape, -np.inf), np.zeros(c.shape, dtype=bool)
             for part in parts:
                 block = np.ldexp(x[:, part], -e[:, None], out=y[:, part])
                 log_y = np.log(block, out=logs[:, : block.shape[1]])
                 log_w = np.log(w[:, part] / tops[:, None])
-                t = log_y[:, None, :] * c[:, None] + log_w[:, None, :]
+                t = log_y[:, None, :] * c_rows + log_w[:, None, :]
                 i = np.argmax(t, axis=2)[..., None]
                 best = np.take_along_axis(t, i, axis=2)[..., 0]
                 better = best > peak  # a tie in a later block keeps the first row
                 peak = np.where(better, best, peak)
                 ref = np.where(better, np.take_along_axis(log_y, i[..., 0], axis=1), ref)
                 ref_w = np.where(better, np.take_along_axis(log_w, i[..., 0], axis=1), ref_w)
-        c_rows, ref_rows, ones = c[:, None], ref[..., None], np.count_nonzero(one)
+        ref_rows, ones = ref[..., None], np.count_nonzero(one)
         for part in parts:
             block, rows = y[:, part], out[:, :, part]  # with base weights y is formed above
             if w is None and np.isfinite(factor).all():
@@ -231,7 +231,7 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
                 np.maximum(rows, _EXP_FLOOR, out=rows)
             np.exp(rows, out=rows)
             if ones:
-                rows[:, one] = 1.0 if w is None else relative[:, None, :]
+                rows[one] = 1.0 if w is None else relative[np.nonzero(one)[0]]
             if products:
                 block *= rows[:, 0]
         accurate = ~clamped | (log_hi[:, None] - ref <= _LOG_SPREAD)  # -inf - -inf on an all-zero column
@@ -288,21 +288,8 @@ def _moved_terms_out_of_range(what: str) -> NumericError:
     )
 
 
-def _holder_weights(w: np.ndarray | None):
-    """Row weights for the Holder kernel: the pair of ``w`` over its largest
-    and their sum, or ``None`` without weights or where all are equal and
-    cancel, unread if a zero stride repeats one, as in Sample's unit weights."""
-    if w is None or w.strides[0] == 0:
-        return None
-    top = np.maximum.reduce(w)
-    if np.minimum.reduce(w) == top:
-        return None
-    w = w / top
-    return w, float(np.add.reduce(w))
-
-
 def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray, w: np.ndarray | tuple | None = None):
+                  lo: np.ndarray, hi: np.ndarray, w: np.ndarray | None = None):
     """Lehmer or Holder means of ``k`` columns at many orders, as shifted sums.
 
     ``x`` holds one column per row, ``(k, n)``, in any layout, with
@@ -310,9 +297,11 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
     Holder orders; the orders are finite, the Holder ones nonzero and of
     one sign, and are taken ``B`` at a time, for every column at once, in
     a ``(k, B, n)`` buffer of at most ``_BLOCK_ELEMENTS`` values, or of one
-    order.  Weights ``w`` are Lehmer base weights shaped like ``x``, or the
-    Holder row weights :func:`_holder_weights` returns, shared by every
-    column.  Returns per (column, order) the moment target, the total
+    order.  Weights ``w`` are positive finite base weights as the caller
+    has them: for Lehmer shaped like ``x``, for Holder ``(n,)`` row weights
+    shared by every column, divided here by their largest; ``None``, or a
+    zero stride repeating one weight, means unit weights, left unread.
+    Returns per (column, order) the moment target, the total
     weight and whether the sums are accurate, then the reference ``x_r``,
     shaped to broadcast against them.
     Lehmer, for ``lehmer_mean``, the sweep and ``fit`` alike: weights ``u``
@@ -322,8 +311,8 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
     product is the mean, exactly, so the curvature ``fit`` meets stays
     finite.  Holder of order ``k``: ``y = x / x_r``, ``x_r`` the extreme
     with the largest term (0, giving NaN, for an all-zero column), moved to
-    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)`` under weights
-    over their largest, each step on ``_BLOCK_ELEMENTS`` rows at a time.
+    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)``, each step on
+    ``_BLOCK_ELEMENTS`` rows at a time.
     :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is
     their :func:`_scale_estimates` to the bit: the sums are rows of a
     C-order buffer, which numpy reduces pairwise like a 1-D array.
@@ -341,12 +330,11 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
         up = orders[0] > 0
         extreme = np.maximum if up else np.minimum
         ref, far = (hi, lo) if up else (lo, hi)
-        if w is None:
-            total[:] = n
-        elif isinstance(w, tuple):
-            w, total[:] = w
+        if w is None or w.strides[0] == 0:  # no weights, or Sample's unit weights
+            w, total[:] = None, n
         else:
-            raise TypeError("Holder row weights are the pair _holder_weights returns")
+            w = w / np.maximum.reduce(w)
+            total[:] = np.add.reduce(w)
     for start in range(0, orders.size, width):
         block = orders[start : start + width]
         part = slice(start, start + block.size)
@@ -467,7 +455,7 @@ def holder_mean(alpha, values, weights=None) -> float:
     if hi == 0.0:  # only for a > 0
         return 0.0
     order = np.array([a])
-    target, _, ok, ref = _column_means("holder", x[None, :], order, lo[None], hi[None], _holder_weights(w))
+    target, _, ok, ref = _column_means("holder", x[None, :], order, lo[None], hi[None], w)
     if not ok[0, 0]:
         raise _moved_terms_out_of_range(f"Holder terms of order {a}")
     return float(_scale_estimates(ref, target, order)[0, 0])
@@ -479,7 +467,11 @@ def lehmer_mean(alpha, values, weights=None) -> float:
     ``sum(w * x**alpha) / sum(w * x**(alpha-1))`` for finite ``alpha`` and
     the sample max/min at ``alpha = +inf`` / ``-inf``.  Zero values are
     rejected when ``alpha < 1`` because ``x**(alpha-1)`` has a pole at zero;
-    at ``alpha = 1`` a zero keeps its weight ``w``, as in ``fit``.
+    at ``alpha = 1`` a zero keeps its weight ``w``, as in ``fit``.  Above 1
+    a zero has weight 0 and adds nothing (all zeros give 0.0), where
+    :func:`wmle.mwle.fit` and :func:`wmle.mwle.apply_policy` reject it; the
+    mean is ``fit``'s target times its scale only where both accept the
+    values.
 
     A finite order takes :func:`_column_means`'s Lehmer target, as the
     sweep and :func:`wmle.mwle.fit` do; the mean, that target times its
@@ -525,9 +517,11 @@ def v_weights(kind: str, alpha, values, weights=None) -> np.ndarray:
     Only finite orders are accepted: the defining expressions have no
     finite normalization at infinite order.  Zero values are rejected below
     order 1, where ``x**(alpha-1)`` has a pole; at 1 a zero keeps its weight
-    ``w``.  The Lehmer weights are those :func:`lehmer_mean` averages with,
-    except that one below ``exp(-700)`` times the largest, which
-    ``lehmer_mean`` raises to that bound, reads as 0.
+    ``w``, and above 1 its weight is 0.  The Lehmer weights are those
+    :func:`lehmer_mean` averages with, except that one below ``exp(-700)``
+    times the largest, which ``lehmer_mean`` raises to that bound, reads as
+    0, and that all-zero values above order 1, whose weights ``0 / 0`` have
+    no value, give a row of NaN where ``lehmer_mean`` returns 0.0.
     """
     if kind not in ("lehmer", "holder"):
         raise DomainError(f"unknown v-weight kind {kind!r}, expected 'lehmer' or 'holder'")

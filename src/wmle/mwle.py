@@ -49,7 +49,6 @@ from .expfam import (  # WeightedDataset and weighted_stat_mean stay bound for p
 from .families import weibull_model
 from .means import (
     _column_means,
-    _holder_weights,
     _lehmer_weights,
     _moved_terms_out_of_range,
     _scale_estimates,
@@ -190,33 +189,36 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     per-column weight matrix for the lehmer kind.  Only ratios of weights
     enter an estimate, so the row weights and each lehmer column are divided
     by their largest weight: these weights cannot overflow, nor can their
-    sum, at any order.  Raises ``DomainError`` when a base weight is not
-    strictly positive and finite or a lehmer column at an order other than
-    1 holds a non-positive value, and ``NumericError`` where a lehmer
-    column cannot be formed accurately: at an order below 1 on values more
-    than ``exp(600)`` apart.
+    sum, at any order.  Every lehmer column comes from one call of
+    :func:`means._lehmer_weights` at its own order.  Raises ``DomainError``
+    when a base weight is not strictly positive and finite or a lehmer
+    column at an order other than 1 holds a non-positive value (where
+    :func:`means.lehmer_mean` and :func:`means.v_weights` give a zero value
+    weight 0 above order 1), and ``NumericError`` where a lehmer column
+    cannot be formed accurately: at an order below 1 on values more than
+    ``exp(600)`` apart.  The first such column is the one reported.
     """
     obs, lo, hi = _observation_matrix(observations)
     w = _base_weights(policy, obs)
     if policy.kind == "holder":
-        row_weights = _holder_weights(w)
-        return np.ones(obs.shape[0]) if row_weights is None else row_weights[0]
-    # Column-major: each weight column is one contiguous buffer.
-    u, y = np.empty(obs.shape, order="F"), np.empty(obs.shape[0])
-    for j, a in enumerate(policy.exponents):
-        _lehmer_weight_column(obs, lo, hi, j, a, w, u[:, j], y)
-    return u
+        return np.ones(obs.shape[0]) if w is None else w / np.maximum.reduce(w)
+    return _lehmer_weight_rows(obs, lo, hi, policy.exponents, w).T  # (n, k) in F order
 
 
-def _lehmer_weight_column(obs: np.ndarray, lo: np.ndarray, hi: np.ndarray, j: int, a: float,
-                          w: Optional[np.ndarray], u: np.ndarray, y: np.ndarray) -> None:
-    """Column ``j``'s Lehmer weights at order ``a`` into ``u`` by
-    :func:`means._lehmer_weights`, given the column extremes ``lo`` and
-    ``hi``, with ``y`` its scratch column; raises where they cannot be formed."""
-    _, ok = _lehmer_weights(obs[None, :, j], np.array([a]), u[None, None], y[None], lo[j : j + 1],
-                            hi[j : j + 1], None if w is None else w[None, :, j])
-    if not ok[0, 0]:
-        raise _lehmer_weights_error(obs[:, j], lo[j], j, a)
+def _lehmer_weight_rows(obs: np.ndarray, lo: np.ndarray, hi: np.ndarray, exponents: np.ndarray,
+                        w: Optional[np.ndarray]) -> np.ndarray:
+    """Each column of the checked ``(n, k)`` matrix ``obs``, with extremes
+    ``lo`` and ``hi``, weighted at its own order by one call of
+    :func:`means._lehmer_weights`, as a C-order ``(k, n)`` matrix; raises
+    for the first column whose weights cannot be formed."""
+    n, k = obs.shape
+    u = np.empty((k, 1, n))
+    _, ok = _lehmer_weights(obs.T, exponents[:, None], u, np.empty((k, n)), lo, hi,
+                            None if w is None else w.T)
+    if not ok.all():
+        j = int(np.argmin(ok[:, 0]))
+        raise _lehmer_weights_error(obs[:, j], lo[j], j, exponents[j])
+    return u[:, 0]
 
 
 def _lehmer_weights_error(column: np.ndarray, smallest: float, j: int, a: float) -> Exception:
@@ -277,11 +279,14 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     ``holder_mean``, ``lehmer_mean`` and the sweep; a Lehmer column is
     fitted on ``x_j * 2**-e_j``, whose target ``sum(u * y) / sum(u)``
     cannot overflow.  An estimate on this path that is not finite and
-    positive raises ``NumericError``.  Every other problem takes the target
-    :func:`weighted_stat_mean` forms, on these checked arrays, under
-    :func:`means._lehmer_weights`'s columns for a Lehmer policy, and a
-    non-finite estimate raises ``NumericError``; so does a curvature that
-    is not finite, on every path.
+    positive raises ``NumericError``.  The kernel takes the base weights
+    as they are made.  Every other problem takes the target
+    :func:`weighted_stat_mean` forms, on these checked arrays, under row
+    weights over their largest, or under a Lehmer policy's weight columns,
+    all from one call of :func:`means._lehmer_weights`, and a non-finite
+    estimate raises ``NumericError``; so does a curvature that is not
+    finite, on every path.  A zero value at a Lehmer order other than 1 is
+    rejected on every path, as :func:`apply_policy` rejects it.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -301,7 +306,6 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             "require independent components"
         )
     kernel = model.scale_family and (policy.kind == "holder" or subclass_form(model, policy).is_lehmer_mean)
-    row_weights = _holder_weights(w) if policy.kind == "holder" else None  # over their largest
     # One pass forms every problem's (sub-model, target, total weight) and
     # the scale c_j of each component, so that every weight column is
     # formed before any problem is solved; theta_j = c_j * theta'_j.
@@ -312,7 +316,7 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
         # do not grow with the columns.
         for j, sub_model in enumerate(model.components or (model,)):
             orders, weights = ((policy.exponents[j : j + 1], None if w is None else w[None, :, j]) if lehmer
-                               else (sub_model.stat_powers, row_weights))
+                               else (sub_model.stat_powers, w))
             ((target_j,),), ((total,),), ((ok,),), ((ref,),) = _column_means(
                 policy.kind, obs[None, :, j], orders, smallest[j : j + 1], largest[j : j + 1], weights)
             if not ok:
@@ -323,14 +327,13 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             scale[j] = ref
             problems.append((sub_model, np.array([target_j]), float(total)))
     elif lehmer:
-        # One column at a time, so that these buffers do not grow with the columns.
-        u, y = np.empty((2, obs.shape[0]))
-        for j, (sub_model, a) in enumerate(zip(model.components, policy.exponents)):
-            _lehmer_weight_column(obs, smallest, largest, j, a, w, u, y)
-            total = float(np.add.reduce(u))
-            problems.append((sub_model, _weighted_stat_mean(sub_model, obs[:, j : j + 1], u, total), total))
+        u = _lehmer_weight_rows(obs, smallest, largest, policy.exponents, w)
+        for j, sub_model in enumerate(model.components):
+            total = float(np.add.reduce(u[j]))
+            problems.append((sub_model, _weighted_stat_mean(sub_model, obs[:, j : j + 1], u[j], total), total))
     else:
-        u, total = row_weights or (1.0, float(obs.shape[0]))
+        u = 1.0 if w is None else w / np.maximum.reduce(w)
+        total = float(obs.shape[0]) if w is None else float(np.add.reduce(u))
         problems.append((model, _weighted_stat_mean(model, obs, u, total), total))
     infos, curvatures = [], []
     for sub_model, sub_target, total in problems:

@@ -168,15 +168,17 @@ class TestHolderMean:
         assert ulps_off(holder_mean(order, values, weights),
                         holder_oracle(order, values, weights)) <= bound
 
-    def test_the_kernel_takes_holder_weights_only_with_their_sum(self):
-        # Raw row weights would leave the kernel's total weight unset.
+    def test_the_kernel_takes_raw_holder_row_weights(self):
+        # The kernel divides the row weights by their largest and sums them itself.
         x, w = np.array([[0.6, 2.0]]), np.array([1.0, 3.0])
-        with pytest.raises(TypeError, match="_holder_weights"):
-            means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1), w)
-        target, total, _, _ = means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1),
-                                                  means._holder_weights(w))
+        target, total, _, _ = means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1), w)
         assert total[0, 0] == 4.0 / 3.0
         assert target[0, 0] == pytest.approx((0.09 + 3.0) / 4.0, rel=1e-15)
+        # Equal weights cancel to the bits of none.
+        equal = means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1), np.full(2, 3.0))
+        unit = means._column_means("holder", x, np.array([2.0]), x.min(1), x.max(1))
+        for got, want in zip(equal, unit):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLehmerMean:
