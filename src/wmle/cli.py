@@ -113,12 +113,19 @@ class SweepTable:
         return "".join(text)
 
 
+#: Neighbouring Holder estimates may cross by this many eps/k: each target's
+#: pairwise sum (at most 37 additions deep for up to 2**19 rows) and division
+#: round by (37 + 3) eps/2 to first order, which the 1/k root magnifies.
+_HOLDER_DROP = 40.0
+
+
 def validate_sweep_table(table: SweepTable) -> None:
     """Enforce the table invariants before anything gets written.
 
     The grid must be strictly ascending, every non-gap estimate finite and
     positive, and each estimate column non-decreasing along the grid (the
-    underlying means are monotone in their order; a small relative slack
+    underlying means are monotone in their order; a relative slack of
+    1e-9, or at Holder order ``k`` up to ``_HOLDER_DROP * eps / k``,
     absorbs float rounding).
     """
     orders = table.orders
@@ -130,7 +137,8 @@ def validate_sweep_table(table: SweepTable) -> None:
     rows = table.estimates[good]
     if np.any(rows <= 0):
         raise DomainError("sweep estimates must be finite and positive")
-    drops = np.diff(rows, axis=0) < -1e-9 * rows[:-1]
+    eps_k = np.finfo(float).eps / orders[good][:-1, None] if table.parameter == "k" else 0.0
+    drops = np.diff(rows, axis=0) < -np.maximum(1e-9, _HOLDER_DROP * eps_k) * rows[:-1]
     if drops.any():
         col, where = np.argwhere(drops.T)[0]  # the first column that drops, where it first does
         raise DomainError(f"estimate column {col} decreases along the grid near row {where}; "

@@ -48,6 +48,16 @@ def _logsumexp(expo: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(expo - m))))
 
 
+def _identity_stat(x):
+    """``T(x) = x`` as a float copy: the Gaussian and multinomial statistic."""
+    return np.array(x, dtype=float, copy=True)
+
+
+def _all_finite(eta) -> bool:
+    """The Gaussian and multinomial natural domain: every ``eta`` is finite."""
+    return bool(np.all(np.isfinite(np.asarray(eta, dtype=float))))
+
+
 def _weibull(shapes: np.ndarray, components) -> FamilyModel:
     k = shapes
     q = k.size
@@ -161,9 +171,6 @@ def _gaussian(sigmas: np.ndarray, components) -> FamilyModel:
     def log_base_measure(x):
         return -0.5 * np.sum(x**2 / var, axis=1) - log_norm_const
 
-    def sufficient_stat(x):
-        return np.array(x, dtype=float, copy=True)
-
     def nat_param(mu):
         return np.asarray(mu, dtype=float).reshape(-1) / var
 
@@ -173,9 +180,6 @@ def _gaussian(sigmas: np.ndarray, components) -> FamilyModel:
     def log_normalizer(eta):
         eta = np.asarray(eta, dtype=float).reshape(-1)
         return float(0.5 * np.sum(var * eta**2))
-
-    def natural_domain(eta):
-        return bool(np.all(np.isfinite(np.asarray(eta, dtype=float))))
 
     def mean_map_closed(eta):
         return np.asarray(eta, dtype=float).reshape(-1) * var
@@ -195,11 +199,11 @@ def _gaussian(sigmas: np.ndarray, components) -> FamilyModel:
         dim_x=q,
         dim_eta=q,
         log_base_measure=log_base_measure,
-        sufficient_stat=sufficient_stat,
+        sufficient_stat=_identity_stat,
         nat_param=nat_param,
         nat_param_inverse=nat_param_inverse,
         log_normalizer=log_normalizer,
-        natural_domain=natural_domain,
+        natural_domain=_all_finite,
         mean_map_closed=mean_map_closed,
         mean_map_inverse=mean_map_inverse,
         mean_map_jacobian=mean_map_jacobian,
@@ -247,9 +251,6 @@ def _multinomial_full(trials: int, categories: int) -> FamilyModel:
     def log_base_measure(x):
         return math.lgamma(n_trials + 1.0) - _lgamma(np.asarray(x) + 1.0).sum(axis=1)
 
-    def sufficient_stat(x):
-        return np.array(x, dtype=float, copy=True)
-
     def nat_param(p):
         return np.log(np.asarray(p, dtype=float).reshape(-1))
 
@@ -259,9 +260,6 @@ def _multinomial_full(trials: int, categories: int) -> FamilyModel:
 
     def log_normalizer(eta):
         return 0.0
-
-    def natural_domain(eta):
-        return bool(np.all(np.isfinite(np.asarray(eta, dtype=float))))
 
     def mean_map_closed(eta):
         # Valid on the normalized manifold eta = log p; good enough for a fixture.
@@ -275,11 +273,11 @@ def _multinomial_full(trials: int, categories: int) -> FamilyModel:
         dim_x=k,
         dim_eta=k,
         log_base_measure=log_base_measure,
-        sufficient_stat=sufficient_stat,
+        sufficient_stat=_identity_stat,
         nat_param=nat_param,
         nat_param_inverse=nat_param_inverse,
         log_normalizer=log_normalizer,
-        natural_domain=natural_domain,
+        natural_domain=_all_finite,
         mean_map_closed=mean_map_closed,
         sampler=sampler,
         support=(0.0, float(trials)),
@@ -301,9 +299,6 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
             - _lgamma(last + 1.0)
         )
 
-    def sufficient_stat(x):
-        return np.array(x, dtype=float, copy=True)
-
     def nat_param(p):
         p = np.asarray(p, dtype=float).reshape(-1)
         return np.log(p[:q] / p[-1])
@@ -317,9 +312,6 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
     def log_normalizer(eta):
         eta = np.asarray(eta, dtype=float).reshape(-1)
         return float(n_trials * _logsumexp(np.append(eta, 0.0)))
-
-    def natural_domain(eta):
-        return bool(np.all(np.isfinite(np.asarray(eta, dtype=float))))
 
     def mean_map_closed(eta):
         return n_trials * nat_param_inverse(eta)[:q]
@@ -347,11 +339,11 @@ def _multinomial_reduced(trials: int, categories: int) -> FamilyModel:
         dim_x=q,
         dim_eta=q,
         log_base_measure=log_base_measure,
-        sufficient_stat=sufficient_stat,
+        sufficient_stat=_identity_stat,
         nat_param=nat_param,
         nat_param_inverse=nat_param_inverse,
         log_normalizer=log_normalizer,
-        natural_domain=natural_domain,
+        natural_domain=_all_finite,
         mean_map_closed=mean_map_closed,
         mean_map_inverse=mean_map_inverse,
         mean_map_jacobian=mean_map_jacobian,

@@ -55,8 +55,21 @@ class TestSummaries:
         change = [bench_trajectory.parse_run(_run_stdout(s, v, p)) for s, v, p in ((1, 5.0, 0.3), (2, 5.0, 0.5))]
         parent = [bench_trajectory.parse_run(_run_stdout(s, v, p)) for s, v, p in ((1, 4.0, 0.4), (2, 6.0, 0.4))]
         wins = bench_trajectory.pair_wins(change, parent, {"items_per_s": "higher", "op_p50_s": "lower"})
-        assert wins == {"items_per_s": {"first_better": 1, "pairs": 2},
-                        "op_p50_s": {"first_better": 1, "pairs": 2}}
+        assert {name: (w["first_better"], w["pairs"]) for name, w in wins.items()} == {
+            "items_per_s": (1, 2), "op_p50_s": (1, 2)}
+
+    def test_a_difference_within_the_second_spread_is_unresolved(self):
+        change = [bench_trajectory.parse_run(_run_stdout(s, v, p))
+                  for s, v, p in ((1, 10.0, 0.30), (2, 11.0, 0.31), (3, 12.0, 0.32))]
+        parent = [bench_trajectory.parse_run(_run_stdout(s, v, p))
+                  for s, v, p in ((1, 9.0, 0.40), (2, 11.0, 0.41), (3, 13.0, 0.42))]
+        wins = bench_trajectory.pair_wins(change, parent, {"items_per_s": "higher", "op_p50_s": "lower"})
+        # items_per_s: equal medians inside a spread of 2; op_p50_s: 0.1 apart, spread 0.01.
+        assert wins["items_per_s"] == {"first_better": 1, "pairs": 3, "median_diff_rel": 0.0,
+                                       "second_iqr": 2.0, "resolved": False}
+        p50 = wins["op_p50_s"]
+        assert p50["resolved"] and p50["median_diff_rel"] == pytest.approx(-0.1 / 0.41)
+        assert p50["second_iqr"] == pytest.approx(0.01)
 
     def test_seed_lists(self):
         assert bench_trajectory.seed_list("1-4") == [1, 2, 3, 4]

@@ -443,6 +443,28 @@ class TestSweepCommand:
         with pytest.raises(DomainError, match="estimate column 0 decreases"):
             validate_sweep_table(table)
 
+    @pytest.mark.parametrize("values, grid", [
+        (np.random.default_rng(1).dirichlet([5, 5, 1], 23), "1e-8:1e-4:1e-8"),
+        ([[1.7e308, 1, 1], [1.79e308, 2, 2], [1.5e308, 3, 3]], "1e-8:1e-6:1e-8"),
+        (np.random.default_rng(1).dirichlet([5, 5, 1], 23), "1e-12:1e-9:1e-12"),
+    ])
+    def test_holder_sweeps_near_order_zero_write_every_row(self, values, grid):
+        # Neighbouring estimates there differ by less than their rounding,
+        # about eps/k, which a fixed 1e-9 slack does not absorb.
+        values = np.asarray(values, dtype=float)
+        table = run_sweep(ProportionMatrix(tuple(range(len(values))), values), "holder", parse_grid(grid))
+        assert np.isfinite(table.estimates).all() and not table.gaps
+
+    def test_a_real_holder_drop_near_order_zero_still_raises(self):
+        # 40 eps/k at k = 1e-8 is 8.9e-7; a drop of 1e-6 is beyond it.
+        orders = np.array([1e-8, 2e-8])
+        table = SweepTable("k", orders, np.array([[1.0, 0.5, 0.3], [1.0 - 1e-6, 0.5, 0.3]]))
+        with pytest.raises(DomainError, match="estimate column 0 decreases"):
+            validate_sweep_table(table)
+        validate_sweep_table(SweepTable("k", orders, np.array([[1.0, 0.5, 0.3], [1.0 - 8e-7, 0.5, 0.3]])))
+        with pytest.raises(DomainError, match="estimate column 0 decreases"):
+            validate_sweep_table(SweepTable("beta", orders, np.array([[1.0, 0.5, 0.3], [1.0 - 8e-7, 0.5, 0.3]])))
+
     def test_lehmer_and_holder_agree_at_order_one(self, capsys, tmp_path, synthetic_returns_csv):
         paths = {}
         for mode, grid in (("lehmer", "-1:2:0.5"), ("holder", "0.5:2:0.5")):
@@ -845,6 +867,58 @@ class TestBatchedSweep:
             extreme = run_sweep(extreme_magnitudes(), "lehmer", grid)
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
         assert_same_sweep(extreme, per_point_sweep(extreme_magnitudes(), "lehmer", grid))
+
+
+class TestUserFacingErrors:
+    """Each user-facing error names what is wrong with the input."""
+
+    def test_a_descending_grid_is_rejected(self):
+        matrix = matrix_of([[0.5, 0.4, 0.1], [0.45, 0.45, 0.1]])
+        with pytest.raises(DomainError, match="sweep grid must be strictly ascending"):
+            run_sweep(matrix, "lehmer", np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("text, message", [
+        ("year,dem,rep,other\n", "expected a rectangular numeric table"),
+        ("", "no data rows"),
+    ])
+    def test_fit_data_without_rows_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "fit", "--data", str(path))
+        assert code == 2 and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--policy", "lehmer", "1", "2"], "--beta is required for the lehmer policy"),
+        (["mean", "--kind", "lehmer", "--alpha", "abc", "1", "2"],
+         "invalid order 'abc'; expected a number or inf/-inf"),
+        (["mean", "--kind", "lehmer", "--alpha", "2", "--weights", "1,x", "1", "2"],
+         "--weights expects a comma-separated list of numbers, got '1,x'"),
+    ])
+    def test_malformed_flags_exit_2(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and message in err
+
+    def test_an_empty_returns_file_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(wmle.SchemaError, match="empty file, expected a header line"):
+            load_returns(path)
+
+    def test_a_non_integer_year_bound_is_a_config_error(self, tmp_path):
+        path = tmp_path / "schema.cfg"
+        path.write_text("year_min = 19x\n")
+        with pytest.raises(ConfigError, match="year_min must be an integer, got '19x'"):
+            wmle.pipeline.SchemaConfig.from_file(path)
+
+    def test_a_cycle_without_mapped_votes_is_an_aggregation_error(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text(f"{SCHEMA_HEADER}\n1976,AZ,DEMOCRAT,0,100\n1976,AZ,REPUBLICAN,0,100\n")
+        with pytest.raises(wmle.AggregationError, match="cycle 1976 has zero mapped votes"):
+            aggregate(load_returns(path).rows)
+
+    def test_a_series_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(DomainError, match="every series needs one y value per x value"):
+            render_line_chart([1.0, 2.0], {"a": [1.0]}, title="t", x_label="x", y_label="y")
 
 
 class TestLineChart:

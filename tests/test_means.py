@@ -316,6 +316,11 @@ class TestVWeights:
             assert v_weights(kind, 1.0, [0.0, 1.0, 2.0], [2.0, 1.0, 1.0]).tolist() == [0.5, 0.25, 0.25]
         above = v_weights("lehmer", 2.0, [0.0, 1.0, 3.0])  # a zero weighs 0 above order 1
         assert above[0] == 0.0 and above[1:].tolist() == pytest.approx([0.25, 0.75], rel=1e-15)
+
+    def test_all_zero_values_above_order_one_give_nan_weights_and_mean_zero(self):
+        # Every weight is 0 / 0; lehmer_mean of the same values is 0.0.
+        assert np.isnan(v_weights("lehmer", 2.0, [0.0, 0.0])).all()
+        assert lehmer_mean(2.0, [0.0, 0.0]) == 0.0
         assert v_weights("holder", 2.0, [0.0, 1.0, 3.0]).tolist() == [0.0, 1 / 3, 1.0]
 
     def test_holder_weights_are_formed_without_exp_and_log(self):

@@ -14,7 +14,9 @@ taken under the same machine load.
 The file holds, per checkout and workload, the median and quartiles of
 every end-to-end metric over the seeds, N, the first run's environment,
 and whether every run was correct; with two checkouts, per workload and
-metric, in how many pairs the first checkout did better.  It also records
+metric, in how many pairs the first checkout did better, how far the
+medians differ, and whether that exceeds the second checkout's
+interquartile spread (``resolved``).  It also records
 numpy's CPU dispatch list, on which the last bits of every estimate
 depend, and per checkout the commit its tree is at and whether the tree
 differs from it, so an exported copy or an uncommitted tree shows as
@@ -73,14 +75,22 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
 
 def pair_wins(first: list[tuple[dict, dict]], second: list[tuple[dict, dict]], better: dict) -> dict:
     """Per metric, in how many pairs (runs of one seed) ``first`` did better
-    than ``second``, by the direction ``better`` gives ("higher"/"lower")."""
+    than ``second``, by the direction ``better`` gives ("higher"/"lower");
+    the medians' difference relative to ``second``'s median; ``second``'s
+    interquartile spread; and whether the medians differ by more than that
+    spread (``resolved``), so that a difference within the noise reads as
+    unresolved rather than as no change."""
     wins = {}
     for name, direction in better.items():
         pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
                  for (_, a), (_, b) in zip(first, second) if name in a["metrics"]]
         if pairs:
             count = sum((x > y) if direction == "higher" else (x < y) for x, y in pairs)
-            wins[name] = {"first_better": count, "pairs": len(pairs)}
+            mine, theirs = quartiles([x for x, _ in pairs]), quartiles([y for _, y in pairs])
+            difference, spread = mine["median"] - theirs["median"], theirs["q3"] - theirs["q1"]
+            wins[name] = {"first_better": count, "pairs": len(pairs),
+                          "median_diff_rel": difference / theirs["median"] if theirs["median"] else None,
+                          "second_iqr": spread, "resolved": abs(difference) > spread}
     return wins
 
 
