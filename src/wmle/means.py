@@ -173,13 +173,13 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
     block size, the number of columns or orders, or the layout.
     """
     k, n = x.shape
-    c = np.broadcast_to(orders - 1.0, (k, orders.shape[-1]))
+    c = orders - 1.0
     size = _BLOCK_ELEMENTS
     parts = [slice(start, start + size) for start in range(0, n, size)]
     if w is not None and w.strides[1] == 0:  # one weight per column, as Sample's unit weights
         w = None
     e = _scale_exponents(lo, hi, n)
-    up, one, single = c >= 0, c == 0, c.shape[1] == 1
+    up, one, single = c >= 0, c == 0, c.shape[-1] == 1
     logs = np.empty((k, min(n, size)))  # a block of log y, where it cannot go into out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
@@ -193,8 +193,9 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
             clamp = np.count_nonzero(clamped)
         else:
             tops = np.maximum.reduce(w, axis=1)
-            ref, ref_w = np.zeros((2,) + c.shape)
-            peak, clamped = np.full(c.shape, -np.inf), np.zeros(c.shape, dtype=bool)
+            shape = (k, c.shape[-1])
+            ref, ref_w = np.zeros((2,) + shape)
+            peak, clamped = np.full(shape, -np.inf), np.zeros(shape, dtype=bool)
             for part in parts:
                 block = np.ldexp(x[:, part], -e[:, None], out=y[:, part])
                 log_y = np.log(block, out=logs[:, : block.shape[1]])
@@ -231,7 +232,8 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
                 np.maximum(rows, _EXP_FLOOR, out=rows)
             np.exp(rows, out=rows)
             if ones:
-                rows[one] = 1.0 if w is None else relative[np.nonzero(one)[0]]
+                # A (G,) mask picks orders of every column, a (k, G) one (column, order) pairs.
+                rows[..., one, :] = 1.0 if w is None else np.broadcast_to(relative[:, None], rows.shape)[..., one, :]
             if products:
                 block *= rows[:, 0]
         accurate = ~clamped | (log_hi[:, None] - ref <= _LOG_SPREAD)  # -inf - -inf on an all-zero column
