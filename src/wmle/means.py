@@ -193,9 +193,8 @@ def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.nd
             clamp = np.count_nonzero(clamped)
         else:
             tops = np.maximum.reduce(w, axis=1)
-            shape = (k, c.shape[-1])
-            ref, ref_w = np.zeros((2,) + shape)
-            peak, clamped = np.full(shape, -np.inf), np.zeros(shape, dtype=bool)
+            ref, ref_w = np.zeros((2, k, c.shape[-1]))
+            peak, clamped = np.full(ref.shape, -np.inf), np.zeros(ref.shape, dtype=bool)
             for part in parts:
                 block = np.ldexp(x[:, part], -e[:, None], out=y[:, part])
                 log_y = np.log(block, out=logs[:, : block.shape[1]])
