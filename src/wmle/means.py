@@ -7,8 +7,9 @@ Higham, IMA J. Numer. Anal. 2021).  That arithmetic lives in
 :func:`_column_means`, the one maker of every Weibull moment target, Holder
 and Lehmer, which :func:`holder_mean`, :func:`lehmer_mean`, the batched
 sweep of :mod:`wmle.mwle` and :func:`wmle.mwle.fit`'s Weibull columns
-call, and in :func:`_lehmer_weights`, the one maker of Lehmer weights,
-for it, :func:`v_weights` and :func:`wmle.mwle.apply_policy`, and for
+call, and in :func:`_lehmer_weight_blocks`, the one maker of Lehmer
+weights, which it walks a leaf at a time and :func:`_lehmer_weights`
+whole, for :func:`v_weights` and :func:`wmle.mwle.apply_policy`, and for
 ``fit``'s other Lehmer problems.  Both divide a column by a
 reference that scales with it (its largest term, a power of two), so a
 power-of-two scaling of the values scales each mean exactly and one of
@@ -46,6 +47,11 @@ from .errors import DomainError, NumericError
 __all__ = ["Sample", "f_mean", "holder_mean", "lehmer_mean", "v_weights"]
 
 
+#: The read-only 1.0 that unit weights repeat with a zero stride.
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Sample:
     """Non-negative observations paired with strictly positive weights.
@@ -71,7 +77,7 @@ class Sample:
         if lo < 0:
             bad = float(values[values < 0][0])
             raise DomainError(f"sample values must be non-negative, got {bad}")
-        weights = (np.broadcast_to(1.0, values.shape) if self.weights is None
+        weights = (np.ndarray(values.shape, buffer=_ONE, strides=(0,)) if self.weights is None
                    else _weight_vector(self.weights, values.size, "values", "sample"))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -122,125 +128,172 @@ _EXP_FLOOR = -700.0
 _LOG_SPREAD = 600.0
 
 
-#: Rows a column kernel takes at a time.  Every step of the kernels is
-#: elementwise, so a block holds the same values as the whole column would,
-#: and the sums stay one pairwise sum over the column; blocks of 2**16
-#: doubles keep a block's working arrays (1 MiB) in a 2 MiB L2 cache.
+#: Values a column kernel holds in one buffer: 2**16 doubles keep a block's
+#: working arrays (1 MiB) in a 2 MiB L2 cache.  Every step of the kernels is
+#: elementwise, so a block of rows holds the values the whole column would.
 #: :func:`_column_means` sizes its (columns x orders x rows) buffer by it.
 _BLOCK_ELEMENTS = 1 << 16
 
+#: numpy adds up to this many terms in one unrolled loop, and splits a longer
+#: sum in two.
+_PAIRWISE_BLOCK = 128
 
-def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, y: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray, w: np.ndarray | None = None,
-                    products: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Lehmer weights ``w * x**(a - 1)`` of ``k`` columns at ``G`` orders, each divided by its largest.
+
+def _pairwise(n: int, limit: int, leaf: Callable[[slice], np.ndarray], start: int = 0) -> np.ndarray:
+    """``leaf(rows)`` on the leaves of numpy's pairwise summation tree over
+    ``n`` terms, its nodes of at most ``limit >= 128`` terms, left to right,
+    added in the tree's order.
+
+    Above 128 terms numpy sums the first ``m // 2 - (m // 2) % 8`` of ``m``
+    terms and the rest on their own and adds the two, so a node's sum is
+    numpy's sum of its slice: where ``leaf`` returns ``np.add.reduce`` of
+    its slice, the result is ``np.add.reduce`` of all ``n`` terms to the
+    bit, with pairwise summation's O(log n) error bound (Higham, SIAM J.
+    Sci. Comput. 14, 1993).  No public API promises the split; a test pins it.
+    """
+    if n <= limit:
+        return leaf(slice(start, start + n))
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, limit, leaf, start) + _pairwise(n - half, limit, leaf, start + half)
+
+
+def _lehmer_weight_blocks(x: np.ndarray, orders: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                          w: np.ndarray | None = None, size: int = _BLOCK_ELEMENTS):
+    """Lehmer weights ``w * x**(a - 1)`` of ``k`` columns at ``G`` orders,
+    each divided by its largest, formed a block of rows at a time.
 
     ``x`` holds one column of non-negative values per row, ``(k, n)``, in
     any layout, ``lo`` and ``hi`` each column's smallest and largest value,
     from the caller's check, and ``w`` positive finite base weights of the
     same shape (unread if a zero stride repeats them), or ``None``.
     ``orders`` is ``(G,)``, shared by every column, or ``(k, G)``, one row
-    per column.  Row ``(j, g)`` of the ``(k, G, n)`` buffer ``out``
-    receives column ``j``'s weights at its order ``g``, and the ``(k, n)``
+    per column.  Called, as its functions are, with divide, invalid and
+    overflow warnings off, it returns ``e`` per column and two functions.
+    ``fill(rows, out, y, products=False)`` writes the weights of the ``m``
+    rows ``rows`` (a slice) into the ``(k, G, m)`` buffer ``out``, row
+    ``(j, g)`` for column ``j`` at its order ``g``, and into the ``(k, m)``
     buffer ``y`` the values ``x_j * 2**-e_j``, or with ``products`` (one
-    order) ``u * y``.  Returns ``e`` per column, then per (column, order)
-    whether the weights could be formed: not at an order other than 1 on a
-    column holding a zero, nor where the raised weights below are not
-    negligible.  A column's weights depend on that column and its orders
-    only, so one call gives the bits of one call per column.
+    order) ``u * y``.  Once every row is filled, ``formed()`` tells per
+    (column, order) whether the weights could be formed: not at an order
+    other than 1 on a column holding a zero, nor where the raised weights
+    below are not negligible.  A column's weights depend on that column and
+    its orders only, and every step is elementwise, so they do not depend
+    on the blocks, the number of columns or orders, or the layout.
 
     The logs are of ``y``, whose power of two centres their range on 0
-    (:func:`_scale_exponents`), and of ``w`` over its largest, so a weight
-    depends on ratios of values and of weights only: scaling a column or
-    its weights by a power of two (the values staying normal) changes no
-    bit of the weights or of ``y``.  Each weight is relative to the row
-    ``r`` with the largest one:
+    (:func:`_scale_exponents`, of the whole column), and of ``w`` over its
+    largest, so a weight depends on ratios of values and of weights only:
+    scaling a column or its weights by a power of two (the values staying
+    normal) changes no bit of the weights or of ``y``.  Each weight is
+    relative to the row ``r`` with the largest one:
 
         exp((a - 1) * (log y - log y_r) + (log w - log w_r)),
 
     exactly 1 at ``r``, so nothing overflows (Blanchard, Higham & Higham,
     IMA J. Numer. Anal. 2021).  ``r`` is the largest value for ``a >= 1``
     and the smallest below, or, with base weights, the first row with the
-    largest ``log w + (a - 1) * log y``.  Exponents below ``_EXP_FLOOR`` are
+    largest ``log w + (a - 1) * log y``, which a pass over the whole column,
+    ``size`` rows at a time, finds here.  Exponents below ``_EXP_FLOOR`` are
     raised to it; that is negligible in both sums unless some value exceeds
     ``x_r`` by more than a factor ``exp(600)``.  At order 1 the weights are
-    ``w`` over its largest, or 1, and a zero value passes.
-
-    The rows are walked in blocks of ``_BLOCK_ELEMENTS``: one pass forms
-    ``y`` straight from ``x`` and then the weights, or with base weights
-    one forms ``y`` and finds ``r`` first, so each block's steps run in
-    cache.  Every step is elementwise, so the weights do not depend on the
-    block size, the number of columns or orders, or the layout.
+    ``w`` over its largest, or 1, and a zero value passes.  ``fill`` runs
+    the whole chain on its block: ``y`` straight from ``x``, its log, the
+    shift, clamp and ``exp``.
     """
     k, n = x.shape
     c = orders - 1.0
-    size = _BLOCK_ELEMENTS
-    parts = [slice(start, start + size) for start in range(0, n, size)]
     if w is not None and w.strides[1] == 0:  # one weight per column, as Sample's unit weights
         w = None
     e = _scale_exponents(lo, hi, n)
     up, one, single = c >= 0, c == 0, c.shape[-1] == 1
-    logs = np.empty((k, min(n, size)))  # a block of log y, where it cannot go into out
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
-        log_lo, log_hi = np.log(np.ldexp(lo, -e)), np.log(np.ldexp(hi, -e))
-        c_rows = c[..., None]
-        if w is None:
-            ref = np.where(up, log_hi[:, None], log_lo[:, None])
-            # Each row's smallest exponent sits at the value farthest from
-            # its reference, so it is known without a pass over the row.
-            clamped = c * (np.where(up, log_lo[:, None], log_hi[:, None]) - ref) < _EXP_FLOOR
-            clamp = np.count_nonzero(clamped)
+    ones = np.count_nonzero(one)
+    # A block of log y, where it cannot go into out.
+    logs = np.empty((k, min(n, size))) if w is not None or not single else None
+    factor = np.ldexp(1.0, -e)  # x * factor rounds as ldexp does, is cheaper, overflows below 2**-1023
+    log_lo, log_hi = np.log(np.ldexp(lo, -e)), np.log(np.ldexp(hi, -e))
+    c_rows = c[..., None]
+    if w is None:
+        ref = np.where(up, log_hi[:, None], log_lo[:, None])
+        # Each row's smallest exponent sits at the value farthest from
+        # its reference, so it is known without a pass over the row.
+        clamped = c * (np.where(up, log_lo[:, None], log_hi[:, None]) - ref) < _EXP_FLOOR
+    else:
+        # Row by row, and below into C-order blocks: w is often a transposed
+        # matrix, along whose rows numpy would otherwise loop k values at a time.
+        tops = np.array([np.maximum.reduce(row) for row in w])[:, None]
+        relatives = np.empty((k, min(n, size)))  # a block of w over its largest
+        ref, ref_w = np.zeros((2, k, c.shape[-1]))
+        peak, clamped = np.full(ref.shape, -np.inf), np.zeros(ref.shape, dtype=bool)
+        for start in range(0, n, size):
+            part = slice(start, start + size)
+            m = min(size, n - start)
+            log_y = np.log(np.ldexp(x[:, part], -e[:, None], out=logs[:, :m]), out=logs[:, :m])
+            log_w = np.log(np.divide(w[:, part], tops, out=relatives[:, :m]), out=relatives[:, :m])
+            t = log_y[:, None, :] * c_rows + log_w[:, None, :]
+            i = np.argmax(t, axis=2)[..., None]
+            best = np.take_along_axis(t, i, axis=2)[..., 0]
+            better = best > peak  # a tie in a later block keeps the first row
+            peak = np.where(better, best, peak)
+            ref = np.where(better, np.take_along_axis(log_y, i[..., 0], axis=1), ref)
+            ref_w = np.where(better, np.take_along_axis(log_w, i[..., 0], axis=1), ref_w)
+    ref_rows, scale, clamp = ref[..., None], w is None and np.isfinite(factor).all(), np.count_nonzero(clamped)
+    # Where no weight is raised, the sums are accurate at any spread.
+    positive, near = (lo > 0)[:, None], log_hi[:, None] - ref <= _LOG_SPREAD  # -inf - -inf on an all-zero column
+
+    def fill(rows: slice, out: np.ndarray, y: np.ndarray, products: bool = False) -> None:
+        if scale:
+            np.multiply(x[:, rows], factor[:, None], out=y)
         else:
-            tops = np.maximum.reduce(w, axis=1)
-            ref, ref_w = np.zeros((2, k, c.shape[-1]))
-            peak, clamped = np.full(ref.shape, -np.inf), np.zeros(ref.shape, dtype=bool)
-            for part in parts:
-                block = np.ldexp(x[:, part], -e[:, None], out=y[:, part])
-                log_y = np.log(block, out=logs[:, : block.shape[1]])
-                log_w = np.log(w[:, part] / tops[:, None])
-                t = log_y[:, None, :] * c_rows + log_w[:, None, :]
-                i = np.argmax(t, axis=2)[..., None]
-                best = np.take_along_axis(t, i, axis=2)[..., 0]
-                better = best > peak  # a tie in a later block keeps the first row
-                peak = np.where(better, best, peak)
-                ref = np.where(better, np.take_along_axis(log_y, i[..., 0], axis=1), ref)
-                ref_w = np.where(better, np.take_along_axis(log_w, i[..., 0], axis=1), ref_w)
-        ref_rows, ones = ref[..., None], np.count_nonzero(one)
-        for part in parts:
-            block, rows = y[:, part], out[:, :, part]  # with base weights y is formed above
-            if w is None and np.isfinite(factor).all():
-                np.multiply(x[:, part], factor[:, None], out=block)
-            elif w is None:
-                np.ldexp(x[:, part], -e[:, None], out=block)
-            if single:  # the logs go into out, where the weights replace them in place
-                np.log(block, out=rows[:, 0])
-                rows -= ref_rows
-            else:
-                np.subtract(np.log(block, out=logs[:, : block.shape[1]])[:, None, :], ref_rows, out=rows)
-            rows *= c_rows
-            if w is not None:
-                relative = w[:, part] / tops[:, None]
-                rows += np.log(relative)[:, None, :] - ref_w[..., None]
-                # Raising the exponents below the floor leaves the others as
-                # they are, so a block needs it only where its own are below.
-                low = np.minimum.reduce(rows, axis=2) < _EXP_FLOOR
-                clamped |= low
-                clamp = np.count_nonzero(low)
-            if clamp:
-                np.maximum(rows, _EXP_FLOOR, out=rows)
-            np.exp(rows, out=rows)
-            if ones:
-                # A (G,) mask picks orders of every column, a (k, G) one (column, order) pairs.
-                rows[..., one, :] = 1.0 if w is None else np.broadcast_to(relative[:, None], rows.shape)[..., one, :]
-            if products:
-                block *= rows[:, 0]
-        accurate = ~clamped | (log_hi[:, None] - ref <= _LOG_SPREAD)  # -inf - -inf on an all-zero column
-    return e, one | ((lo > 0)[:, None] & accurate)
+            np.ldexp(x[:, rows], -e[:, None], out=y)
+        if single:  # the logs go into out, where the weights replace them in place
+            np.log(y, out=out[:, 0])
+            out -= ref_rows
+        else:
+            np.subtract(np.log(y, out=logs[:, : y.shape[1]])[:, None, :], ref_rows, out=out)
+        out *= c_rows
+        floor = clamp
+        if w is not None:
+            relative = np.divide(w[:, rows], tops, out=relatives[:, : y.shape[1]])
+            out += np.log(relative)[:, None, :] - ref_w[..., None]
+            # Raising the exponents below the floor leaves the others as
+            # they are, so a block needs it only where its own are below.
+            low = np.minimum.reduce(out, axis=2) < _EXP_FLOOR
+            clamped[low] = True
+            floor = np.count_nonzero(low)
+        if floor:
+            np.maximum(out, _EXP_FLOOR, out=out)
+        np.exp(out, out=out)
+        if ones:
+            # A (G,) mask picks orders of every column, a (k, G) one (column, order) pairs.
+            out[..., one, :] = 1.0 if w is None else np.broadcast_to(relative[:, None], out.shape)[..., one, :]
+        if products:
+            y *= out[:, 0]
+
+    def formed() -> np.ndarray:
+        return one | (positive & (near | ~clamped))
+
+    return e, fill, formed
+
+
+def _lehmer_weights(x: np.ndarray, orders: np.ndarray, out: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    w: np.ndarray | None = None) -> np.ndarray:
+    """Every row of :func:`_lehmer_weight_blocks`'s weights, written into the
+    ``(k, G, n)`` buffer ``out`` ``_BLOCK_ELEMENTS`` rows at a time: the
+    weights :func:`v_weights` and :func:`wmle.mwle.apply_policy` return.
+    Returns ``formed()``."""
+    k, n = x.shape
+    size = _BLOCK_ELEMENTS
+    y = np.empty((k, min(n, size)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, fill, formed = _lehmer_weight_blocks(x, orders, lo, hi, w, size)
+        for start in range(0, n, size):
+            rows = out[:, :, start : start + size]
+            fill(slice(start, start + size), rows, y[:, : rows.shape[2]])
+    return formed()
 
 
 def _scale_exponents(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Per column, the exponent ``e`` of the power of two that :func:`_lehmer_weights`
+    """Per column, the exponent ``e`` of the power of two that :func:`_lehmer_weight_blocks`
     divides ``n`` values with extremes ``lo >= 0`` and ``hi > 0`` by.
 
     ``e`` lies halfway between the binary exponents of the extremes, so the
@@ -271,10 +324,10 @@ def _power_bound(orders: np.ndarray) -> np.ndarray:
     ``k < 0``): each such term is then about ``exp(-700)``, still a normal
     number, so ``pow`` never takes libm's slow subnormal path.  Against a sum
     of at least 1 the moved terms shift it by less than half an ulp for up to
-    1e288 values.
+    1e288 values.  Called with overflow warnings off: below a shape of
+    1e-306 the bound is 0.
     """
-    with np.errstate(over="ignore"):  # a shape below 1e-306: the bound is 0
-        return np.exp(_EXP_FLOOR / orders)
+    return np.exp(_EXP_FLOOR / orders)
 
 
 #: A weighted Holder target ``sum(w * y**k) / sum(w)`` (largest weight 1) at
@@ -295,80 +348,103 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
 
     ``x`` holds one column per row, ``(k, n)``, in any layout, with
     extremes ``lo`` and ``hi``, non-negative, and positive for negative
-    Holder orders; the orders are finite, the Holder ones nonzero and of
-    one sign, and are taken ``B`` at a time, for every column at once, in
-    a ``(k, B, n)`` buffer of at most ``_BLOCK_ELEMENTS`` values, or of one
-    order.  Weights ``w`` are positive finite base weights as the caller
-    has them: for Lehmer shaped like ``x``, for Holder ``(n,)`` row weights
-    shared by every column, divided here by their largest; ``None``, or a
-    zero stride repeating one weight, means unit weights, left unread.
-    Returns per (column, order) the moment target, the total
-    weight and whether the sums are accurate, then the reference ``x_r``,
-    shaped to broadcast against them.
+    Holder orders.  ``orders`` is ``(G,)``, shared by every column, or
+    ``(k, G)``, one row per column; they are finite, the Holder ones
+    nonzero and of one sign.  Weights ``w`` are positive finite base
+    weights as the caller has them: for Lehmer shaped like ``x``, for
+    Holder ``(n,)`` row weights shared by every column, divided here by
+    their largest; ``None``, or a zero stride repeating one weight, means
+    unit weights, left unread.  Returns per (column, order) the moment
+    target, the total weight and whether the sums are accurate, then the
+    reference ``x_r``, shaped to broadcast against them.
+
+    The orders are taken ``B`` at a time, for every column at once, and the
+    rows in the leaves of numpy's pairwise summation tree
+    (:func:`_pairwise`): its nodes of at most ``_BLOCK_ELEMENTS // (k * B)``
+    rows, and of no fewer than 128.  A leaf runs the whole elementwise
+    chain in a ``(k, B, m)`` buffer and takes its own sums while it is in
+    cache; adding them in the tree's order gives every sum numpy's pairwise
+    sum over the whole column, to the bit, and no buffer grows with ``n``.
     Lehmer, for ``lehmer_mean``, the sweep and ``fit`` alike: weights ``u``
-    from :func:`_lehmer_weights` on ``y = x * 2**-e``, which in a one-order
-    block writes the products ``u * y`` in place, target ``sum(u * y) /
-    sum(u)`` as a mantissa in ``[1, 2)`` and ``x_r`` a power of two whose
-    product is the mean, exactly, so the curvature ``fit`` meets stays
+    from :func:`_lehmer_weight_blocks` on ``y = x * 2**-e``, which in a
+    one-order block writes the products ``u * y`` in place, target ``sum(u
+    * y) / sum(u)`` as a mantissa in ``[1, 2)`` and ``x_r`` a power of two
+    whose product is the mean, exactly, so the curvature ``fit`` meets stays
     finite.  Holder of order ``k``: ``y = x / x_r``, ``x_r`` the extreme
     with the largest term (0, giving NaN, for an all-zero column), moved to
-    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)``, each step on
-    ``_BLOCK_ELEMENTS`` rows at a time.
+    :func:`_power_bound`, target ``sum(w * y**k) / sum(w)``.
     :func:`wmle.mwle.fit` solves these targets, and its ``theta_hat`` is
-    their :func:`_scale_estimates` to the bit: the sums are rows of a
-    C-order buffer, which numpy reduces pairwise like a 1-D array.
+    their :func:`_scale_estimates` to the bit.
     """
     k, n = x.shape
-    target, total = np.empty((2, k, orders.size))
-    ok = np.ones((k, orders.size), dtype=bool)
-    width = max(1, min(orders.size, _BLOCK_ELEMENTS // (k * n)))  # orders per block
-    # Lehmer's y takes k more rows: glibc's malloc keeps one buffer for the next
-    # call, where it returns two of this size, freed together, to the system.
-    out = np.empty((k * width + (k if kind == "lehmer" else 0), n))
-    if kind == "lehmer":
-        scaled = out[k * width :]
-    else:
-        up = orders[0] > 0
+    size = orders.shape[-1]
+    sums = np.empty((2, k, size))  # per (column, order) the total weight, then the sum of the terms
+    ok = np.ones((k, size), dtype=bool)
+    width = max(1, min(size, _BLOCK_ELEMENTS // (k * n)))  # orders per block
+    limit = max(_PAIRWISE_BLOCK, _BLOCK_ELEMENTS // (k * width))  # rows per leaf
+    lehmer = kind == "lehmer"
+    head = k * width * min(n, limit)
+    buffer = np.empty(head + (k * min(n, limit) if lehmer else 0))  # Lehmer's y takes k more rows
+    if not lehmer:
+        up = orders.item(0) > 0
         extreme = np.maximum if up else np.minimum
         ref, far = (hi, lo) if up else (lo, hi)
-        if w is None or w.strides[0] == 0:  # no weights, or Sample's unit weights
-            w, total[:] = None, n
+        if w is not None and w.strides[0] == 0:  # Sample's unit weights
+            w = None
+        top = None if w is None else np.maximum.reduce(w)
+
+    def leaf(rows: slice) -> np.ndarray:  # reads count, fill and groups of the block of orders below
+        m = rows.stop - rows.start
+        # A short leaf takes the buffer's head, so its rows stay contiguous.
+        out = buffer[: k * count * m].reshape(k, count, m)
+        partial = np.empty((2, k, count))
+        if lehmer:
+            y = buffer[head : head + k * m].reshape(k, m)
+            fill(rows, out, y, products=count == 1)
+            np.add.reduce(out, axis=2, out=partial[0])
+            # In a one-order block fill has left the products u * y in y.
+            out = y[:, None, :] if count == 1 else np.multiply(out, y[:, None, :], out=out)
         else:
-            w = w / np.maximum.reduce(w)
-            total[:] = np.add.reduce(w)
-    for start in range(0, orders.size, width):
-        block = orders[start : start + width]
-        part = slice(start, start + block.size)
-        # A short last block takes the buffer's head, so its rows stay contiguous.
-        rows = out.reshape(-1)[: k * block.size * n].reshape(k, block.size, n)
-        if kind == "lehmer":
-            e, ok[:, part] = _lehmer_weights(x, block, rows, scaled, lo, hi, w, products=block.size == 1)
-            total[:, part] = np.add.reduce(rows, axis=2)
-            # In a one-order block the kernel has left the products u * y in scaled.
-            rows = scaled[:, None, :] if block.size == 1 else np.multiply(rows, scaled[:, None, :], out=rows)
-        else:
-            bounds = _power_bound(block)
-            # numpy's power swaps in a square root or a square, which can
-            # differ in the last bit, for an exponent of 0.5 or 2 repeated
-            # along a 1-D loop, as in a one-order block; in a larger block
-            # those orders are raised again on their own.
-            again = np.flatnonzero((block == 0.5) | (block == 2.0)) if block.size > 1 else ()
-            for row in range(0, n, _BLOCK_ELEMENTS):
-                span = slice(row, row + _BLOCK_ELEMENTS)
-                terms = rows[:, :, span]
-                # At a negative order, x / min(x) may overflow; the inf is
-                # moved to the power bound.  An all-zero column gives 0 / 0, NaN.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.divide(x[:, None, span], ref[:, None, None], out=terms)
+            # At a negative order, x / min(x) may overflow; the inf is
+            # moved to the power bound.  An all-zero column gives 0 / 0, NaN.
+            np.divide(x[:, None, rows], ref[:, None, None], out=out)
+            for columns, exps, bounds, again in groups:
+                terms = out[columns]
                 extreme(terms, bounds[:, None], out=terms)
-                np.power(terms, block[:, None], out=terms)
+                np.power(terms, exps[:, None], out=terms)
                 for g in again:
-                    term = np.divide(x[:, span], ref[:, None], out=terms[:, g])
-                    np.power(np.maximum(term, bounds[g], out=term), block[g], out=term)
-                if w is not None:
-                    terms *= w[span]
-        target[:, part] = np.add.reduce(rows, axis=2) / total[:, part]
-    if kind == "lehmer":
+                    term = np.divide(x[columns, rows], ref[columns, None], out=terms[:, g])
+                    np.power(extreme(term, bounds[g], out=term), exps[g], out=term)
+            if w is None:
+                partial[0] = m
+            else:
+                relative = w[rows] / top
+                out *= relative
+                partial[0] = np.add.reduce(relative)
+        np.add.reduce(out, axis=2, out=partial[1])
+        return partial
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, size, width):
+            block, span = orders[..., start : start + width], slice(start, start + width)
+            count = block.shape[-1]
+            if lehmer:
+                e, fill, formed = _lehmer_weight_blocks(x, block, lo, hi, w, limit)
+            else:
+                # numpy's power swaps in a square root or a square, which can
+                # differ in the last bit, for an exponent of 0.5 or 2 repeated
+                # along a 1-D loop, as in a one-order block; it does not where
+                # the exponent changes from row to row of a short block.  So
+                # the orders of each column are raised a column at a time, and
+                # in a block of several orders 0.5 and 2 again on their own.
+                groups = [(slice(j, j + 1) if block.ndim == 2 else slice(None), exps, _power_bound(exps),
+                           np.flatnonzero((exps == 0.5) | (exps == 2.0)) if count > 1 else ())
+                          for j, exps in enumerate(block if block.ndim == 2 else [block])]
+            sums[..., span] = _pairwise(n, limit, leaf)
+            if lehmer:
+                ok[:, span] = formed()
+    total, target = sums[0], sums[1] / sums[0]
+    if lehmer:
         mantissa, exponent = np.frexp(target)
         target, ref = 2.0 * mantissa, np.ldexp(1.0, e[:, None] + exponent - 1)
     elif w is not None:
@@ -377,8 +453,10 @@ def _column_means(kind: str, x: np.ndarray, orders: np.ndarray,
         ok = ~((0 < target) & (target < _MOVED_TERMS_TARGET_MIN))
         if not ok.all():
             far = (far / ref)[:, None]
-            ok |= far >= _power_bound(orders) if up else far <= _power_bound(orders)
-    return target, total, ok, ref if kind == "lehmer" else ref[:, None]
+            with np.errstate(over="ignore"):
+                bounds = _power_bound(orders)
+            ok |= far >= bounds if up else far <= bounds
+    return target, total, ok, ref if lehmer else ref[:, None]
 
 
 def _scale_estimates(ref: np.ndarray, target: np.ndarray, shapes: np.ndarray) -> np.ndarray:
@@ -550,7 +628,7 @@ def _v_weight_rows(kind: str, orders: np.ndarray, sample: Sample) -> np.ndarray:
             x, w = x[keep], w[keep]
             lo = np.minimum.reduce(x)
         u = np.empty((1, orders.size, x.size))
-        _lehmer_weights(x[None], orders, u, np.empty((1, x.size)), lo[None], sample.largest[None], w[None])
+        _lehmer_weights(x[None], orders, u, lo[None], sample.largest[None], w[None])
         # A weight raised to exp(-700) reads as 0, as its exact value over a sum of at least 1 rounds.
         u[0][(u[0] <= np.exp(_EXP_FLOOR)) & (orders != 1.0)[:, None]] = 0.0
         v = u[0] / np.add.reduce(u[0], axis=1, keepdims=True)

@@ -189,8 +189,8 @@ def apply_policy(policy: WeightPolicy, observations) -> np.ndarray:
     per-column weight matrix for the lehmer kind.  Only ratios of weights
     enter an estimate, so the row weights and each lehmer column are divided
     by their largest weight: these weights cannot overflow, nor can their
-    sum, at any order.  Every lehmer column comes from one call of
-    :func:`means._lehmer_weights` at its own order.  Raises ``DomainError``
+    sum, at any order.  Every lehmer column, at its own order, comes from
+    one call of :func:`means._lehmer_weights`.  Raises ``DomainError``
     when a base weight is not strictly positive and finite or a lehmer
     column at an order other than 1 holds a non-positive value (where
     :func:`means.lehmer_mean` and :func:`means.v_weights` give a zero value
@@ -213,8 +213,7 @@ def _lehmer_weight_rows(obs: np.ndarray, lo: np.ndarray, hi: np.ndarray, exponen
     for the first column whose weights cannot be formed."""
     n, k = obs.shape
     u = np.empty((k, 1, n))
-    _, ok = _lehmer_weights(obs.T, exponents[:, None], u, np.empty((k, n)), lo, hi,
-                            None if w is None else w.T)
+    ok = _lehmer_weights(obs.T, exponents[:, None], u, lo, hi, None if w is None else w.T)
     if not ok.all():
         j = int(np.argmin(ok[:, 0]))
         raise _lehmer_weights_error(obs[:, j], lo[j], j, exponents[j])
@@ -274,13 +273,17 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     and, with ``nat_param_inverse``, the estimate and its minimality verdict.
 
     A scale family's Holder targets, and the Lehmer ones on its identity
-    statistic (the unit-shape Weibull model), come from one loop over the
-    columns through :func:`means._column_means`, the kernel of
-    ``holder_mean``, ``lehmer_mean`` and the sweep; a Lehmer column is
-    fitted on ``x_j * 2**-e_j``, whose target ``sum(u * y) / sum(u)``
+    statistic (the unit-shape Weibull model), come from one call of
+    :func:`means._column_means`, the kernel of ``holder_mean``,
+    ``lehmer_mean`` and the sweep, over every column at its own shape or
+    order, at any ``n``: the kernel walks the columns together in cache-sized
+    leaves of numpy's pairwise summation tree, so each target has the bits
+    of a one-column fit and no buffer grows with ``n``.  A Lehmer column
+    is fitted on ``x_j * 2**-e_j``, whose target ``sum(u * y) / sum(u)``
     cannot overflow.  An estimate on this path that is not finite and
-    positive raises ``NumericError``.  The kernel takes the base weights
-    as they are made.  Every other problem takes the target
+    positive raises ``NumericError``, and the first column whose target
+    cannot be formed is the one reported.  The kernel takes the base
+    weights as they are made.  Every other problem takes the target
     :func:`weighted_stat_mean` forms, on these checked arrays, under row
     weights over their largest, or under a Lehmer policy's weight columns,
     all from one call of :func:`means._lehmer_weights`, and a non-finite
@@ -312,20 +315,20 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     problems, scale = [], np.ones(model.dim_eta)
     lehmer = policy.kind == "lehmer"
     if kernel:
-        # One column at a time, where it lies, so that the kernel's buffers
-        # do not grow with the columns.
-        for j, sub_model in enumerate(model.components or (model,)):
-            orders, weights = ((policy.exponents[j : j + 1], None if w is None else w[None, :, j]) if lehmer
-                               else (sub_model.stat_powers, w))
-            ((target_j,),), ((total,),), ((ok,),), ((ref,),) = _column_means(
-                policy.kind, obs[None, :, j], orders, smallest[j : j + 1], largest[j : j + 1], weights)
-            if not ok:
-                raise (_lehmer_weights_error(obs[:, j], smallest[j], j, orders[0]) if lehmer else
-                       _moved_terms_out_of_range(f"the Holder terms of column {j} in {sub_model.name}"))
+        components = model.components or (model,)
+        orders = (policy.exponents if lehmer else model.stat_powers)[:, None]  # one per column
+        targets, totals, ok, refs = _column_means(policy.kind, obs.T, orders, smallest, largest,
+                                                  w.T if lehmer and w is not None else w)
+        if not ok.all():
+            j = int(np.argmin(ok[:, 0]))
+            raise (_lehmer_weights_error(obs[:, j], smallest[j], j, orders[j, 0]) if lehmer else
+                   _moved_terms_out_of_range(f"the Holder terms of column {j} in {components[j].name}"))
+        for j, sub_model in enumerate(components):
+            (target_j,), (ref,) = targets[j], refs[j]
             if ref == 0.0:  # an all-zero Holder column: target 0, the solver's to reject
                 target_j, ref = 0.0, 1.0
             scale[j] = ref
-            problems.append((sub_model, np.array([target_j]), float(total)))
+            problems.append((sub_model, np.array([target_j]), float(totals[j, 0])))
     elif lehmer:
         u = _lehmer_weight_rows(obs, smallest, largest, policy.exponents, w)
         for j, sub_model in enumerate(model.components):

@@ -181,6 +181,28 @@ class TestHolderMean:
             np.testing.assert_array_equal(got, want)
 
 
+class TestPairwiseTree:
+    # The column kernels sum a column a leaf at a time and add the leaves'
+    # sums along numpy's pairwise tree (means._pairwise), which no public
+    # API promises: a numpy that splits its sums elsewhere fails here.
+    SIZES = [1, 7, 8, 9, 127, 128, 129, 255, 257, 65535, 65536, 65537, 131073, 1000003]
+
+    @pytest.mark.parametrize("limit", [128, 1000, 1 << 16])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_leaf_sums_added_along_the_tree_are_numpys_sum(self, n, limit):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        assert means._pairwise(n, limit, lambda rows: np.add.reduce(a[rows])).hex() == np.add.reduce(a).hex()
+        # Rows of a C-order (k, B, n) buffer, each leaf copied to one of its
+        # own and summed into an output, as the kernels do.
+        b = rng.standard_normal((2, 2, n))
+
+        def leaf(rows):
+            return np.add.reduce(np.ascontiguousarray(b[..., rows]), axis=2, out=np.empty((2, 2)))
+
+        assert means._pairwise(n, limit, leaf).tobytes() == np.add.reduce(b, axis=2).tobytes()
+
+
 class TestLehmerMean:
     def test_arithmetic_at_one(self):
         assert lehmer_mean(1.0, [0.6, 2.0]) == pytest.approx(1.3, rel=1e-14)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -585,28 +586,38 @@ class TestKernelPath:
                 bound = _KERNEL_ULPS.get((kind, order, weighted), _KERNEL_ULPS[kind])
                 assert ulps_off(theta[j], oracle(order, x[:, j], w)) <= bound, (kind, order, weighted, j)
 
+    # fit takes every column in one kernel call; each column's fit alone
+    # must have the same bits.  5000 rows under 256-value buffers take dozens
+    # of leaves of numpy's pairwise tree (128 rows for three columns, 256
+    # for one), which must add up to the one-leaf sums of the default size.
+    @pytest.mark.parametrize("rows, block", [(30, None), (5000, 256)])
     @pytest.mark.parametrize("shapes, policy", [
         ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 1.0, 2.5])),
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 1.0, 2.5], base_w=lambda o: 1.0 + o)),
         ([1.0, 1.0, 1.0], WeightPolicy.lehmer([3.0, 1.0, -0.5], base_w=lambda o: 1.0 + o)),
         ([0.5, 2.0, 6.0], WeightPolicy.holder()),
         ([0.5, 2.0, 6.0], "row weights"),
     ])
-    def test_memory_layouts_give_identical_fits(self, shapes, policy):
-        big = _log_uniform(np.random.default_rng(61), (60, 9))
+    def test_memory_layouts_give_identical_fits(self, monkeypatch, shapes, policy, rows, block):
+        big = _log_uniform(np.random.default_rng(61), (2 * rows, 9))
         view = big[::2, ::3]
         if policy == "row weights":
             w = 1.0 + view[:, 0]
             policy = WeightPolicy.holder(base_w=lambda o: w)
+        singles = []
+        for j, shape in enumerate(shapes):
+            column = dataclasses.replace(policy, exponents=policy.exponents[j : j + 1]) \
+                if policy.kind == "lehmer" else policy
+            singles.append(fit(weibull_model([shape]), view[:, j], column, minimality_samples=0))
+        if block:
+            monkeypatch.setattr(means, "_BLOCK_ELEMENTS", block)
         fits = [fit(weibull_model(shapes), x, policy)
                 for x in (view, np.ascontiguousarray(view), np.asfortranarray(view))]
         for other in fits[1:]:
             assert _fit_bits(other) == _fit_bits(fits[0])
-        for j, shape in enumerate(shapes):
-            column = dataclasses.replace(policy, exponents=policy.exponents[j : j + 1]) \
-                if policy.kind == "lehmer" else policy
-            single = fit(weibull_model([shape]), view[:, j], column, minimality_samples=0)
+        for j, single in enumerate(singles):
             for field in ("theta_hat", "eta_hat", "target", "scale"):
-                assert getattr(single, field)[0] == getattr(fits[0], field)[j]
+                assert getattr(single, field)[0] == getattr(fits[0], field)[j], (j, field)
 
     def test_zero_values_under_lehmer_weights(self):
         x = _log_uniform(np.random.default_rng(62), (20, 3))
@@ -709,10 +720,41 @@ def _outcome(call):
         return "raised", type(exc), str(exc)
 
 
+class TestKernelMemory:
+    # The column kernels hold one leaf of each column, not the column: at
+    # 1e6 values lehmer_mean took 15.8 MiB and holder_mean 7.6 MiB, and fit
+    # on 2**18 x 3 values 4.5 MiB (Lehmer) and 2.0 MiB (Holder).
+    LIMIT = 1.5 * 2**20
+
+    @staticmethod
+    def _peak(call):
+        call()  # numpy's own first-use allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_the_means_hold_no_buffer_of_the_column(self):
+        x = _log_uniform(np.random.default_rng(72), (1_000_000,))
+        assert self._peak(lambda: lehmer_mean(2.0, x)) < self.LIMIT
+        assert self._peak(lambda: holder_mean(2.0, x)) < self.LIMIT
+
+    @pytest.mark.parametrize("shapes, policy", [
+        ([1.0, 1.0, 1.0], WeightPolicy.lehmer([2.0, 2.0, 2.0])),
+        ([2.0, 2.0, 2.0], WeightPolicy.holder()),
+    ])
+    def test_fit_holds_no_buffer_of_a_column(self, shapes, policy):
+        x, model = _log_uniform(np.random.default_rng(73), (1 << 18, 3)), weibull_model(shapes)
+        assert self._peak(lambda: fit(model, x, policy)) < self.LIMIT
+
+
 class TestBlockWalk:
     # The column kernels walk their rows in blocks of means._BLOCK_ELEMENTS;
-    # every step is elementwise and every sum still spans the column, so the
-    # block size must not change a bit.  n = B - 1, B, B + 1 give a short
+    # every step is elementwise and every sum adds its blocks' sums along
+    # numpy's pairwise tree over the column, so the block size must not
+    # change a bit.  n = B - 1, B, B + 1 give a short
     # block, exact blocks and a one-value tail.
     SIZES = [1, 3, 7, 64, means._BLOCK_ELEMENTS]
 
@@ -1362,14 +1404,14 @@ class TestDispatchLevels:
     # bit relations (sweep == fit, fit == holder_mean, lehmer_mean == fit's
     # target times its scale, any block size == one block, the power-of-two
     # scalings; numpy's SIMD loops treat a block's tail differently at each
-    # level), the oracle bounds and the exact minimality verdict must hold
-    # at every level, so
-    # they run again in a child whose NPY_DISABLE_CPU_FEATURES switches the
-    # AVX-512 targets off.
+    # level), numpy's pairwise split, the oracle bounds and the exact
+    # minimality verdict must hold at every level, so they run again in a
+    # child whose NPY_DISABLE_CPU_FEATURES switches the AVX-512 targets off.
     RELATION_TESTS = ["tests/test_cli.py::TestBatchedSweep", "tests/test_mwle.py::TestHolderAccuracy",
                       "tests/test_mwle.py::TestLehmerRelation", "tests/test_mwle.py::TestBlockWalk",
                       "tests/test_mwle.py::TestKernelPath", "tests/test_mwle.py::TestHomogeneity",
-                      "tests/test_mwle.py::TestLayouts", "tests/test_expfam.py::TestExactMinimality"]
+                      "tests/test_mwle.py::TestLayouts", "tests/test_expfam.py::TestExactMinimality",
+                      "tests/test_means.py::TestPairwiseTree"]
 
     def test_bit_relations_hold_without_avx512(self):
         try:
