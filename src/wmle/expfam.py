@@ -78,16 +78,14 @@ class FamilyModel:
 
     Only the first block of fields is required.  Closed forms, when given,
     replace the finite-difference fallbacks; ``components`` marks a product
-    of independent univariate families and enables per-component solving;
-    ``stat_powers`` records ``p`` when ``T_j(x) = x_j ** p_j``, which is what
-    the mean-family structure checks look at.  ``scale_family`` declares
-    that each component (the model itself when univariate) is a scale
-    family with that power statistic: data ``x_j / c`` have the estimate
-    ``theta_j / c``, so :func:`wmle.mwle.fit` may fit each component on its
-    values relative to their largest.  Where ``fit`` solves per component
-    (every Lehmer fit, and a scale family under row weights), it reads the
-    components' callables, ``mean_map_inverse`` included, and not the
-    model's own; nothing checks that the two agree.
+    of independent univariate families, whose Jacobian is then diagonal,
+    and enables per-column weights, per-component bisection and residual
+    tolerances; ``stat_powers`` records ``p`` when ``T_j(x) = x_j ** p_j``,
+    which is what the mean-family structure checks look at.
+    ``scale_family`` declares that each component (the model itself when
+    univariate) is a scale family with that power statistic: data ``x_j /
+    c`` have the estimate ``theta_j / c``, so :func:`wmle.mwle.fit` may fit
+    each component on its values relative to their largest.
     """
 
     name: str
@@ -357,10 +355,12 @@ def inverse_mean_map(model: FamilyModel, target, init=None, *, method: str = "au
     and ``"auto"`` prefers closed form, then Newton with bisection fallback.
 
     Guarantees ``max|r(eta) - target| <= 1e-10 * (1 + max|target|)`` on
-    success.  Raises ``NoSolutionError`` when the target is outside the
-    attainable range and ``ConvergenceError`` (carrying the last iterate and
-    residual) when the ``_MAX_ITER`` Newton iterations are exhausted without
-    a fallback.
+    success; on a separable model, ``|r_j(eta) - target_j| <= 1e-10 * (1 +
+    |target_j|)`` for each component, as the component's own solve would.
+    Raises ``NoSolutionError`` when the target is outside the attainable
+    range and ``ConvergenceError`` (carrying the last iterate and residual)
+    when the ``_MAX_ITER`` Newton iterations are exhausted without a
+    fallback.
     """
     return _solve_mean_target(model, target, init=init, method=method).eta
 
@@ -373,7 +373,8 @@ def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "
         )
     if not np.all(np.isfinite(target)):
         raise DomainError("moment target must be finite")
-    scale = 1.0 + float(np.max(np.abs(target)))
+    # Independent components are judged each against its own target.
+    scale = 1.0 + (np.abs(target) if model.components is not None else float(np.max(np.abs(target))))
     tol_strong = 1e-12 * scale
     tol_weak = 1e-10 * scale
 
@@ -395,8 +396,9 @@ def _solve_mean_target(model: FamilyModel, target, init=None, *, method: str = "
     return _solve_newton(model, target, init, tol_strong, tol_weak)
 
 
-def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: float,
-                  tol_weak: float) -> _SolveInfo:
+def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong, tol_weak) -> _SolveInfo:
+    """Damped Newton on ``r(eta) - target``, each residual measured in units
+    of its own ``tol_strong`` (a scalar, or one per component)."""
     if init is not None:
         eta = np.asarray(init, dtype=float).reshape(-1).copy()
         if not model.natural_domain(eta):
@@ -405,11 +407,11 @@ def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: floa
         eta = _solve_bisect(model, target, 1e-2, math.inf, coarse=True).eta
 
     residual_vec = mean_map(model, eta) - target
-    residual = float(np.max(np.abs(residual_vec)))
+    excess = float(np.max(np.abs(residual_vec) / tol_strong))
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        if residual <= tol_strong:
-            return _SolveInfo(eta, iterations - 1, residual, "newton")
+        if excess <= 1.0:
+            return _SolveInfo(eta, iterations - 1, float(np.max(np.abs(residual_vec))), "newton")
         jac = _stat_covariance(model, eta)
         try:
             step = np.linalg.solve(jac, -residual_vec)
@@ -423,15 +425,16 @@ def _solve_newton(model: FamilyModel, target: np.ndarray, init, tol_strong: floa
             candidate = eta + t * step
             if model.natural_domain(candidate):
                 cand_vec = mean_map(model, candidate) - target
-                cand_res = float(np.max(np.abs(cand_vec)))
-                if math.isfinite(cand_res) and cand_res < residual:
-                    eta, residual_vec, residual = candidate, cand_vec, cand_res
+                cand_excess = float(np.max(np.abs(cand_vec) / tol_strong))
+                if math.isfinite(cand_excess) and cand_excess < excess:
+                    eta, residual_vec, excess = candidate, cand_vec, cand_excess
                     accepted = True
                     break
             t *= 0.5
         if not accepted:
             break
-    if residual <= tol_weak:
+    residual = float(np.max(np.abs(residual_vec)))
+    if (np.abs(residual_vec) <= tol_weak).all():
         return _SolveInfo(eta, iterations, residual, "newton")
     if _bisect_applicable(model):
         return _solve_bisect(model, target, tol_strong, tol_weak)
@@ -449,7 +452,7 @@ def _bisect_applicable(model: FamilyModel) -> bool:
     return model.dim_eta == 1 and model.natural_interval is not None
 
 
-def _solve_bisect(model: FamilyModel, target: np.ndarray, tol: float, tol_weak: float,
+def _solve_bisect(model: FamilyModel, target: np.ndarray, tol, tol_weak,
                   coarse: bool = False) -> _SolveInfo:
     """Per-component bisection on the (strictly increasing) scalar mean maps."""
     if not _bisect_applicable(model):
@@ -461,8 +464,9 @@ def _solve_bisect(model: FamilyModel, target: np.ndarray, tol: float, tol_weak: 
     etas = np.empty(model.dim_eta)
     total_iter = 0
     worst = 0.0
+    tol, tol_weak = np.broadcast_to(tol, target.shape), np.broadcast_to(tol_weak, target.shape)
     for j, comp in enumerate(comps):
-        eta_j, iters, res = _bisect_component(comp, float(target[j]), tol, tol_weak, coarse)
+        eta_j, iters, res = _bisect_component(comp, float(target[j]), tol[j], tol_weak[j], coarse)
         etas[j] = eta_j
         total_iter += iters
         worst = max(worst, res)

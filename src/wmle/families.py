@@ -92,9 +92,10 @@ def _weibull(shapes: np.ndarray, components) -> FamilyModel:
 
     def mean_map_inverse(target):
         target = np.asarray(target, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(target)) or np.any(target <= 0):
+        first = target[~(np.isfinite(target) & (target > 0))][:1]  # named as its component's solve names it
+        if first.size:
             raise NoSolutionError(
-                f"target {target.tolist()} is not attainable by a Weibull component",
+                f"target {first.tolist()} is not attainable by a Weibull component",
                 hint="attainable component means are (0, inf)",
             )
         # A subnormal target overflows to -inf here, which the solver's

@@ -13,13 +13,14 @@ maximizer, so every weight column is taken relative to its largest weight.
 sufficient statistics is matched by the mean map, ``eta_hat`` is its
 inverse image and ``theta_hat = nat_param_inverse(eta_hat)``.
 
-With the Lehmer policy the weights differ per component, so each
-independent component is fitted as its own univariate problem, which
-requires a separable model.  An identity statistic per component then
-reproduces the Lehmer mean of each column, and a power statistic under the
-``holder`` policy the Holder mean (:func:`subclass_form` reports which, if
-either, a (model, policy) pair realizes).  On a scale family both fits,
-and :func:`_sweep_estimates` over a grid of orders, run the column
+With the Lehmer policy the weights differ per column, so each entry of
+the target is its column's mean under its own weights, which requires a
+separable model; the target is matched as one vector, as under row
+weights.  An identity statistic per component then reproduces the Lehmer
+mean of each column, and a power statistic under the ``holder`` policy the
+Holder mean (:func:`subclass_form` reports which, if either, a (model,
+policy) pair realizes).  On a scale family both fits, and
+:func:`_sweep_estimates` over a grid of orders, run the column
 arithmetic of :mod:`wmle.means`, each column divided by a scale that
 keeps its target and curvature finite; every other fit takes
 :func:`weighted_stat_mean`'s target of the arrays :func:`fit` checked,
@@ -113,13 +114,15 @@ class FitDiagnostics(NamedTuple):
 
     ``hessian_smallest``/``hessian_largest`` are the extremes of the
     weighted log-likelihood's curvature ``-sum(u) * Cov[T]`` at the
-    estimate, in the problem :func:`fit` solves: under weights relative to
+    estimate (column ``j`` times its own ``sum(u_j)`` under per-column
+    weights), in the problem :func:`fit` solves: under weights relative to
     their largest, and in the coordinates ``x_j / c_j`` of
     :attr:`FitResult.scale`, where a Weibull column's curvature stays
     finite at every shape and magnitude; a curvature that is not finite
     raises ``NumericError``.  ``minimality`` is :func:`check_minimality`'s
     verdict at ``eta_hat``, in the same coordinates, or ``None`` when the
-    covariance there is not finite.
+    covariance there is not finite.  ``solve_method`` is ``closed``,
+    ``newton`` or ``bisect`` (Newton's fallback).
     """
 
     iterations: int
@@ -262,15 +265,16 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     The observations are checked once, here, for finiteness and against
     ``model.support``, on each column's extremes, which the column kernels
     take too, and the base weights once, where they are made.
-    Per-column (Lehmer) weights give one univariate problem per independent
-    component.  Row weights give one problem, except on a scale family
-    (``model.scale_family``), where each component is fitted on its own
-    column relative to its largest value, ``y = x_j / c_j``, whose largest
-    term ``y ** k_j`` is exactly 1: the target neither overflows nor
-    underflows at any shape, and ``theta_j = c_j * theta'_j``.  A
-    per-component problem is solved with that component's own callables
-    (its ``mean_map_inverse`` too); the model's own serve the joint problem
-    and, with ``nat_param_inverse``, the estimate and its minimality verdict.
+    Every fit forms one target vector and one total weight, a scalar under
+    row weights and one per column under per-column (Lehmer) weights, then
+    solves ``r(eta) = target`` once, and takes the curvature's spectrum
+    once, on the model it is given: its own ``mean_map_inverse`` and
+    ``mean_map_jacobian``.  A separable model's components serve only the
+    bisection fallback, the minimality verdict and :func:`subclass_form`.
+    On a scale family (``model.scale_family``) each column is fitted
+    relative to its largest value, ``y = x_j / c_j``, whose largest term
+    ``y ** k_j`` is exactly 1: the target neither overflows nor underflows
+    at any shape, and ``theta_j = c_j * theta'_j``.
 
     A scale family's Holder targets, and the Lehmer ones on its identity
     statistic (the unit-shape Weibull model), come from one call of
@@ -283,13 +287,14 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
     cannot overflow.  An estimate on this path that is not finite and
     positive raises ``NumericError``, and the first column whose target
     cannot be formed is the one reported.  The kernel takes the base
-    weights as they are made.  Every other problem takes the target
+    weights as they are made.  Every other fit takes the target
     :func:`weighted_stat_mean` forms, on these checked arrays, under row
     weights over their largest, or under a Lehmer policy's weight columns,
-    all from one call of :func:`means._lehmer_weights`, and a non-finite
-    estimate raises ``NumericError``; so does a curvature that is not
-    finite, on every path.  A zero value at a Lehmer order other than 1 is
-    rejected on every path, as :func:`apply_policy` rejects it.
+    all from one call of :func:`means._lehmer_weights`, each column with its
+    component's statistic, and a non-finite estimate raises
+    ``NumericError``; so does a curvature that is not finite, on every
+    path.  A zero value at a Lehmer order other than 1 is rejected on every
+    path, as :func:`apply_policy` rejects it.
     """
     if not model.nat_param_bijective:
         raise ConfigError(
@@ -309,62 +314,48 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
             "require independent components"
         )
     kernel = model.scale_family and (policy.kind == "holder" or subclass_form(model, policy).is_lehmer_mean)
-    # One pass forms every problem's (sub-model, target, total weight) and
-    # the scale c_j of each component, so that every weight column is
-    # formed before any problem is solved; theta_j = c_j * theta'_j.
-    problems, scale = [], np.ones(model.dim_eta)
+    # The target, the total weight (one per column under per-column weights)
+    # and the scale c_j of each column; theta_j = c_j * theta'_j.
+    scale = np.ones(model.dim_eta)
     lehmer = policy.kind == "lehmer"
     if kernel:
-        components = model.components or (model,)
         orders = (policy.exponents if lehmer else model.stat_powers)[:, None]  # one per column
         targets, totals, ok, refs = _column_means(policy.kind, obs.T, orders, smallest, largest,
                                                   w.T if lehmer and w is not None else w)
         if not ok.all():
             j = int(np.argmin(ok[:, 0]))
+            name = (model.components or (model,))[j].name
             raise (_lehmer_weights_error(obs[:, j], smallest[j], j, orders[j, 0]) if lehmer else
-                   _moved_terms_out_of_range(f"the Holder terms of column {j} in {components[j].name}"))
-        for j, sub_model in enumerate(components):
-            (target_j,), (ref,) = targets[j], refs[j]
-            if ref == 0.0:  # an all-zero Holder column: target 0, the solver's to reject
-                target_j, ref = 0.0, 1.0
-            scale[j] = ref
-            problems.append((sub_model, np.array([target_j]), float(totals[j, 0])))
+                   _moved_terms_out_of_range(f"the Holder terms of column {j} in {name}"))
+        zero = refs[:, 0] == 0.0  # an all-zero Holder column: target 0, the solver's to reject
+        target, total = np.where(zero, 0.0, targets[:, 0]), totals[:, 0]
+        scale = np.where(zero, 1.0, refs[:, 0])
     elif lehmer:
+        # Each column's statistic is its component's: T(x) of the whole
+        # matrix may differ from it in the last bit.
         u = _lehmer_weight_rows(obs, smallest, largest, policy.exponents, w)
-        for j, sub_model in enumerate(model.components):
-            total = float(np.add.reduce(u[j]))
-            problems.append((sub_model, _weighted_stat_mean(sub_model, obs[:, j : j + 1], u[j], total), total))
+        total = np.add.reduce(u, axis=1)
+        target = np.array([_weighted_stat_mean(c, obs[:, j : j + 1], u[j], total[j])[0]
+                           for j, c in enumerate(model.components)])
     else:
         u = 1.0 if w is None else w / np.maximum.reduce(w)
         total = float(obs.shape[0]) if w is None else float(np.add.reduce(u))
-        problems.append((model, _weighted_stat_mean(model, obs, u, total), total))
-    infos, curvatures = [], []
-    for sub_model, sub_target, total in problems:
-        info = _solve_mean_target(sub_model, sub_target)
-        # A curvature that overflows makes eigvalsh fail; that is reported
-        # as a NumericError, not as numpy warnings and a LinAlgError.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            hessian = -total * _stat_covariance(sub_model, info.eta)
-            try:
-                spectrum = np.linalg.eigvalsh(hessian)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(
-                    f"the curvature of {sub_model.name} at the estimate is not finite: {exc}"
-                ) from exc
-        # eigvalsh turns an overflowed entry into a NaN spectrum, and a NaN
-        # entry can give a finite one.
-        if not (np.isfinite(hessian).all() and np.isfinite(spectrum).all()):
-            raise NumericError(
-                f"the curvature of {sub_model.name} at the estimate is not finite: "
-                f"eigenvalues {spectrum.tolist()}"
-            )
-        curvatures.append(spectrum)
-        infos.append(info)
-    target = np.concatenate([sub_target for _, sub_target, _ in problems])
-    eta = np.concatenate([info.eta for info in infos])
-    eigenvalues = np.sort(np.concatenate(curvatures))
-    methods = {info.method for info in infos}
-    solve_method = methods.pop() if len(methods) == 1 else "mixed"
+        target = _weighted_stat_mean(model, obs, u, total)
+    info = _solve_mean_target(model, target)
+    eta = info.eta
+    # A curvature that overflows makes eigvalsh fail; that is reported as a
+    # NumericError, not as numpy warnings and a LinAlgError.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hessian = -total * _stat_covariance(model, eta)  # diagonal wherever total is a vector
+        try:
+            eigenvalues = np.linalg.eigvalsh(hessian)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"the curvature of {model.name} at the estimate is not finite: {exc}") from exc
+    # eigvalsh turns an overflowed entry into a NaN spectrum, and a NaN
+    # entry can give a finite one.
+    if not (np.isfinite(hessian).all() and np.isfinite(eigenvalues).all()):
+        raise NumericError(f"the curvature of {model.name} at the estimate is not finite: "
+                           f"eigenvalues {eigenvalues.tolist()}")
 
     theta = np.asarray(model.nat_param_inverse(eta), dtype=float).reshape(-1)
     if model.scale_family:  # elsewhere theta need not have one entry per component of scale
@@ -387,12 +378,12 @@ def fit(model: FamilyModel, observations, policy: WeightPolicy, *,
 
         logging.getLogger(__name__).warning(*warning)
     diagnostics = FitDiagnostics(
-        iterations=max(info.iterations for info in infos),
-        residual_norm=max(info.residual for info in infos),
+        iterations=info.iterations,
+        residual_norm=info.residual,
         hessian_smallest=float(eigenvalues[0]),
         hessian_largest=float(eigenvalues[-1]),
         minimality=verdict,
-        solve_method=solve_method,
+        solve_method=info.method,
     )
     return FitResult(theta_hat=theta, eta_hat=eta, target=target, scale=scale,
                      diagnostics=diagnostics)

@@ -116,11 +116,9 @@ def random_positive_sample(rng: np.random.Generator, max_n: int = 20,
 
 
 def without_closed_inverse(model):
-    """``model`` without a closed-form mean-map inverse, on its components
-    too, so that fit solves every one of its problems by Newton."""
-    components = model.components and tuple(
-        dataclasses.replace(c, mean_map_inverse=None) for c in model.components)
-    return dataclasses.replace(model, mean_map_inverse=None, components=components)
+    """``model`` without its closed-form mean-map inverse, so that fit, which
+    solves on the model it is given, solves by Newton."""
+    return dataclasses.replace(model, mean_map_inverse=None)
 
 
 

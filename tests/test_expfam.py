@@ -345,6 +345,17 @@ class TestInverseMeanMap:
         with pytest.raises(NoSolutionError):
             inverse_mean_map(model, [-1.0], init=np.array([-1.0]), method="newton")
 
+    def test_each_component_is_solved_to_its_own_tolerance(self):
+        # Judged against 1 + max|target|, about 1e6, Newton stopped the first
+        # component 5.4e-2 relative off its target; its own solve, and each
+        # component judged against 1 + |target_j|, get within 4.7e-11.
+        target = np.array([1e-6, 1.0, 1e6])
+        model = weibull_model(np.ones(3))
+        eta = inverse_mean_map(dataclasses.replace(model, mean_map_inverse=None), target)
+        np.testing.assert_allclose(mean_map(model, eta), target, rtol=1e-10)
+        alone = dataclasses.replace(model.components[0], mean_map_inverse=None)
+        np.testing.assert_allclose(eta[0], inverse_mean_map(alone, target[:1])[0], rtol=1e-15)
+
     def test_iteration_cap_raises_convergence_error_with_state(self, monkeypatch):
         fixture = multinomial_fixture(30, [0.5, 0.3, 0.2])
         model = fixture.reduced_model

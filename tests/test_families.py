@@ -12,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 from wmle import (
     ConfigError,
     DomainError,
+    NoSolutionError,
     check_minimality,
     exponential_model,
     gaussian_known_variance_model,
@@ -50,6 +51,12 @@ class TestWeibullModel:
         lam = np.array([0.4, 3.2])
         np.testing.assert_allclose(model.nat_param_inverse(model.nat_param(lam)), lam,
                                    rtol=1e-13)
+
+    def test_an_unattainable_target_names_its_component(self):
+        # The message names the first unattainable component's target, as
+        # that component's own inverse names it.
+        with pytest.raises(NoSolutionError, match=r"^target \[0\.0\] is not attainable by a Weibull component"):
+            weibull_model(np.ones(3)).mean_map_inverse([2.0, 0.0, -1.0])
 
     def test_exponential_model_alias(self):
         model = exponential_model(2)

@@ -1059,16 +1059,6 @@ class TestFit:
             if model.natural_domain(probe):
                 assert log_weighted_likelihood(model, data, probe) <= best + 1e-10
 
-    def test_separable_joint_fit_equals_univariate_fits(self):
-        rng = np.random.default_rng(46)
-        shapes = [0.9, 1.7, 3.0]
-        obs = rng.uniform(0.1, 2.5, size=(14, 3))
-        joint = fit(weibull_model(shapes), obs, WeightPolicy.holder(), minimality_samples=0)
-        for j, shape in enumerate(shapes):
-            single = fit(weibull_model([shape]), obs[:, j], WeightPolicy.holder(),
-                         minimality_samples=0)
-            assert joint.theta_hat[j] == single.theta_hat[0]
-
     def test_nonbijective_parameter_map_rejected(self):
         fixture = multinomial_fixture(10, [0.3, 0.3, 0.4])
         with pytest.raises(ConfigError, match="non-bijective"):
@@ -1326,14 +1316,14 @@ class TestFit:
             fit(model, np.ones((4, 3)), WeightPolicy.holder())
 
     def test_an_overflowed_component_curvature_is_a_numeric_error(self):
-        # One curvature rule for every problem: a separable component whose
-        # -sum(u) * Cov[T] overflows reported a -inf Hessian extreme instead.
-        component = dataclasses.replace(weibull_model([1.0]).components[0],
-                                        mean_map_jacobian=lambda eta: np.full((1, 1), 1e308))
-        model = dataclasses.replace(weibull_model(np.ones(2)), components=(component, component))
+        # One curvature rule for every fit: a separable model whose
+        # -sum(u_j) * Var_j overflows in one component is reported by name.
+        model = dataclasses.replace(weibull_model(np.ones(2)),
+                                    mean_map_jacobian=lambda eta: np.diag([1.0, 1e308]))
         x = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 5.0]])
         for policy in (WeightPolicy.holder(), WeightPolicy.lehmer([2.0, 2.0])):
-            with pytest.raises(NumericError, match=r"curvature of weibull\(k=\[1\.0\]\) at the estimate is not finite"):
+            with pytest.raises(NumericError,
+                               match=r"curvature of weibull\(k=\[1\.0,1\.0\]\) at the estimate is not finite"):
                 fit(model, x, policy)
 
     @pytest.mark.filterwarnings("error")
@@ -1364,17 +1354,61 @@ class TestFit:
             assert newton.diagnostics.solve_method == "newton"
             assert newton.diagnostics.iterations > 0
 
-    @pytest.mark.parametrize("policy", [WeightPolicy.holder(), WeightPolicy.lehmer([2.0])])
-    def test_per_component_problems_use_the_components_inverses(self, policy):
-        # fit solves a scale family under row weights, and every Lehmer fit,
-        # per component, with the component's callables: the model's own
-        # mean_map_inverse is not read there.
-        x = _log_uniform(np.random.default_rng(67), 30)
-        shape = [2.0] if policy.kind == "holder" else [1.0]
-        stripped = dataclasses.replace(weibull_model(shape), mean_map_inverse=None)
-        result = fit(stripped, x, policy)
-        assert result.diagnostics.solve_method == "closed"
-        assert _fit_bits(result) == _fit_bits(fit(weibull_model(shape), x, policy))
+    @pytest.mark.parametrize("policy", [WeightPolicy.holder(), WeightPolicy.lehmer([2.0, -1.0])])
+    def test_fit_solves_on_the_models_own_inverse(self, policy):
+        # fit solves one vector problem on the model it is given: the
+        # components' mean_map_inverse is never read, the model's own is.
+        x = _log_uniform(np.random.default_rng(67), (30, 2))
+        model = weibull_model([2.0, 0.5] if policy.kind == "holder" else [1.0, 1.0])
+        closed = fit(model, x, policy)
+        components = tuple(dataclasses.replace(c, mean_map_inverse=None) for c in model.components)
+        stripped = fit(dataclasses.replace(model, components=components), x, policy)
+        assert _fit_bits(stripped) == _fit_bits(closed)
+        for diag in (stripped.diagnostics, closed.diagnostics):
+            assert (diag.solve_method, diag.iterations) == ("closed", 0)
+        assert stripped.diagnostics.residual_norm == closed.diagnostics.residual_norm
+        newton = fit(without_closed_inverse(model), x, policy)
+        assert newton.diagnostics.solve_method == "newton" and newton.diagnostics.iterations > 0
+        np.testing.assert_allclose(newton.theta_hat, closed.theta_hat, rtol=1e-10)
+
+    @pytest.mark.parametrize("family, params, policy", [
+        (gaussian_known_variance_model, [0.5, 1.0, 3.0], WeightPolicy.holder()),
+        (gaussian_known_variance_model, [0.5, 1.0, 3.0], "row weights"),
+        (gaussian_known_variance_model, [0.5, 1.0, 3.0], WeightPolicy.lehmer([-2.0, 0.5, 3.0])),
+        (weibull_model, [2.5, 2.5, 2.5], WeightPolicy.lehmer([-2.0, 0.5, 3.0])),
+        (weibull_model, [2.5, 2.5, 2.5], "lehmer weights"),
+        (weibull_model, [1.0, 1.0, 1.0], WeightPolicy.lehmer([-2.0, 1.0, 3.0])),
+        (weibull_model, [1.0, 1.0, 1.0], "lehmer weights"),
+        (weibull_model, [0.5, 2.0, 6.0], WeightPolicy.holder()),
+        (weibull_model, [0.5, 2.0, 6.0], "row weights"),
+    ])
+    def test_separable_joint_fit_equals_univariate_fits(self, family, params, policy):
+        # One vector problem on the model gives each column the bits of its
+        # own fit, and the diagnostics their extremes: the Gaussian on the
+        # joint row-weight path and under Lehmer weights, Weibull shape 2.5
+        # under Lehmer weights off the kernels, and both kernel policies.
+        x = _log_uniform(np.random.default_rng(68), (40, 3))
+        base = _log_uniform(np.random.default_rng(69), (40, 3))
+        if policy == "row weights":
+            policy = WeightPolicy.holder(base_w=lambda o: base[:, 0])
+        elif policy == "lehmer weights":
+            policy = WeightPolicy.lehmer([-2.0, 1.0, 3.0], base_w=lambda o: base)
+        joint = fit(family(params), x, policy)
+        singles = []
+        for j, param in enumerate(params):
+            one = policy
+            if policy.kind == "lehmer":
+                one = WeightPolicy.lehmer(policy.exponents[j : j + 1],
+                                          base_w=policy.base_w and (lambda o, j=j: base[:, j : j + 1]))
+            singles.append(fit(family([param]), x[:, j], one))
+        for field in ("theta_hat", "eta_hat", "target", "scale"):
+            assert getattr(joint, field).tolist() == [getattr(s, field)[0] for s in singles], field
+        diag, their = joint.diagnostics, [s.diagnostics for s in singles]
+        assert diag.hessian_smallest == min(d.hessian_smallest for d in their)
+        assert diag.hessian_largest == max(d.hessian_largest for d in their)
+        assert diag.iterations == max(d.iterations for d in their)
+        assert diag.residual_norm == max(d.residual_norm for d in their)
+        assert diag.solve_method == their[0].solve_method == "closed"
 
 
 class TestSubclassForm:
@@ -1411,7 +1445,8 @@ class TestDispatchLevels:
                       "tests/test_mwle.py::TestLehmerRelation", "tests/test_mwle.py::TestBlockWalk",
                       "tests/test_mwle.py::TestKernelPath", "tests/test_mwle.py::TestHomogeneity",
                       "tests/test_mwle.py::TestLayouts", "tests/test_expfam.py::TestExactMinimality",
-                      "tests/test_means.py::TestPairwiseTree"]
+                      "tests/test_means.py::TestPairwiseTree",
+                      "tests/test_mwle.py::TestFit::test_separable_joint_fit_equals_univariate_fits"]
 
     def test_bit_relations_hold_without_avx512(self):
         try:

@@ -1,14 +1,18 @@
 """Hash the bits of wmle's results, one sha256 per group, to compare two trees.
 
-    python3 tools/bits_digest.py                       # this checkout's src
-    python3 tools/bits_digest.py --src ../parent/src   # another tree's src
-    python3 tools/bits_digest.py --small               # a battery of seconds
+    python3 tools/bits_digest.py                           # this checkout's src
+    python3 tools/bits_digest.py --src ../parent/src       # another tree's src
+    python3 tools/bits_digest.py --small                   # a battery of seconds
+    python3 tools/bits_digest.py --against ../parent/src   # compare two trees
 
 Run it once per tree and compare the lines: a group whose digest differs
-holds a result that changed in at least one bit.  Every float is hashed
-as its hex form and every array as its dtype, shape, memory order and
-bytes, so a one-ulp change shows; an exception is hashed as its type and
-message.  The groups:
+holds a result that changed in at least one bit.  ``--against`` runs both
+trees in subprocesses and prints, for each group that differs, the index
+and the canonical text of its first differing record (near the first
+character that differs); it exits 1 if any group differs.  Every float is
+hashed as its hex form and every array as its dtype, shape, memory order
+and bytes, so a one-ulp change shows; an exception is hashed as its type
+and message.  The groups:
 
 * ``fit-large-n``: the eleven ``mwle.fit`` calls of perfbench's
   ``fit-large-n`` workload on its 1e6 x 3 log-uniform matrix (seed 1), each
@@ -18,11 +22,14 @@ message.  The groups:
 * ``policy-fit``: ``apply_policy`` (bytes and memory order) and ``fit``
   under both policies, on 1 to 200001 rows of 1 or 3 columns in C and F
   order, under no, random and equal base weights, on unit-shape, shape-2.5
-  and mixed-shape Weibull models and the Gaussian one;
+  and mixed-shape Weibull models and the Gaussian one, with Lehmer fits on
+  Weibull shapes 0.5 and 2 too; and the 30-row strided view of three
+  columns that caught a last-bit change in ``pow`` which the random inputs
+  missed, fitted at shapes 0.5, 2 and 6 under no and row weights;
 * ``sweep``: ``mwle._sweep_estimates`` and its gaps on a 23 x 3 proportion
   matrix at the grids ``-3:4:0.001``, ``0.1:6:0.001``, ``-600:600:0.01`` and
   Hölder ``0.1:600:0.05``;
-* ``errors``: the messages of two dozen rejected calls.
+* ``errors``: the messages of 29 rejected calls.
 
 ``--small`` runs every group on smaller inputs and coarser grids.  The
 digests depend on numpy's CPU dispatch level as the results do, so two trees
@@ -33,7 +40,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,11 +157,15 @@ def policy_fit_records(scale: dict):
                     for orders in lehmer:
                         policy = WeightPolicy.lehmer(orders, base_w=lehmer_w)
                         yield n, k, name, orders, outcome(lambda: apply_policy(policy, data))
-                        yield outcome(lambda: fit(weibull_model(np.ones(k)), data, policy))
+                        for shape in (1.0, 0.5, 2.0):
+                            yield outcome(lambda: fit(weibull_model(np.full(k, shape)), data, policy))
                     policy = WeightPolicy.holder(base_w=holder_w)
                     yield n, k, name, outcome(lambda: apply_policy(policy, data))
                     for model in holder:
                         yield model.name, outcome(lambda: fit(model, data, policy))
+    view = np.exp(np.random.default_rng(61).uniform(math.log(1e-3), math.log(1e3), (60, 9)))[::2, ::3]
+    for base_w in (None, lambda o: 1.0 + view[:, 0]):
+        yield outcome(lambda: fit(weibull_model([0.5, 2.0, 6.0]), view, WeightPolicy.holder(base_w)))
 
 
 def sweep_records(scale: dict):
@@ -194,6 +208,7 @@ def error_records(scale: dict):
         lambda: fit(weibull_model([1.0]), [1.0, -1.0], WeightPolicy.holder()),
         lambda: fit(weibull_model([1e-4]), far, WeightPolicy.holder()),
         lambda: fit(weibull_model([2.0, 2.0]), [[1.0, 0.0], [2.0, 0.0]], WeightPolicy.holder()),
+        lambda: fit(weibull_model([2.0, 2.0, 2.0]), [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], WeightPolicy.holder()),
         lambda: fit(weibull_model([2.0]), [1e-200, 1.0], WeightPolicy.holder(base_w=lambda o: [1.0, 1e-300])),
         lambda: fit(weibull_model([2.0, 2.0]), [[1.0, 1e-200], [1.0, 1.0]],
                     WeightPolicy.holder(base_w=lambda o: [1.0, 1e-300])),
@@ -214,26 +229,81 @@ GROUPS = {
 }
 
 
+def canon_records(name: str, scale: str):
+    """The canonical text of every record of group ``name`` at ``scale``."""
+    with np.errstate(all="ignore"):
+        for record in GROUPS[name](SCALES[scale]):
+            yield canon(record)
+
+
 def digests(scale: str = "full") -> dict[str, str]:
     """The sha256 of every group's records at ``scale``."""
     out = {}
-    with np.errstate(all="ignore"):
-        for name, records in GROUPS.items():
-            h = hashlib.sha256()
-            for record in records(SCALES[scale]):
-                h.update(canon(record).encode() + b"\n")
-            out[name] = h.hexdigest()
+    for name in GROUPS:
+        h = hashlib.sha256()
+        for text in canon_records(name, scale):
+            h.update(text.encode() + b"\n")
+        out[name] = h.hexdigest()
     return out
+
+
+def _child(src: str, scale: str, *args: str) -> str:
+    """This script's stdout on the tree ``src``, in a fresh process."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--src", src, *args]
+    if scale == "small":
+        command.append("--small")
+    return subprocess.run(command, check=True, capture_output=True, text=True).stdout
+
+
+def _window(text: str, at: int, width: int = 300) -> str:
+    """``text`` around character ``at``, with its offset when cut."""
+    lo = max(0, at - width // 3)
+    cut = text[lo : lo + width]
+    return cut if len(text) <= width else f"[{lo}:{lo + len(cut)} of {len(text)}] {cut}"
+
+
+def compare(src: str, other: str, scale: str) -> int:
+    """Print each group whose records differ between the trees ``src`` and
+    ``other``, with the first differing record of each; 1 if any differs."""
+    mine, theirs = (json.loads(_child(tree, scale, "--hashes")) for tree in (src, other))
+    differs = 0
+    for name in GROUPS:
+        a, b = mine[name], theirs[name]
+        if a == b:
+            print(f"{name:12s} identical ({len(a)} records)")
+            continue
+        differs = 1
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        print(f"{name:12s} differs: {len(a)} against {len(b)} records, first at record {i}")
+        texts = [_child(tree, scale, "--record", name, str(i)) if i < len(h) else "(no record)"
+                 for tree, h in ((src, a), (other, b))]
+        at = next((c for c, (x, y) in enumerate(zip(*texts)) if x != y), min(map(len, texts)))
+        for tree, text in zip((src, other), texts):
+            print(f"  {tree}: {_window(text, at)}")
+    return differs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="the src directory of the tree to hash")
     parser.add_argument("--small", action="store_true", help="smaller inputs and coarser grids")
+    parser.add_argument("--against", metavar="OTHER_SRC", help="compare --src with another tree's src")
+    parser.add_argument("--hashes", action="store_true", help=argparse.SUPPRESS)  # per-record sha256, as JSON
+    parser.add_argument("--record", nargs=2, metavar=("GROUP", "INDEX"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    scale = "small" if args.small else "full"
+    if args.against:
+        return compare(args.src, args.against, scale)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    for name, digest in digests("small" if args.small else "full").items():
-        print(f"{name:12s} {digest}")
+    if args.hashes:
+        print(json.dumps({name: [hashlib.sha256(text.encode()).hexdigest()
+                                 for text in canon_records(name, scale)] for name in GROUPS}))
+    elif args.record:
+        name, index = args.record[0], int(args.record[1])
+        print(next(itertools.islice(canon_records(name, scale), index, None)), end="")
+    else:
+        for name, digest in digests(scale).items():
+            print(f"{name:12s} {digest}")
     return 0
 
 
